@@ -40,7 +40,7 @@ from .qcore import (
     mp_scalar,
     poch_finite,
     poch_infinite,
-    tail_count,
+    poch_multi,
 )
 from .hyperseries import (
     SeriesSpec,
@@ -163,23 +163,6 @@ def _off_lattice(x, q, dist: float = 0.05) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _P(values: Sequence, q, tp: TruncationPolicy) -> complex:
-    acc = 1 + 0j
-    for v in values:
-        acc *= poch_infinite(v, q, tp)
-    return acc
-
-
-def _pinf_mp(x, qm, neg_tol_log10: float):
-    n = tail_count(float(abs(x)), float(qm), neg_tol_log10)
-    acc = mp.one
-    z = x
-    for _ in range(n):
-        acc *= 1 - z
-        z *= qm
-    return acc
-
-
 def _quantize_dps(d: float) -> int:
     return max(40, 10 * int(math.ceil(d / 10.0)))
 
@@ -196,19 +179,8 @@ def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
         theta = -mp.pi + 2 * mp.pi * mpf(jn) / jd
         e = mp.expj(theta)
         em = mp.expj(-theta)
-        tol = -(dps + 2)
-        num = (
-            _pinf_mp(rho * e / d, qm, tol)
-            * _pinf_mp(q * d * em / rho, qm, tol)
-            * _pinf_mp(rho * c * em, qm, tol)
-            * _pinf_mp(q * e / (c * rho), qm, tol)
-        )
-        den = (
-            _pinf_mp(a * e, qm, tol)
-            * _pinf_mp(b * e, qm, tol)
-            * _pinf_mp(c * em, qm, tol)
-            * _pinf_mp(d * em, qm, tol)
-        )
+        num = poch_multi([rho * e / d, q * d * em / rho, rho * c * em, q * e / (c * rho)], qm)
+        den = poch_multi([a * e, b * e, c * em, d * em], qm)
         return num / den
 
 
@@ -279,9 +251,8 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps, qp: QuadraturePolicy) -> comp
 def _bqj_weight_node(x, a, b, c, q, dps: int):
     with mp.workdps(dps):
         qm = mpf(q)
-        tol = -(dps + 2)
-        num = _pinf_mp(x / a, qm, tol) * _pinf_mp(x / c, qm, tol)
-        den = _pinf_mp(x, qm, tol) * _pinf_mp(b * x / c, qm, tol)
+        num = poch_multi([x / a, x / c], qm)
+        den = poch_multi([x, b * x / c], qm)
         return num / den
 
 
@@ -297,8 +268,8 @@ def _bqj_rhs(n: int, a, b, c, q, tp: TruncationPolicy) -> complex:
     # of the n = 0 integral fixes this orientation of the theta-pair.
     pref = (
         a * q * (1 - q)
-        * _P([q, a * b * q * q, c / a, q * a / c], q, tp)
-        / _P([a * q, b * q, c * q, a * b * q / c], q, tp)
+        * poch_multi([q, a * b * q * q, c / a, q * a / c], q, policy=tp)
+        / poch_multi([a * q, b * q, c * q, a * b * q / c], q, policy=tp)
     )
     num = (1 - a * b * q) * poch_finite(q, q, n) * poch_finite(q * b, q, n) * poch_finite(
         a * b * q / c, q, n
@@ -380,10 +351,12 @@ def _make_liu_master(m: int):
         bs = [prm[f"b{j}"] for j in range(1, m + 1)]
         cs = [prm[f"c{j}"] for j in range(1, m + 1)]
         tp = pol.truncation
-        lhs = _P([al * q, al * a * b / q], q, tp) / _P([al * a, al * b], q, tp)
+        lhs = poch_multi([al * q, al * a * b / q], q, policy=tp) / poch_multi(
+            [al * a, al * b], q, policy=tp
+        )
         for bj, cj in zip(bs, cs):
-            lhs *= _P([al * a * bj / q, al * cj], q, tp) / _P(
-                [al * a * cj / q, al * bj], q, tp
+            lhs *= poch_multi([al * a * bj / q, al * cj], q, policy=tp) / poch_multi(
+                [al * a * cj / q, al * bj], q, policy=tp
             )
 
         def inner(order: int) -> complex:
@@ -446,9 +419,9 @@ def _recipe_rogers(prm, pol) -> CheckValues:
     tp = pol.truncation
     z = al * a * b * c / q**2
     res = eval_w(al, [q / a, q / b, q / c], q, z, tp)
-    rhs = _P([al * q, al * a * b / q, al * a * c / q, al * b * c / q], q, tp) / _P(
-        [al * a, al * b, al * c, z], q, tp
-    )
+    rhs = poch_multi(
+        [al * q, al * a * b / q, al * a * c / q, al * b * c / q], q, policy=tp
+    ) / poch_multi([al * a, al * b, al * c, z], q, policy=tp)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -502,8 +475,8 @@ def _recipe_qhahn_genfun(prm, pol, swapped: bool = False) -> CheckValues:
         T *= (s - q**n) / (1 - abcd * s * q**n)
     else:
         raise TruncationExceeded("generating function series did not converge")
-    rhs = _P([abcd, a_role * c * s, a_role * d * s, a_role * z], q, tp) / _P(
-        [abcd * s, a_role * c, a_role * d, a_role * s * z], q, tp
+    rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q, policy=tp) / poch_multi(
+        [abcd * s, a_role * c, a_role * d, a_role * s * z], q, policy=tp
     )
     return CheckValues(total, rhs, {"terms": used})
 
@@ -534,7 +507,9 @@ def _recipe_q_dougall_c0(prm, pol) -> CheckValues:
     series = eval_wp_limit(
         al, (al, 1 / s, 1 / r), (q * al * s, q * al * r), q, -al * r * s, +1, tp
     )
-    rhs = _P([q * al, q * al * r * s], q, tp) / _P([q * al * s, q * al * r], q, tp)
+    rhs = poch_multi([q * al, q * al * r * s], q, policy=tp) / poch_multi(
+        [q * al * s, q * al * r], q, policy=tp
+    )
     return CheckValues(series.value, rhs, {"terms": series.terms_used})
 
 
@@ -651,8 +626,8 @@ def _recipe_bww_transform(prm, pol) -> CheckValues:
         tp,
     )
     rhs = (
-        _P([q * al / c, q * al / d, q * lam / a], q, tp)
-        / _P([al * q / a, q * al / (c * d), q * lam], q, tp)
+        poch_multi([q * al / c, q * al / d, q * lam / a], q, policy=tp)
+        / poch_multi([al * q / a, q * al / (c * d), q * lam], q, policy=tp)
         * series.value
     )
     return CheckValues(lhs, rhs, {"terms": series.terms_used})
@@ -784,8 +759,8 @@ def _recipe_bqj_genfun(prm, pol) -> CheckValues:
         )
     else:
         raise TruncationExceeded("generating function series did not converge")
-    rhs = _P([q * a * b, q * a * t, q * c * t, x], q, tp) / _P(
-        [q * q * a * b * t, q * a, q * c, t * x], q, tp
+    rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q, policy=tp) / poch_multi(
+        [q * q * a * b * t, q * a, q * c, t * x], q, policy=tp
     )
     return CheckValues(total, rhs, {"terms": used})
 
@@ -885,9 +860,9 @@ def _recipe_aw_genfun(prm, pol) -> CheckValues:
     else:
         raise TruncationExceeded("generating function series did not converge")
     e = cmath.exp(1j * theta)
-    rhs = _P([abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q, tp) / _P(
-        [abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q, tp
-    )
+    rhs = poch_multi(
+        [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q, policy=tp
+    ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q, policy=tp)
     return CheckValues(total, rhs, {"terms": used})
 
 
@@ -1040,8 +1015,8 @@ def _recipe_qbailey_bridge(prm, pol) -> CheckValues:
     pref = (
         (1 - q)
         * s
-        * _P([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q, tp)
-        / (2 * math.pi * _P([r / d, r / s], q, tp))
+        * poch_multi([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q, policy=tp)
+        / (2 * math.pi * poch_multi([r / d, r / s], q, policy=tp))
     )
     return CheckValues(lhs, pref * trig, {})
 
@@ -1090,12 +1065,12 @@ def _recipe_q_dougall_6w5(prm, pol) -> CheckValues:
     e = cmath.exp(1j * theta)
     alpha = a * b * c * d * s * s / q
     res = eval_w(alpha, [a * b * c * d * s / r, s * e, s / e], q, r / s, tp)
-    habcds = _P([a * b * c * d * s * e, a * b * c * d * s / e], q, tp)
-    hr = _P([r * e, r / e], q, tp)
+    habcds = poch_multi([a * b * c * d * s * e, a * b * c * d * s / e], q, policy=tp)
+    hr = poch_multi([r * e, r / e], q, policy=tp)
     rhs = (
-        _P([a * b * c * d * s * s, a * b * c * d], q, tp)
+        poch_multi([a * b * c * d * s * s, a * b * c * d], q, policy=tp)
         * hr
-        / (_P([r * s, r / s], q, tp) * habcds)
+        / (poch_multi([r * s, r / s], q, policy=tp) * habcds)
     )
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
@@ -1109,7 +1084,9 @@ def _sample_q_dougall_6w5(rng) -> dict:
 def _recipe_liu_3phi2(prm, pol) -> CheckValues:
     q, al, x, y, u, v = (prm[k] for k in ("q", "alpha", "x", "y", "u", "v"))
     tp = pol.truncation
-    lhs = _P([al * q, al * x * y / q], q, tp) / _P([al * x, al * y], q, tp) * eval_phi(
+    lhs = poch_multi([al * q, al * x * y / q], q, policy=tp) / poch_multi(
+        [al * x, al * y], q, policy=tp
+    ) * eval_phi(
         SeriesSpec(
             numerator=(q / x, q / y, al * u * v / q),
             denominator=(al * u, al * v),
@@ -1186,8 +1163,8 @@ def _recipe_liu_qbeta_u_eq_q(prm, pol) -> CheckValues:
     tp = pol.truncation
     alpha = a * a * b * c * d * s / q
     lhs = qi.liu_qbeta_lhs(a, b, c, d, s, q, v, q, pol.quadrature, tp)
-    rhs = qi.nr_product_rhs(a, b, c, d, s, q, tp) / _P(
-        [q * alpha, b * c * d * s], q, tp
+    rhs = qi.nr_product_rhs(a, b, c, d, s, q, tp) / poch_multi(
+        [q * alpha, b * c * d * s], q, policy=tp
     )
     return CheckValues(lhs, rhs)
 
@@ -1207,15 +1184,15 @@ def _recipe_liu_qbeta_v_limit(prm, pol) -> CheckValues:
     alpha = a * a * b * c * d * s / q
     r_eff = alpha * u / a
     lhs = qi.nr_trig_lhs(a, b, c, d, s, r_eff, q, pol.quadrature, tp)
-    num = _P(
+    num = poch_multi(
         [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, alpha * u,
          alpha * u / (a * a)],
-        q, tp,
+        q, policy=tp,
     )
-    den = _P(
+    den = poch_multi(
         [q, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          q * alpha],
-        q, tp,
+        q, policy=tp,
     )
     w8 = eval_w(
         alpha, [q / u, a * b, a * c, a * d, a * s], q, alpha * u / (a * a), tp
@@ -1242,7 +1219,9 @@ def _recipe_q_gauss(prm, pol) -> CheckValues:
         ),
         tp,
     )
-    rhs = _P([c * a / q, c * b / q], q, tp) / _P([c, a * b * c / q**2], q, tp)
+    rhs = poch_multi([c * a / q, c * b / q], q, policy=tp) / poch_multi(
+        [c, a * b * c / q**2], q, policy=tp
+    )
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 

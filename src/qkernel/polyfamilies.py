@@ -26,7 +26,7 @@ from .qcore import (
     base_value,
     mp_scalar,
     poch_finite,
-    poch_infinite,
+    poch_multi,
 )
 from .hyperseries import nearest_pole_distance, phi_terminating_core
 
@@ -149,12 +149,10 @@ def qhahn_L0(p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> compl
     / (q, ac, ad, bc, bd; q)_inf."""
     qv = base_value(p.q)
     a, b, c, d, rho = p.a, p.b, p.c, p.d, p.rho
-    num = 1 + 0j
-    for x in (a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)):
-        num *= poch_infinite(x, qv, tp)
-    den = 1 + 0j
-    for x in (qv, a * c, a * d, b * c, b * d):
-        den *= poch_infinite(x, qv, tp)
+    num = poch_multi(
+        [a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)], qv, policy=tp
+    )
+    den = poch_multi([qv, a * c, a * d, b * c, b * d], qv, policy=tp)
     return complex(num / den)
 
 
@@ -188,12 +186,10 @@ def qhahn_K(theta: float, p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCAT
     a, b, c, d, rho = p.a, p.b, p.c, p.d, p.rho
     e = cmath.exp(1j * theta)
     em = cmath.exp(-1j * theta)
-    num = 1 + 0j
-    for x in (rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)):
-        num *= poch_infinite(x, qv, tp)
-    den = 1 + 0j
-    for x in (a * e, b * e, c * em, d * em):
-        den *= poch_infinite(x, qv, tp)
+    num = poch_multi(
+        [rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv, policy=tp
+    )
+    den = poch_multi([a * e, b * e, c * em, d * em], qv, policy=tp)
     return complex(num / den)
 
 

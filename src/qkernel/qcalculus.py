@@ -103,36 +103,6 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
     )
 
 
-def _expansion_coefficients(f: AnalyticFn, order: int, alpha, q) -> list:
-    """Coefficients c_0..c_order of the expansion of f in the kernel
-    (1 - alpha q^{2n}) (alpha q / a; q)_n a^n / ((q, a; q)_n), under the
-    ambient mpmath context:
-
-        c_n = [D_{q,x}^n { f(x) (x; q)_{n-1} }]_{x = alpha q},
-
-    with the n = 0 case taken as f(alpha q) directly.
-    """
-    qm = mp_scalar(base_value(q))
-    am = mp_scalar(alpha)
-    fv = [f(am * qm ** (k + 1)) for k in range(order + 1)]
-    coeffs = [fv[0]]
-    for n in range(1, order + 1):
-        # P_k = (q^{k+1} alpha; q)_{n-1}, started at k = 0 and updated by
-        # ratio; w_k is the Jackson weight (q^{-n};q)_k q^k / (q;q)_k.
-        P = mp.one
-        for j in range(n - 1):
-            P *= 1 - am * qm ** (1 + j)
-        w = mp.one
-        s = mp.zero
-        for k in range(n + 1):
-            s += w * P * fv[k]
-            if k < n:
-                w *= (1 - qm ** (k - n)) / (1 - qm ** (k + 1)) * qm
-                P *= (1 - am * qm ** (n + k)) / (1 - am * qm ** (k + 1))
-        coeffs.append((qm * am) ** (-n) * s)
-    return coeffs
-
-
 def _coeff_work_digits(order: int, qmag: float, alpha_mag: float, a_mag: float) -> int:
     amp = _amplification_digits(order, qmag, qmag * alpha_mag)
     kern = order * max(0.0, math.log10(max(a_mag, 1e-300) / (qmag * alpha_mag)))
@@ -146,7 +116,10 @@ def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     qv = base_value(q)
     work = _coeff_work_digits(n, float(abs(qv)), float(abs(alpha)), 0.0)
     with mp.workdps(work):
-        value = _expansion_coefficients(f, n, alpha, qv)[n]
+        qm = mp_scalar(qv)
+        am = mp_scalar(alpha)
+        row = _jackson_vectors(n, alpha, qm)[n]
+        value = sum((v * f(am * qm ** (k + 1)) for k, v in enumerate(row)), mp.zero)
     return complex(value)
 
 
@@ -177,17 +150,21 @@ def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
     work = _coeff_work_digits(order, float(abs(qv)), float(abs(alpha)), float(abs(a)))
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        coeffs = _expansion_coefficients(f, order, alpha, qv)
+        am = mp_scalar(alpha)
+        fv = [f(am * qm ** (k + 1)) for k in range(order + 1)]
+        vectors = _jackson_vectors(order, alpha, qm)
         kernels = _kernel_factors(order, a, alpha, qm)
         total = mp.zero
         for n in range(order + 1):
-            total += kernels[n] * coeffs[n]
+            total += kernels[n] * sum((v * fk for v, fk in zip(vectors[n], fv)), mp.zero)
     return complex(total)
 
 
 def _jackson_vectors(order: int, alpha, qm) -> list[list]:
-    """v[n][k] = (q alpha)^{-n} w_k (q^{k+1} alpha; q)_{n-1} for k <= n,
-    the one-variable coefficient weights with the prefactor folded in."""
+    """v[n][k] = (q alpha)^{-n} w_k (q^{k+1} alpha; q)_{n-1} for k <= n, with
+    w_k = (q^{-n}; q)_k q^k / (q; q)_k the Jackson weight: the one-variable
+    coefficient weights with the prefactor folded in, so that
+    c_n = sum_k v[n][k] f(alpha q^{k+1})."""
     am = mp_scalar(alpha)
     vectors: list[list] = [[mp.one]]
     for n in range(1, order + 1):

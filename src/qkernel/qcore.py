@@ -1,10 +1,13 @@
 """Complex q-shifted factorials and trigonometric weight factors.
 
-The arithmetic loops are written generically (no numpy inside), so the same
-functions work on plain ``complex`` values and, where extended precision is
-needed, on mpmath ``mpf``/``mpc`` values.  Truncation of infinite products is
-controlled by a provable geometric tail bound: the product over ``k >= N`` of
-``(1 - a q^k)`` differs from 1 by at most roughly ``|a| |q|^N / (1 - |q|)``.
+``poch_infinite`` and ``poch_multi`` (a product over several first arguments)
+are the single scalar q-product kernel; ``qintegrals.poch_infinite_vec`` is
+their numpy-array twin.  The loops are generic (no numpy inside), so they work
+on plain ``complex`` values and on mpmath ``mpf``/``mpc`` values alike.
+Infinite products truncate at a provable geometric tail bound: the product
+over ``k >= N`` of ``(1 - a q^k)`` differs from 1 by at most roughly
+``|a| |q|^N / (1 - |q|)``, kept below 1e-14, or below 10^-(dps + 2) inside an
+mpmath context with ``mp.dps > 25``.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     tail bound |a| |q|^N / (1 - |q|) < tol.
 
     Raises TruncationExceeded when the bound needs more than
-    ``policy.max_terms`` factors.
+    ``policy.max_terms`` factors, and DomainError when a float/complex result
+    overflows (mpmath results may legitimately exceed the float range).
     """
     qv = base_value(q)
     qmag = _magnitude(qv)
@@ -156,30 +160,30 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
         raise TruncationExceeded(
             f"(a; q)_infty needs {n} factors, cap is {cap}"
         )
+    if n == 0:
+        return 1 + 0j if isinstance(a, (int, float, complex)) else mp.one
     acc = 1
     zk = a
     for _ in range(n):
         acc = acc * (1 - zk)
         zk = zk * qv
-    return acc + 0j if isinstance(acc, int) else acc
+    if isinstance(acc, (float, complex)) and not cmath.isfinite(acc):
+        raise DomainError("poch_infinite overflowed the float range")
+    return acc
 
 
 def poch_multi(params: Sequence, q, n=None, policy: TruncationPolicy | None = None):
     """Product of q-shifted factorials over several first arguments.
 
     ``n`` may be a nonnegative integer, or None / math.inf for the infinite
-    product.
+    product.  A product of Python numbers is complex even when every factor is
+    real; a product of mpmath reals stays ``mpf``.
     """
     if len(params) == 0:
         raise DomainError("poch_multi requires at least one parameter")
     infinite = n is None or n == math.inf
-    acc = 1
-    for a in params:
-        if infinite:
-            acc = acc * poch_infinite(a, q, policy)
-        else:
-            acc = acc * poch_finite(a, q, int(n))
-    return acc
+    factors = [poch_infinite(a, q, policy) if infinite else poch_finite(a, q, int(n)) for a in params]
+    return math.prod(factors, start=1 + 0j if isinstance(factors[0], (float, complex)) else 1)
 
 
 def h_weight(theta: float, params: Sequence, q, policy: TruncationPolicy | None = None):
@@ -187,14 +191,11 @@ def h_weight(theta: float, params: Sequence, q, policy: TruncationPolicy | None 
     h(cos theta; a) = (a e^{i theta}, a e^{-i theta}; q)_infty,
     equivalently prod_k (1 - 2 q^k a cos theta + q^{2k} a^2).
     """
+    if len(params) == 0:
+        return 1 + 0j
     eip = cmath.exp(1j * theta)
     eim = cmath.exp(-1j * theta)
-    acc = 1
-    for a in params:
-        acc = acc * poch_infinite(a * eip, q, policy)
-        acc = acc * poch_infinite(a * eim, q, policy)
-    if isinstance(acc, int):
-        return complex(acc)
+    acc = poch_multi([x for a in params for x in (a * eip, a * eim)], q, policy=policy)
     if isinstance(acc, complex) and not cmath.isfinite(acc):
         raise DomainError("h_weight produced a non-finite value")
     return acc

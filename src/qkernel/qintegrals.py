@@ -22,6 +22,7 @@ from .qcore import (
     TruncationPolicy,
     base_value,
     poch_infinite,
+    poch_multi,
     tail_count,
 )
 from .hyperseries import eval_w, eval_wp_limit
@@ -98,33 +99,6 @@ def weight_values(w: WeightSpec, theta: np.ndarray, tp: TruncationPolicy) -> np.
     if w.extra_factor is not None:
         vals = vals * np.asarray(w.extra_factor(theta))
     return vals
-
-
-def circle_one_sided_factor(
-    up_num: Sequence, down_num: Sequence, up_den: Sequence, down_den: Sequence, q, tp: TruncationPolicy
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorised factor of one-sided infinite products
-
-        prod (c e^{i theta}; q)_inf * prod (c' e^{-i theta}; q)_inf
-        / (same shape in the denominator).
-    """
-    qv = complex(base_value(q))
-
-    def factor(theta: np.ndarray) -> np.ndarray:
-        eip = np.exp(1j * theta)
-        eim = np.conj(eip)
-        vals = np.ones(theta.shape, dtype=complex)
-        for coeff in up_num:
-            vals *= poch_infinite_vec(complex(coeff) * eip, qv, tp.tol)
-        for coeff in down_num:
-            vals *= poch_infinite_vec(complex(coeff) * eim, qv, tp.tol)
-        for coeff in up_den:
-            vals /= poch_infinite_vec(complex(coeff) * eip, qv, tp.tol)
-        for coeff in down_den:
-            vals /= poch_infinite_vec(complex(coeff) * eim, qv, tp.tol)
-        return vals
-
-    return factor
 
 
 def circle_phi_factor(
@@ -213,18 +187,11 @@ def trig_integral(
 # ---------------------------------------------------------------------------
 
 
-def _pinf(values, q, tp: TruncationPolicy):
-    acc = 1 + 0j
-    for v in values:
-        acc *= poch_infinite(v, q, tp)
-    return acc
-
-
 def askey_wilson_rhs(a, b, c, d, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     """2 pi (abcd; q)_inf / (q, ab, ac, ad, bc, bd, cd; q)_inf."""
     qv = base_value(q)
     num = poch_infinite(a * b * c * d, qv, tp)
-    den = _pinf([qv, a * b, a * c, a * d, b * c, b * d, c * d], qv, tp)
+    den = poch_multi([qv, a * b, a * c, a * d, b * c, b * d, c * d], qv, policy=tp)
     return 2.0 * math.pi * num / den
 
 
@@ -243,40 +210,20 @@ def askey_roy_rhs(a, b, c, d, rho, q, tp: TruncationPolicy = DEFAULT_TRUNCATION)
     if c * d * rho == 0:
         raise DomainError("askey_roy_rhs requires c d rho != 0")
     qv = base_value(q)
-    num = _pinf([a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)], qv, tp)
-    den = _pinf([qv, a * c, a * d, b * c, b * d], qv, tp)
+    num = poch_multi([a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)], qv, policy=tp)
+    den = poch_multi([qv, a * c, a * d, b * c, b * d], qv, policy=tp)
     return num / den
-
-
-def askey_roy_lhs(
-    a, b, c, d, rho, q,
-    qp: QuadraturePolicy = DEFAULT_QUADRATURE,
-    tp: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> complex:
-    """The raw integral over [-pi, pi] (divide by 2 pi to match the rhs)."""
-    if c * d * rho == 0:
-        raise DomainError("askey_roy_lhs requires c d rho != 0")
-    qv = complex(base_value(q))
-    factor = circle_one_sided_factor(
-        up_num=[rho / d, qv / (c * rho)],
-        down_num=[qv * d / rho, rho * c],
-        up_den=[a, b],
-        down_den=[c, d],
-        q=qv,
-        tp=tp,
-    )
-    w = WeightSpec(base=Base(qv), extra_factor=factor)
-    return trig_integral(w, FULL_PERIOD, qp, tp)
 
 
 def nr_product_rhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     """2 pi (abcd, abcs, abds, acds, bcds; q)_inf
     / (q, ab, ac, ad, as, bc, bd, bs, cd, cs, ds; q)_inf."""
     qv = base_value(q)
-    num = _pinf([a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, b * c * d * s], qv, tp)
-    den = _pinf(
-        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s],
-        qv, tp,
+    num = poch_multi(
+        [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, b * c * d * s], qv, policy=tp
+    )
+    den = poch_multi(
+        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s], qv, policy=tp
     )
     return 2.0 * math.pi * num / den
 
@@ -308,11 +255,13 @@ def nassrallah_rahman_rhs(
     if abs(r / s) >= 1:
         raise DomainError("nassrallah_rahman_rhs requires |r/s| < 1")
     qv = base_value(q)
-    num = _pinf([r / s, r * s, a * b * c * s, b * c * d * s, a * c * d * s, a * b * d * s], qv, tp)
-    den = _pinf(
+    num = poch_multi(
+        [r / s, r * s, a * b * c * s, b * c * d * s, a * c * d * s, a * b * d * s], qv, policy=tp
+    )
+    den = poch_multi(
         [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          a * b * c * d * s * s],
-        qv, tp,
+        qv, policy=tp,
     )
     w8 = eval_w(
         a * b * c * d * s * s / qv,
@@ -331,10 +280,10 @@ def nr_intermediate_rhs(
     if r == 0 or d == 0:
         raise DomainError("intermediate form requires r != 0 and d != 0")
     qv = base_value(q)
-    num = _pinf([a * b * c * d, a * b * c * s, r * a, r * b, r * c], qv, tp)
-    den = _pinf(
+    num = poch_multi([a * b * c * d, a * b * c * s, r * a, r * b, r * c], qv, policy=tp)
+    den = poch_multi(
         [qv, a * b, a * c, a * d, b * c, b * d, c * d, r * a * b * c, a * s, b * s, c * s],
-        qv, tp,
+        qv, policy=tp,
     )
     w8 = eval_w(
         r * a * b * c / qv,
@@ -349,9 +298,9 @@ def liu_r0_rhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> c
     from .hyperseries import SeriesSpec, eval_phi
 
     qv = base_value(q)
-    num = _pinf([a * b * c * d, a * b * c * s], qv, tp)
-    den = _pinf(
-        [qv, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], qv, tp
+    num = poch_multi([a * b * c * d, a * b * c * s], qv, policy=tp)
+    den = poch_multi(
+        [qv, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], qv, policy=tp
     )
     phi = eval_phi(
         SeriesSpec(
@@ -374,11 +323,11 @@ def liu_qbeta_rhs(
     q^{n(n-1)/2}, with alpha = a^2 b c d s / q."""
     qv = base_value(q)
     alpha = a * a * b * c * d * s / qv
-    num = _pinf([a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s], qv, tp)
-    den = _pinf(
+    num = poch_multi([a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s], qv, policy=tp)
+    den = poch_multi(
         [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          qv * alpha],
-        qv, tp,
+        qv, policy=tp,
     )
     series = eval_wp_limit(
         alpha,
@@ -422,8 +371,10 @@ def alsalam_verma_rhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATIO
     """(1-q) s (q, d/s, qs/d, abds, acds, bcds; q)_inf
     / (ad, as, bd, bs, cd, cs; q)_inf."""
     qv = base_value(q)
-    num = _pinf([qv, d / s, qv * s / d, a * b * d * s, a * c * d * s, b * c * d * s], qv, tp)
-    den = _pinf([a * d, a * s, b * d, b * s, c * d, c * s], qv, tp)
+    num = poch_multi(
+        [qv, d / s, qv * s / d, a * b * d * s, a * c * d * s, b * c * d * s], qv, policy=tp
+    )
+    den = poch_multi([a * d, a * s, b * d, b * s, c * d, c * s], qv, policy=tp)
     return (1 - qv) * s * num / den
 
 
@@ -434,8 +385,8 @@ def alsalam_verma_lhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATIO
     abcds = a * b * c * d * s
 
     def f(x):
-        num = _pinf([qv * x / d, qv * x / s, abcds * x], qv, tp)
-        den = _pinf([a * x, b * x, c * x], qv, tp)
+        num = poch_multi([qv * x / d, qv * x / s, abcds * x], qv, policy=tp)
+        den = poch_multi([a * x, b * x, c * x], qv, policy=tp)
         return num / den
 
     return qcalculus.q_integral(f, d, s, qv, tp)
@@ -447,8 +398,10 @@ def lbww_rhs(u, v, h, r, s, t, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> 
     series with lambda = r h u v / q in (-stuv)^n q^{n(n-1)/2}."""
     qv = base_value(q)
     lam = r * h * u * v / qv
-    num = _pinf([qv, u / v, qv * v / u, h * u, h * v, r * s * u * v, r * t * u * v], qv, tp)
-    den = _pinf([lam * qv, r * u, r * v, s * u, s * v, t * u, t * v], qv, tp)
+    num = poch_multi(
+        [qv, u / v, qv * v / u, h * u, h * v, r * s * u * v, r * t * u * v], qv, policy=tp
+    )
+    den = poch_multi([lam * qv, r * u, r * v, s * u, s * v, t * u, t * v], qv, policy=tp)
     pref = (1 - qv) * v * num / den
     if t == 0:
         # t -> 0 limit of (h/t; q)_n (-stuv)^n q^{n(n-1)/2}: terms become
@@ -490,8 +443,8 @@ def lbww_lhs(u, v, h, r, s, t, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> 
     qv = base_value(q)
 
     def f(x):
-        num = _pinf([qv * x / u, qv * x / v, h * x], qv, tp)
-        den = _pinf([r * x, s * x, t * x], qv, tp)
+        num = poch_multi([qv * x / u, qv * x / v, h * x], qv, policy=tp)
+        den = poch_multi([r * x, s * x, t * x], qv, policy=tp)
         return num / den
 
     return qcalculus.q_integral(f, u, v, qv, tp)
@@ -504,14 +457,13 @@ def qbailey_rhs(a, b, c, d, s, r, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) 
     if abs(r / s) >= 1:
         raise DomainError("qbailey_rhs requires |r/s| < 1")
     qv = base_value(q)
-    num = _pinf(
+    num = poch_multi(
         [qv, d / s, qv * s / d, r * s, a * b * c * s, a * c * d * s, a * b * d * s,
          b * c * d * s],
-        qv, tp,
+        qv, policy=tp,
     )
-    den = _pinf(
-        [r / d, a * d, b * d, c * d, a * s, b * s, c * s, a * b * c * d * s * s],
-        qv, tp,
+    den = poch_multi(
+        [r / d, a * d, b * d, c * d, a * s, b * s, c * s, a * b * c * d * s * s], qv, policy=tp
     )
     w8 = eval_w(
         a * b * c * d * s * s / qv,
@@ -527,8 +479,8 @@ def qbailey_lhs(a, b, c, d, s, r, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) 
     qv = base_value(q)
 
     def f(x):
-        num = _pinf([a * b * c * x, qv * x / d, qv * x / s, r * x], qv, tp)
-        den = _pinf([a * x, b * x, c * x, r * x / (d * s)], qv, tp)
+        num = poch_multi([a * b * c * x, qv * x / d, qv * x / s, r * x], qv, policy=tp)
+        den = poch_multi([a * x, b * x, c * x, r * x / (d * s)], qv, policy=tp)
         return num / den
 
     return qcalculus.q_integral(f, d, s, qv, tp)

@@ -56,6 +56,22 @@ def test_check_bad_value_exit2(capsys):
     assert main(["check", "q_gauss", "--a", "inf"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["qhahn_orthogonality", "--n", "1", "--m", "1", "--q", "-0.5", "--a", "0.3",
+     "--b", "0.2", "--c", "0.4", "--d", "0.1", "--rho", "0.6"],
+    ["bigqjacobi_orthogonality", "--n", "1", "--m", "1", "--q", "-0.5", "--a", "0.3",
+     "--b", "0.4", "--c", "-0.2"],
+    ["askey_roy", "--q", "-0.5", "--a", "0.3", "--b", "0.2", "--c", "0.4", "--d", "0.1",
+     "--rho", "0.6"],
+])
+def test_check_negative_q_mp_products(argv, tmp_path):
+    # the mpmath node caches must size their products from |q|, not the signed q
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
 def test_check_samples_missing_params(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["check", "q_gauss", "--seed", "7", "--format", "json",
@@ -121,6 +137,12 @@ class TestEval:
         assert main(["eval", "poch", "--a", "0.5", "--q", "0.5"]) == 0
         out = capsys.readouterr().out
         assert abs(float(out.split("+")[0]) - 0.2887880950866024) < 1e-12
+
+    def test_poch_overflow_exit2(self, capsys):
+        assert main(["eval", "poch", "--a", "1e300", "--q", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DomainError" in captured.err
 
     def test_phi(self, capsys):
         rc = main(["eval", "phi", "--num", "2.5,1.6666666666666667", "--den", "0.71",

@@ -1,16 +1,20 @@
 import cmath
 import math
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from qkernel.errors import DomainError, TruncationExceeded
+from qkernel.hyperseries import nearest_pole_distance
 from qkernel.qcore import (
     Base,
     TruncationPolicy,
     as_base,
     h_weight,
+    mp_scalar,
     poch_finite,
     poch_infinite,
     poch_multi,
@@ -23,6 +27,16 @@ POCH_NINE = 1.2860674342766133e-06
 
 _small = st.floats(min_value=-0.9, max_value=0.9).filter(lambda x: abs(x) > 1e-3)
 _qs = st.floats(min_value=0.05, max_value=0.7)
+# arguments as large as the q-Hahn weight's (|a| ~ 30), real or complex, and
+# bases of either sign
+_wide = st.one_of(
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.builds(cmath.rect, st.floats(min_value=0.0, max_value=30.0),
+              st.floats(min_value=-math.pi, max_value=math.pi)),
+)
+_signed_qs = st.builds(
+    lambda m, neg: -m if neg else m, st.floats(min_value=0.05, max_value=0.9), st.booleans()
+)
 
 
 class TestBase:
@@ -86,6 +100,15 @@ class TestPochInfinite:
         split = poch_finite(a, q, n) * poch_infinite(a * q**n, q)
         assert abs(whole - split) <= 1e-11 * max(1.0, abs(whole))
 
+    def test_float_overflow_raises(self):
+        with pytest.raises(DomainError):
+            poch_infinite(1e300, 0.5)
+
+    def test_mp_result_may_exceed_float_range(self):
+        with mp.workdps(30):
+            v = poch_infinite(mpf(1e300), mpf(0.5))
+        assert mpmath.isfinite(v) and abs(v) > 1e308
+
     @given(re=_small, im=_small, q=_qs)
     def test_conjugation(self, re, im, q):
         z = complex(re, im)
@@ -107,6 +130,37 @@ class TestPochMulti:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             poch_multi([], 0.5, 3)
+
+
+class TestMpmathOracle:
+    """The one scalar kernel against mpmath.qp, an independently truncated
+    product evaluated with guard digits."""
+
+    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs)
+    def test_float_path(self, params, q):
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        with mp.workdps(30):
+            ref = [complex(mpmath.qp(a, q)) for a in params]
+        for a, r in zip(params, ref):
+            assert abs(poch_infinite(a, q) - r) <= 1e-12 * abs(r)
+        prod = math.prod(ref)
+        assert abs(poch_multi(params, q) - prod) <= 1e-12 * abs(prod)
+
+    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs)
+    def test_mp_path(self, params, q):
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        args = [mp_scalar(a) for a in params]
+        with mp.workdps(60):
+            got = [poch_infinite(a, mpf(q)) for a in args]
+            multi = poch_multi(args, mpf(q))
+        if all(isinstance(a, mpf) for a in args):
+            assert isinstance(multi, mpf)
+        with mp.workdps(120):
+            ref = [mpmath.qp(a, mpf(q)) for a in args]
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= mpf(10) ** -50 * abs(r)
+            prod = mpmath.fprod(ref)
+            assert abs(multi - prod) <= mpf(10) ** -50 * abs(prod)
 
 
 class TestHWeight:
