@@ -199,8 +199,10 @@ def _cmd_check(args, extra_tokens) -> int:
         )
     params = sample_params(ident, args.seed)
     params.update(given)
-    for name in entry.int_params:
-        params[name] = int(params[name].real if isinstance(params[name], complex) else params[name])
+    for name in ("n", "m"):
+        if name in entry.param_names:
+            value = params[name]
+            params[name] = int(value.real if isinstance(value, complex) else value)
     thresholds = {ident: args.tol} if args.tol is not None else None
     report = check_identity(ident, params, thresholds, DEFAULT_POLICIES, label="check")
     header = {"seed": args.seed, "tolerance_override": args.tol}

@@ -222,8 +222,8 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) ->
         qk *= q
         total += t
         mag = abs(t)
-        if not math.isfinite(mag):
-            raise TruncationExceeded("series terms became non-finite (divergent?)")
+        if not (math.isfinite(mag) and cmath.isfinite(total)):
+            raise TruncationExceeded("series terms or sum became non-finite (divergent?)")
         max_term = max(max_term, mag)
         if mag < policy.tol * max(1.0, abs(total)):
             small.append(mag)
@@ -294,8 +294,8 @@ def eval_wp_limit(
         t = (1 - al * q2n) / (1 - al) * P * W
         total += t
         mag = abs(t)
-        if not math.isfinite(mag):
-            raise TruncationExceeded("well-poised limit terms became non-finite")
+        if not (math.isfinite(mag) and cmath.isfinite(total)):
+            raise TruncationExceeded("well-poised limit terms or sum became non-finite")
         max_term = max(max_term, mag)
         if mag < policy.tol * max(1.0, abs(total)):
             small.append(mag)

@@ -10,6 +10,11 @@ Orthogonality integrals are the one place where plain double precision is
 insufficient: the diagonal norms decay like q^{n(n-1)} (cd)^n, far below the
 float64 noise floor of the oscillating integrand, so those quadratures run in
 mpmath with node values cached across the (n, m) sweep.
+
+To add an identity, write its sampler and then its recipe, and put the
+``@_identity(...)`` registration on the recipe; a recipe shared with another
+entry, or built by a factory, is registered with a plain call instead.  The
+registry keeps file order, which is the order of ``list`` and of the suite.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,7 +86,7 @@ class CheckValues:
     rhs: complex
     diagnostics: dict = field(default_factory=dict)
     scale: float = 1.0
-    metric: str | None = None  # per-case override of the entry metric
+    metric: str | None = None  # "rel" when None; "abs_scaled" where the exact value is 0
     ok_extra: bool = True  # auxiliary conditions (e.g. imaginary residue)
 
 
@@ -107,7 +112,6 @@ class PinnedCase:
     label: str
     params: dict
     threshold: float | None = None
-    metric: str | None = None
     recipe: Callable | None = None
 
 
@@ -120,8 +124,43 @@ class IdentityDef:
     recipe: Callable
     sampler: Callable
     pinned: tuple = ()
-    metric: str = "rel"
-    int_params: tuple = ()
+
+
+# ---------------------------------------------------------------------------
+# the registry (filled in file order by the recipes below)
+# ---------------------------------------------------------------------------
+
+REGISTRY: dict[str, IdentityDef] = {}
+
+
+def _identity(ident: str, description: str, params: tuple, threshold: float,
+              sampler: Callable, pinned: Sequence[PinnedCase] = ()) -> Callable:
+    """Register the decorated recipe as entry ``ident``; the recipe is
+    returned unchanged."""
+
+    def register(recipe: Callable) -> Callable:
+        if ident in REGISTRY:
+            raise ValueError(f"identity {ident!r} is already registered")
+        REGISTRY[ident] = IdentityDef(
+            ident, description, params, threshold, recipe, sampler, tuple(pinned)
+        )
+        return recipe
+
+    return register
+
+
+def _sweep(params: dict) -> tuple:
+    """Pinned cases n = 0..12 of a terminating identity."""
+    return tuple(PinnedCase(f"n{k}", {**params, "n": k}) for k in range(13))
+
+
+def _pairs(params: dict) -> tuple:
+    """Pinned orthogonality pairs (n, m) with 0 <= n, m <= 6."""
+    return tuple(
+        PinnedCase(f"pair_{n}_{m}", {**params, "n": n, "m": m})
+        for n in range(7)
+        for m in range(7)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +185,10 @@ def _pick_q(rng, options: Sequence[float] = _Q_CHOICES) -> float:
     return float(options[int(rng.integers(len(options)))])
 
 
-def _rejection(rng, build: Callable, ok: Callable | None = None, tries: int = 500) -> dict:
+def _rejection(rng, build: Callable, ok: Callable, tries: int = 500) -> dict:
     for _ in range(tries):
         prm = build(rng)
-        if ok is None or ok(prm):
+        if ok(prm):
             return prm
     raise QKernelError("sampler failed to find admissible parameters")
 
@@ -165,6 +204,28 @@ def _off_lattice(x, q, dist: float = 0.05) -> bool:
 
 def _quantize_dps(d: float) -> int:
     return max(40, 10 * int(math.ceil(d / 10.0)))
+
+
+def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
+    """Sum ``term(n, w_n)`` over n with w_0 = 1 and w_{n+1} = w_n * step(n).
+
+    Stops after 5 consecutive terms below 1e-14 in absolute value; returns the
+    sum and the number of terms used.
+    """
+    total = 0j
+    weight = 1 + 0j
+    small = 0
+    for n in range(250):
+        t = term(n, weight)
+        total += t
+        if abs(t) < 1e-14:
+            small += 1
+            if small >= 5:
+                return total, n + 1
+        else:
+            small = 0
+        weight *= step(n)
+    raise TruncationExceeded("generating function series did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +402,25 @@ def _memo_poch_factor(beta, q, inverse: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# recipes (one per registry entry; each computes lhs and rhs independently)
+# samplers and recipes, each entry registered on its recipe (file order is
+# registry order; each recipe computes lhs and rhs independently)
 # ---------------------------------------------------------------------------
+
+
+def _sample_liu_master(m: int):
+    def sampler(rng) -> dict:
+        prm = {
+            "q": _pick_q(rng, (0.5, 0.7)),
+            "alpha": _u(rng, 0.1, 0.5),
+            "a": _u(rng, 0.05, 0.3),
+            "b": _u(rng, 0.05, 0.5),
+        }
+        for j in range(1, m + 1):
+            prm[f"b{j}"] = _u(rng, 0.05, 0.5)
+            prm[f"c{j}"] = _u(rng, 0.05, 0.5)
+        return prm
+
+    return sampler
 
 
 def _make_liu_master(m: int):
@@ -395,34 +473,19 @@ def _make_liu_master(m: int):
     return recipe
 
 
-def _sample_liu_master(m: int):
-    def sampler(rng) -> dict:
-        def build(rng):
-            prm = {
-                "q": _pick_q(rng, (0.5, 0.7)),
-                "alpha": _u(rng, 0.1, 0.5),
-                "a": _u(rng, 0.05, 0.3),
-                "b": _u(rng, 0.05, 0.5),
-            }
-            for j in range(1, m + 1):
-                prm[f"b{j}"] = _u(rng, 0.05, 0.5)
-                prm[f"c{j}"] = _u(rng, 0.05, 0.5)
-            return prm
-
-        return _rejection(rng, build)
-
-    return sampler
-
-
-def _recipe_rogers(prm, pol) -> CheckValues:
-    q, al, a, b, c = prm["q"], prm["alpha"], prm["a"], prm["b"], prm["c"]
-    tp = pol.truncation
-    z = al * a * b * c / q**2
-    res = eval_w(al, [q / a, q / b, q / c], q, z, tp)
-    rhs = poch_multi(
-        [al * q, al * a * b / q, al * a * c / q, al * b * c / q], q, policy=tp
-    ) / poch_multi([al * a, al * b, al * c, z], q, policy=tp)
-    return CheckValues(res.value, rhs, {"terms": res.terms_used})
+for _m in (1, 2, 3):
+    _identity(
+        f"liu_master_m{_m}",
+        f"Master q-summation with {_m} Pochhammer-ratio factor pair{'s' if _m > 1 else ''}:"
+        " infinite-product side against the well-poised sum of terminating inner series",
+        ("q", "alpha", "a", "b") + tuple(x for j in range(1, _m + 1) for x in (f"b{j}", f"c{j}")),
+        1e-9,
+        _sample_liu_master(_m),
+        [PinnedCase("example", {"q": 0.5, "alpha": 0.3, "a": 0.2, "b": 0.35, **{
+            k: v for j in range(1, _m + 1)
+            for k, v in ((f"b{j}", 0.25 + 0.1 * j), (f"c{j}", 0.4 - 0.05 * j))
+        }})],
+    )(_make_liu_master(_m))
 
 
 def _sample_rogers(rng) -> dict:
@@ -445,6 +508,45 @@ def _sample_rogers(rng) -> dict:
     return _rejection(rng, build, ok)
 
 
+@_identity(
+    "rogers_6phi5", "Rogers' very-well-poised 6phi5 summation",
+    ("q", "alpha", "a", "b", "c"), 1e-10, _sample_rogers,
+    [PinnedCase("example", {"alpha": 0.3, "a": 0.7, "b": 0.9, "c": 1.1, "q": 0.5})],
+)
+def _recipe_rogers(prm, pol) -> CheckValues:
+    q, al, a, b, c = prm["q"], prm["alpha"], prm["a"], prm["b"], prm["c"]
+    tp = pol.truncation
+    z = al * a * b * c / q**2
+    res = eval_w(al, [q / a, q / b, q / c], q, z, tp)
+    rhs = poch_multi(
+        [al * q, al * a * b / q, al * a * c / q, al * b * c / q], q, policy=tp
+    ) / poch_multi([al * a, al * b, al * c, z], q, policy=tp)
+    return CheckValues(res.value, rhs, {"terms": res.terms_used})
+
+
+def _sample_qhahn_genfun(swapped: bool):
+    key = "r" if swapped else "s"
+
+    def sampler(rng) -> dict:
+        return {
+            "q": _pick_q(rng),
+            "a": _u(rng, 0.05, 0.6),
+            "b": _u(rng, 0.05, 0.6),
+            "c": _u(rng, 0.05, 0.6),
+            "d": _u(rng, 0.05, 0.6),
+            key: _u(rng, 0.1, 0.6),
+            "theta": _u(rng, 0.3, 2.8),
+        }
+
+    return sampler
+
+
+@_identity(
+    "qhahn_genfun", "Generating function of the q-Hahn polynomials",
+    ("q", "a", "b", "c", "d", "s", "theta"), 1e-10, _sample_qhahn_genfun(False),
+    [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "s": 0.45,
+                            "theta": 1.1})],
+)
 def _recipe_qhahn_genfun(prm, pol, swapped: bool = False) -> CheckValues:
     q = prm["q"]
     a, b = prm["a"], prm["b"]
@@ -458,49 +560,35 @@ def _recipe_qhahn_genfun(prm, pol, swapped: bool = False) -> CheckValues:
     else:
         a_role, b_role = a, b
     abcd = a * b * c * d
-    total = 0j
-    T = 1 + 0j
-    small = 0
-    used = 0
-    for n in range(250):
-        t = T * qhahn_A(n, a_role, b_role, p) * qhahn_poly(n, p, z)
-        total += t
-        used = n + 1
-        if abs(t) < 1e-14:
-            small += 1
-            if small >= 5:
-                break
-        else:
-            small = 0
-        T *= (s - q**n) / (1 - abcd * s * q**n)
-    else:
-        raise TruncationExceeded("generating function series did not converge")
+    total, used = _genfun_sum(
+        lambda n, T: T * qhahn_A(n, a_role, b_role, p) * qhahn_poly(n, p, z),
+        lambda n: (s - q**n) / (1 - abcd * s * q**n),
+    )
     rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q, policy=tp) / poch_multi(
         [abcd * s, a_role * c, a_role * d, a_role * s * z], q, policy=tp
     )
     return CheckValues(total, rhs, {"terms": used})
 
 
-def _sample_qhahn_genfun(swapped: bool):
-    key = "r" if swapped else "s"
-
-    def sampler(rng) -> dict:
-        def build(rng):
-            return {
-                "q": _pick_q(rng),
-                "a": _u(rng, 0.05, 0.6),
-                "b": _u(rng, 0.05, 0.6),
-                "c": _u(rng, 0.05, 0.6),
-                "d": _u(rng, 0.05, 0.6),
-                key: _u(rng, 0.1, 0.6),
-                "theta": _u(rng, 0.3, 2.8),
-            }
-
-        return _rejection(rng, build)
-
-    return sampler
+_identity(
+    "qhahn_genfun_swapped", "q-Hahn generating function with the symmetric roles swapped",
+    ("q", "a", "b", "c", "d", "r", "theta"), 1e-10, _sample_qhahn_genfun(True),
+)(partial(_recipe_qhahn_genfun, swapped=True))
 
 
+def _sample_q_dougall_c0(rng) -> dict:
+    return {
+        "q": _pick_q(rng),
+        "alpha": _u(rng, 0.05, 0.6),
+        "s": _u(rng, 0.05, 0.6),
+        "r": _u(rng, 0.05, 0.6),
+    }
+
+
+@_identity(
+    "q_dougall_c0", "q-Dougall sum specialised at vanishing third parameter",
+    ("q", "alpha", "s", "r"), 1e-10, _sample_q_dougall_c0,
+)
 def _recipe_q_dougall_c0(prm, pol) -> CheckValues:
     q, al, s, r = prm["q"], prm["alpha"], prm["s"], prm["r"]
     tp = pol.truncation
@@ -513,21 +601,7 @@ def _recipe_q_dougall_c0(prm, pol) -> CheckValues:
     return CheckValues(series.value, rhs, {"terms": series.terms_used})
 
 
-def _sample_q_dougall_c0(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "alpha": _u(rng, 0.05, 0.6),
-        "s": _u(rng, 0.05, 0.6),
-        "r": _u(rng, 0.05, 0.6),
-    }
-
-
-def _recipe_askey_roy(prm, pol) -> CheckValues:
-    a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
-    dps = _quantize_dps(32)
-    lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps, pol.quadrature)
-    rhs = qi.askey_roy_rhs(a, b, c, d, rho, q, pol.truncation)
-    return CheckValues(lhs, rhs, {"dps": dps})
+_QHAHN_FIXED = {"a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "rho": 0.6, "q": 0.5}
 
 
 def _sample_askey_roy(rng) -> dict:
@@ -541,27 +615,17 @@ def _sample_askey_roy(rng) -> dict:
     }
 
 
-_QHAHN_FIXED = {"a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "rho": 0.6, "q": 0.5}
-
-
-def _recipe_qhahn_orthogonality(prm, pol) -> CheckValues:
-    n, m = int(prm["n"]), int(prm["m"])
+@_identity(
+    "askey_roy", "Askey-Roy trigonometric beta integral",
+    ("q", "a", "b", "c", "d", "rho"), 1e-9, _sample_askey_roy,
+    [PinnedCase("example", dict(_QHAHN_FIXED))],
+)
+def _recipe_askey_roy(prm, pol) -> CheckValues:
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
-    p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
-    dps = _qhahn_dps(n, m, a, b, c, d, q)
-    lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps, pol.quadrature)
-    L0 = qhahn_L0(p, pol.truncation)
-    rhs = qhahn_L(n, p, pol.truncation) if n == m else 0j
-    scale = abs(L0)
-    imag_ok = abs(lhs.imag) <= 1e-9 * scale
-    return CheckValues(
-        lhs,
-        rhs,
-        {"dps": dps, "imag_over_L0": lhs.imag / scale},
-        scale=scale,
-        metric="rel" if n == m else "abs_scaled",
-        ok_extra=imag_ok,
-    )
+    dps = _quantize_dps(32)
+    lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps, pol.quadrature)
+    rhs = qi.askey_roy_rhs(a, b, c, d, rho, q, pol.truncation)
+    return CheckValues(lhs, rhs, {"dps": dps})
 
 
 def _recipe_qhahn_rho_agreement(prm, pol) -> CheckValues:
@@ -603,6 +667,61 @@ def _sample_qhahn_orthogonality(rng) -> dict:
     return _rejection(rng, build, ok)
 
 
+@_identity(
+    "qhahn_orthogonality", "Orthogonality of the q-Hahn polynomials on the unit circle",
+    ("n", "m", "q", "a", "b", "c", "d", "rho"), 1e-7, _sample_qhahn_orthogonality,
+    _pairs(_QHAHN_FIXED) + tuple(
+        PinnedCase(label, {**_QHAHN_FIXED, "n": 2, "m": m, "rho2": 1.3}, threshold=1e-9,
+                   recipe=_recipe_qhahn_rho_agreement)
+        for label, m in (("rho_diag", 2), ("rho_offdiag", 5))
+    ),
+)
+def _recipe_qhahn_orthogonality(prm, pol) -> CheckValues:
+    n, m = int(prm["n"]), int(prm["m"])
+    a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
+    p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+    dps = _qhahn_dps(n, m, a, b, c, d, q)
+    lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps, pol.quadrature)
+    L0 = qhahn_L0(p, pol.truncation)
+    rhs = qhahn_L(n, p, pol.truncation) if n == m else 0j
+    scale = abs(L0)
+    imag_ok = abs(lhs.imag) <= 1e-9 * scale
+    return CheckValues(
+        lhs,
+        rhs,
+        {"dps": dps, "imag_over_L0": lhs.imag / scale},
+        scale=scale,
+        metric="rel" if n == m else "abs_scaled",
+        ok_extra=imag_ok,
+    )
+
+
+def _sample_bww_transform(rng) -> dict:
+    def build(rng):
+        return {
+            "q": _pick_q(rng, (0.3, 0.5)),
+            "alpha": _u(rng, 0.05, 0.3),
+            "a": _u(rng, 0.1, 0.6),
+            "b": _u(rng, 0.1, 0.6),
+            "c": _u(rng, 0.35, 0.7),
+            "d": _u(rng, 0.35, 0.7),
+        }
+
+    def ok(prm):
+        q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
+        if abs(q * al / (c * d)) > 0.75:
+            return False
+        lam = q * al * al / (b * c * d)
+        checks = (al * q / a, al * q / b, q * lam, q * lam / a)
+        return all(_off_lattice(x, q) for x in checks)
+
+    return _rejection(rng, build, ok)
+
+
+@_identity(
+    "bww_transform", "3phi2 to well-poised-series transformation",
+    ("q", "alpha", "a", "b", "c", "d"), 1e-9, _sample_bww_transform,
+)
 def _recipe_bww_transform(prm, pol) -> CheckValues:
     q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
     tp = pol.truncation
@@ -633,28 +752,33 @@ def _recipe_bww_transform(prm, pol) -> CheckValues:
     return CheckValues(lhs, rhs, {"terms": series.terms_used})
 
 
-def _sample_bww_transform(rng) -> dict:
+def _sample_watson_whipple(rng) -> dict:
     def build(rng):
         return {
-            "q": _pick_q(rng, (0.3, 0.5)),
-            "alpha": _u(rng, 0.05, 0.3),
+            "n": int(rng.integers(0, 13)),
+            "q": _pick_q(rng),
+            "alpha": _u(rng, 0.1, 0.6),
             "a": _u(rng, 0.1, 0.6),
             "b": _u(rng, 0.1, 0.6),
-            "c": _u(rng, 0.35, 0.7),
-            "d": _u(rng, 0.35, 0.7),
+            "c": _u(rng, 0.1, 0.6),
+            "d": _u(rng, 0.1, 0.6),
         }
 
     def ok(prm):
-        q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
-        if abs(q * al / (c * d)) > 0.75:
-            return False
-        lam = q * al * al / (b * c * d)
-        checks = (al * q / a, al * q / b, q * lam, q * lam / a)
+        q, al = prm["q"], prm["alpha"]
+        n = prm["n"]
+        checks = [q * al / prm[k] for k in ("a", "b", "c", "d")]
+        checks.append(prm["c"] * prm["d"] * q ** (-n) / al)
         return all(_off_lattice(x, q) for x in checks)
 
     return _rejection(rng, build, ok)
 
 
+@_identity(
+    "watson_q_whipple", "Watson's q-analogue of Whipple's theorem (terminating 8phi7 to 4phi3)",
+    ("n", "q", "alpha", "a", "b", "c", "d"), 1e-10, _sample_watson_whipple,
+    _sweep({"q": 0.5, "alpha": 0.4, "a": 0.3, "b": 0.5, "c": 0.45, "d": 0.25}),
+)
 def _recipe_watson_whipple(prm, pol) -> CheckValues:
     n = int(prm["n"])
     q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
@@ -687,36 +811,6 @@ def _recipe_watson_whipple(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), ratio * complex(phi43), {"order": n})
 
 
-def _sample_watson_whipple(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.1, 0.6),
-            "a": _u(rng, 0.1, 0.6),
-            "b": _u(rng, 0.1, 0.6),
-            "c": _u(rng, 0.1, 0.6),
-            "d": _u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        q, al = prm["q"], prm["alpha"]
-        n = prm["n"]
-        checks = [q * al / prm[k] for k in ("a", "b", "c", "d")]
-        checks.append(prm["c"] * prm["d"] * q ** (-n) / al)
-        return all(_off_lattice(x, q) for x in checks)
-
-    return _rejection(rng, build, ok)
-
-
-def _recipe_lbww(prm, pol) -> CheckValues:
-    u, v, h, r, s, t, q = (prm[k] for k in ("u", "v", "h", "r", "s", "t", "q"))
-    tp = pol.truncation
-    lhs = qi.lbww_lhs(u, v, h, r, s, t, q, tp)
-    rhs = qi.lbww_rhs(u, v, h, r, s, t, q, tp)
-    return CheckValues(lhs, rhs)
-
-
 def _sample_lbww(rng) -> dict:
     def build(rng):
         return {
@@ -735,34 +829,18 @@ def _sample_lbww(rng) -> dict:
     return _rejection(rng, build, ok)
 
 
-def _recipe_bqj_genfun(prm, pol) -> CheckValues:
-    a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
+@_identity(
+    "lbww_qintegral", "Jackson q-integral of a triple Pochhammer ratio in well-poised form",
+    ("q", "u", "v", "h", "r", "s", "t"), 1e-8, _sample_lbww,
+    [PinnedCase("t_zero", {"q": 0.5, "u": 0.3, "v": 0.5, "h": 0.35, "r": 0.2, "s": 0.25,
+                           "t": 0.0})],
+)
+def _recipe_lbww(prm, pol) -> CheckValues:
+    u, v, h, r, s, t, q = (prm[k] for k in ("u", "v", "h", "r", "s", "t", "q"))
     tp = pol.truncation
-    p = BigQJacobiParams(a, b, c, Base(complex(q)))
-    total = 0j
-    B = 1 + 0j
-    small = 0
-    used = 0
-    for n in range(250):
-        coeff = (1 - a * b * q ** (2 * n + 1)) * B
-        term = coeff * big_qjacobi_poly(n, p, x)
-        total += term
-        used = n + 1
-        if abs(term) < 1e-14:
-            small += 1
-            if small >= 5:
-                break
-        else:
-            small = 0
-        B *= (1 - q * a * b * q**n) * (t - q**n) / (
-            (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
-        )
-    else:
-        raise TruncationExceeded("generating function series did not converge")
-    rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q, policy=tp) / poch_multi(
-        [q * q * a * b * t, q * a, q * c, t * x], q, policy=tp
-    )
-    return CheckValues(total, rhs, {"terms": used})
+    lhs = qi.lbww_lhs(u, v, h, r, s, t, q, tp)
+    rhs = qi.lbww_rhs(u, v, h, r, s, t, q, tp)
+    return CheckValues(lhs, rhs)
 
 
 def _sample_bqj_genfun(rng) -> dict:
@@ -776,23 +854,27 @@ def _sample_bqj_genfun(rng) -> dict:
     }
 
 
-_BQJ_FIXED = {"a": 0.3, "b": 0.4, "c": -0.2, "q": 0.5}
-
-
-def _recipe_bqj_orthogonality(prm, pol) -> CheckValues:
-    n, m = int(prm["n"]), int(prm["m"])
-    a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
-    dps = _bqj_dps(n, m, a, b, c, q)
-    lhs = _bqj_integral(n, m, a, b, c, q, dps)
-    rhs = _bqj_rhs(n, a, b, c, q, pol.truncation) if n == m else 0j
-    scale = abs(_bqj_rhs(0, a, b, c, q, pol.truncation))
-    return CheckValues(
-        lhs,
-        rhs,
-        {"dps": dps},
-        scale=scale,
-        metric="rel" if n == m else "abs_scaled",
+@_identity(
+    "bigqjacobi_genfun", "Generating function of the big q-Jacobi polynomials",
+    ("q", "a", "b", "c", "t", "x"), 1e-10, _sample_bqj_genfun,
+)
+def _recipe_bqj_genfun(prm, pol) -> CheckValues:
+    a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
+    tp = pol.truncation
+    p = BigQJacobiParams(a, b, c, Base(complex(q)))
+    total, used = _genfun_sum(
+        lambda n, B: ((1 - a * b * q ** (2 * n + 1)) * B) * big_qjacobi_poly(n, p, x),
+        lambda n: (1 - q * a * b * q**n) * (t - q**n) / (
+            (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
+        ),
     )
+    rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q, policy=tp) / poch_multi(
+        [q * q * a * b * t, q * a, q * c, t * x], q, policy=tp
+    )
+    return CheckValues(total, rhs, {"terms": used})
+
+
+_BQJ_FIXED = {"a": 0.3, "b": 0.4, "c": -0.2, "q": 0.5}
 
 
 def _sample_bqj_orthogonality(rng) -> dict:
@@ -813,11 +895,24 @@ def _sample_bqj_orthogonality(rng) -> dict:
     return _rejection(rng, build, ok)
 
 
-def _recipe_aw_integral(prm, pol) -> CheckValues:
-    a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
-    lhs = qi.askey_wilson_lhs(a, b, c, d, q, pol.quadrature, pol.truncation)
-    rhs = qi.askey_wilson_rhs(a, b, c, d, q, pol.truncation)
-    return CheckValues(lhs, rhs)
+@_identity(
+    "bigqjacobi_orthogonality", "Orthogonality of the big q-Jacobi polynomials (Jackson integral)",
+    ("n", "m", "q", "a", "b", "c"), 1e-8, _sample_bqj_orthogonality, _pairs(_BQJ_FIXED),
+)
+def _recipe_bqj_orthogonality(prm, pol) -> CheckValues:
+    n, m = int(prm["n"]), int(prm["m"])
+    a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
+    dps = _bqj_dps(n, m, a, b, c, q)
+    lhs = _bqj_integral(n, m, a, b, c, q, dps)
+    rhs = _bqj_rhs(n, a, b, c, q, pol.truncation) if n == m else 0j
+    scale = abs(_bqj_rhs(0, a, b, c, q, pol.truncation))
+    return CheckValues(
+        lhs,
+        rhs,
+        {"dps": dps},
+        scale=scale,
+        metric="rel" if n == m else "abs_scaled",
+    )
 
 
 def _sample_aw_integral(rng) -> dict:
@@ -830,40 +925,17 @@ def _sample_aw_integral(rng) -> dict:
     }
 
 
-def _recipe_aw_genfun(prm, pol) -> CheckValues:
-    from .polyfamilies import AWParams, askey_wilson_poly
-
-    a, b, c, d, s, q, theta = (prm[k] for k in ("a", "b", "c", "d", "s", "q", "theta"))
-    tp = pol.truncation
-    p = AWParams(a, b, c, d, Base(complex(q)))
-    abcd = a * b * c * d
-    lead = 1 - abcd / q
-    total = 0j
-    B = 1 + 0j
-    small = 0
-    used = 0
-    for n in range(250):
-        coeff = (1 - abcd * q ** (2 * n - 1)) / lead * B
-        term = coeff * askey_wilson_poly(n, p, theta)
-        total += term
-        used = n + 1
-        if abs(term) < 1e-14:
-            small += 1
-            if small >= 5:
-                break
-        else:
-            small = 0
-        B *= (1 - abcd / q * q**n) * (s - q**n) * a / (
-            (1 - q ** (n + 1)) * (1 - a * b * q**n) * (1 - a * c * q**n)
-            * (1 - a * d * q**n) * (1 - abcd * s * q**n)
-        )
-    else:
-        raise TruncationExceeded("generating function series did not converge")
-    e = cmath.exp(1j * theta)
-    rhs = poch_multi(
-        [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q, policy=tp
-    ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q, policy=tp)
-    return CheckValues(total, rhs, {"terms": used})
+@_identity(
+    "aw_integral", "Askey-Wilson trigonometric beta integral",
+    ("q", "a", "b", "c", "d"), 1e-10, _sample_aw_integral,
+    [PinnedCase("all_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}),
+     PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1})],
+)
+def _recipe_aw_integral(prm, pol) -> CheckValues:
+    a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
+    lhs = qi.askey_wilson_lhs(a, b, c, d, q, pol.quadrature, pol.truncation)
+    rhs = qi.askey_wilson_rhs(a, b, c, d, q, pol.truncation)
+    return CheckValues(lhs, rhs)
 
 
 def _sample_aw_genfun(rng) -> dict:
@@ -878,11 +950,30 @@ def _sample_aw_genfun(rng) -> dict:
     }
 
 
-def _recipe_nr(prm, pol) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, pol.truncation)
-    rhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q, pol.truncation)
-    return CheckValues(lhs, rhs)
+@_identity(
+    "aw_genfun", "Generating function of the Askey-Wilson polynomials",
+    ("q", "a", "b", "c", "d", "s", "theta"), 1e-10, _sample_aw_genfun,
+)
+def _recipe_aw_genfun(prm, pol) -> CheckValues:
+    from .polyfamilies import AWParams, askey_wilson_poly
+
+    a, b, c, d, s, q, theta = (prm[k] for k in ("a", "b", "c", "d", "s", "q", "theta"))
+    tp = pol.truncation
+    p = AWParams(a, b, c, d, Base(complex(q)))
+    abcd = a * b * c * d
+    lead = 1 - abcd / q
+    total, used = _genfun_sum(
+        lambda n, B: ((1 - abcd * q ** (2 * n - 1)) / lead * B) * askey_wilson_poly(n, p, theta),
+        lambda n: (1 - abcd / q * q**n) * (s - q**n) * a / (
+            (1 - q ** (n + 1)) * (1 - a * b * q**n) * (1 - a * c * q**n)
+            * (1 - a * d * q**n) * (1 - abcd * s * q**n)
+        ),
+    )
+    e = cmath.exp(1j * theta)
+    rhs = poch_multi(
+        [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q, policy=tp
+    ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q, policy=tp)
+    return CheckValues(total, rhs, {"terms": used})
 
 
 def _recipe_nr_reduction_product(prm, pol) -> CheckValues:
@@ -895,32 +986,41 @@ def _recipe_nr_reduction_product(prm, pol) -> CheckValues:
 
 
 def _sample_nr(rng) -> dict:
-    def build(rng):
-        s = _u(rng, 0.15, 0.55)
-        return {
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.1, 0.55),
-            "b": _u(rng, 0.1, 0.55),
-            "c": _u(rng, 0.1, 0.55),
-            "d": _u(rng, 0.1, 0.55),
-            "s": s,
-            "r": _u(rng, 0.05, 0.8 * s),
-        }
-
-    return _rejection(rng, build)
+    s = _u(rng, 0.15, 0.55)
+    return {
+        "q": _pick_q(rng),
+        "a": _u(rng, 0.1, 0.55),
+        "b": _u(rng, 0.1, 0.55),
+        "c": _u(rng, 0.1, 0.55),
+        "d": _u(rng, 0.1, 0.55),
+        "s": s,
+        "r": _u(rng, 0.05, 0.8 * s),
+    }
 
 
+@_identity(
+    "nassrallah_rahman", "Nassrallah-Rahman q-beta integral (8W7 closed form)",
+    ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_nr,
+    [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
+                            "r": 0.35}),
+     PinnedCase("reduction_r_abcds", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5},
+                threshold=1e-9, recipe=_recipe_nr_reduction_product)],
+)
+def _recipe_nr(prm, pol) -> CheckValues:
+    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, pol.truncation)
+    rhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q, pol.truncation)
+    return CheckValues(lhs, rhs)
+
+
+@_identity(
+    "nr_intermediate", "Equality of the two 8W7 closed forms of the Nassrallah-Rahman integral",
+    ("q", "a", "b", "c", "d", "s", "r"), 1e-9, _sample_nr,
+)
 def _recipe_nr_intermediate(prm, pol) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
     lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q, pol.truncation)
     rhs = qi.nr_intermediate_rhs(a, b, c, d, s, r, q, pol.truncation)
-    return CheckValues(lhs, rhs)
-
-
-def _recipe_nr_r0(prm, pol) -> CheckValues:
-    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, 0.0, q, pol.quadrature, pol.truncation)
-    rhs = qi.liu_r0_rhs(a, b, c, d, s, q, pol.truncation)
     return CheckValues(lhs, rhs)
 
 
@@ -935,6 +1035,41 @@ def _sample_nr_nos(rng) -> dict:
     }
 
 
+@_identity(
+    "nr_r0_3phi2",
+    "Five-parameter trigonometric integral in 3phi2 form (vanishing numerator parameter)",
+    ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_nr_nos,
+)
+def _recipe_nr_r0(prm, pol) -> CheckValues:
+    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, 0.0, q, pol.quadrature, pol.truncation)
+    rhs = qi.liu_r0_rhs(a, b, c, d, s, q, pol.truncation)
+    return CheckValues(lhs, rhs)
+
+
+def _sample_pfaff(rng) -> dict:
+    def build(rng):
+        return {
+            "n": int(rng.integers(0, 13)),
+            "q": _pick_q(rng),
+            "a": _u(rng, 0.1, 0.6),
+            "b": _u(rng, 0.1, 0.6),
+            "c": _u(rng, 0.1, 0.6),
+            "d": _u(rng, 0.1, 0.6),
+            "r": _u(rng, 0.1, 0.6),
+        }
+
+    def ok(prm):
+        return _off_lattice(prm["r"] / prm["a"], prm["q"])
+
+    return _rejection(rng, build, ok)
+
+
+@_identity(
+    "pfaff_saalschutz_instance", "q-Pfaff-Saalschuetz summation (balanced terminating 3phi2)",
+    ("n", "q", "a", "b", "c", "d", "r"), 1e-10, _sample_pfaff,
+    _sweep({"q": 0.5, "a": 0.3, "b": 0.25, "c": 0.4, "d": 0.2, "r": 0.35}),
+)
 def _recipe_pfaff(prm, pol) -> CheckValues:
     n = int(prm["n"])
     a, b, c, d, r, q = (prm[k] for k in ("a", "b", "c", "d", "r", "q"))
@@ -956,32 +1091,6 @@ def _recipe_pfaff(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"order": n})
 
 
-def _sample_pfaff(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.1, 0.6),
-            "b": _u(rng, 0.1, 0.6),
-            "c": _u(rng, 0.1, 0.6),
-            "d": _u(rng, 0.1, 0.6),
-            "r": _u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        return _off_lattice(prm["r"] / prm["a"], prm["q"])
-
-    return _rejection(rng, build, ok)
-
-
-def _recipe_alsalam_verma(prm, pol) -> CheckValues:
-    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    tp = pol.truncation
-    lhs = qi.alsalam_verma_lhs(a, b, c, d, s, q, tp)
-    rhs = qi.alsalam_verma_rhs(a, b, c, d, s, q, tp)
-    return CheckValues(lhs, rhs)
-
-
 def _sample_alsalam_verma(rng) -> dict:
     def build(rng):
         return {
@@ -999,26 +1108,18 @@ def _sample_alsalam_verma(rng) -> dict:
     return _rejection(rng, build, ok)
 
 
-def _recipe_qbailey(prm, pol) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
+@_identity(
+    "alsalam_verma", "Al-Salam--Verma q-integral evaluation",
+    ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_alsalam_verma,
+    [PinnedCase("abc_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.2, "s": 0.55},
+                threshold=1e-9)],
+)
+def _recipe_alsalam_verma(prm, pol) -> CheckValues:
+    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
     tp = pol.truncation
-    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q, tp)
-    rhs = qi.qbailey_rhs(a, b, c, d, s, r, q, tp)
+    lhs = qi.alsalam_verma_lhs(a, b, c, d, s, q, tp)
+    rhs = qi.alsalam_verma_rhs(a, b, c, d, s, q, tp)
     return CheckValues(lhs, rhs)
-
-
-def _recipe_qbailey_bridge(prm, pol) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    tp = pol.truncation
-    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q, tp)
-    trig = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, tp)
-    pref = (
-        (1 - q)
-        * s
-        * poch_multi([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q, policy=tp)
-        / (2 * math.pi * poch_multi([r / d, r / s], q, policy=tp))
-    )
-    return CheckValues(lhs, pref * trig, {})
 
 
 def _sample_qbailey(rng) -> dict:
@@ -1041,12 +1142,34 @@ def _sample_qbailey(rng) -> dict:
     return _rejection(rng, build, ok)
 
 
-def _recipe_nr_product(prm, pol) -> CheckValues:
-    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    r = a * b * c * d * s
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, pol.truncation)
-    rhs = qi.nr_product_rhs(a, b, c, d, s, q, pol.truncation)
+@_identity(
+    "qbailey_8w7", "q-integral with 8W7 closed form (Bailey-type evaluation)",
+    ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_qbailey,
+)
+def _recipe_qbailey(prm, pol) -> CheckValues:
+    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
+    tp = pol.truncation
+    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q, tp)
+    rhs = qi.qbailey_rhs(a, b, c, d, s, r, q, tp)
     return CheckValues(lhs, rhs)
+
+
+@_identity(
+    "qbailey_bridge", "Bridge between the Bailey q-integral and the trigonometric integral",
+    ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_qbailey,
+)
+def _recipe_qbailey_bridge(prm, pol) -> CheckValues:
+    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
+    tp = pol.truncation
+    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q, tp)
+    trig = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, tp)
+    pref = (
+        (1 - q)
+        * s
+        * poch_multi([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q, policy=tp)
+        / (2 * math.pi * poch_multi([r / d, r / s], q, policy=tp))
+    )
+    return CheckValues(lhs, pref * trig, {})
 
 
 def _recipe_nr_product_s0(prm, pol) -> CheckValues:
@@ -1057,6 +1180,32 @@ def _recipe_nr_product_s0(prm, pol) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
+@_identity(
+    "nr_product", "Product-form five-parameter trigonometric integral",
+    ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_nr_nos,
+    [PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1},
+                threshold=1e-9, recipe=_recipe_nr_product_s0)],
+)
+def _recipe_nr_product(prm, pol) -> CheckValues:
+    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
+    r = a * b * c * d * s
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, pol.truncation)
+    rhs = qi.nr_product_rhs(a, b, c, d, s, q, pol.truncation)
+    return CheckValues(lhs, rhs)
+
+
+def _sample_q_dougall_6w5(rng) -> dict:
+    prm = _sample_nr(rng)
+    prm["theta"] = _u(rng, 0.3, 2.8)
+    return prm
+
+
+@_identity(
+    "q_dougall_6w5", "q-Dougall 6W5 summation with conjugate circle parameters",
+    ("q", "a", "b", "c", "d", "s", "r", "theta"), 1e-9, _sample_q_dougall_6w5,
+    [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
+                            "r": 0.35, "theta": 1.0})],
+)
 def _recipe_q_dougall_6w5(prm, pol) -> CheckValues:
     a, b, c, d, s, r, q, theta = (
         prm[k] for k in ("a", "b", "c", "d", "s", "r", "q", "theta")
@@ -1075,12 +1224,30 @@ def _recipe_q_dougall_6w5(prm, pol) -> CheckValues:
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
-def _sample_q_dougall_6w5(rng) -> dict:
-    prm = _sample_nr(rng)
-    prm["theta"] = _u(rng, 0.3, 2.8)
-    return prm
+def _sample_liu_3phi2(rng) -> dict:
+    def build(rng):
+        return {
+            "q": _pick_q(rng),
+            "alpha": _u(rng, 0.05, 0.35),
+            "x": _u(rng, 0.3, 1.2),
+            "y": _u(rng, 0.3, 1.2),
+            "u": _u(rng, 0.3, 1.2),
+            "v": _u(rng, 0.3, 1.2),
+        }
+
+    def ok(prm):
+        q, al = prm["q"], prm["alpha"]
+        if abs(al * prm["x"] * prm["y"] / q) > 0.75:
+            return False
+        return all(abs(al * prm[k]) <= 0.85 for k in ("x", "y", "u", "v"))
+
+    return _rejection(rng, build, ok)
 
 
+@_identity(
+    "liu_3phi2_transform", "Nonterminating 3phi2 against its well-poised limit series",
+    ("q", "alpha", "x", "y", "u", "v"), 1e-9, _sample_liu_3phi2,
+)
 def _recipe_liu_3phi2(prm, pol) -> CheckValues:
     q, al, x, y, u, v = (prm[k] for k in ("q", "alpha", "x", "y", "u", "v"))
     tp = pol.truncation
@@ -1107,33 +1274,6 @@ def _recipe_liu_3phi2(prm, pol) -> CheckValues:
     return CheckValues(lhs, series.value, {"terms": series.terms_used})
 
 
-def _sample_liu_3phi2(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.05, 0.35),
-            "x": _u(rng, 0.3, 1.2),
-            "y": _u(rng, 0.3, 1.2),
-            "u": _u(rng, 0.3, 1.2),
-            "v": _u(rng, 0.3, 1.2),
-        }
-
-    def ok(prm):
-        q, al = prm["q"], prm["alpha"]
-        if abs(al * prm["x"] * prm["y"] / q) > 0.75:
-            return False
-        return all(abs(al * prm[k]) <= 0.85 for k in ("x", "y", "u", "v"))
-
-    return _rejection(rng, build, ok)
-
-
-def _recipe_liu_qbeta(prm, pol) -> CheckValues:
-    a, b, c, d, s, u, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "u", "v", "q"))
-    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, u, v, q, pol.quadrature, pol.truncation)
-    rhs = qi.liu_qbeta_rhs(a, b, c, d, s, u, v, q, pol.truncation)
-    return CheckValues(lhs, rhs)
-
-
 def _recipe_liu_qbeta_s0(prm, pol) -> CheckValues:
     a, b, c, d = (prm[k] for k in ("a", "b", "c", "d"))
     q, u, v = prm["q"], prm["u"], prm["v"]
@@ -1155,6 +1295,31 @@ def _sample_liu_qbeta(rng) -> dict:
     }
 
 
+@_identity(
+    "liu_qbeta", "Extended q-beta integral with 3phi2 integrand factor",
+    ("q", "a", "b", "c", "d", "s", "u", "v"), 1e-8, _sample_liu_qbeta,
+    [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
+                            "u": 0.8, "v": 1.1}),
+     PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "u": 0.8,
+                                 "v": 1.1}, threshold=1e-9, recipe=_recipe_liu_qbeta_s0)],
+)
+def _recipe_liu_qbeta(prm, pol) -> CheckValues:
+    a, b, c, d, s, u, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "u", "v", "q"))
+    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, u, v, q, pol.quadrature, pol.truncation)
+    rhs = qi.liu_qbeta_rhs(a, b, c, d, s, u, v, q, pol.truncation)
+    return CheckValues(lhs, rhs)
+
+
+def _sample_liu_qbeta_u_eq_q(rng) -> dict:
+    prm = _sample_liu_qbeta(rng)
+    prm.pop("u")
+    return prm
+
+
+@_identity(
+    "liu_qbeta_u_eq_q", "Reduction of the extended q-beta integral at u = q to the product form",
+    ("q", "a", "b", "c", "d", "s", "v"), 1e-9, _sample_liu_qbeta_u_eq_q,
+)
 def _recipe_liu_qbeta_u_eq_q(prm, pol) -> CheckValues:
     # At u = q the integrand's 3phi2 factor is Gauss-summable, so the
     # quadrature must match the product-form value divided by the
@@ -1169,12 +1334,16 @@ def _recipe_liu_qbeta_u_eq_q(prm, pol) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_liu_qbeta_u_eq_q(rng) -> dict:
+def _sample_liu_qbeta_v_limit(rng) -> dict:
     prm = _sample_liu_qbeta(rng)
-    prm.pop("u")
+    prm.pop("v")
     return prm
 
 
+@_identity(
+    "liu_qbeta_v_limit", "Confluent limit of the extended q-beta integral against the 8W7 form",
+    ("q", "a", "b", "c", "d", "s", "u"), 1e-9, _sample_liu_qbeta_v_limit,
+)
 def _recipe_liu_qbeta_v_limit(prm, pol) -> CheckValues:
     # Confluent limit of the extended q-beta integral: the extra series
     # factor collapses to a single h(cos t; alpha u / a) weight, evaluated
@@ -1201,12 +1370,26 @@ def _recipe_liu_qbeta_v_limit(prm, pol) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_liu_qbeta_v_limit(rng) -> dict:
-    prm = _sample_liu_qbeta(rng)
-    prm.pop("v")
-    return prm
+def _sample_q_gauss(rng) -> dict:
+    def build(rng):
+        return {
+            "q": _pick_q(rng),
+            "a": _u(rng, 0.1, 0.8),
+            "b": _u(rng, 0.1, 0.8),
+            "c": _u(rng, 0.1, 0.8),
+        }
+
+    def ok(prm):
+        return abs(prm["a"] * prm["b"] * prm["c"] / prm["q"] ** 2) <= 0.8
+
+    return _rejection(rng, build, ok)
 
 
+@_identity(
+    "q_gauss", "q-Gauss summation of a 2phi1 (reciprocal-parameter form)",
+    ("q", "a", "b", "c"), 1e-11, _sample_q_gauss,
+    [PinnedCase("example", {"a": 0.2, "b": 0.3, "c": 0.71, "q": 0.5})],
+)
 def _recipe_q_gauss(prm, pol) -> CheckValues:
     a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
     tp = pol.truncation
@@ -1225,21 +1408,19 @@ def _recipe_q_gauss(prm, pol) -> CheckValues:
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
-def _sample_q_gauss(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.1, 0.8),
-            "b": _u(rng, 0.1, 0.8),
-            "c": _u(rng, 0.1, 0.8),
-        }
-
-    def ok(prm):
-        return abs(prm["a"] * prm["b"] * prm["c"] / prm["q"] ** 2) <= 0.8
-
-    return _rejection(rng, build, ok)
+def _sample_andrews_cube(rng) -> dict:
+    return {
+        "n": int(rng.integers(0, 13)),
+        "p": _pick_q(rng) ** (1.0 / 3.0),
+        "beta": _u(rng, 0.3, 0.85),
+    }
 
 
+@_identity(
+    "andrews_cube_5phi4", "Andrews' cube-root terminating 5phi4 evaluation",
+    ("n", "p", "beta"), 1e-10, _sample_andrews_cube,
+    _sweep({"p": 0.5 ** (1.0 / 3.0), "beta": 0.6}),
+)
 def _recipe_andrews_cube(prm, pol) -> CheckValues:
     beta, p = prm["beta"], prm["p"]
     n = int(prm["n"])
@@ -1275,14 +1456,24 @@ def _recipe_andrews_cube(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"order": n})
 
 
-def _sample_andrews_cube(rng) -> dict:
-    return {
-        "n": int(rng.integers(0, 13)),
-        "p": _pick_q(rng) ** (1.0 / 3.0),
-        "beta": _u(rng, 0.3, 0.85),
-    }
+def _sample_cube_product(rng) -> dict:
+    def build(rng):
+        return {
+            "p": _pick_q(rng) ** (1.0 / 3.0),
+            "beta": _u(rng, 0.3, 0.85),
+            "a": _u(rng, 0.1, 0.6),
+        }
+
+    def ok(prm):
+        return abs(prm["beta"] * prm["a"] / prm["p"] ** 2) <= 0.72
+
+    return _rejection(rng, build, ok)
 
 
+@_identity(
+    "cube_product_expansion", "Mixed-base product expansion via cube roots of unity",
+    ("p", "beta", "a"), 1e-10, _sample_cube_product,
+)
 def _recipe_cube_product(prm, pol) -> CheckValues:
     beta, p, a = prm["beta"], prm["p"], prm["a"]
     tp = pol.truncation
@@ -1305,20 +1496,16 @@ def _recipe_cube_product(prm, pol) -> CheckValues:
     return CheckValues(lhs, res.value, {"terms": res.terms_used})
 
 
-def _sample_cube_product(rng) -> dict:
-    def build(rng):
-        return {
-            "p": _pick_q(rng) ** (1.0 / 3.0),
-            "beta": _u(rng, 0.3, 0.85),
-            "a": _u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        return abs(prm["beta"] * prm["a"] / prm["p"] ** 2) <= 0.72
-
-    return _rejection(rng, build, ok)
+def _sample_theta_product(rng) -> dict:
+    return {"q": _u(rng, 0.02, 0.25)}
 
 
+@_identity(
+    "theta_phi_product", "Theta product phi(-q) phi(-q^3) as a rational q-series",
+    ("q",), 1e-12, _sample_theta_product,
+    [PinnedCase("q005", {"q": 0.05}), PinnedCase("q01", {"q": 0.1}),
+     PinnedCase("q02", {"q": 0.2})],
+)
 def _recipe_theta_product(prm, pol) -> CheckValues:
     q = prm["q"]
     tp = pol.truncation
@@ -1341,10 +1528,18 @@ def _recipe_theta_product(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), complex(total), {"terms": n})
 
 
-def _sample_theta_product(rng) -> dict:
-    return {"q": _u(rng, 0.02, 0.25)}
+def _sample_andrews_mod3(rng) -> dict:
+    return {
+        "n": int(rng.integers(0, 13)),
+        "q": _pick_q(rng),
+        "alpha": _u(rng, 0.1, 0.8),
+    }
 
 
+@_identity(
+    "andrews_mod3_5phi4", "Andrews' terminating 5phi4 with mod-3 vanishing structure",
+    ("n", "q", "alpha"), 1e-10, _sample_andrews_mod3, _sweep({"q": 0.5, "alpha": 0.45}),
+)
 def _recipe_andrews_mod3(prm, pol) -> CheckValues:
     al = prm["alpha"]
     q = prm["q"]
@@ -1375,14 +1570,27 @@ def _recipe_andrews_mod3(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"order": n})
 
 
-def _sample_andrews_mod3(rng) -> dict:
-    return {
-        "n": int(rng.integers(0, 13)),
-        "q": _pick_q(rng),
-        "alpha": _u(rng, 0.1, 0.8),
-    }
+def _sample_q_watson(rng) -> dict:
+    def build(rng):
+        return {
+            "n": int(rng.integers(0, 13)),
+            "q": _pick_q(rng),
+            "alpha": _u(rng, 0.1, 0.8),
+            "lambda": _u(rng, 0.1, 0.8),
+        }
+
+    def ok(prm):
+        q = prm["q"]
+        return _off_lattice(prm["alpha"] * q / prm["lambda"], q * q)
+
+    return _rejection(rng, build, ok)
 
 
+@_identity(
+    "q_watson_4phi3", "q-Watson terminating 4phi3 with odd-order vanishing",
+    ("n", "q", "alpha", "lambda"), 1e-10, _sample_q_watson,
+    _sweep({"q": 0.5, "alpha": 0.5, "lambda": 0.35}),
+)
 def _recipe_q_watson(prm, pol) -> CheckValues:
     al, lam, q = prm["alpha"], prm["lambda"], prm["q"]
     n = int(prm["n"])
@@ -1410,7 +1618,7 @@ def _recipe_q_watson(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"order": n})
 
 
-def _sample_q_watson(rng) -> dict:
+def _sample_verma_jain(rng) -> dict:
     def build(rng):
         return {
             "n": int(rng.integers(0, 13)),
@@ -1421,11 +1629,16 @@ def _sample_q_watson(rng) -> dict:
 
     def ok(prm):
         q = prm["q"]
-        return _off_lattice(prm["alpha"] * q / prm["lambda"], q * q)
+        return _off_lattice(prm["alpha"] * q / prm["lambda"], q)
 
     return _rejection(rng, build, ok)
 
 
+@_identity(
+    "verma_jain_4phi3", "Verma-Jain quadratic-base terminating 4phi3 summation",
+    ("n", "q", "alpha", "lambda"), 1e-10, _sample_verma_jain,
+    _sweep({"q": 0.5, "alpha": 0.4, "lambda": 0.55}),
+)
 def _recipe_verma_jain(prm, pol) -> CheckValues:
     al, lam, q = prm["alpha"], prm["lambda"], prm["q"]
     n = int(prm["n"])
@@ -1448,32 +1661,7 @@ def _recipe_verma_jain(prm, pol) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"order": n})
 
 
-def _sample_verma_jain(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.1, 0.8),
-            "lambda": _u(rng, 0.1, 0.8),
-        }
-
-    def ok(prm):
-        q = prm["q"]
-        return _off_lattice(prm["alpha"] * q / prm["lambda"], q)
-
-    return _rejection(rng, build, ok)
-
-
 _EXPANSION_ORDER = 40
-
-
-def _recipe_liu_expansion(prm, pol, inverse: bool = False) -> CheckValues:
-    beta, a, al, q = prm["beta"], prm["a"], prm["alpha"], prm["q"]
-    f = _memo_poch_factor(beta, q, inverse=inverse)
-    lhs = qcalculus.liu_reconstruct(f, a, al, q, _EXPANSION_ORDER)
-    target = poch_infinite(beta * a, q, pol.truncation)
-    rhs = 1 / target if inverse else target
-    return CheckValues(lhs, complex(rhs), {"order": _EXPANSION_ORDER})
 
 
 def _recipe_liu_expansion_inverse(prm, pol) -> CheckValues:
@@ -1503,18 +1691,26 @@ def _sample_liu_expansion(rng) -> dict:
     }
 
 
+@_identity(
+    "liu_expansion",
+    "Analytic expansion in the Pochhammer kernel: reconstruction matches the function",
+    ("q", "beta", "a", "alpha"), 1e-9, _sample_liu_expansion,
+    [PinnedCase("poch_factor", {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3}, threshold=1e-10),
+     PinnedCase("inverse_poch_factor", {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3},
+                threshold=1e-9, recipe=_recipe_liu_expansion_inverse)]
+    + [PinnedCase(f"jackson_n{k}", {"q": 0.5, "beta": 0.4, "x": 0.4, "n": k}, threshold=1e-11,
+                  recipe=_recipe_jackson_consistency) for k in range(1, 7)],
+)
+def _recipe_liu_expansion(prm, pol, inverse: bool = False) -> CheckValues:
+    beta, a, al, q = prm["beta"], prm["a"], prm["alpha"], prm["q"]
+    f = _memo_poch_factor(beta, q, inverse=inverse)
+    lhs = qcalculus.liu_reconstruct(f, a, al, q, _EXPANSION_ORDER)
+    target = poch_infinite(beta * a, q, pol.truncation)
+    rhs = 1 / target if inverse else target
+    return CheckValues(lhs, complex(rhs), {"order": _EXPANSION_ORDER})
+
+
 _DOUBLE_ORDER = 30
-
-
-def _recipe_liu_double(prm, pol) -> CheckValues:
-    b1, b2 = prm["beta1"], prm["beta2"]
-    a, b, al, be, q = prm["a"], prm["b"], prm["alpha"], prm["beta"], prm["q"]
-    g1 = _memo_poch_factor(b1, q)
-    g2 = _memo_poch_factor(b2, q)
-    f = lambda x, y: g1(x) * g2(y)
-    lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
-    rhs = poch_infinite(b1 * a, q, pol.truncation) * poch_infinite(b2 * b, q, pol.truncation)
-    return CheckValues(lhs, complex(rhs), {"order": _DOUBLE_ORDER})
 
 
 def _recipe_liu_double_nonseparable(prm, pol) -> CheckValues:
@@ -1543,594 +1739,25 @@ def _sample_liu_double(rng) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# the registry
-# ---------------------------------------------------------------------------
-
-
-def _sweep(params: dict, n_max: int = 12, threshold: float | None = None) -> tuple:
-    return tuple(
-        PinnedCase(f"n{k}", {**params, "n": k}, threshold=threshold)
-        for k in range(n_max + 1)
-    )
-
-
-def _build_registry() -> dict[str, IdentityDef]:
-    defs = []
-
-    for m in (1, 2, 3):
-        names = ("q", "alpha", "a", "b") + tuple(
-            x for j in range(1, m + 1) for x in (f"b{j}", f"c{j}")
-        )
-        pinned_params = {"q": 0.5, "alpha": 0.3, "a": 0.2, "b": 0.35}
-        for j in range(1, m + 1):
-            pinned_params[f"b{j}"] = 0.25 + 0.1 * j
-            pinned_params[f"c{j}"] = 0.4 - 0.05 * j
-        defs.append(
-            IdentityDef(
-                id=f"liu_master_m{m}",
-                description=(
-                    f"Master q-summation with {m} Pochhammer-ratio factor pair"
-                    f"{'s' if m > 1 else ''}: infinite-product side against the"
-                    " well-poised sum of terminating inner series"
-                ),
-                param_names=names,
-                threshold=1e-9,
-                recipe=_make_liu_master(m),
-                sampler=_sample_liu_master(m),
-                pinned=(PinnedCase("example", pinned_params),),
-            )
-        )
-
-    defs.append(
-        IdentityDef(
-            id="rogers_6phi5",
-            description="Rogers' very-well-poised 6phi5 summation",
-            param_names=("q", "alpha", "a", "b", "c"),
-            threshold=1e-10,
-            recipe=_recipe_rogers,
-            sampler=_sample_rogers,
-            pinned=(
-                PinnedCase("example", {"alpha": 0.3, "a": 0.7, "b": 0.9, "c": 1.1, "q": 0.5}),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="qhahn_genfun",
-            description="Generating function of the q-Hahn polynomials",
-            param_names=("q", "a", "b", "c", "d", "s", "theta"),
-            threshold=1e-10,
-            recipe=lambda prm, pol: _recipe_qhahn_genfun(prm, pol, swapped=False),
-            sampler=_sample_qhahn_genfun(False),
-            pinned=(
-                PinnedCase(
-                    "example",
-                    {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "s": 0.45,
-                     "theta": 1.1},
-                ),
-            ),
-        )
-    )
-    defs.append(
-        IdentityDef(
-            id="qhahn_genfun_swapped",
-            description="q-Hahn generating function with the symmetric roles swapped",
-            param_names=("q", "a", "b", "c", "d", "r", "theta"),
-            threshold=1e-10,
-            recipe=lambda prm, pol: _recipe_qhahn_genfun(prm, pol, swapped=True),
-            sampler=_sample_qhahn_genfun(True),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="q_dougall_c0",
-            description="q-Dougall sum specialised at vanishing third parameter",
-            param_names=("q", "alpha", "s", "r"),
-            threshold=1e-10,
-            recipe=_recipe_q_dougall_c0,
-            sampler=_sample_q_dougall_c0,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="askey_roy",
-            description="Askey-Roy trigonometric beta integral",
-            param_names=("q", "a", "b", "c", "d", "rho"),
-            threshold=1e-9,
-            recipe=_recipe_askey_roy,
-            sampler=_sample_askey_roy,
-            pinned=(
-                PinnedCase("example", {**{k: v for k, v in _QHAHN_FIXED.items()}}),
-            ),
-        )
-    )
-
-    orth_pins = [
-        PinnedCase(f"pair_{n}_{m}", {**_QHAHN_FIXED, "n": n, "m": m})
-        for n in range(7)
-        for m in range(7)
-    ]
-    orth_pins.append(
-        PinnedCase(
-            "rho_diag",
-            {**{k: v for k, v in _QHAHN_FIXED.items()}, "n": 2, "m": 2, "rho2": 1.3},
-            threshold=1e-9,
-            recipe=_recipe_qhahn_rho_agreement,
-        )
-    )
-    orth_pins.append(
-        PinnedCase(
-            "rho_offdiag",
-            {**{k: v for k, v in _QHAHN_FIXED.items()}, "n": 2, "m": 5, "rho2": 1.3},
-            threshold=1e-9,
-            recipe=_recipe_qhahn_rho_agreement,
-        )
-    )
-    defs.append(
-        IdentityDef(
-            id="qhahn_orthogonality",
-            description="Orthogonality of the q-Hahn polynomials on the unit circle",
-            param_names=("n", "m", "q", "a", "b", "c", "d", "rho"),
-            threshold=1e-7,
-            recipe=_recipe_qhahn_orthogonality,
-            sampler=_sample_qhahn_orthogonality,
-            pinned=tuple(orth_pins),
-            int_params=("n", "m"),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="bww_transform",
-            description="3phi2 to well-poised-series transformation",
-            param_names=("q", "alpha", "a", "b", "c", "d"),
-            threshold=1e-9,
-            recipe=_recipe_bww_transform,
-            sampler=_sample_bww_transform,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="watson_q_whipple",
-            description="Watson's q-analogue of Whipple's theorem (terminating 8phi7 to 4phi3)",
-            param_names=("n", "q", "alpha", "a", "b", "c", "d"),
-            threshold=1e-10,
-            recipe=_recipe_watson_whipple,
-            sampler=_sample_watson_whipple,
-            pinned=_sweep({"q": 0.5, "alpha": 0.4, "a": 0.3, "b": 0.5, "c": 0.45, "d": 0.25}),
-            int_params=("n",),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="lbww_qintegral",
-            description="Jackson q-integral of a triple Pochhammer ratio in well-poised form",
-            param_names=("q", "u", "v", "h", "r", "s", "t"),
-            threshold=1e-8,
-            recipe=_recipe_lbww,
-            sampler=_sample_lbww,
-            pinned=(
-                PinnedCase(
-                    "t_zero",
-                    {"q": 0.5, "u": 0.3, "v": 0.5, "h": 0.35, "r": 0.2, "s": 0.25,
-                     "t": 0.0},
-                ),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="bigqjacobi_genfun",
-            description="Generating function of the big q-Jacobi polynomials",
-            param_names=("q", "a", "b", "c", "t", "x"),
-            threshold=1e-10,
-            recipe=_recipe_bqj_genfun,
-            sampler=_sample_bqj_genfun,
-        )
-    )
-
-    bqj_pins = [
-        PinnedCase(f"pair_{n}_{m}", {**_BQJ_FIXED, "n": n, "m": m})
-        for n in range(7)
-        for m in range(7)
-    ]
-    defs.append(
-        IdentityDef(
-            id="bigqjacobi_orthogonality",
-            description="Orthogonality of the big q-Jacobi polynomials (Jackson integral)",
-            param_names=("n", "m", "q", "a", "b", "c"),
-            threshold=1e-8,
-            recipe=_recipe_bqj_orthogonality,
-            sampler=_sample_bqj_orthogonality,
-            pinned=tuple(bqj_pins),
-            int_params=("n", "m"),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="aw_integral",
-            description="Askey-Wilson trigonometric beta integral",
-            param_names=("q", "a", "b", "c", "d"),
-            threshold=1e-10,
-            recipe=_recipe_aw_integral,
-            sampler=_sample_aw_integral,
-            pinned=(
-                PinnedCase("all_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}),
-                PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1}),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="aw_genfun",
-            description="Generating function of the Askey-Wilson polynomials",
-            param_names=("q", "a", "b", "c", "d", "s", "theta"),
-            threshold=1e-10,
-            recipe=_recipe_aw_genfun,
-            sampler=_sample_aw_genfun,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="nassrallah_rahman",
-            description="Nassrallah-Rahman q-beta integral (8W7 closed form)",
-            param_names=("q", "a", "b", "c", "d", "s", "r"),
-            threshold=1e-8,
-            recipe=_recipe_nr,
-            sampler=_sample_nr,
-            pinned=(
-                PinnedCase(
-                    "example",
-                    {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
-                     "r": 0.35},
-                ),
-                PinnedCase(
-                    "reduction_r_abcds",
-                    {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5},
-                    threshold=1e-9,
-                    recipe=_recipe_nr_reduction_product,
-                ),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="nr_intermediate",
-            description="Equality of the two 8W7 closed forms of the Nassrallah-Rahman integral",
-            param_names=("q", "a", "b", "c", "d", "s", "r"),
-            threshold=1e-9,
-            recipe=_recipe_nr_intermediate,
-            sampler=_sample_nr,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="nr_r0_3phi2",
-            description="Five-parameter trigonometric integral in 3phi2 form (vanishing numerator parameter)",
-            param_names=("q", "a", "b", "c", "d", "s"),
-            threshold=1e-8,
-            recipe=_recipe_nr_r0,
-            sampler=_sample_nr_nos,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="pfaff_saalschutz_instance",
-            description="q-Pfaff-Saalschuetz summation (balanced terminating 3phi2)",
-            param_names=("n", "q", "a", "b", "c", "d", "r"),
-            threshold=1e-10,
-            recipe=_recipe_pfaff,
-            sampler=_sample_pfaff,
-            pinned=_sweep({"q": 0.5, "a": 0.3, "b": 0.25, "c": 0.4, "d": 0.2, "r": 0.35}),
-            int_params=("n",),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="alsalam_verma",
-            description="Al-Salam--Verma q-integral evaluation",
-            param_names=("q", "a", "b", "c", "d", "s"),
-            threshold=1e-8,
-            recipe=_recipe_alsalam_verma,
-            sampler=_sample_alsalam_verma,
-            pinned=(
-                PinnedCase(
-                    "abc_zero",
-                    {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.2, "s": 0.55},
-                    threshold=1e-9,
-                ),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="qbailey_8w7",
-            description="q-integral with 8W7 closed form (Bailey-type evaluation)",
-            param_names=("q", "a", "b", "c", "d", "s", "r"),
-            threshold=1e-8,
-            recipe=_recipe_qbailey,
-            sampler=_sample_qbailey,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="qbailey_bridge",
-            description="Bridge between the Bailey q-integral and the trigonometric integral",
-            param_names=("q", "a", "b", "c", "d", "s", "r"),
-            threshold=1e-8,
-            recipe=_recipe_qbailey_bridge,
-            sampler=_sample_qbailey,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="nr_product",
-            description="Product-form five-parameter trigonometric integral",
-            param_names=("q", "a", "b", "c", "d", "s"),
-            threshold=1e-8,
-            recipe=_recipe_nr_product,
-            sampler=_sample_nr_nos,
-            pinned=(
-                PinnedCase(
-                    "reduction_s0",
-                    {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1},
-                    threshold=1e-9,
-                    recipe=_recipe_nr_product_s0,
-                ),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="q_dougall_6w5",
-            description="q-Dougall 6W5 summation with conjugate circle parameters",
-            param_names=("q", "a", "b", "c", "d", "s", "r", "theta"),
-            threshold=1e-9,
-            recipe=_recipe_q_dougall_6w5,
-            sampler=_sample_q_dougall_6w5,
-            pinned=(
-                PinnedCase(
-                    "example",
-                    {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
-                     "r": 0.35, "theta": 1.0},
-                ),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="liu_3phi2_transform",
-            description="Nonterminating 3phi2 against its well-poised limit series",
-            param_names=("q", "alpha", "x", "y", "u", "v"),
-            threshold=1e-9,
-            recipe=_recipe_liu_3phi2,
-            sampler=_sample_liu_3phi2,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="liu_qbeta",
-            description="Extended q-beta integral with 3phi2 integrand factor",
-            param_names=("q", "a", "b", "c", "d", "s", "u", "v"),
-            threshold=1e-8,
-            recipe=_recipe_liu_qbeta,
-            sampler=_sample_liu_qbeta,
-            pinned=(
-                PinnedCase(
-                    "example",
-                    {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
-                     "u": 0.8, "v": 1.1},
-                ),
-                PinnedCase(
-                    "reduction_s0",
-                    {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "u": 0.8,
-                     "v": 1.1},
-                    threshold=1e-9,
-                    recipe=_recipe_liu_qbeta_s0,
-                ),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="liu_qbeta_u_eq_q",
-            description="Reduction of the extended q-beta integral at u = q to the product form",
-            param_names=("q", "a", "b", "c", "d", "s", "v"),
-            threshold=1e-9,
-            recipe=_recipe_liu_qbeta_u_eq_q,
-            sampler=_sample_liu_qbeta_u_eq_q,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="liu_qbeta_v_limit",
-            description="Confluent limit of the extended q-beta integral against the 8W7 form",
-            param_names=("q", "a", "b", "c", "d", "s", "u"),
-            threshold=1e-9,
-            recipe=_recipe_liu_qbeta_v_limit,
-            sampler=_sample_liu_qbeta_v_limit,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="q_gauss",
-            description="q-Gauss summation of a 2phi1 (reciprocal-parameter form)",
-            param_names=("q", "a", "b", "c"),
-            threshold=1e-11,
-            recipe=_recipe_q_gauss,
-            sampler=_sample_q_gauss,
-            pinned=(
-                PinnedCase("example", {"a": 0.2, "b": 0.3, "c": 0.71, "q": 0.5}),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="andrews_cube_5phi4",
-            description="Andrews' cube-root terminating 5phi4 evaluation",
-            param_names=("n", "p", "beta"),
-            threshold=1e-10,
-            recipe=_recipe_andrews_cube,
-            sampler=_sample_andrews_cube,
-            pinned=_sweep({"p": 0.5 ** (1.0 / 3.0), "beta": 0.6}),
-            int_params=("n",),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="cube_product_expansion",
-            description="Mixed-base product expansion via cube roots of unity",
-            param_names=("p", "beta", "a"),
-            threshold=1e-10,
-            recipe=_recipe_cube_product,
-            sampler=_sample_cube_product,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="theta_phi_product",
-            description="Theta product phi(-q) phi(-q^3) as a rational q-series",
-            param_names=("q",),
-            threshold=1e-12,
-            recipe=_recipe_theta_product,
-            sampler=_sample_theta_product,
-            pinned=(
-                PinnedCase("q005", {"q": 0.05}),
-                PinnedCase("q01", {"q": 0.1}),
-                PinnedCase("q02", {"q": 0.2}),
-            ),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="andrews_mod3_5phi4",
-            description="Andrews' terminating 5phi4 with mod-3 vanishing structure",
-            param_names=("n", "q", "alpha"),
-            threshold=1e-10,
-            recipe=_recipe_andrews_mod3,
-            sampler=_sample_andrews_mod3,
-            pinned=_sweep({"q": 0.5, "alpha": 0.45}),
-            int_params=("n",),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="q_watson_4phi3",
-            description="q-Watson terminating 4phi3 with odd-order vanishing",
-            param_names=("n", "q", "alpha", "lambda"),
-            threshold=1e-10,
-            recipe=_recipe_q_watson,
-            sampler=_sample_q_watson,
-            pinned=_sweep({"q": 0.5, "alpha": 0.5, "lambda": 0.35}),
-            int_params=("n",),
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="verma_jain_4phi3",
-            description="Verma-Jain quadratic-base terminating 4phi3 summation",
-            param_names=("n", "q", "alpha", "lambda"),
-            threshold=1e-10,
-            recipe=_recipe_verma_jain,
-            sampler=_sample_verma_jain,
-            pinned=_sweep({"q": 0.5, "alpha": 0.4, "lambda": 0.55}),
-            int_params=("n",),
-        )
-    )
-
-    jackson_pins = tuple(
-        PinnedCase(
-            f"jackson_n{k}",
-            {"q": 0.5, "beta": 0.4, "x": 0.4, "n": k},
-            threshold=1e-11,
-            recipe=_recipe_jackson_consistency,
-        )
-        for k in range(1, 7)
-    )
-    defs.append(
-        IdentityDef(
-            id="liu_expansion",
-            description="Analytic expansion in the Pochhammer kernel: reconstruction matches the function",
-            param_names=("q", "beta", "a", "alpha"),
-            threshold=1e-9,
-            recipe=_recipe_liu_expansion,
-            sampler=_sample_liu_expansion,
-            pinned=(
-                PinnedCase(
-                    "poch_factor",
-                    {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3},
-                    threshold=1e-10,
-                ),
-                PinnedCase(
-                    "inverse_poch_factor",
-                    {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3},
-                    threshold=1e-9,
-                    recipe=_recipe_liu_expansion_inverse,
-                ),
-            )
-            + jackson_pins,
-        )
-    )
-
-    defs.append(
-        IdentityDef(
-            id="liu_double_expansion",
-            description="Two-variable analytic expansion: double reconstruction matches the function",
-            param_names=("q", "beta1", "beta2", "a", "b", "alpha", "beta"),
-            threshold=1e-8,
-            recipe=_recipe_liu_double,
-            sampler=_sample_liu_double,
-            pinned=(
-                PinnedCase(
-                    "separable",
-                    {"q": 0.5, "beta1": 0.3, "beta2": 0.2, "a": 0.2, "b": 0.15,
-                     "alpha": 0.3, "beta": 0.25},
-                    threshold=1e-9,
-                ),
-                PinnedCase(
-                    "nonseparable",
-                    {"q": 0.5, "beta1": 0.3, "beta2": 0.2, "beta3": 0.45,
-                     "beta4": 0.35, "a": 0.2, "b": 0.15, "alpha": 0.3, "beta": 0.25},
-                    threshold=1e-8,
-                    recipe=_recipe_liu_double_nonseparable,
-                ),
-            ),
-        )
-    )
-
-    return {d.id: d for d in defs}
-
-
-REGISTRY: dict[str, IdentityDef] = _build_registry()
+@_identity(
+    "liu_double_expansion",
+    "Two-variable analytic expansion: double reconstruction matches the function",
+    ("q", "beta1", "beta2", "a", "b", "alpha", "beta"), 1e-8, _sample_liu_double,
+    [PinnedCase("separable", {"q": 0.5, "beta1": 0.3, "beta2": 0.2, "a": 0.2, "b": 0.15,
+                              "alpha": 0.3, "beta": 0.25}, threshold=1e-9),
+     PinnedCase("nonseparable", {"q": 0.5, "beta1": 0.3, "beta2": 0.2, "beta3": 0.45,
+                                 "beta4": 0.35, "a": 0.2, "b": 0.15, "alpha": 0.3, "beta": 0.25},
+                threshold=1e-8, recipe=_recipe_liu_double_nonseparable)],
+)
+def _recipe_liu_double(prm, pol) -> CheckValues:
+    b1, b2 = prm["beta1"], prm["beta2"]
+    a, b, al, be, q = prm["a"], prm["b"], prm["alpha"], prm["beta"], prm["q"]
+    g1 = _memo_poch_factor(b1, q)
+    g2 = _memo_poch_factor(b2, q)
+    f = lambda x, y: g1(x) * g2(y)
+    lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
+    rhs = poch_infinite(b1 * a, q, pol.truncation) * poch_infinite(b2 * b, q, pol.truncation)
+    return CheckValues(lhs, complex(rhs), {"order": _DOUBLE_ORDER})
 
 
 # ---------------------------------------------------------------------------
@@ -2155,12 +1782,11 @@ def _finalise_report(
     params: dict,
     values: CheckValues,
     threshold: float,
-    metric: str,
 ) -> IdentityReport:
     lhs, rhs = complex(values.lhs), complex(values.rhs)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(1e-300, max(abs(lhs), abs(rhs)))
-    metric = values.metric or metric
+    metric = values.metric or "rel"
     scale = values.scale if values.scale > 0 else 1.0
     if metric == "abs_scaled":
         ok = abs_err / scale <= threshold
@@ -2183,7 +1809,7 @@ def _finalise_report(
     )
 
 
-def _skip_report(ident, label, params, reason, threshold, metric) -> IdentityReport:
+def _skip_report(ident, label, params, reason, threshold) -> IdentityReport:
     return IdentityReport(
         id=ident,
         label=label,
@@ -2193,7 +1819,7 @@ def _skip_report(ident, label, params, reason, threshold, metric) -> IdentityRep
         abs_err=math.nan,
         rel_err=math.nan,
         status="skipped",
-        metric=metric,
+        metric="rel",
         threshold=threshold,
         scale=1.0,
         diagnostics={},
@@ -2219,21 +1845,18 @@ def check_identity(
     entry = REGISTRY[ident]
     recipe = entry.recipe
     threshold = entry.threshold
-    metric = entry.metric
     if _case is not None:
         if _case.recipe is not None:
             recipe = _case.recipe
         if _case.threshold is not None:
             threshold = _case.threshold
-        if _case.metric is not None:
-            metric = _case.metric
     if thresholds and ident in thresholds:
         threshold = thresholds[ident]
     try:
         values = recipe(params, policies)
     except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged) as exc:
-        return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold, metric)
-    return _finalise_report(ident, label, params, values, threshold, metric)
+        return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold)
+    return _finalise_report(ident, label, params, values, threshold)
 
 
 def check_orthogonality_qhahn(

@@ -28,7 +28,7 @@ DEFAULT_EPS_BASE = 1e-3
 
 @dataclass(frozen=True)
 class Base:
-    """The series base q, constrained to |q| <= 1 - eps_base < 1."""
+    """The series base q, constrained to 0 < |q| <= 1 - eps_base < 1."""
 
     q: complex
     eps_base: float = DEFAULT_EPS_BASE
@@ -37,6 +37,8 @@ class Base:
         qc = complex(self.q)
         if not (cmath.isfinite(qc)):
             raise DomainError("base q must be finite")
+        if qc == 0:
+            raise DomainError("base q must be nonzero")
         if not (0 < self.eps_base < 1):
             raise DomainError("eps_base must lie in (0, 1)")
         if abs(qc) > 1 - self.eps_base:
@@ -90,6 +92,12 @@ def mp_scalar(x):
     return mpmathify(x)
 
 
+def _one_like(a):
+    """Exact 1 in the arithmetic of ``a``: complex for Python numbers, mpmath
+    otherwise, so an empty mpmath product does not promote mpf to mpc."""
+    return 1 + 0j if isinstance(a, (int, float, complex)) else mp.one
+
+
 def _magnitude(x) -> float:
     return float(abs(x))
 
@@ -97,6 +105,8 @@ def _magnitude(x) -> float:
 def _validate_base_magnitude(qmag: float, eps: float = DEFAULT_EPS_BASE) -> None:
     if not math.isfinite(qmag) or qmag > 1 - eps:
         raise DomainError(f"|q| = {qmag:.6g} must not exceed {1 - eps:.6g}")
+    if qmag == 0:
+        raise DomainError("base q must be nonzero")
 
 
 def _context_tol_log10(policy: TruncationPolicy | None) -> float:
@@ -126,10 +136,13 @@ def tail_count(a_mag: float, q_mag: float, tol_log10: float) -> int:
 def poch_finite(a, q, n: int):
     """Finite q-shifted factorial (a; q)_n = prod_{k=0}^{n-1} (1 - a q^k).
 
-    Returns exactly 1 for n = 0.  Generic over complex and mpmath scalars.
+    Returns exactly 1 for n = 0 (``mp.one`` for mpmath ``a``).  Generic over
+    complex and mpmath scalars.
     """
     if n < 0:
         raise DomainError("poch_finite requires n >= 0")
+    if n == 0:
+        return _one_like(a)
     qv = base_value(q)
     acc = 1
     zk = a
@@ -161,7 +174,7 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
             f"(a; q)_infty needs {n} factors, cap is {cap}"
         )
     if n == 0:
-        return 1 + 0j if isinstance(a, (int, float, complex)) else mp.one
+        return _one_like(a)
     acc = 1
     zk = a
     for _ in range(n):

@@ -144,6 +144,21 @@ class TestEval:
         assert captured.out == ""
         assert "DomainError" in captured.err
 
+    def test_divergent_phi_exit2(self, capsys):
+        # |z| > 1: the running sum overflows and must not be reported as inf
+        rc = main(["eval", "phi", "--num", "0.3,0.4", "--den", "0.5", "--q", "0.5",
+                   "--z", "1.5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TruncationExceeded" in captured.err
+
+    def test_zero_base_exit2(self, capsys):
+        assert main(["eval", "poch", "--a", "0.3", "--q", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DomainError" in captured.err
+
     def test_phi(self, capsys):
         rc = main(["eval", "phi", "--num", "2.5,1.6666666666666667", "--den", "0.71",
                    "--q", "0.5", "--z", "0.1704"])

@@ -62,6 +62,15 @@ def test_registry_contents():
         assert entry.threshold > 0
 
 
+def test_duplicate_registration_raises():
+    from qkernel.identities import _identity
+
+    entry = REGISTRY["q_gauss"]
+    with pytest.raises(ValueError, match="q_gauss"):
+        _identity("q_gauss", "again", entry.param_names, 1e-9, entry.sampler)(entry.recipe)
+    assert REGISTRY["q_gauss"] is entry
+
+
 def test_unknown_identity_raises():
     with pytest.raises(UnknownIdentity):
         check_identity("nope", {})

@@ -47,6 +47,12 @@ class TestBase:
             Base(1.2 + 0j)
         assert as_base(0.5).q == 0.5 + 0j
 
+    def test_zero_base_rejected(self):
+        with pytest.raises(DomainError):
+            Base(0j)
+        with pytest.raises(DomainError):
+            poch_infinite(0.3, 0.0)
+
     def test_policy_validation(self):
         with pytest.raises(DomainError):
             TruncationPolicy(tol=0.0)
@@ -57,6 +63,8 @@ class TestBase:
 class TestPochFinite:
     def test_empty_product(self):
         assert poch_finite(0.77 + 0.3j, 0.5, 0) == 1
+        # an empty mpmath product stays mpf, as a nonempty one does
+        assert isinstance(poch_finite(mpf("0.3"), mpf("0.5"), 0), mpf)
 
     def test_hand_product(self):
         # (1 - 0.5)(1 - 0.25) = 0.375
