@@ -55,7 +55,7 @@ from .hyperseries import (
     nearest_pole_distance,
     phi_terminating_core,
 )
-from . import qcalculus
+from . import qcalculus, qcore
 from .polyfamilies import (
     BigQJacobiParams,
     QHahnParams,
@@ -373,7 +373,9 @@ def _bqj_integral(n, m, a, b, c, q, dps: int) -> complex:
 
 
 def clear_caches() -> None:
-    """Drop memoised quadrature nodes (mainly for tests)."""
+    """Drop memoised quadrature nodes and the mpmath q-product coefficients
+    (mainly for tests and cold-cache runs)."""
+    qcore._EULER_CACHE.clear()
     _qhahn_K_node.cache_clear()
     _qhahn_H_node.cache_clear()
     _bqj_weight_node.cache_clear()
@@ -1837,8 +1839,9 @@ def check_identity(
 ) -> IdentityReport:
     """Evaluate both sides of one identity and report residuals.
 
-    Unknown ids raise; domain violations inside the recipe surface as
-    status="skipped" with a reason.
+    Unknown ids raise; domain violations surface as status="skipped" with a
+    reason.  The base (``q``, or ``p`` where q = p^3) is validated before the
+    recipe runs, since recipes may divide by it first.
     """
     if ident not in REGISTRY:
         raise UnknownIdentity(ident)
@@ -1853,6 +1856,9 @@ def check_identity(
     if thresholds and ident in thresholds:
         threshold = thresholds[ident]
     try:
+        for name in ("q", "p"):
+            if name in params:
+                Base(params[name])
         values = recipe(params, policies)
     except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged) as exc:
         return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold)

@@ -2,12 +2,28 @@
 
 ``poch_infinite`` and ``poch_multi`` (a product over several first arguments)
 are the single scalar q-product kernel; ``qintegrals.poch_infinite_vec`` is
-their numpy-array twin.  The loops are generic (no numpy inside), so they work
-on plain ``complex`` values and on mpmath ``mpf``/``mpc`` values alike.
-Infinite products truncate at a provable geometric tail bound: the product
-over ``k >= N`` of ``(1 - a q^k)`` differs from 1 by at most roughly
-``|a| |q|^N / (1 - |q|)``, kept below 1e-14, or below 10^-(dps + 2) inside an
-mpmath context with ``mp.dps > 25``.
+their numpy-array twin.  All of them first count the factors a truncated
+product needs: the product over ``k >= N`` of ``(1 - a q^k)`` differs from 1
+by at most roughly ``|a| |q|^N / (1 - |q|)``, kept below 1e-14, or below
+10^-(dps + 2) inside an mpmath context with ``mp.dps > 25``, or below an
+explicit policy's ``tol``.  That count is checked against the policy's
+``max_terms`` cap and decides whether the product is exactly 1.
+
+Python ``float``/``complex`` arguments are then multiplied out factor by
+factor.  mpmath arguments take Euler's identity (Gasper & Rahman §1.3)
+
+    (y; q)_inf = sum_k (-1)^k q^{k(k-1)/2} y^k / (q; q)_k,
+
+whose terms fall off like |q|^{k^2/2}: the factors ``(1 - a q^j)`` with
+``|a q^j| > |q|`` are multiplied explicitly, as in the plain product, so a
+near-zero factor stays a factor; the rest, ``(a q^m; q)_inf`` with ``|a q^m| <= |q|``,
+is summed by Horner's rule from ``K`` cached coefficients.  For ``|y| <= |q|``
+the series' tail after ``K`` terms, relative to ``|(y; q)_inf| >= (|q|; |q|)_inf``,
+is below ``|q|^{K(K+1)/2} / ((|q|; |q|)_inf^2 (1 - |q|^{K+1}))``; ``K`` is the
+least count that puts it below the same tolerance.  The terms' magnitudes add
+up to at most ``(-|q|; |q|)_inf``, so Horner's rounding error, relative to the
+sum, is at most ``2K (-|q|; |q|)_inf / (|q|; |q|)_inf`` units of the last place:
+the sum runs with that many decimal guard digits, rounded up, plus 2.
 """
 
 from __future__ import annotations
@@ -156,9 +172,11 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     """Infinite q-shifted factorial (a; q)_infty, truncated at the geometric
     tail bound |a| |q|^N / (1 - |q|) < tol.
 
-    Raises TruncationExceeded when the bound needs more than
-    ``policy.max_terms`` factors, and DomainError when a float/complex result
-    overflows (mpmath results may legitimately exceed the float range).
+    mpmath arguments (``a`` or ``q``) are evaluated by Euler's series to the
+    same tolerance (see the module docstring).  Raises TruncationExceeded when
+    the bound needs more than ``policy.max_terms`` factors, and DomainError
+    when a float/complex result overflows (mpmath results may legitimately
+    exceed the float range).
     """
     qv = base_value(q)
     qmag = _magnitude(qv)
@@ -167,7 +185,8 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     amag = _magnitude(a)
     if not math.isfinite(amag):
         raise DomainError("poch_infinite requires finite a")
-    n = tail_count(amag, qmag, _context_tol_log10(policy))
+    tol_log10 = _context_tol_log10(policy)
+    n = tail_count(amag, qmag, tol_log10)
     cap = (policy or DEFAULT_TRUNCATION).max_terms
     if n > cap:
         raise TruncationExceeded(
@@ -175,6 +194,8 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
         )
     if n == 0:
         return _one_like(a)
+    if not (isinstance(a, (int, float, complex)) and isinstance(qv, (int, float, complex))):
+        return _poch_euler(a, amag, qv, qmag, -tol_log10)
     acc = 1
     zk = a
     for _ in range(n):
@@ -183,6 +204,57 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     if isinstance(acc, (float, complex)) and not cmath.isfinite(acc):
         raise DomainError("poch_infinite overflowed the float range")
     return acc
+
+
+#: Euler-series data keyed by (q, mp.prec, digits): q as an mpmath scalar,
+#: the guard digits and the coefficients (-1)^k q^{k(k-1)/2} / (q; q)_k,
+#: k < K.  ``identities.clear_caches`` empties it.
+_EULER_CACHE: dict = {}
+
+
+def _euler_data(qv, qmag: float, digits: float):
+    key = (qv, mp.prec, digits)
+    data = _EULER_CACHE.get(key)
+    if data is not None:
+        return data
+    log_q = math.log10(qmag)
+    log_minus = log_plus = 0.0  # log10 (|q|; |q|)_inf and (-|q|; |q|)_inf
+    qj = qmag
+    while qj > 1e-18:
+        log_minus += math.log10(1 - qj)
+        log_plus += math.log10(1 + qj)
+        qj *= qmag
+    K = 1
+    while K * (K + 1) / 2 * log_q - 2 * log_minus - math.log10(1 - qmag ** (K + 1)) >= -digits:
+        K += 1
+    guard = math.ceil(math.log10(2 * K) + log_plus - log_minus) + 2
+    with mp.workdps(mp.dps + guard):
+        qm = mp_scalar(qv)
+        coeffs = [mp.one]
+        qk = mp.one
+        for _ in range(1, K):
+            coeffs.append(-coeffs[-1] * qk / (1 - qk * qm))
+            qk *= qm
+    data = _EULER_CACHE[key] = (qm, guard, coeffs[-1], coeffs[-2::-1])
+    return data
+
+
+def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
+    """(a; q)_inf in mpmath: explicit factors while |a q^j| > |q|, then
+    Euler's series at y = a q^m by Horner's rule."""
+    qm, guard, top, rest = _euler_data(qv, qmag, digits)
+    with mp.workdps(mp.dps + guard):
+        acc = mp.one
+        y = a
+        while amag > qmag:
+            acc *= 1 - y
+            y *= qm
+            amag *= qmag
+        s = top
+        for c in rest:
+            s = s * y + c
+        acc *= s
+    return +acc
 
 
 def poch_multi(params: Sequence, q, n=None, policy: TruncationPolicy | None = None):

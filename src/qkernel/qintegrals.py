@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureNotConverged
+from .errors import DomainError, QuadratureNotConverged, TruncationExceeded
 from .qcore import (
     Base,
     DEFAULT_TRUNCATION,
@@ -423,8 +423,8 @@ def lbww_rhs(u, v, h, r, s, t, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> 
             total += contrib
             small = small + 1 if abs(contrib) < tp.tol * max(1.0, abs(total)) else 0
             if small >= 3:
-                break
-        return pref * total
+                return pref * total
+        raise TruncationExceeded(f"lbww t = 0 series did not converge in {tp.max_terms} terms")
     series = eval_wp_limit(
         lam,
         numerator=(lam, r * u, r * v, h / s, h / t),

@@ -72,6 +72,17 @@ def test_check_negative_q_mp_products(argv, tmp_path):
     assert json.loads(out.read_text())["status"] == "pass"
 
 
+@pytest.mark.parametrize("ident", ["rogers_6phi5", "liu_3phi2_transform"])
+def test_check_zero_base_skipped(ident, tmp_path):
+    # both recipes divide by q before any kernel sees it
+    out = tmp_path / "r.json"
+    assert main(["check", ident, "--q", "0", "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"].startswith("DomainError")
+
+
 def test_check_samples_missing_params(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["check", "q_gauss", "--seed", "7", "--format", "json",

@@ -71,6 +71,19 @@ def test_duplicate_registration_raises():
     assert REGISTRY["q_gauss"] is entry
 
 
+def test_clear_caches_drops_euler_coefficients():
+    from mpmath import mp, mpf
+
+    from qkernel import qcore
+    from qkernel.identities import clear_caches
+
+    with mp.workdps(40):
+        qcore.poch_infinite(mpf("0.3"), mpf("0.55"))
+    assert qcore._EULER_CACHE
+    clear_caches()
+    assert not qcore._EULER_CACHE
+
+
 def test_unknown_identity_raises():
     with pytest.raises(UnknownIdentity):
         check_identity("nope", {})

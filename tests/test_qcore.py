@@ -3,7 +3,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -154,21 +154,49 @@ class TestMpmathOracle:
         prod = math.prod(ref)
         assert abs(poch_multi(params, q) - prod) <= 1e-12 * abs(prod)
 
-    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs)
-    def test_mp_path(self, params, q):
+    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs,
+           dps=st.integers(min_value=40, max_value=110))
+    # y = q = 0.9 puts the most cancellation into Euler's series and the
+    # slowest-decaying tail behind its cut
+    @example(params=[0.9], q=0.9, dps=40)
+    @example(params=[0.9j, -0.9], q=-0.9, dps=110)
+    def test_mp_path(self, params, q, dps):
+        # Euler's series against qp's plain product at twice the precision
         assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
         args = [mp_scalar(a) for a in params]
-        with mp.workdps(60):
+        with mp.workdps(dps):
             got = [poch_infinite(a, mpf(q)) for a in args]
             multi = poch_multi(args, mpf(q))
         if all(isinstance(a, mpf) for a in args):
             assert isinstance(multi, mpf)
-        with mp.workdps(120):
+        with mp.workdps(2 * dps):
+            tol = mpf(10) ** -dps
             ref = [mpmath.qp(a, mpf(q)) for a in args]
             for g, r in zip(got, ref):
-                assert abs(g - r) <= mpf(10) ** -50 * abs(r)
+                assert abs(g - r) <= tol * abs(r)
             prod = mpmath.fprod(ref)
-            assert abs(multi - prod) <= mpf(10) ** -50 * abs(prod)
+            assert abs(multi - prod) <= len(args) * tol * abs(prod)
+
+    def test_mpf_argument_gives_mpf(self):
+        with mp.workdps(40):
+            assert isinstance(poch_infinite(mpf("0.3"), mpf("0.5")), mpf)
+            assert isinstance(poch_infinite(mpf("-7.5"), 0.5), mpf)
+            assert isinstance(poch_infinite(mpf("0.3"), Base(-0.5 + 0j)), mpf)
+
+    def test_coefficients_not_reused_across_precision(self):
+        a, q = mpf(1) / 3, mpf(-0.7)
+        got = {}
+        for dps in (40, 70, 40):
+            with mp.workdps(dps):
+                v = poch_infinite(a, q)
+            with mp.workdps(2 * dps):
+                r = mpmath.qp(a, q)
+                assert abs(v - r) <= mpf(10) ** -dps * abs(r)
+            assert got.setdefault(dps, v) == v
+
+    def test_mp_cap_raises(self):
+        with mp.workdps(40), pytest.raises(TruncationExceeded):
+            poch_infinite(mpf("0.9"), mpf("0.9"), TruncationPolicy(tol=1e-14, max_terms=10))
 
 
 class TestHWeight:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qkernel.errors import DomainError, QuadratureNotConverged
+from qkernel.errors import DomainError, QuadratureNotConverged, TruncationExceeded
 from qkernel.qcore import Base, TruncationPolicy, poch_infinite
 from qkernel.qintegrals import (
     FULL_PERIOD,
@@ -202,6 +202,15 @@ class TestJacksonIntegralFormulas:
     def test_lbww_t_zero(self):
         args = (0.3, 0.5, 0.35, 0.2, 0.25, 0.0, 0.5)
         assert lbww_lhs(*args) == pytest.approx(lbww_rhs(*args), rel=1e-9)
+
+    def test_lbww_t_zero_truncation_raises(self):
+        # at q = 0.01 and tol 1e-2 the prefactor's products need at most two
+        # factors each, so only the t = 0 series can run out of terms; it
+        # needs three consecutive small terms to stop
+        args = (0.3, 0.5, 0.35, 0.2, 0.25, 0.0, 0.01)
+        assert lbww_rhs(*args, TruncationPolicy(tol=1e-2, max_terms=3)) != 0
+        with pytest.raises(TruncationExceeded):
+            lbww_rhs(*args, TruncationPolicy(tol=1e-2, max_terms=2))
 
     def test_lbww_alsalam_verma_shape(self):
         # h = rsuv makes lambda = r^2 s u^2 v^2 / q; the series still sums the
