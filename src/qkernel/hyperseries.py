@@ -7,16 +7,20 @@ terms cancel catastrophically (the largest term scales like q^{-n(n-1)/2}),
 so they are evaluated in mpmath at a working precision sized from a cheap
 log-magnitude pre-pass; plain complex arithmetic would return noise already
 for moderate n.  Non-terminating series have geometrically decaying terms and
-are summed in ordinary complex arithmetic with a three-consecutive-small-terms
-stop rule.
+are summed in ordinary complex arithmetic by ``sum_until_converged``, the one
+loop with the one stop rule: stop after three consecutive terms below
+``tol * max(1, |partial sum|)``, and report the ratio bound of the tail.  The
+well-poised limit sums, the t = 0 lbww series and the outer sum of the master
+formula use it too.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mpmath import mp
 
@@ -42,7 +46,6 @@ class SeriesResult:
     value: complex
     terms_used: int
     tail_estimate: float
-    max_term: float = 1.0
 
 
 def nearest_pole_distance(b, q) -> float:
@@ -90,6 +93,8 @@ def phi_terminating_core(
         dc = [complex(x) for x in dens]
         zc = complex(z)
         qc = complex(q)
+    if zc == 0:
+        return mp.one, 0.0  # every term after the leading 1 vanishes
     d_exp = 1 + len(dc) - len(nc)
     log_t = 0.0
     max_log = 0.0
@@ -159,13 +164,40 @@ def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:
             mp_scalar(qv),
         )
 
-    value, max_log = phi_terminating_core(build, n)
-    return SeriesResult(
-        value=complex(value),
-        terms_used=n + 1,
-        tail_estimate=0.0,
-        max_term=float(10.0 ** min(max_log, 300.0)),
-    )
+    value, _ = phi_terminating_core(build, n)
+    return SeriesResult(value=complex(value), terms_used=n + 1, tail_estimate=0.0)
+
+
+def sum_until_converged(terms: Iterable, policy: TruncationPolicy, what: str) -> SeriesResult:
+    """Sum ``terms`` under the one stop rule of every convergent-series loop.
+
+    Summation stops once three consecutive terms fall below
+    ``policy.tol * max(1, |partial sum|)``; at most ``policy.max_terms``
+    terms after the leading one are summed, and a generator that runs out
+    first is its own cap.  A non-finite term or sum, an exhausted cap and a
+    term ratio of 1 or more at the stop all raise ``TruncationExceeded``.
+    The tail estimate is the geometric bound ``|t| r / (1 - r)`` from the
+    ratio ``r`` of the last two term magnitudes (0 after an exact zero term).
+    """
+    total = 0j
+    small = used = 0
+    mag = math.inf
+    for used, t in enumerate(itertools.islice(terms, policy.max_terms + 1), 1):
+        total += t
+        prev, mag = mag, abs(t)
+        if not (math.isfinite(mag) and cmath.isfinite(total)):
+            raise TruncationExceeded(f"{what} terms or sum became non-finite (divergent?)")
+        small = small + 1 if mag < policy.tol * max(1.0, abs(total)) else 0
+        if small == 3:
+            if prev == 0:
+                return SeriesResult(total, used, 0.0)
+            r = mag / prev
+            if r >= 1:
+                raise TruncationExceeded(
+                    f"{what} stopped with term ratio {r:g} >= 1; its tail is unbounded"
+                )
+            return SeriesResult(total, used, mag * r / (1 - r))
+    raise TruncationExceeded(f"{what} did not meet tol={policy.tol:g} within {used} terms")
 
 
 def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesResult:
@@ -175,8 +207,7 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) ->
                * ((-1)^n q^{n(n-1)/2})^{1+s-r} * z^n.
 
     Terminating specs are summed over exactly ``terminating_order + 1`` terms;
-    otherwise summation stops once three consecutive terms drop below
-    ``policy.tol * max(1, |partial sum|)``.
+    otherwise by ``sum_until_converged``.
     """
     qv = base_value(spec.base)
     _check_denominator_poles(spec.denominator, qv)
@@ -201,44 +232,26 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) ->
     dens = [complex(b) for b in spec.denominator]
     d_exp = 1 + len(dens) - len(nums)
 
-    t = 1 + 0j
-    total = t
-    qk = 1 + 0j
-    max_term = 1.0
-    small: list[float] = []
-    for k in range(policy.max_terms):
-        num = 1 + 0j
-        for a in nums:
-            num *= 1 - a * qk
-        den = 1 + 0j
-        for b in dens:
-            den *= 1 - b * qk
-        den *= 1 - q * qk
-        if den == 0:
-            raise PoleInDenominator(f"vanishing denominator factor at k={k + 1}")
-        t = t * num / den * z
-        if d_exp:
-            t = t * (-qk) ** d_exp
-        qk *= q
-        total += t
-        mag = abs(t)
-        if not (math.isfinite(mag) and cmath.isfinite(total)):
-            raise TruncationExceeded("series terms or sum became non-finite (divergent?)")
-        max_term = max(max_term, mag)
-        if mag < policy.tol * max(1.0, abs(total)):
-            small.append(mag)
-            if len(small) == 3:
-                return SeriesResult(
-                    value=total,
-                    terms_used=k + 2,
-                    tail_estimate=sum(small),
-                    max_term=max_term,
-                )
-        else:
-            small.clear()
-    raise TruncationExceeded(
-        f"series did not meet tol={policy.tol:g} within {policy.max_terms} terms"
-    )
+    def terms():
+        t = qk = 1 + 0j
+        yield t
+        for k in itertools.count():
+            num = 1 + 0j
+            for a in nums:
+                num *= 1 - a * qk
+            den = 1 + 0j
+            for b in dens:
+                den *= 1 - b * qk
+            den *= 1 - q * qk
+            if den == 0:
+                raise PoleInDenominator(f"vanishing denominator factor at k={k + 1}")
+            t = t * num / den * z
+            if d_exp:
+                t = t * (-qk) ** d_exp
+            qk *= q
+            yield t
+
+    return sum_until_converged(terms(), policy, "series")
 
 
 def eval_wp_limit(
@@ -263,49 +276,47 @@ def eval_wp_limit(
     if shift not in (-1, 1):
         raise DomainError("shift must be -1 or +1")
     qv = complex(base_value(q))
-    _check_denominator_poles(denominator, qv)
+    wv = complex(w)
+
+    def step(W, qn):
+        return W * wv * (qn if shift == -1 else qn * qv)
+
+    terms = wp_limit_terms(alpha, numerator, denominator, qv, step)
+    return sum_until_converged(terms, policy, "well-poised limit sum")
+
+
+def wp_limit_terms(alpha, numerator: Sequence, denominator: Sequence, q: complex, step: Callable):
+    """Terms of (1 - alpha q^{2n})/(1 - alpha) prod(numerator; q)_n
+    / (q, denominator; q)_n W_n, where W_0 = 1 and ``step(W_n, q^n)`` gives
+    W_{n+1}: the series of ``eval_wp_limit``, also summed by the t = 0 limit
+    of ``qintegrals.lbww_rhs`` (W_n = w^n q^{n(n-1)}).  Poles and alpha = 1
+    are rejected here, before the first term."""
+    _check_denominator_poles(denominator, q)
     al = complex(alpha)
     if abs(1 - al) < 1e-300:
         raise DomainError("alpha = 1 degenerates the well-poised kernel")
     nums = [complex(x) for x in numerator]
     dens = [complex(x) for x in denominator]
-    wv = complex(w)
 
-    total = 1 + 0j
-    P = 1 + 0j
-    W = 1 + 0j
-    qn = 1 + 0j
-    q2n = 1 + 0j
-    max_term = 1.0
-    small: list[float] = []
-    for n in range(policy.max_terms):
-        num_f = 1 + 0j
-        for x in nums:
-            num_f *= 1 - x * qn
-        den_f = 1 - qv * qn
-        for x in dens:
-            den_f *= 1 - x * qn
-        if den_f == 0:
-            raise PoleInDenominator(f"vanishing denominator factor at n={n + 1}")
-        P = P * num_f / den_f
-        W = W * wv * (qn if shift == -1 else qn * qv)
-        qn *= qv
-        q2n *= qv * qv
-        t = (1 - al * q2n) / (1 - al) * P * W
-        total += t
-        mag = abs(t)
-        if not (math.isfinite(mag) and cmath.isfinite(total)):
-            raise TruncationExceeded("well-poised limit terms or sum became non-finite")
-        max_term = max(max_term, mag)
-        if mag < policy.tol * max(1.0, abs(total)):
-            small.append(mag)
-            if len(small) == 3:
-                return SeriesResult(total, n + 2, sum(small), max_term)
-        else:
-            small.clear()
-    raise TruncationExceeded(
-        f"well-poised limit sum did not converge within {policy.max_terms} terms"
-    )
+    def terms():
+        yield 1 + 0j
+        P = W = qn = q2n = 1 + 0j
+        for n in itertools.count():
+            num_f = 1 + 0j
+            for x in nums:
+                num_f *= 1 - x * qn
+            den_f = 1 - q * qn
+            for x in dens:
+                den_f *= 1 - x * qn
+            if den_f == 0:
+                raise PoleInDenominator(f"vanishing denominator factor at n={n + 1}")
+            P = P * num_f / den_f
+            W = step(W, qn)
+            qn *= q
+            q2n *= q * q
+            yield (1 - al * q2n) / (1 - al) * P * W
+
+    return terms()
 
 
 def w_spec(a1, tail: Sequence, q, z, terminating_order: int | None = None) -> SeriesSpec:

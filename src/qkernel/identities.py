@@ -54,6 +54,7 @@ from .hyperseries import (
     eval_wp_limit,
     nearest_pole_distance,
     phi_terminating_core,
+    sum_until_converged,
 )
 from . import qcalculus, qcore
 from .polyfamilies import (
@@ -450,27 +451,16 @@ def _make_liu_master(m: int):
             value, _ = phi_terminating_core(build, order)
             return complex(value)
 
-        total = 0j
-        R = 1 + 0j
-        small = 0
-        used = 0
-        for n in range(300):
-            w = (1 - al * q ** (2 * n)) / (1 - al) * R
-            t = w * inner(n)
-            total += t
-            used = n + 1
-            if abs(t) < tp.tol * max(1.0, abs(total)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
-                (1 - q ** (n + 1)) * (1 - al * a * q**n)
-            )
-        else:
-            raise TruncationExceeded("master summation outer series did not converge")
-        return CheckValues(lhs, total, {"outer_terms": used})
+        def terms():
+            R = 1 + 0j
+            for n in range(300):
+                yield (1 - al * q ** (2 * n)) / (1 - al) * R * inner(n)
+                R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
+                    (1 - q ** (n + 1)) * (1 - al * a * q**n)
+                )
+
+        res = sum_until_converged(terms(), tp, "master summation outer series")
+        return CheckValues(lhs, res.value, {"outer_terms": res.terms_used})
 
     return recipe
 
@@ -1839,9 +1829,10 @@ def check_identity(
 ) -> IdentityReport:
     """Evaluate both sides of one identity and report residuals.
 
-    Unknown ids raise; domain violations surface as status="skipped" with a
-    reason.  The base (``q``, or ``p`` where q = p^3) is validated before the
-    recipe runs, since recipes may divide by it first.
+    Unknown ids raise; domain violations, a recipe's own division by zero
+    among them, surface as status="skipped" with a reason.  The base (``q``,
+    or ``p`` where q = p^3) is validated before the recipe runs, since
+    recipes may divide by it first.
     """
     if ident not in REGISTRY:
         raise UnknownIdentity(ident)
@@ -1860,7 +1851,8 @@ def check_identity(
             if name in params:
                 Base(params[name])
         values = recipe(params, policies)
-    except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged) as exc:
+    except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged,
+            ZeroDivisionError) as exc:
         return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold)
     return _finalise_report(ident, label, params, values, threshold)
 

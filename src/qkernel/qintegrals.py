@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureNotConverged, TruncationExceeded
+from .errors import DomainError, QuadratureNotConverged
 from .qcore import (
     Base,
     DEFAULT_TRUNCATION,
@@ -25,7 +25,7 @@ from .qcore import (
     poch_multi,
     tail_count,
 )
-from .hyperseries import eval_w, eval_wp_limit
+from .hyperseries import eval_w, eval_wp_limit, sum_until_converged, wp_limit_terms
 from . import qcalculus
 
 FULL_PERIOD = (-math.pi, math.pi)
@@ -406,25 +406,12 @@ def lbww_rhs(u, v, h, r, s, t, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> 
     if t == 0:
         # t -> 0 limit of (h/t; q)_n (-stuv)^n q^{n(n-1)/2}: terms become
         # (lam, ru, rv, h/s; q)_n (hsuv)^n q^{n(n-1)} / (q, hu, hv, rsuv; q)_n.
-        total = 1 + 0j
-        P = 1 + 0j
-        W = 1 + 0j
-        qn = 1 + 0j
-        q2n = 1 + 0j
-        small = 0
-        for n in range(tp.max_terms):
-            num_f = (1 - lam * qn) * (1 - r * u * qn) * (1 - r * v * qn) * (1 - h / s * qn)
-            den_f = (1 - qv * qn) * (1 - h * u * qn) * (1 - h * v * qn) * (1 - r * s * u * v * qn)
-            P = P * num_f / den_f
-            W = W * (h * s * u * v) * qn * qn  # ratio of q^{n(n-1)} is q^{2n}
-            qn *= qv
-            q2n *= qv * qv
-            contrib = (1 - lam * q2n) / (1 - lam) * P * W
-            total += contrib
-            small = small + 1 if abs(contrib) < tp.tol * max(1.0, abs(total)) else 0
-            if small >= 3:
-                return pref * total
-        raise TruncationExceeded(f"lbww t = 0 series did not converge in {tp.max_terms} terms")
+        w = h * s * u * v
+        terms = wp_limit_terms(
+            lam, (lam, r * u, r * v, h / s), (h * u, h * v, r * s * u * v), complex(qv),
+            lambda W, qn: W * w * qn * qn,
+        )
+        return pref * sum_until_converged(terms, tp, "lbww t = 0 series").value
     series = eval_wp_limit(
         lam,
         numerator=(lam, r * u, r * v, h / s, h / t),

@@ -83,6 +83,35 @@ def test_check_zero_base_skipped(ident, tmp_path):
     assert doc["reason"].startswith("DomainError")
 
 
+@pytest.mark.parametrize("argv", [
+    ["liu_master_m1", "--alpha", "1"],
+    ["q_gauss", "--a", "0"],
+    ["alsalam_verma", "--d", "0"],
+    # alpha = 0 also zeroes the argument of the 8phi7
+    ["watson_q_whipple", "--alpha", "0", "--n", "3"],
+])
+def test_check_division_by_zero_skipped(argv, tmp_path, capsys):
+    # a recipe that divides by a zero parameter reports skipped, not a traceback
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"].startswith("ZeroDivisionError")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_lbww_t_zero_pole_skipped(tmp_path):
+    # h u = 1: the t = 0 series has the same pole check as t != 0
+    for t in ("0", "0.3"):
+        out = tmp_path / f"r{t}.json"
+        assert main(["check", "lbww_qintegral", "--t", t, "--h", "2", "--u", "0.5",
+                     "--format", "json", "--deterministic", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "skipped"
+        assert doc["reason"].startswith("PoleInDenominator")
+
+
 def test_check_samples_missing_params(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["check", "q_gauss", "--seed", "7", "--format", "json",
@@ -174,6 +203,13 @@ class TestEval:
         rc = main(["eval", "phi", "--num", "2.5,1.6666666666666667", "--den", "0.71",
                    "--q", "0.5", "--z", "0.1704"])
         assert rc == 0
+
+    def test_terminating_phi_zero_argument(self, capsys):
+        # z = 0 leaves only the leading term of the terminating sum
+        rc = main(["eval", "phi", "--num", "4,0.3", "--den", "0.5", "--q", "0.5",
+                   "--z", "0", "--order", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("1.0+0.0i")
 
     def test_qint_power(self, capsys):
         assert main(["eval", "qint", "--power", "1", "--a", "0", "--b", "1",

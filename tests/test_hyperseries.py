@@ -1,8 +1,11 @@
 import cmath
 import itertools
+import math
+import sys
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qkernel.errors import DomainError, PoleInDenominator, TruncationExceeded
@@ -13,6 +16,7 @@ from qkernel.hyperseries import (
     eval_w,
     eval_wp_limit,
     nearest_pole_distance,
+    sum_until_converged,
 )
 
 # independent 500-term truncation oracle of 2phi1(q/a, q/b; c; q, abc/q^2)
@@ -117,6 +121,145 @@ class TestEvalPhi:
         res = eval_phi(spec, TruncationPolicy(tol=1e-10))
         extended = _direct_phi([0.25, 0.4], [0.6], q, 0.7, 3 * res.terms_used)
         assert abs(res.value - extended) <= res.tail_estimate + 1e-14
+
+    def test_tail_estimate_bounds_slow_series(self):
+        # 1phi0(a; -; q, z) = (az; q)_inf / (z; q)_inf.  At z = 0.999 the sum
+        # stops after ~25 000 terms with a tail near 1000 times its last term;
+        # the allowance covers the rounding of that many additions
+        q, a, z = 0.5, 0.3, 0.999
+        res = eval_phi(SeriesSpec((a,), (), Base(q + 0j), z))
+        with mpmath.workdps(30):
+            exact = complex(mpmath.qp(a * z, q) / mpmath.qp(z, q))
+        rounding = res.terms_used * sys.float_info.epsilon * abs(res.value)
+        assert abs(res.value - exact) <= res.tail_estimate + rounding
+
+    def test_cap_raises(self):
+        spec = SeriesSpec((0.25, 0.4), (0.6,), Base(0.5 + 0j), 0.9)
+        with pytest.raises(TruncationExceeded):
+            eval_phi(spec, TruncationPolicy(max_terms=5))
+
+
+class TestSumUntilConverged:
+    POLICY = TruncationPolicy(tol=1e-10)
+
+    def test_stops_after_three_small_terms(self):
+        res = sum_until_converged(iter([1.0, 1e-11, 0.5, 4e-11, 2e-11, 1e-11, 7.0]),
+                                  self.POLICY, "test")
+        assert res.terms_used == 6
+        assert res.value == 1.0 + 1e-11 + 0.5 + 4e-11 + 2e-11 + 1e-11
+        assert res.tail_estimate == pytest.approx(1e-11)  # r = 1/2
+
+    def test_exact_zero_term_gives_zero_tail(self):
+        res = sum_until_converged(iter([1.0, 0.0, 0.0, 0.0]), self.POLICY, "test")
+        assert (res.terms_used, res.tail_estimate) == (4, 0.0)
+
+    def test_growing_small_terms_raise(self):
+        # three small terms, but the last ratio is 1.5: no geometric bound
+        with pytest.raises(TruncationExceeded, match="ratio"):
+            sum_until_converged(iter([1.0, 1e-12, 2e-12, 3e-12]), self.POLICY, "test")
+
+    def test_non_finite_raises(self):
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            sum_until_converged(iter([1.0, math.inf]), self.POLICY, "test")
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            sum_until_converged(iter([1e308, 1e308]), self.POLICY, "test")
+
+    def test_cap_counts_terms_after_the_leading_one(self):
+        terms = [1.0, 0.5, 1e-11, 1e-11, 1e-12]
+        pol = TruncationPolicy(tol=1e-10, max_terms=4)
+        assert sum_until_converged(iter(terms), pol, "test").terms_used == 5
+        with pytest.raises(TruncationExceeded, match="within 4 terms"):
+            sum_until_converged(iter(terms), TruncationPolicy(tol=1e-10, max_terms=3),
+                                "test")
+
+    def test_exhausted_generator_raises(self):
+        with pytest.raises(TruncationExceeded, match="within 2 terms"):
+            sum_until_converged(iter([1.0, 0.5]), self.POLICY, "test")
+
+
+_unit = st.floats(min_value=-0.9, max_value=0.9)
+
+
+class TestMpmathOracle:
+    """eval_phi and eval_wp_limit against sums computed independently by
+    mpmath: ``qhyper`` for non-terminating r_phi_s, the defining series built
+    from ``qp`` for terminating r_phi_s and for the limit sum.  (``qhyper``
+    runs to its term cap once every term is exactly 0, as past the end of a
+    terminating series or at z = 0.)"""
+
+    @given(
+        q=st.floats(min_value=0.1, max_value=0.8) | st.floats(min_value=-0.8, max_value=-0.1),
+        dens=st.lists(_unit, min_size=0, max_size=2),
+        extra=st.integers(min_value=0, max_value=1),
+        data=st.data(),
+        rho=st.floats(min_value=0.05, max_value=0.9),
+        phase=st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_non_terminating_phi(self, q, dens, extra, data, rho, phase):
+        # r <= s + 1 and |z| <= 0.9 keep the series convergent; |b| <= 0.9
+        # keeps each denominator off the pole lattice {q^-j}
+        nums = data.draw(st.lists(_unit, min_size=len(dens) + extra,
+                                  max_size=len(dens) + extra))
+        z = cmath.rect(rho, phase)
+        res = eval_phi(SeriesSpec(tuple(nums), tuple(dens), Base(q + 0j), z))
+        with mpmath.workdps(30):
+            ref = complex(mpmath.qhyper(nums, dens, q, z))
+        assert abs(res.value - ref) <= 1e-11 * max(1.0, abs(ref))
+
+    @given(
+        q=st.sampled_from([0.3, 0.5, 0.7, -0.5]),
+        n=st.integers(min_value=0, max_value=30),
+        nums=st.lists(_unit, min_size=0, max_size=2),
+        dens=st.lists(_unit, min_size=1, max_size=2),
+        z=st.floats(min_value=-1.5, max_value=1.5),
+    )
+    # q-Chu-Vandermonde with c/b = 1/q: terms near 1e90 cancel to exactly 0
+    @example(q=0.5, n=30, nums=[0.4], dens=[0.8], z=0.5)
+    def test_terminating_phi(self, q, n, nums, dens, z):
+        res = eval_phi(SeriesSpec((q**-n, *nums), tuple(dens), Base(q + 0j), z, n))
+        # the terms reach |q|^{-n(n+1)/2}; the oracle carries that many digits
+        with mpmath.workdps(40 + int(n * (n + 1) / 2 * math.log10(1 / abs(q)))):
+            qm = mpmath.mpf(q)
+            d = 1 + len(dens) - (1 + len(nums))
+            ref = complex(mpmath.fsum(
+                mpmath.fprod(mpmath.qp(a, qm, k) for a in (qm**-n, *nums))
+                / mpmath.fprod(mpmath.qp(b, qm, k) for b in (qm, *dens))
+                * ((-1) ** k * qm ** (k * (k - 1) // 2)) ** d * mpmath.mpf(z) ** k
+                for k in range(n + 1)
+            ))
+        assert abs(res.value - ref) <= 1e-12 * abs(ref) + 1e-30
+        assert res.terms_used == n + 1
+
+    @given(
+        q=st.floats(min_value=0.1, max_value=0.8),
+        alpha=_unit,
+        nums=st.lists(_unit, min_size=0, max_size=3),
+        dens=st.lists(_unit, min_size=0, max_size=3),
+        w=st.floats(min_value=-2.0, max_value=2.0),
+        shift=st.sampled_from([-1, 1]),
+    )
+    def test_wp_limit(self, q, alpha, nums, dens, w, shift):
+        res = eval_wp_limit(alpha, nums, dens, q, w, shift)
+        with mpmath.workdps(30):
+            ref = size = mpmath.mpf(0)
+            for n in range(200):
+                t = (1 - alpha * mpmath.mpf(q) ** (2 * n)) / (1 - alpha)
+                t *= mpmath.fprod(mpmath.qp(x, q, n) for x in nums)
+                t /= mpmath.qp(q, q, n) * mpmath.fprod(mpmath.qp(x, q, n) for x in dens)
+                t *= mpmath.mpf(w) ** n * mpmath.mpf(q) ** (n * (n + shift) // 2)
+                ref += t
+                size += abs(t)
+                if n > 3 and abs(t) < mpmath.mpf(10) ** -35:
+                    break
+        assert abs(res.value - complex(ref)) <= 1e-12 * max(1.0, float(size))
+
+    def test_wp_limit_non_finite_raises(self):
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            eval_wp_limit(0.2, (0.3,), (0.4,), 0.5, 1e300)
+
+    def test_wp_limit_cap_raises(self):
+        with pytest.raises(TruncationExceeded):
+            eval_wp_limit(0.2, (0.3,), (0.4,), 0.5, 0.7, policy=TruncationPolicy(max_terms=2))
 
 
 class TestEvalW:

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from mpmath import mpf
 
-from qkernel.errors import UnknownIdentity
+from qkernel import identities
+from qkernel.errors import TruncationExceeded, UnknownIdentity
 from qkernel.identities import (
+    DEFAULT_POLICIES,
     REGISTRY,
     check_identity,
     identity_ids,
@@ -82,6 +85,36 @@ def test_clear_caches_drops_euler_coefficients():
     assert qcore._EULER_CACHE
     clear_caches()
     assert not qcore._EULER_CACHE
+
+
+class TestLiuMasterOuterSum:
+    PRM = {"q": 0.5, "alpha": 0.3, "a": 0.6, "b": 0.35, "b1": 0.35, "c1": 0.35}
+
+    @staticmethod
+    def _patch_inner(monkeypatch, value) -> list:
+        """Make every inner terminating sum return ``value``; the returned
+        list collects the orders asked for."""
+        calls = []
+
+        def fake_inner(build, order):
+            calls.append(order)
+            return mpf(value), 0.0
+
+        monkeypatch.setattr(identities, "phi_terminating_core", fake_inner)
+        return calls
+
+    def test_cap_is_300_terms(self, monkeypatch):
+        # with unit inner sums the outer terms grow like (a/q)^n = 1.2^n
+        calls = self._patch_inner(monkeypatch, 1)
+        with pytest.raises(TruncationExceeded, match="within 300 terms"):
+            REGISTRY["liu_master_m1"].recipe(self.PRM, DEFAULT_POLICIES)
+        assert calls == list(range(300))
+
+    def test_non_finite_raises(self, monkeypatch):
+        calls = self._patch_inner(monkeypatch, "inf")
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            REGISTRY["liu_master_m1"].recipe(self.PRM, DEFAULT_POLICIES)
+        assert calls == [0]
 
 
 def test_unknown_identity_raises():

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qkernel.errors import DomainError, QuadratureNotConverged, TruncationExceeded
+from qkernel.errors import (
+    DomainError,
+    PoleInDenominator,
+    QuadratureNotConverged,
+    TruncationExceeded,
+)
+from qkernel import qintegrals
 from qkernel.qcore import Base, TruncationPolicy, poch_infinite
 from qkernel.qintegrals import (
     FULL_PERIOD,
@@ -211,6 +217,24 @@ class TestJacksonIntegralFormulas:
         assert lbww_rhs(*args, TruncationPolicy(tol=1e-2, max_terms=3)) != 0
         with pytest.raises(TruncationExceeded):
             lbww_rhs(*args, TruncationPolicy(tol=1e-2, max_terms=2))
+
+    def test_lbww_t_zero_is_the_limit(self):
+        args = (0.3, 0.5, 0.35, 0.2, 0.25)
+        assert lbww_rhs(*args, 0.0, 0.5) == pytest.approx(lbww_rhs(*args, 1e-9, 0.5),
+                                                           rel=1e-7)
+
+    def test_lbww_t_zero_pole_raises(self):
+        # h u = 1 puts the denominator factor (hu; q)_n on the pole lattice
+        with pytest.raises(PoleInDenominator):
+            lbww_rhs(0.5, 0.25, 2.0, 0.2, 0.25, 0.0, 0.5)
+
+    def test_lbww_t_zero_non_finite_raises(self, monkeypatch):
+        # the limit series stays finite wherever its prefactor's products
+        # do, so an overflowing term is injected into the summed series
+        monkeypatch.setattr(qintegrals, "wp_limit_terms",
+                            lambda *args: iter([1 + 0j, complex(math.inf)]))
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            lbww_rhs(0.3, 0.5, 0.35, 0.2, 0.25, 0.0, 0.5)
 
     def test_lbww_alsalam_verma_shape(self):
         # h = rsuv makes lambda = r^2 s u^2 v^2 / q; the series still sums the
