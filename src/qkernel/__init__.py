@@ -45,7 +45,6 @@ from .polyfamilies import (
 from .qintegrals import QuadraturePolicy, WeightSpec, trig_integral
 from .identities import (
     IdentityReport,
-    PolicyBundle,
     check_identity,
     check_orthogonality_big_qjacobi,
     check_orthogonality_qhahn,

@@ -34,7 +34,6 @@ from .polyfamilies import (
     qhahn_poly,
 )
 from .identities import (
-    DEFAULT_POLICIES,
     REGISTRY,
     IdentityReport,
     check_identity,
@@ -202,9 +201,11 @@ def _cmd_check(args, extra_tokens) -> int:
     for name in ("n", "m"):
         if name in entry.param_names:
             value = params[name]
-            params[name] = int(value.real if isinstance(value, complex) else value)
+            if isinstance(value, complex) or value < 0 or value != int(value):
+                raise _ArgError(f"--{name} must be a non-negative integer, not {value!r}")
+            params[name] = int(value)
     thresholds = {ident: args.tol} if args.tol is not None else None
-    report = check_identity(ident, params, thresholds, DEFAULT_POLICIES, label="check")
+    report = check_identity(ident, params, thresholds, label="check")
     header = {"seed": args.seed, "tolerance_override": args.tol}
     if args.format == "json":
         doc = _report_dict(report)
@@ -225,7 +226,7 @@ def _cmd_suite(args) -> int:
         targets = REGISTRY if ids == "all" else ids
         thresholds = {ident: args.tol for ident in targets}
     try:
-        reports = run_suite(ids, args.draws, args.seed, thresholds, DEFAULT_POLICIES)
+        reports = run_suite(ids, args.draws, args.seed, thresholds)
     except UnknownIdentity as exc:
         raise _ArgError(f"unknown identity {exc}") from exc
     header = {

@@ -13,8 +13,10 @@ mpmath with node values cached across the (n, m) sweep.
 
 To add an identity, write its sampler and then its recipe, and put the
 ``@_identity(...)`` registration on the recipe; a recipe shared with another
-entry, or built by a factory, is registered with a plain call instead.  The
-registry keeps file order, which is the order of ``list`` and of the suite.
+entry, or built by a factory, is registered with a plain call instead.  A
+recipe takes only the parameter dict and returns ``CheckValues``; it uses the
+kernels' default truncation and quadrature policies.  The registry keeps file
+order, which is the order of ``list`` and of the suite.
 """
 
 from __future__ import annotations
@@ -67,16 +69,7 @@ from .polyfamilies import (
     qhahn_poly,
 )
 from . import qintegrals as qi
-from .qintegrals import DEFAULT_QUADRATURE, QuadraturePolicy
-
-
-@dataclass(frozen=True)
-class PolicyBundle:
-    truncation: TruncationPolicy = DEFAULT_TRUNCATION
-    quadrature: QuadraturePolicy = DEFAULT_QUADRATURE
-
-
-DEFAULT_POLICIES = PolicyBundle()
+from .qintegrals import DEFAULT_QUADRATURE
 
 
 @dataclass
@@ -274,7 +267,7 @@ def _qhahn_dps(n: int, m: int, a, b, c, d, q) -> int:
     return _quantize_dps(34 + deficit + growth)
 
 
-def _qhahn_integral(n, m, a, b, c, d, rho, q, dps, qp: QuadraturePolicy) -> complex:
+def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
     """(1/2 pi) * integral over [-pi, pi] of K(theta) H_n H_m."""
     with mp.workdps(dps):
         stop = mpf(10) ** (-(dps - 28))
@@ -291,10 +284,10 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps, qp: QuadraturePolicy) -> comp
                 s += K * Hn * Hm
             return s
 
-        nodes = qp.initial_nodes
+        nodes = DEFAULT_QUADRATURE.initial_nodes
         total = add_nodes(range(nodes), nodes)
         prev = total / nodes
-        for _ in range(qp.max_doublings):
+        for _ in range(DEFAULT_QUADRATURE.max_doublings):
             nodes *= 2
             total += add_nodes(range(1, nodes, 2), nodes)
             cur = total / nodes
@@ -325,13 +318,13 @@ def _bqj_poly_node(n: int, x, a, b, c, q, dps: int):
         return big_qjacobi_poly(n, p, x)
 
 
-def _bqj_rhs(n: int, a, b, c, q, tp: TruncationPolicy) -> complex:
+def _bqj_rhs(n: int, a, b, c, q) -> complex:
     # Prefactor carries (c/a, qa/c; q)_inf: the Al-Salam--Verma specialisation
     # of the n = 0 integral fixes this orientation of the theta-pair.
     pref = (
         a * q * (1 - q)
-        * poch_multi([q, a * b * q * q, c / a, q * a / c], q, policy=tp)
-        / poch_multi([a * q, b * q, c * q, a * b * q / c], q, policy=tp)
+        * poch_multi([q, a * b * q * q, c / a, q * a / c], q)
+        / poch_multi([a * q, b * q, c * q, a * b * q / c], q)
     )
     num = (1 - a * b * q) * poch_finite(q, q, n) * poch_finite(q * b, q, n) * poch_finite(
         a * b * q / c, q, n
@@ -348,9 +341,7 @@ def _bqj_rhs(n: int, a, b, c, q, tp: TruncationPolicy) -> complex:
 def _bqj_deficit(k: int, a, b, c, q) -> float:
     if k == 0:
         return 0.0
-    ratio = _bqj_rhs(k, a, b, c, q, DEFAULT_TRUNCATION) / _bqj_rhs(
-        0, a, b, c, q, DEFAULT_TRUNCATION
-    )
+    ratio = _bqj_rhs(k, a, b, c, q) / _bqj_rhs(0, a, b, c, q)
     return max(0.0, -math.log10(abs(ratio)))
 
 
@@ -427,17 +418,14 @@ def _sample_liu_master(m: int):
 
 
 def _make_liu_master(m: int):
-    def recipe(prm: dict, pol: PolicyBundle) -> CheckValues:
+    def recipe(prm: dict) -> CheckValues:
         q, al, a, b = prm["q"], prm["alpha"], prm["a"], prm["b"]
         bs = [prm[f"b{j}"] for j in range(1, m + 1)]
         cs = [prm[f"c{j}"] for j in range(1, m + 1)]
-        tp = pol.truncation
-        lhs = poch_multi([al * q, al * a * b / q], q, policy=tp) / poch_multi(
-            [al * a, al * b], q, policy=tp
-        )
+        lhs = poch_multi([al * q, al * a * b / q], q) / poch_multi([al * a, al * b], q)
         for bj, cj in zip(bs, cs):
-            lhs *= poch_multi([al * a * bj / q, al * cj], q, policy=tp) / poch_multi(
-                [al * a * cj / q, al * bj], q, policy=tp
+            lhs *= poch_multi([al * a * bj / q, al * cj], q) / poch_multi(
+                [al * a * cj / q, al * bj], q
             )
 
         def inner(order: int) -> complex:
@@ -459,7 +447,7 @@ def _make_liu_master(m: int):
                     (1 - q ** (n + 1)) * (1 - al * a * q**n)
                 )
 
-        res = sum_until_converged(terms(), tp, "master summation outer series")
+        res = sum_until_converged(terms(), DEFAULT_TRUNCATION, "master summation outer series")
         return CheckValues(lhs, res.value, {"outer_terms": res.terms_used})
 
     return recipe
@@ -505,14 +493,13 @@ def _sample_rogers(rng) -> dict:
     ("q", "alpha", "a", "b", "c"), 1e-10, _sample_rogers,
     [PinnedCase("example", {"alpha": 0.3, "a": 0.7, "b": 0.9, "c": 1.1, "q": 0.5})],
 )
-def _recipe_rogers(prm, pol) -> CheckValues:
+def _recipe_rogers(prm) -> CheckValues:
     q, al, a, b, c = prm["q"], prm["alpha"], prm["a"], prm["b"], prm["c"]
-    tp = pol.truncation
     z = al * a * b * c / q**2
-    res = eval_w(al, [q / a, q / b, q / c], q, z, tp)
+    res = eval_w(al, [q / a, q / b, q / c], q, z)
     rhs = poch_multi(
-        [al * q, al * a * b / q, al * a * c / q, al * b * c / q], q, policy=tp
-    ) / poch_multi([al * a, al * b, al * c, z], q, policy=tp)
+        [al * q, al * a * b / q, al * a * c / q, al * b * c / q], q
+    ) / poch_multi([al * a, al * b, al * c, z], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -539,13 +526,12 @@ def _sample_qhahn_genfun(swapped: bool):
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "s": 0.45,
                             "theta": 1.1})],
 )
-def _recipe_qhahn_genfun(prm, pol, swapped: bool = False) -> CheckValues:
+def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
     q = prm["q"]
     a, b = prm["a"], prm["b"]
     c, d = prm["c"], prm["d"]
     s = prm["r"] if swapped else prm["s"]
     z = cmath.exp(1j * prm["theta"])
-    tp = pol.truncation
     p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
     if swapped:
         a_role, b_role = b, a
@@ -556,8 +542,8 @@ def _recipe_qhahn_genfun(prm, pol, swapped: bool = False) -> CheckValues:
         lambda n, T: T * qhahn_A(n, a_role, b_role, p) * qhahn_poly(n, p, z),
         lambda n: (s - q**n) / (1 - abcd * s * q**n),
     )
-    rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q, policy=tp) / poch_multi(
-        [abcd * s, a_role * c, a_role * d, a_role * s * z], q, policy=tp
+    rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q) / poch_multi(
+        [abcd * s, a_role * c, a_role * d, a_role * s * z], q
     )
     return CheckValues(total, rhs, {"terms": used})
 
@@ -581,15 +567,10 @@ def _sample_q_dougall_c0(rng) -> dict:
     "q_dougall_c0", "q-Dougall sum specialised at vanishing third parameter",
     ("q", "alpha", "s", "r"), 1e-10, _sample_q_dougall_c0,
 )
-def _recipe_q_dougall_c0(prm, pol) -> CheckValues:
+def _recipe_q_dougall_c0(prm) -> CheckValues:
     q, al, s, r = prm["q"], prm["alpha"], prm["s"], prm["r"]
-    tp = pol.truncation
-    series = eval_wp_limit(
-        al, (al, 1 / s, 1 / r), (q * al * s, q * al * r), q, -al * r * s, +1, tp
-    )
-    rhs = poch_multi([q * al, q * al * r * s], q, policy=tp) / poch_multi(
-        [q * al * s, q * al * r], q, policy=tp
-    )
+    series = eval_wp_limit(al, (al, 1 / s, 1 / r), (q * al * s, q * al * r), q, -al * r * s, +1)
+    rhs = poch_multi([q * al, q * al * r * s], q) / poch_multi([q * al * s, q * al * r], q)
     return CheckValues(series.value, rhs, {"terms": series.terms_used})
 
 
@@ -612,15 +593,15 @@ def _sample_askey_roy(rng) -> dict:
     ("q", "a", "b", "c", "d", "rho"), 1e-9, _sample_askey_roy,
     [PinnedCase("example", dict(_QHAHN_FIXED))],
 )
-def _recipe_askey_roy(prm, pol) -> CheckValues:
+def _recipe_askey_roy(prm) -> CheckValues:
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
     dps = _quantize_dps(32)
-    lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps, pol.quadrature)
-    rhs = qi.askey_roy_rhs(a, b, c, d, rho, q, pol.truncation)
+    lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps)
+    rhs = qi.askey_roy_rhs(a, b, c, d, rho, q)
     return CheckValues(lhs, rhs, {"dps": dps})
 
 
-def _recipe_qhahn_rho_agreement(prm, pol) -> CheckValues:
+def _recipe_qhahn_rho_agreement(prm) -> CheckValues:
     # The raw integral carries the auxiliary rho only through the L_0 factor,
     # so the rho-free statement is agreement of I(rho) / L_0(rho).
     n, m = int(prm["n"]), int(prm["m"])
@@ -628,9 +609,9 @@ def _recipe_qhahn_rho_agreement(prm, pol) -> CheckValues:
     dps = _qhahn_dps(n, m, a, b, c, d, q)
 
     def normalised(rho):
-        I = _qhahn_integral(n, m, a, b, c, d, rho, q, dps, pol.quadrature)
+        I = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
         p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
-        return I / qhahn_L0(p, pol.truncation)
+        return I / qhahn_L0(p)
 
     lhs = normalised(prm["rho"])
     rhs = normalised(prm["rho2"])
@@ -668,14 +649,14 @@ def _sample_qhahn_orthogonality(rng) -> dict:
         for label, m in (("rho_diag", 2), ("rho_offdiag", 5))
     ),
 )
-def _recipe_qhahn_orthogonality(prm, pol) -> CheckValues:
+def _recipe_qhahn_orthogonality(prm) -> CheckValues:
     n, m = int(prm["n"]), int(prm["m"])
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
     p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
     dps = _qhahn_dps(n, m, a, b, c, d, q)
-    lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps, pol.quadrature)
-    L0 = qhahn_L0(p, pol.truncation)
-    rhs = qhahn_L(n, p, pol.truncation) if n == m else 0j
+    lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
+    L0 = qhahn_L0(p)
+    rhs = qhahn_L(n, p) if n == m else 0j
     scale = abs(L0)
     imag_ok = abs(lhs.imag) <= 1e-9 * scale
     return CheckValues(
@@ -714,9 +695,8 @@ def _sample_bww_transform(rng) -> dict:
     "bww_transform", "3phi2 to well-poised-series transformation",
     ("q", "alpha", "a", "b", "c", "d"), 1e-9, _sample_bww_transform,
 )
-def _recipe_bww_transform(prm, pol) -> CheckValues:
+def _recipe_bww_transform(prm) -> CheckValues:
     q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
-    tp = pol.truncation
     lam = q * al * al / (b * c * d)
     lhs = eval_phi(
         SeriesSpec(
@@ -725,7 +705,6 @@ def _recipe_bww_transform(prm, pol) -> CheckValues:
             base=Base(complex(q)),
             argument=q * al / (c * d),
         ),
-        tp,
     ).value
     series = eval_wp_limit(
         lam,
@@ -734,11 +713,10 @@ def _recipe_bww_transform(prm, pol) -> CheckValues:
         q,
         -q * al / a,
         -1,
-        tp,
     )
     rhs = (
-        poch_multi([q * al / c, q * al / d, q * lam / a], q, policy=tp)
-        / poch_multi([al * q / a, q * al / (c * d), q * lam], q, policy=tp)
+        poch_multi([q * al / c, q * al / d, q * lam / a], q)
+        / poch_multi([al * q / a, q * al / (c * d), q * lam], q)
         * series.value
     )
     return CheckValues(lhs, rhs, {"terms": series.terms_used})
@@ -771,7 +749,7 @@ def _sample_watson_whipple(rng) -> dict:
     ("n", "q", "alpha", "a", "b", "c", "d"), 1e-10, _sample_watson_whipple,
     _sweep({"q": 0.5, "alpha": 0.4, "a": 0.3, "b": 0.5, "c": 0.45, "d": 0.25}),
 )
-def _recipe_watson_whipple(prm, pol) -> CheckValues:
+def _recipe_watson_whipple(prm) -> CheckValues:
     n = int(prm["n"])
     q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
 
@@ -827,11 +805,10 @@ def _sample_lbww(rng) -> dict:
     [PinnedCase("t_zero", {"q": 0.5, "u": 0.3, "v": 0.5, "h": 0.35, "r": 0.2, "s": 0.25,
                            "t": 0.0})],
 )
-def _recipe_lbww(prm, pol) -> CheckValues:
+def _recipe_lbww(prm) -> CheckValues:
     u, v, h, r, s, t, q = (prm[k] for k in ("u", "v", "h", "r", "s", "t", "q"))
-    tp = pol.truncation
-    lhs = qi.lbww_lhs(u, v, h, r, s, t, q, tp)
-    rhs = qi.lbww_rhs(u, v, h, r, s, t, q, tp)
+    lhs = qi.lbww_lhs(u, v, h, r, s, t, q)
+    rhs = qi.lbww_rhs(u, v, h, r, s, t, q)
     return CheckValues(lhs, rhs)
 
 
@@ -850,9 +827,8 @@ def _sample_bqj_genfun(rng) -> dict:
     "bigqjacobi_genfun", "Generating function of the big q-Jacobi polynomials",
     ("q", "a", "b", "c", "t", "x"), 1e-10, _sample_bqj_genfun,
 )
-def _recipe_bqj_genfun(prm, pol) -> CheckValues:
+def _recipe_bqj_genfun(prm) -> CheckValues:
     a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
-    tp = pol.truncation
     p = BigQJacobiParams(a, b, c, Base(complex(q)))
     total, used = _genfun_sum(
         lambda n, B: ((1 - a * b * q ** (2 * n + 1)) * B) * big_qjacobi_poly(n, p, x),
@@ -860,8 +836,8 @@ def _recipe_bqj_genfun(prm, pol) -> CheckValues:
             (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
         ),
     )
-    rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q, policy=tp) / poch_multi(
-        [q * q * a * b * t, q * a, q * c, t * x], q, policy=tp
+    rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q) / poch_multi(
+        [q * q * a * b * t, q * a, q * c, t * x], q
     )
     return CheckValues(total, rhs, {"terms": used})
 
@@ -891,13 +867,13 @@ def _sample_bqj_orthogonality(rng) -> dict:
     "bigqjacobi_orthogonality", "Orthogonality of the big q-Jacobi polynomials (Jackson integral)",
     ("n", "m", "q", "a", "b", "c"), 1e-8, _sample_bqj_orthogonality, _pairs(_BQJ_FIXED),
 )
-def _recipe_bqj_orthogonality(prm, pol) -> CheckValues:
+def _recipe_bqj_orthogonality(prm) -> CheckValues:
     n, m = int(prm["n"]), int(prm["m"])
     a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
     dps = _bqj_dps(n, m, a, b, c, q)
     lhs = _bqj_integral(n, m, a, b, c, q, dps)
-    rhs = _bqj_rhs(n, a, b, c, q, pol.truncation) if n == m else 0j
-    scale = abs(_bqj_rhs(0, a, b, c, q, pol.truncation))
+    rhs = _bqj_rhs(n, a, b, c, q) if n == m else 0j
+    scale = abs(_bqj_rhs(0, a, b, c, q))
     return CheckValues(
         lhs,
         rhs,
@@ -923,10 +899,10 @@ def _sample_aw_integral(rng) -> dict:
     [PinnedCase("all_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}),
      PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1})],
 )
-def _recipe_aw_integral(prm, pol) -> CheckValues:
+def _recipe_aw_integral(prm) -> CheckValues:
     a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
-    lhs = qi.askey_wilson_lhs(a, b, c, d, q, pol.quadrature, pol.truncation)
-    rhs = qi.askey_wilson_rhs(a, b, c, d, q, pol.truncation)
+    lhs = qi.askey_wilson_lhs(a, b, c, d, q)
+    rhs = qi.askey_wilson_rhs(a, b, c, d, q)
     return CheckValues(lhs, rhs)
 
 
@@ -946,11 +922,10 @@ def _sample_aw_genfun(rng) -> dict:
     "aw_genfun", "Generating function of the Askey-Wilson polynomials",
     ("q", "a", "b", "c", "d", "s", "theta"), 1e-10, _sample_aw_genfun,
 )
-def _recipe_aw_genfun(prm, pol) -> CheckValues:
+def _recipe_aw_genfun(prm) -> CheckValues:
     from .polyfamilies import AWParams, askey_wilson_poly
 
     a, b, c, d, s, q, theta = (prm[k] for k in ("a", "b", "c", "d", "s", "q", "theta"))
-    tp = pol.truncation
     p = AWParams(a, b, c, d, Base(complex(q)))
     abcd = a * b * c * d
     lead = 1 - abcd / q
@@ -963,17 +938,17 @@ def _recipe_aw_genfun(prm, pol) -> CheckValues:
     )
     e = cmath.exp(1j * theta)
     rhs = poch_multi(
-        [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q, policy=tp
-    ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q, policy=tp)
+        [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q
+    ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q)
     return CheckValues(total, rhs, {"terms": used})
 
 
-def _recipe_nr_reduction_product(prm, pol) -> CheckValues:
+def _recipe_nr_reduction_product(prm) -> CheckValues:
     a, b, c, d, s = (prm[k] for k in ("a", "b", "c", "d", "s"))
     q = prm["q"]
     r = a * b * c * d * s
-    lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q, pol.truncation)
-    rhs = qi.nr_product_rhs(a, b, c, d, s, q, pol.truncation)
+    lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q)
+    rhs = qi.nr_product_rhs(a, b, c, d, s, q)
     return CheckValues(lhs, rhs)
 
 
@@ -998,10 +973,10 @@ def _sample_nr(rng) -> dict:
      PinnedCase("reduction_r_abcds", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5},
                 threshold=1e-9, recipe=_recipe_nr_reduction_product)],
 )
-def _recipe_nr(prm, pol) -> CheckValues:
+def _recipe_nr(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, pol.truncation)
-    rhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q, pol.truncation)
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q)
+    rhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1009,10 +984,10 @@ def _recipe_nr(prm, pol) -> CheckValues:
     "nr_intermediate", "Equality of the two 8W7 closed forms of the Nassrallah-Rahman integral",
     ("q", "a", "b", "c", "d", "s", "r"), 1e-9, _sample_nr,
 )
-def _recipe_nr_intermediate(prm, pol) -> CheckValues:
+def _recipe_nr_intermediate(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q, pol.truncation)
-    rhs = qi.nr_intermediate_rhs(a, b, c, d, s, r, q, pol.truncation)
+    lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q)
+    rhs = qi.nr_intermediate_rhs(a, b, c, d, s, r, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1032,10 +1007,10 @@ def _sample_nr_nos(rng) -> dict:
     "Five-parameter trigonometric integral in 3phi2 form (vanishing numerator parameter)",
     ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_nr_nos,
 )
-def _recipe_nr_r0(prm, pol) -> CheckValues:
+def _recipe_nr_r0(prm) -> CheckValues:
     a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, 0.0, q, pol.quadrature, pol.truncation)
-    rhs = qi.liu_r0_rhs(a, b, c, d, s, q, pol.truncation)
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, 0.0, q)
+    rhs = qi.liu_r0_rhs(a, b, c, d, s, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1062,7 +1037,7 @@ def _sample_pfaff(rng) -> dict:
     ("n", "q", "a", "b", "c", "d", "r"), 1e-10, _sample_pfaff,
     _sweep({"q": 0.5, "a": 0.3, "b": 0.25, "c": 0.4, "d": 0.2, "r": 0.35}),
 )
-def _recipe_pfaff(prm, pol) -> CheckValues:
+def _recipe_pfaff(prm) -> CheckValues:
     n = int(prm["n"])
     a, b, c, d, r, q = (prm[k] for k in ("a", "b", "c", "d", "r", "q"))
 
@@ -1106,11 +1081,10 @@ def _sample_alsalam_verma(rng) -> dict:
     [PinnedCase("abc_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.2, "s": 0.55},
                 threshold=1e-9)],
 )
-def _recipe_alsalam_verma(prm, pol) -> CheckValues:
+def _recipe_alsalam_verma(prm) -> CheckValues:
     a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    tp = pol.truncation
-    lhs = qi.alsalam_verma_lhs(a, b, c, d, s, q, tp)
-    rhs = qi.alsalam_verma_rhs(a, b, c, d, s, q, tp)
+    lhs = qi.alsalam_verma_lhs(a, b, c, d, s, q)
+    rhs = qi.alsalam_verma_rhs(a, b, c, d, s, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1138,11 +1112,10 @@ def _sample_qbailey(rng) -> dict:
     "qbailey_8w7", "q-integral with 8W7 closed form (Bailey-type evaluation)",
     ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_qbailey,
 )
-def _recipe_qbailey(prm, pol) -> CheckValues:
+def _recipe_qbailey(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    tp = pol.truncation
-    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q, tp)
-    rhs = qi.qbailey_rhs(a, b, c, d, s, r, q, tp)
+    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q)
+    rhs = qi.qbailey_rhs(a, b, c, d, s, r, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1150,25 +1123,24 @@ def _recipe_qbailey(prm, pol) -> CheckValues:
     "qbailey_bridge", "Bridge between the Bailey q-integral and the trigonometric integral",
     ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_qbailey,
 )
-def _recipe_qbailey_bridge(prm, pol) -> CheckValues:
+def _recipe_qbailey_bridge(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    tp = pol.truncation
-    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q, tp)
-    trig = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, tp)
+    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q)
+    trig = qi.nr_trig_lhs(a, b, c, d, s, r, q)
     pref = (
         (1 - q)
         * s
-        * poch_multi([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q, policy=tp)
-        / (2 * math.pi * poch_multi([r / d, r / s], q, policy=tp))
+        * poch_multi([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q)
+        / (2 * math.pi * poch_multi([r / d, r / s], q))
     )
     return CheckValues(lhs, pref * trig, {})
 
 
-def _recipe_nr_product_s0(prm, pol) -> CheckValues:
+def _recipe_nr_product_s0(prm) -> CheckValues:
     a, b, c, d = (prm[k] for k in ("a", "b", "c", "d"))
     q = prm["q"]
-    lhs = qi.nr_product_rhs(a, b, c, d, 0.0, q, pol.truncation)
-    rhs = qi.askey_wilson_rhs(a, b, c, d, q, pol.truncation)
+    lhs = qi.nr_product_rhs(a, b, c, d, 0.0, q)
+    rhs = qi.askey_wilson_rhs(a, b, c, d, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1178,11 +1150,11 @@ def _recipe_nr_product_s0(prm, pol) -> CheckValues:
     [PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1},
                 threshold=1e-9, recipe=_recipe_nr_product_s0)],
 )
-def _recipe_nr_product(prm, pol) -> CheckValues:
+def _recipe_nr_product(prm) -> CheckValues:
     a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
     r = a * b * c * d * s
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q, pol.quadrature, pol.truncation)
-    rhs = qi.nr_product_rhs(a, b, c, d, s, q, pol.truncation)
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q)
+    rhs = qi.nr_product_rhs(a, b, c, d, s, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1198,20 +1170,19 @@ def _sample_q_dougall_6w5(rng) -> dict:
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "r": 0.35, "theta": 1.0})],
 )
-def _recipe_q_dougall_6w5(prm, pol) -> CheckValues:
+def _recipe_q_dougall_6w5(prm) -> CheckValues:
     a, b, c, d, s, r, q, theta = (
         prm[k] for k in ("a", "b", "c", "d", "s", "r", "q", "theta")
     )
-    tp = pol.truncation
     e = cmath.exp(1j * theta)
     alpha = a * b * c * d * s * s / q
-    res = eval_w(alpha, [a * b * c * d * s / r, s * e, s / e], q, r / s, tp)
-    habcds = poch_multi([a * b * c * d * s * e, a * b * c * d * s / e], q, policy=tp)
-    hr = poch_multi([r * e, r / e], q, policy=tp)
+    res = eval_w(alpha, [a * b * c * d * s / r, s * e, s / e], q, r / s)
+    habcds = poch_multi([a * b * c * d * s * e, a * b * c * d * s / e], q)
+    hr = poch_multi([r * e, r / e], q)
     rhs = (
-        poch_multi([a * b * c * d * s * s, a * b * c * d], q, policy=tp)
+        poch_multi([a * b * c * d * s * s, a * b * c * d], q)
         * hr
-        / (poch_multi([r * s, r / s], q, policy=tp) * habcds)
+        / (poch_multi([r * s, r / s], q) * habcds)
     )
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
@@ -1240,19 +1211,15 @@ def _sample_liu_3phi2(rng) -> dict:
     "liu_3phi2_transform", "Nonterminating 3phi2 against its well-poised limit series",
     ("q", "alpha", "x", "y", "u", "v"), 1e-9, _sample_liu_3phi2,
 )
-def _recipe_liu_3phi2(prm, pol) -> CheckValues:
+def _recipe_liu_3phi2(prm) -> CheckValues:
     q, al, x, y, u, v = (prm[k] for k in ("q", "alpha", "x", "y", "u", "v"))
-    tp = pol.truncation
-    lhs = poch_multi([al * q, al * x * y / q], q, policy=tp) / poch_multi(
-        [al * x, al * y], q, policy=tp
-    ) * eval_phi(
+    lhs = poch_multi([al * q, al * x * y / q], q) / poch_multi([al * x, al * y], q) * eval_phi(
         SeriesSpec(
             numerator=(q / x, q / y, al * u * v / q),
             denominator=(al * u, al * v),
             base=Base(complex(q)),
             argument=al * x * y / q,
         ),
-        tp,
     ).value
     series = eval_wp_limit(
         al,
@@ -1261,16 +1228,15 @@ def _recipe_liu_3phi2(prm, pol) -> CheckValues:
         q,
         -al * al * x * y * u * v / q**2,
         -1,
-        tp,
     )
     return CheckValues(lhs, series.value, {"terms": series.terms_used})
 
 
-def _recipe_liu_qbeta_s0(prm, pol) -> CheckValues:
+def _recipe_liu_qbeta_s0(prm) -> CheckValues:
     a, b, c, d = (prm[k] for k in ("a", "b", "c", "d"))
     q, u, v = prm["q"], prm["u"], prm["v"]
-    lhs = qi.liu_qbeta_rhs(a, b, c, d, 0.0, u, v, q, pol.truncation)
-    rhs = qi.askey_wilson_rhs(a, b, c, d, q, pol.truncation)
+    lhs = qi.liu_qbeta_rhs(a, b, c, d, 0.0, u, v, q)
+    rhs = qi.askey_wilson_rhs(a, b, c, d, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1295,10 +1261,10 @@ def _sample_liu_qbeta(rng) -> dict:
      PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "u": 0.8,
                                  "v": 1.1}, threshold=1e-9, recipe=_recipe_liu_qbeta_s0)],
 )
-def _recipe_liu_qbeta(prm, pol) -> CheckValues:
+def _recipe_liu_qbeta(prm) -> CheckValues:
     a, b, c, d, s, u, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "u", "v", "q"))
-    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, u, v, q, pol.quadrature, pol.truncation)
-    rhs = qi.liu_qbeta_rhs(a, b, c, d, s, u, v, q, pol.truncation)
+    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, u, v, q)
+    rhs = qi.liu_qbeta_rhs(a, b, c, d, s, u, v, q)
     return CheckValues(lhs, rhs)
 
 
@@ -1312,17 +1278,14 @@ def _sample_liu_qbeta_u_eq_q(rng) -> dict:
     "liu_qbeta_u_eq_q", "Reduction of the extended q-beta integral at u = q to the product form",
     ("q", "a", "b", "c", "d", "s", "v"), 1e-9, _sample_liu_qbeta_u_eq_q,
 )
-def _recipe_liu_qbeta_u_eq_q(prm, pol) -> CheckValues:
+def _recipe_liu_qbeta_u_eq_q(prm) -> CheckValues:
     # At u = q the integrand's 3phi2 factor is Gauss-summable, so the
     # quadrature must match the product-form value divided by the
     # absorbed (q alpha, bcds; q)_inf factors.
     a, b, c, d, s, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "v", "q"))
-    tp = pol.truncation
     alpha = a * a * b * c * d * s / q
-    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, q, v, q, pol.quadrature, tp)
-    rhs = qi.nr_product_rhs(a, b, c, d, s, q, tp) / poch_multi(
-        [q * alpha, b * c * d * s], q, policy=tp
-    )
+    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, q, v, q)
+    rhs = qi.nr_product_rhs(a, b, c, d, s, q) / poch_multi([q * alpha, b * c * d * s], q)
     return CheckValues(lhs, rhs)
 
 
@@ -1336,28 +1299,25 @@ def _sample_liu_qbeta_v_limit(rng) -> dict:
     "liu_qbeta_v_limit", "Confluent limit of the extended q-beta integral against the 8W7 form",
     ("q", "a", "b", "c", "d", "s", "u"), 1e-9, _sample_liu_qbeta_v_limit,
 )
-def _recipe_liu_qbeta_v_limit(prm, pol) -> CheckValues:
+def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
     # Confluent limit of the extended q-beta integral: the extra series
     # factor collapses to a single h(cos t; alpha u / a) weight, evaluated
     # here by quadrature against the alpha-based 8W7 closed form.
     a, b, c, d, s, u, q = (prm[k] for k in ("a", "b", "c", "d", "s", "u", "q"))
-    tp = pol.truncation
     alpha = a * a * b * c * d * s / q
     r_eff = alpha * u / a
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, r_eff, q, pol.quadrature, tp)
+    lhs = qi.nr_trig_lhs(a, b, c, d, s, r_eff, q)
     num = poch_multi(
         [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, alpha * u,
          alpha * u / (a * a)],
-        q, policy=tp,
+        q,
     )
     den = poch_multi(
         [q, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          q * alpha],
-        q, policy=tp,
+        q,
     )
-    w8 = eval_w(
-        alpha, [q / u, a * b, a * c, a * d, a * s], q, alpha * u / (a * a), tp
-    ).value
+    w8 = eval_w(alpha, [q / u, a * b, a * c, a * d, a * s], q, alpha * u / (a * a)).value
     rhs = 2 * math.pi * num / den * w8
     return CheckValues(lhs, rhs)
 
@@ -1382,9 +1342,8 @@ def _sample_q_gauss(rng) -> dict:
     ("q", "a", "b", "c"), 1e-11, _sample_q_gauss,
     [PinnedCase("example", {"a": 0.2, "b": 0.3, "c": 0.71, "q": 0.5})],
 )
-def _recipe_q_gauss(prm, pol) -> CheckValues:
+def _recipe_q_gauss(prm) -> CheckValues:
     a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
-    tp = pol.truncation
     res = eval_phi(
         SeriesSpec(
             numerator=(q / a, q / b),
@@ -1392,11 +1351,8 @@ def _recipe_q_gauss(prm, pol) -> CheckValues:
             base=Base(complex(q)),
             argument=a * b * c / q**2,
         ),
-        tp,
     )
-    rhs = poch_multi([c * a / q, c * b / q], q, policy=tp) / poch_multi(
-        [c, a * b * c / q**2], q, policy=tp
-    )
+    rhs = poch_multi([c * a / q, c * b / q], q) / poch_multi([c, a * b * c / q**2], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -1413,7 +1369,7 @@ def _sample_andrews_cube(rng) -> dict:
     ("n", "p", "beta"), 1e-10, _sample_andrews_cube,
     _sweep({"p": 0.5 ** (1.0 / 3.0), "beta": 0.6}),
 )
-def _recipe_andrews_cube(prm, pol) -> CheckValues:
+def _recipe_andrews_cube(prm) -> CheckValues:
     beta, p = prm["beta"], prm["p"]
     n = int(prm["n"])
 
@@ -1466,15 +1422,14 @@ def _sample_cube_product(rng) -> dict:
     "cube_product_expansion", "Mixed-base product expansion via cube roots of unity",
     ("p", "beta", "a"), 1e-10, _sample_cube_product,
 )
-def _recipe_cube_product(prm, pol) -> CheckValues:
+def _recipe_cube_product(prm) -> CheckValues:
     beta, p, a = prm["beta"], prm["p"], prm["a"]
-    tp = pol.truncation
     q = p**3
     alpha = beta**3
     lhs = (
-        poch_infinite(alpha * a * a / q, q, tp)
-        * poch_infinite(beta * p, p, tp)
-        / (poch_infinite(alpha * a, q, tp) * poch_infinite(beta * a / p**2, p, tp))
+        poch_infinite(alpha * a * a / q, q)
+        * poch_infinite(beta * p, p)
+        / (poch_infinite(alpha * a, q) * poch_infinite(beta * a / p**2, p))
     )
     omega = cmath.exp(2j * math.pi / 3)
     cbrt = a ** (1.0 / 3.0)
@@ -1483,7 +1438,6 @@ def _recipe_cube_product(prm, pol) -> CheckValues:
         [p / cbrt, p / (cbrt * omega), p / (cbrt * omega**2)],
         p,
         beta * a / p**2,
-        tp,
     )
     return CheckValues(lhs, res.value, {"terms": res.terms_used})
 
@@ -1498,14 +1452,13 @@ def _sample_theta_product(rng) -> dict:
     [PinnedCase("q005", {"q": 0.05}), PinnedCase("q01", {"q": 0.1}),
      PinnedCase("q02", {"q": 0.2})],
 )
-def _recipe_theta_product(prm, pol) -> CheckValues:
+def _recipe_theta_product(prm) -> CheckValues:
     q = prm["q"]
-    tp = pol.truncation
     q3 = q**3
     lhs = (
-        poch_infinite(q, q, tp)
-        * poch_infinite(q3, q3, tp)
-        / (poch_infinite(-q, q, tp) * poch_infinite(-q3, q3, tp))
+        poch_infinite(q, q)
+        * poch_infinite(q3, q3)
+        / (poch_infinite(-q, q) * poch_infinite(-q3, q3))
     )
     total = 1.0
     n = 1
@@ -1532,7 +1485,7 @@ def _sample_andrews_mod3(rng) -> dict:
     "andrews_mod3_5phi4", "Andrews' terminating 5phi4 with mod-3 vanishing structure",
     ("n", "q", "alpha"), 1e-10, _sample_andrews_mod3, _sweep({"q": 0.5, "alpha": 0.45}),
 )
-def _recipe_andrews_mod3(prm, pol) -> CheckValues:
+def _recipe_andrews_mod3(prm) -> CheckValues:
     al = prm["alpha"]
     q = prm["q"]
     n = int(prm["n"])
@@ -1583,7 +1536,7 @@ def _sample_q_watson(rng) -> dict:
     ("n", "q", "alpha", "lambda"), 1e-10, _sample_q_watson,
     _sweep({"q": 0.5, "alpha": 0.5, "lambda": 0.35}),
 )
-def _recipe_q_watson(prm, pol) -> CheckValues:
+def _recipe_q_watson(prm) -> CheckValues:
     al, lam, q = prm["alpha"], prm["lambda"], prm["q"]
     n = int(prm["n"])
 
@@ -1631,7 +1584,7 @@ def _sample_verma_jain(rng) -> dict:
     ("n", "q", "alpha", "lambda"), 1e-10, _sample_verma_jain,
     _sweep({"q": 0.5, "alpha": 0.4, "lambda": 0.55}),
 )
-def _recipe_verma_jain(prm, pol) -> CheckValues:
+def _recipe_verma_jain(prm) -> CheckValues:
     al, lam, q = prm["alpha"], prm["lambda"], prm["q"]
     n = int(prm["n"])
 
@@ -1656,11 +1609,11 @@ def _recipe_verma_jain(prm, pol) -> CheckValues:
 _EXPANSION_ORDER = 40
 
 
-def _recipe_liu_expansion_inverse(prm, pol) -> CheckValues:
-    return _recipe_liu_expansion(prm, pol, inverse=True)
+def _recipe_liu_expansion_inverse(prm) -> CheckValues:
+    return _recipe_liu_expansion(prm, inverse=True)
 
 
-def _recipe_jackson_consistency(prm, pol) -> CheckValues:
+def _recipe_jackson_consistency(prm) -> CheckValues:
     n = int(prm["n"])
     x, q, beta = prm["x"], prm["q"], prm["beta"]
     f = _memo_poch_factor(beta, q)
@@ -1693,11 +1646,11 @@ def _sample_liu_expansion(rng) -> dict:
     + [PinnedCase(f"jackson_n{k}", {"q": 0.5, "beta": 0.4, "x": 0.4, "n": k}, threshold=1e-11,
                   recipe=_recipe_jackson_consistency) for k in range(1, 7)],
 )
-def _recipe_liu_expansion(prm, pol, inverse: bool = False) -> CheckValues:
+def _recipe_liu_expansion(prm, inverse: bool = False) -> CheckValues:
     beta, a, al, q = prm["beta"], prm["a"], prm["alpha"], prm["q"]
     f = _memo_poch_factor(beta, q, inverse=inverse)
     lhs = qcalculus.liu_reconstruct(f, a, al, q, _EXPANSION_ORDER)
-    target = poch_infinite(beta * a, q, pol.truncation)
+    target = poch_infinite(beta * a, q)
     rhs = 1 / target if inverse else target
     return CheckValues(lhs, complex(rhs), {"order": _EXPANSION_ORDER})
 
@@ -1705,16 +1658,15 @@ def _recipe_liu_expansion(prm, pol, inverse: bool = False) -> CheckValues:
 _DOUBLE_ORDER = 30
 
 
-def _recipe_liu_double_nonseparable(prm, pol) -> CheckValues:
+def _recipe_liu_double_nonseparable(prm) -> CheckValues:
     b1, b2, b3, b4 = prm["beta1"], prm["beta2"], prm["beta3"], prm["beta4"]
     a, b, al, be, q = prm["a"], prm["b"], prm["alpha"], prm["beta"], prm["q"]
     gs = [_memo_poch_factor(x, q) for x in (b1, b2, b3, b4)]
     f = lambda x, y: gs[0](x) * gs[1](y) + gs[2](x) * gs[3](y) / 2
     lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
-    tp = pol.truncation
     rhs = (
-        poch_infinite(b1 * a, q, tp) * poch_infinite(b2 * b, q, tp)
-        + poch_infinite(b3 * a, q, tp) * poch_infinite(b4 * b, q, tp) / 2
+        poch_infinite(b1 * a, q) * poch_infinite(b2 * b, q)
+        + poch_infinite(b3 * a, q) * poch_infinite(b4 * b, q) / 2
     )
     return CheckValues(lhs, complex(rhs), {"order": _DOUBLE_ORDER})
 
@@ -1741,14 +1693,14 @@ def _sample_liu_double(rng) -> dict:
                                  "beta4": 0.35, "a": 0.2, "b": 0.15, "alpha": 0.3, "beta": 0.25},
                 threshold=1e-8, recipe=_recipe_liu_double_nonseparable)],
 )
-def _recipe_liu_double(prm, pol) -> CheckValues:
+def _recipe_liu_double(prm) -> CheckValues:
     b1, b2 = prm["beta1"], prm["beta2"]
     a, b, al, be, q = prm["a"], prm["b"], prm["alpha"], prm["beta"], prm["q"]
     g1 = _memo_poch_factor(b1, q)
     g2 = _memo_poch_factor(b2, q)
     f = lambda x, y: g1(x) * g2(y)
     lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
-    rhs = poch_infinite(b1 * a, q, pol.truncation) * poch_infinite(b2 * b, q, pol.truncation)
+    rhs = poch_infinite(b1 * a, q) * poch_infinite(b2 * b, q)
     return CheckValues(lhs, complex(rhs), {"order": _DOUBLE_ORDER})
 
 
@@ -1823,7 +1775,6 @@ def check_identity(
     ident: str,
     params: dict,
     thresholds: dict | None = None,
-    policies: PolicyBundle = DEFAULT_POLICIES,
     label: str = "adhoc",
     _case: PinnedCase | None = None,
 ) -> IdentityReport:
@@ -1850,7 +1801,7 @@ def check_identity(
         for name in ("q", "p"):
             if name in params:
                 Base(params[name])
-        values = recipe(params, policies)
+        values = recipe(params)
     except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged,
             ZeroDivisionError) as exc:
         return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold)
@@ -1861,30 +1812,26 @@ def check_orthogonality_qhahn(
     n: int,
     m: int,
     p: QHahnParams,
-    policies: PolicyBundle = DEFAULT_POLICIES,
 ) -> IdentityReport:
     """Quadrature of the q-Hahn orthogonality pair (n, m) against L_n delta."""
     params = {
         "n": n, "m": m, "a": p.a, "b": p.b, "c": p.c, "d": p.d, "rho": p.rho,
         "q": complex(p.q.q).real if complex(p.q.q).imag == 0 else p.q.q,
     }
-    return check_identity("qhahn_orthogonality", params, policies=policies,
-                          label=f"pair:{n},{m}")
+    return check_identity("qhahn_orthogonality", params, label=f"pair:{n},{m}")
 
 
 def check_orthogonality_big_qjacobi(
     n: int,
     m: int,
     p: BigQJacobiParams,
-    policies: PolicyBundle = DEFAULT_POLICIES,
 ) -> IdentityReport:
     """Jackson integral of the big q-Jacobi pair (n, m) against its norm."""
     params = {
         "n": n, "m": m, "a": p.a, "b": p.b, "c": p.c,
         "q": complex(p.q.q).real if complex(p.q.q).imag == 0 else p.q.q,
     }
-    return check_identity("bigqjacobi_orthogonality", params, policies=policies,
-                          label=f"pair:{n},{m}")
+    return check_identity("bigqjacobi_orthogonality", params, label=f"pair:{n},{m}")
 
 
 def run_suite(
@@ -1892,7 +1839,6 @@ def run_suite(
     draws_per_id: int = 5,
     seed: int = 42,
     thresholds: dict | None = None,
-    policies: PolicyBundle = DEFAULT_POLICIES,
 ) -> list[IdentityReport]:
     """Run pinned cases plus seeded draws for the requested identities."""
     if ids == "all":
@@ -1906,17 +1852,11 @@ def run_suite(
     for ident in selected:
         entry = REGISTRY[ident]
         for case in entry.pinned:
-            reports.append(
-                check_identity(
-                    ident, case.params, thresholds, policies,
-                    label=f"pinned:{case.label}", _case=case,
-                )
-            )
+            reports.append(check_identity(ident, case.params, thresholds,
+                                          label=f"pinned:{case.label}", _case=case))
         for k in range(draws_per_id):
             params = entry.sampler(_rng(seed, ident, k))
-            reports.append(
-                check_identity(ident, params, thresholds, policies, label=f"draw:{k}")
-            )
+            reports.append(check_identity(ident, params, thresholds, label=f"draw:{k}"))
     return reports
 
 

@@ -76,6 +76,7 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
 
     truncated once q^n max(|b f(b q^n)|, |a f(a q^n)|) stays below
     ``policy.tol`` for three consecutive n.  Generic over complex/mpmath.
+    Raises TruncationExceeded when f overflows or the sum is not finite.
     """
     qv = base_value(q)
     qmag = float(abs(qv))
@@ -84,23 +85,31 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
     total = 0
     qn = 1
     small = 0
-    for _ in range(policy.max_terms):
-        tb = b * f(b * qn) if b != 0 else 0
-        ta = a * f(a * qn) if a != 0 else 0
-        total = total + (tb - ta) * qn
-        mag = float(abs(qn)) * max(
-            float(abs(tb)) if tb != 0 else 0.0, float(abs(ta)) if ta != 0 else 0.0
-        )
-        if mag < policy.tol:
-            small += 1
-            if small >= 3:
-                return (1 - qv) * total
+    try:
+        for _ in range(policy.max_terms):
+            tb = b * f(b * qn) if b != 0 else 0
+            ta = a * f(a * qn) if a != 0 else 0
+            total = total + (tb - ta) * qn
+            mag = float(abs(qn)) * max(
+                float(abs(tb)) if tb != 0 else 0.0, float(abs(ta)) if ta != 0 else 0.0
+            )
+            if mag < policy.tol:
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            qn = qn * qv
         else:
-            small = 0
-        qn = qn * qv
-    raise TruncationExceeded(
-        f"q-integral did not meet tol={policy.tol:g} within {policy.max_terms} terms"
-    )
+            raise TruncationExceeded(
+                f"q-integral did not meet tol={policy.tol:g} within {policy.max_terms} terms"
+            )
+    except OverflowError as exc:
+        raise TruncationExceeded(f"q-integral overflowed: {exc}") from exc
+    result = (1 - qv) * total
+    if not mp.isfinite(result):
+        raise TruncationExceeded(f"q-integral is not finite: {result}")
+    return result
 
 
 def _coeff_work_digits(order: int, qmag: float, alpha_mag: float, a_mag: float) -> int:

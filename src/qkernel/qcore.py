@@ -37,30 +37,21 @@ from mpmath import mp
 
 from .errors import DomainError, TruncationExceeded
 
-#: Default margin keeping |q| away from the unit circle so tail bounds stay
-#: effective (configurable per Base instance).
+#: Margin keeping |q| away from the unit circle so tail bounds stay effective.
 DEFAULT_EPS_BASE = 1e-3
 
 
 @dataclass(frozen=True)
 class Base:
-    """The series base q, constrained to 0 < |q| <= 1 - eps_base < 1."""
+    """The series base q, constrained to 0 < |q| <= 1 - DEFAULT_EPS_BASE."""
 
     q: complex
-    eps_base: float = DEFAULT_EPS_BASE
 
     def __post_init__(self):
         qc = complex(self.q)
         if not (cmath.isfinite(qc)):
             raise DomainError("base q must be finite")
-        if qc == 0:
-            raise DomainError("base q must be nonzero")
-        if not (0 < self.eps_base < 1):
-            raise DomainError("eps_base must lie in (0, 1)")
-        if abs(qc) > 1 - self.eps_base:
-            raise DomainError(
-                f"|q| = {abs(qc):.6g} exceeds 1 - eps_base = {1 - self.eps_base:.6g}"
-            )
+        _validate_base_magnitude(abs(qc))
 
 
 @dataclass(frozen=True)
@@ -118,9 +109,9 @@ def _magnitude(x) -> float:
     return float(abs(x))
 
 
-def _validate_base_magnitude(qmag: float, eps: float = DEFAULT_EPS_BASE) -> None:
-    if not math.isfinite(qmag) or qmag > 1 - eps:
-        raise DomainError(f"|q| = {qmag:.6g} must not exceed {1 - eps:.6g}")
+def _validate_base_magnitude(qmag: float) -> None:
+    if not math.isfinite(qmag) or qmag > 1 - DEFAULT_EPS_BASE:
+        raise DomainError(f"|q| = {qmag:.6g} must not exceed {1 - DEFAULT_EPS_BASE:.6g}")
     if qmag == 0:
         raise DomainError("base q must be nonzero")
 
@@ -180,8 +171,7 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     """
     qv = base_value(q)
     qmag = _magnitude(qv)
-    eps = q.eps_base if isinstance(q, Base) else DEFAULT_EPS_BASE
-    _validate_base_magnitude(qmag, eps)
+    _validate_base_magnitude(qmag)
     amag = _magnitude(a)
     if not math.isfinite(amag):
         raise DomainError("poch_infinite requires finite a")

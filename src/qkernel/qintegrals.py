@@ -195,13 +195,9 @@ def askey_wilson_rhs(a, b, c, d, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -
     return 2.0 * math.pi * num / den
 
 
-def askey_wilson_lhs(
-    a, b, c, d, q,
-    qp: QuadraturePolicy = DEFAULT_QUADRATURE,
-    tp: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> complex:
+def askey_wilson_lhs(a, b, c, d, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     w = WeightSpec(base=Base(complex(base_value(q))), denominator_h=(a, b, c, d), cos2_numerator=True)
-    return trig_integral(w, HALF_PERIOD, qp, tp)
+    return trig_integral(w, HALF_PERIOD, tp=tp)
 
 
 def askey_roy_rhs(a, b, c, d, rho, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
@@ -228,11 +224,7 @@ def nr_product_rhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) 
     return 2.0 * math.pi * num / den
 
 
-def nr_trig_lhs(
-    a, b, c, d, s, r, q,
-    qp: QuadraturePolicy = DEFAULT_QUADRATURE,
-    tp: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> complex:
+def nr_trig_lhs(a, b, c, d, s, r, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     """integral over [0, pi] of h(cos 2t; 1) h(cos t; r) / h(cos t; a,b,c,d,s)."""
     num = (r,) if r != 0 else ()
     w = WeightSpec(
@@ -241,7 +233,7 @@ def nr_trig_lhs(
         denominator_h=(a, b, c, d, s),
         cos2_numerator=True,
     )
-    return trig_integral(w, HALF_PERIOD, qp, tp)
+    return trig_integral(w, HALF_PERIOD, tp=tp)
 
 
 def nassrallah_rahman_rhs(
@@ -342,11 +334,7 @@ def liu_qbeta_rhs(
     return 2.0 * math.pi * num / den * series
 
 
-def liu_qbeta_lhs(
-    a, b, c, d, s, u, v, q,
-    qp: QuadraturePolicy = DEFAULT_QUADRATURE,
-    tp: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> complex:
+def liu_qbeta_lhs(a, b, c, d, s, u, v, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     """Quadrature side: h(cos 2t; 1)/h(cos t; a..s) times the 3phi2 factor
     phi(a e^{it}, a e^{-it}, alpha u v/q; alpha u, alpha v; q, bcds)."""
     qv = complex(base_value(q))
@@ -364,7 +352,7 @@ def liu_qbeta_lhs(
         cos2_numerator=True,
         extra_factor=factor,
     )
-    return trig_integral(w, HALF_PERIOD, qp, tp)
+    return trig_integral(w, HALF_PERIOD, tp=tp)
 
 
 def alsalam_verma_rhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:

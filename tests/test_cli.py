@@ -112,6 +112,30 @@ def test_check_lbww_t_zero_pole_skipped(tmp_path):
         assert doc["reason"].startswith("PoleInDenominator")
 
 
+@pytest.mark.parametrize("argv, name", [
+    # truncating 2.5 or 1+2i would certify another degree; -3 is a false failure
+    (["q_watson_4phi3", "--n", "2.5"], "n"),
+    (["q_watson_4phi3", "--n", "1+2i"], "n"),
+    (["q_watson_4phi3", "--n", "-3"], "n"),
+    (["bigqjacobi_orthogonality", "--n", "1", "--m", "0.5"], "m"),
+])
+def test_check_index_must_be_non_negative_integer(argv, name, capsys):
+    assert main(["check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{name} must be a non-negative integer" in captured.err
+
+
+def test_check_integral_float_degree(tmp_path):
+    # "2" parses as 2.0 and stands for n = 2
+    out = tmp_path / "r.json"
+    assert main(["check", "q_watson_4phi3", "--n", "2", "--format", "json",
+                 "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["n"] == 2
+    assert doc["status"] == "pass"
+
+
 def test_check_samples_missing_params(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["check", "q_gauss", "--seed", "7", "--format", "json",
@@ -216,6 +240,16 @@ class TestEval:
                      "--q", "0.5"]) == 0
         out = capsys.readouterr().out
         assert abs(float(out.split("+")[0]) - 2.0 / 3.0) < 1e-12
+
+    def test_qint_overflow_exit2(self, capsys):
+        # 0.1 q^n raised to -300 leaves the float range within a few terms
+        rc = main(["eval", "qint", "--a", "0.1", "--b", "1", "--q", "0.5",
+                   "--power", "-300"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TruncationExceeded" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_aw_poly_json(self, capsys):
         rc = main(["eval", "aw", "--n", "2", "--a", "0.3", "--b", "0.4", "--c", "0.2",

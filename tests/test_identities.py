@@ -6,7 +6,6 @@ from mpmath import mpf
 from qkernel import identities
 from qkernel.errors import TruncationExceeded, UnknownIdentity
 from qkernel.identities import (
-    DEFAULT_POLICIES,
     REGISTRY,
     check_identity,
     identity_ids,
@@ -107,13 +106,13 @@ class TestLiuMasterOuterSum:
         # with unit inner sums the outer terms grow like (a/q)^n = 1.2^n
         calls = self._patch_inner(monkeypatch, 1)
         with pytest.raises(TruncationExceeded, match="within 300 terms"):
-            REGISTRY["liu_master_m1"].recipe(self.PRM, DEFAULT_POLICIES)
+            REGISTRY["liu_master_m1"].recipe(self.PRM)
         assert calls == list(range(300))
 
     def test_non_finite_raises(self, monkeypatch):
         calls = self._patch_inner(monkeypatch, "inf")
         with pytest.raises(TruncationExceeded, match="non-finite"):
-            REGISTRY["liu_master_m1"].recipe(self.PRM, DEFAULT_POLICIES)
+            REGISTRY["liu_master_m1"].recipe(self.PRM)
         assert calls == [0]
 
 
@@ -260,12 +259,10 @@ class TestOrthogonalityChecks:
         # ratio of two integral evaluations matches the closed-form ratio,
         # which cancels the shared prefactor
         from qkernel.identities import _BQJ_FIXED, _bqj_dps, _bqj_integral, _bqj_rhs
-        from qkernel.qcore import TruncationPolicy
 
         a, b, c, q = (_BQJ_FIXED[k] for k in ("a", "b", "c", "q"))
         dps = _bqj_dps(3, 3, a, b, c, q)
         i33 = _bqj_integral(3, 3, a, b, c, q, dps)
         i00 = _bqj_integral(0, 0, a, b, c, q, dps)
-        tp = TruncationPolicy()
-        expected = _bqj_rhs(3, a, b, c, q, tp) / _bqj_rhs(0, a, b, c, q, tp)
+        expected = _bqj_rhs(3, a, b, c, q) / _bqj_rhs(0, a, b, c, q)
         assert abs(i33 / i00 - expected) <= 1e-8 * abs(expected)

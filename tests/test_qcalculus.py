@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from qkernel.errors import DomainError
+from qkernel.errors import DomainError, TruncationExceeded
 from qkernel.qcore import Base, TruncationPolicy, mp_scalar, poch_infinite
 from qkernel.qcalculus import (
     liu_coefficient,
@@ -111,6 +111,20 @@ class TestQIntegral:
         lhs = q_integral(lambda x: 2 * f(x) + g(x), 0.1, 0.5, 0.5)
         rhs = 2 * q_integral(f, 0.1, 0.5, 0.5) + q_integral(g, 0.1, 0.5, 0.5)
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
+
+    def test_overflowing_integrand_raises(self):
+        with pytest.raises(TruncationExceeded, match="overflowed"):
+            q_integral(lambda x: x**-300, 0.1, 1.0, 0.5)
+        with pytest.raises(TruncationExceeded, match="overflowed"):
+            q_integral(lambda x: complex(x) ** -300, 0.1, 1.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0.0)])
+    def test_non_finite_sum_raises(self, bad):
+        # a single non-finite term, after which the terms vanish and the
+        # stop rule is met
+        f = lambda x: bad if x == 0.7 else 0.0
+        with pytest.raises(TruncationExceeded, match="not finite"):
+            q_integral(f, 0.0, 0.7, 0.5)
 
 
 class TestExpansionCoefficients:

@@ -199,6 +199,37 @@ class TestMpmathOracle:
             poch_infinite(mpf("0.9"), mpf("0.9"), TruncationPolicy(tol=1e-14, max_terms=10))
 
 
+class TestPochFiniteOracle:
+    """poch_finite against mpmath.qp(a, q, n), with arguments kept off the
+    lattice {q^-j} where a factor 1 - a q^k cancels."""
+
+    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs,
+           n=st.integers(min_value=0, max_value=30))
+    def test_float_path(self, params, q, n):
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        for a in params:
+            with mp.workdps(30):
+                ref = complex(mpmath.qp(a, q, n))
+            assert abs(poch_finite(a, q, n) - ref) <= 1e-12 * abs(ref)
+
+    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs,
+           n=st.integers(min_value=0, max_value=30),
+           dps=st.integers(min_value=40, max_value=110))
+    @example(params=[0.9j, -0.9], q=-0.9, n=30, dps=110)
+    def test_mp_path(self, params, q, n, dps):
+        # the n factors' roundings, amplified at most 1 / 0.05 by the factor
+        # nearest the lattice, against qp's product at twice the precision
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        args = [mp_scalar(a) for a in params]
+        with mp.workdps(dps):
+            got = [poch_finite(a, mpf(q), n) for a in args]
+        with mp.workdps(2 * dps):
+            tol = 20 * (n + 1) * mpf(10) ** -dps
+            for a, g in zip(args, got):
+                r = mpmath.qp(a, mpf(q), n)
+                assert abs(g - r) <= tol * abs(r)
+
+
 class TestHWeight:
     def test_zero_parameter(self):
         assert h_weight(1.234, [0.0], 0.5) == 1
