@@ -185,6 +185,15 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _int_param(name: str, value, non_negative: bool = True) -> int:
+    """An index or power given on the command line, as an int; anything that
+    is not an integer (or is negative, for an index) exits 2."""
+    if isinstance(value, complex) or value != int(value) or (non_negative and value < 0):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise _ArgError(f"--{name} must be {kind}, not {value!r}")
+    return int(value)
+
+
 def _cmd_check(args, extra_tokens) -> int:
     ident = args.identity
     if ident not in REGISTRY:
@@ -200,10 +209,7 @@ def _cmd_check(args, extra_tokens) -> int:
     params.update(given)
     for name in ("n", "m"):
         if name in entry.param_names:
-            value = params[name]
-            if isinstance(value, complex) or value < 0 or value != int(value):
-                raise _ArgError(f"--{name} must be a non-negative integer, not {value!r}")
-            params[name] = int(value)
+            params[name] = _int_param(name, params[name])
     thresholds = {ident: args.tol} if args.tol is not None else None
     report = check_identity(ident, params, thresholds, label="check")
     header = {"seed": args.seed, "tolerance_override": args.tol}
@@ -240,6 +246,9 @@ def _cmd_suite(args) -> int:
 
 def _eval_value(args, extra_tokens):
     prm = _collect_params(extra_tokens)
+    for name in ("n", "order", "power"):
+        if name in prm:
+            prm[name] = _int_param(name, prm[name], non_negative=name != "power")
 
     def need(*names):
         missing = [n for n in names if n not in prm]
@@ -251,41 +260,39 @@ def _eval_value(args, extra_tokens):
     target = args.target
     if target == "poch":
         a, q = need("a", "q")
-        if "n" in prm and prm["n"] != math.inf:
-            return poch_finite(a, Base(complex(q)), int(prm["n"]))
+        if "n" in prm:
+            return poch_finite(a, Base(complex(q)), prm["n"])
         return poch_infinite(a, Base(complex(q)), tp)
     if target == "phi":
         q, z = need("q", "z")
         nums = _parse_scalar_list(str(args.num or ""))
         dens = _parse_scalar_list(str(args.den or ""))
-        order = int(prm["order"]) if "order" in prm else None
-        spec = SeriesSpec(tuple(nums), tuple(dens), Base(complex(q)), z, order)
+        spec = SeriesSpec(tuple(nums), tuple(dens), Base(complex(q)), z, prm.get("order"))
         return eval_phi(spec, tp).value
     if target == "w":
         a1, q, z = need("a1", "q", "z")
         tail = _parse_scalar_list(str(args.tail or ""))
-        order = int(prm["order"]) if "order" in prm else None
-        return eval_w(a1, tail, Base(complex(q)), z, tp, order).value
+        return eval_w(a1, tail, Base(complex(q)), z, tp, prm.get("order")).value
     if target == "hweight":
         theta, q = need("theta", "q")
         params = _parse_scalar_list(str(args.params or ""))
         return h_weight(float(theta), params, Base(complex(q)), tp)
     if target == "qint":
         a, b, q = need("a", "b", "q")
-        k = int(prm.get("power", 1))
+        k = prm.get("power", 1)
         return q_integral(lambda x: x**k, a, b, Base(complex(q)), tp)
     if target == "qhahn":
         n, a, b, c, d, z, q = need("n", "a", "b", "c", "d", "z", "q")
         p = QHahnParams(a, b, c, d, prm.get("rho", 1.0), Base(complex(q)))
-        return qhahn_poly(int(n), p, z)
+        return qhahn_poly(n, p, z)
     if target == "bigqjacobi":
         n, a, b, c, x, q = need("n", "a", "b", "c", "x", "q")
         p = BigQJacobiParams(a, b, c, Base(complex(q)))
-        return big_qjacobi_poly(int(n), p, x)
+        return big_qjacobi_poly(n, p, x)
     if target == "aw":
         n, a, b, c, d, theta, q = need("n", "a", "b", "c", "d", "theta", "q")
         p = AWParams(a, b, c, d, Base(complex(q)))
-        return askey_wilson_poly(int(n), p, float(theta))
+        return askey_wilson_poly(n, p, float(theta))
     raise _ArgError(f"unknown eval target {target!r}")
 
 

@@ -11,6 +11,15 @@ are therefore computed in mpmath at a working precision sized from the
 amplification factor, and the evaluation maps ``f`` passed in must accept
 mpmath arguments (plain arithmetic on the argument, as with the qcore
 factorials, is enough).  Results come back as ordinary complex numbers.
+
+The expansion partial sums are not formed coefficient by coefficient: with
+c_n = sum_k v[n][k] f(alpha q^{k+1}), sum_n K_n(a) c_n = sum_k U[k] f(alpha
+q^{k+1}) for the separable weights U[k] = sum_{n>=k} K_n(a) v[n][k], and the
+double sum is sum_k U[k] sum_l V[l] F[k][l]: O(N^2) operations, not O(N^3).
+Both orders add the same products K_n v[n][k] K_m v[m][l] F[k][l], so the
+rounding error of either is at most eps times the sum of their moduli and the
+precision of ``_coeff_work_digits`` covers both; each dot product is summed
+exactly and rounded once (``mp.fdot``).
 """
 
 from __future__ import annotations
@@ -93,6 +102,8 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
             mag = float(abs(qn)) * max(
                 float(abs(tb)) if tb != 0 else 0.0, float(abs(ta)) if ta != 0 else 0.0
             )
+            if not math.isfinite(mag):  # an mpmath term beyond float range
+                mag = abs(qn) * max(abs(tb), abs(ta))
             if mag < policy.tol:
                 small += 1
                 if small >= 3:
@@ -118,6 +129,18 @@ def _coeff_work_digits(order: int, qmag: float, alpha_mag: float, a_mag: float) 
     return 40 + amp + int(math.ceil(kern))
 
 
+def _nodes(alpha, qm, count: int) -> list:
+    """The Jackson nodes alpha q^{k+1}, k < count."""
+    am = mp_scalar(alpha)
+    return [am * qm ** (k + 1) for k in range(count)]
+
+
+def _double_sum(f: AnalyticFn, U: list, V: list, alpha, beta, qm):
+    """sum_k U[k] sum_l V[l] f(alpha q^{k+1}, beta q^{l+1})."""
+    ys = _nodes(beta, qm, len(V))
+    return mp.fdot(U, [mp.fdot(V, [f(x, y) for y in ys]) for x in _nodes(alpha, qm, len(U))])
+
+
 def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     """n-th expansion coefficient [D_{q,x}^n {f(x)(x;q)_{n-1}}]_{x=alpha q}."""
     if n < 0:
@@ -126,20 +149,17 @@ def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     work = _coeff_work_digits(n, float(abs(qv)), float(abs(alpha)), 0.0)
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        am = mp_scalar(alpha)
-        row = _jackson_vectors(n, alpha, qm)[n]
-        value = sum((v * f(am * qm ** (k + 1)) for k, v in enumerate(row)), mp.zero)
+        row = _jackson_rows(n, alpha, qm)(n)
+        value = mp.fdot(row, map(f, _nodes(alpha, qm, n + 1)))
     return complex(value)
 
 
 def _kernel_factors(order: int, a, alpha, qm) -> list:
     """Kernel values K_0..K_order with K_0 = 1 and, for n >= 1,
     K_n = (1 - alpha q^{2n}) (alpha q/a; q)_n a^n / ((q, a; q)_n)."""
-    am = mp_scalar(a)
-    alm = mp_scalar(alpha)
+    am, alm = mp_scalar(a), mp_scalar(alpha)
     ratio = alm * qm / am
-    kernels = [mp.one]
-    R = mp.one
+    kernels, R = [mp.one], mp.one
     for n in range(1, order + 1):
         da = 1 - am * qm ** (n - 1)
         if abs(da) < 1e-290:
@@ -147,6 +167,14 @@ def _kernel_factors(order: int, a, alpha, qm) -> list:
         R *= (1 - ratio * qm ** (n - 1)) * am / ((1 - qm**n) * da)
         kernels.append((1 - alm * qm ** (2 * n)) * R)
     return kernels
+
+
+def _reconstruction_weights(order: int, a, alpha, qm) -> list:
+    """U[k] = sum_{n=k}^{order} K_n(a) v[n][k], so that the partial sum
+    sum_n K_n(a) c_n of the expansion is sum_k U[k] f(alpha q^{k+1})."""
+    kernels = _kernel_factors(order, a, alpha, qm)
+    rows = _jackson_vectors(order, alpha, qm)
+    return [mp.fdot(kernels[k:], [row[k] for row in rows[k:]]) for k in range(order + 1)]
 
 
 def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
@@ -159,14 +187,35 @@ def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
     work = _coeff_work_digits(order, float(abs(qv)), float(abs(alpha)), float(abs(a)))
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        am = mp_scalar(alpha)
-        fv = [f(am * qm ** (k + 1)) for k in range(order + 1)]
-        vectors = _jackson_vectors(order, alpha, qm)
-        kernels = _kernel_factors(order, a, alpha, qm)
-        total = mp.zero
-        for n in range(order + 1):
-            total += kernels[n] * sum((v * fk for v, fk in zip(vectors[n], fv)), mp.zero)
+        U = _reconstruction_weights(order, a, alpha, qm)
+        total = mp.fdot(U, map(f, _nodes(alpha, qm, order + 1)))
     return complex(total)
+
+
+def _jackson_rows(order: int, alpha, qm):
+    """row(n), n <= order: row n of ``_jackson_vectors``, built from tables of
+    q^j (by repeated multiplication), 1 - q^-j and 1 - alpha q^j shared by all
+    rows; each entry is the one before times
+    (1 - q^{k-n}) (1 - alpha q^{n+k}) q / ((1 - q^{k+1}) (1 - alpha q^{k+1}))."""
+    am = mp_scalar(alpha)
+    qpow = [mp.one]
+    for _ in range(2 * order):
+        qpow.append(qpow[-1] * qm)
+    one_qinv = [1 - 1 / t for t in qpow]
+    one_aq = [1 - am * t for t in qpow]
+    den = [qm / ((1 - qpow[k + 1]) * one_aq[k + 1]) for k in range(order)]
+
+    def row(n: int) -> list:
+        w = (qm * am) ** (-n)
+        for j in range(1, n):
+            w *= one_aq[j]
+        entries = [w]
+        for k in range(n):
+            w *= one_qinv[n - k] * one_aq[n + k] * den[k]
+            entries.append(w)
+        return entries
+
+    return row
 
 
 def _jackson_vectors(order: int, alpha, qm) -> list[list]:
@@ -174,22 +223,7 @@ def _jackson_vectors(order: int, alpha, qm) -> list[list]:
     w_k = (q^{-n}; q)_k q^k / (q; q)_k the Jackson weight: the one-variable
     coefficient weights with the prefactor folded in, so that
     c_n = sum_k v[n][k] f(alpha q^{k+1})."""
-    am = mp_scalar(alpha)
-    vectors: list[list] = [[mp.one]]
-    for n in range(1, order + 1):
-        pref = (qm * am) ** (-n)
-        P = mp.one
-        for j in range(n - 1):
-            P *= 1 - am * qm ** (1 + j)
-        w = mp.one
-        row = []
-        for k in range(n + 1):
-            row.append(pref * w * P)
-            if k < n:
-                w *= (1 - qm ** (k - n)) / (1 - qm ** (k + 1)) * qm
-                P *= (1 - am * qm ** (n + k)) / (1 - am * qm ** (k + 1))
-        vectors.append(row)
-    return vectors
+    return list(map(_jackson_rows(order, alpha, qm), range(order + 1)))
 
 
 def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
@@ -203,67 +237,32 @@ def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
         raise DomainError("coefficient indices must be nonnegative")
     qv = base_value(q)
     qmag = float(abs(qv))
-    work = (
-        40
-        + _amplification_digits(n, qmag, qmag * float(abs(alpha)))
-        + _amplification_digits(m, qmag, qmag * float(abs(beta)))
+    work = 40 + _amplification_digits(n, qmag, qmag * float(abs(alpha))) + (
+        _amplification_digits(m, qmag, qmag * float(abs(beta)))
     )
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        alm = mp_scalar(alpha)
-        bem = mp_scalar(beta)
-        vx = _jackson_vectors(n, alpha, qm)[n]
-        vy = _jackson_vectors(m, beta, qm)[m]
-        total = mp.zero
-        for k in range(n + 1):
-            xk = alm * qm ** (k + 1)
-            inner = mp.zero
-            for l in range(m + 1):
-                inner += vy[l] * f(xk, bem * qm ** (l + 1))
-            total += vx[k] * inner
+        vx = _jackson_rows(n, alpha, qm)(n)
+        vy = _jackson_rows(m, beta, qm)(m)
+        total = _double_sum(f, vx, vy, alpha, beta, qm)
     return complex(total)
 
 
-def liu_double_reconstruct(
-    f: AnalyticFn, a, b, alpha, beta, q, order_x: int, order_y: int
-):
+def liu_double_reconstruct(f: AnalyticFn, a, b, alpha, beta, q, order_x: int, order_y: int):
     """Double partial sum sum_{n<=order_x} sum_{m<=order_y}
-    K_n(a) K_m(b) c_{n,m}; converges to f(a, b)."""
+    K_n(a) K_m(b) c_{n,m}; converges to f(a, b).  It is summed in the
+    separable form sum_k U[k] sum_l V[l] f(alpha q^{k+1}, beta q^{l+1})
+    with the weights of ``_reconstruction_weights``."""
     if a == 0 or b == 0:
         raise DomainError("reconstruction points must be nonzero")
     qv = base_value(q)
     qmag = float(abs(qv))
-    work = (
-        40
-        + _coeff_work_digits(order_x, qmag, float(abs(alpha)), float(abs(a)))
-        + _coeff_work_digits(order_y, qmag, float(abs(beta)), float(abs(b)))
-        - 40
+    work = _coeff_work_digits(order_x, qmag, float(abs(alpha)), float(abs(a))) + (
+        _coeff_work_digits(order_y, qmag, float(abs(beta)), float(abs(b)))
     )
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        alm = mp_scalar(alpha)
-        bem = mp_scalar(beta)
-        xs = [alm * qm ** (k + 1) for k in range(order_x + 1)]
-        ys = [bem * qm ** (l + 1) for l in range(order_y + 1)]
-        F = [[f(xk, yl) for yl in ys] for xk in xs]
-        vx = _jackson_vectors(order_x, alpha, qm)
-        vy = _jackson_vectors(order_y, beta, qm)
-        kx = _kernel_factors(order_x, a, alpha, qm)
-        ky = _kernel_factors(order_y, b, beta, qm)
-        total = mp.zero
-        for n in range(order_x + 1):
-            # G[l] = sum_k vx[n][k] F[k][l]
-            G = [mp.zero] * (order_y + 1)
-            for k in range(n + 1):
-                wk = vx[n][k]
-                row = F[k]
-                for l in range(order_y + 1):
-                    G[l] += wk * row[l]
-            acc = mp.zero
-            for m in range(order_y + 1):
-                inner = mp.zero
-                for l in range(m + 1):
-                    inner += vy[m][l] * G[l]
-                acc += ky[m] * inner
-            total += kx[n] * acc
+        U = _reconstruction_weights(order_x, a, alpha, qm)
+        V = _reconstruction_weights(order_y, b, beta, qm)
+        total = _double_sum(f, U, V, alpha, beta, qm)
     return complex(total)

@@ -248,8 +248,33 @@ class TestEval:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        # a negative power passes the integer check and fails in the sum
         assert "TruncationExceeded" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["poch", "--a", "0.5", "--q", "0.5", "--n", "2.5"], "--n must be a non-negative integer"),
+        (["poch", "--a", "0.5", "--q", "0.5", "--n", "-1"], "--n must be a non-negative integer"),
+        (["qhahn", "--n", "1.7", "--a", "0.3", "--b", "0.4", "--c", "0.2", "--d", "0.1",
+          "--z", "0.5", "--q", "0.5"], "--n must be a non-negative integer"),
+        (["bigqjacobi", "--n", "2+1i", "--a", "0.3", "--b", "0.4", "--c", "0.2",
+          "--x", "0.5", "--q", "0.5"], "--n must be a non-negative integer"),
+        (["aw", "--n", "-2", "--a", "0.3", "--b", "0.4", "--c", "0.2", "--d", "0.1",
+          "--theta", "0.9", "--q", "0.5"], "--n must be a non-negative integer"),
+        (["phi", "--num", "4,0.3", "--den", "0.5", "--q", "0.5", "--z", "0.2",
+          "--order", "2.5"], "--order must be a non-negative integer"),
+        (["w", "--a1", "0.3", "--tail", "0.2,0.4", "--q", "0.5", "--z", "0.1",
+          "--order", "-3"], "--order must be a non-negative integer"),
+        (["qint", "--a", "0", "--b", "1", "--q", "0.5", "--power", "2.5"],
+         "--power must be an integer"),
+    ])
+    def test_non_integer_index_exit2(self, argv, message, capsys):
+        # before, each of these truncated the value (--power 2.5 gave the
+        # --power 2 integral)
+        assert main(["eval", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_aw_poly_json(self, capsys):
         rc = main(["eval", "aw", "--n", "2", "--a", "0.3", "--b", "0.4", "--c", "0.2",

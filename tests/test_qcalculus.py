@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qkernel.errors import DomainError, TruncationExceeded
-from qkernel.qcore import Base, TruncationPolicy, mp_scalar, poch_infinite
+from qkernel.qcore import Base, TruncationPolicy, mp_scalar, poch_finite, poch_infinite
 from qkernel.qcalculus import (
+    _jackson_vectors,
     liu_coefficient,
     liu_double_coefficient,
     liu_double_reconstruct,
@@ -118,6 +121,12 @@ class TestQIntegral:
         with pytest.raises(TruncationExceeded, match="overflowed"):
             q_integral(lambda x: complex(x) ** -300, 0.1, 1.0, 0.5)
 
+    def test_mpmath_integrand_beyond_float_range(self):
+        # each term is inf as a float; the stop rule must still be met
+        with mp.workdps(30):
+            v = q_integral(lambda x: mpf("1e400"), 0, mpf("0.7"), mpf("0.5"))
+            assert abs(v / mpf("0.7e400") - 1) < mpf("1e-25")
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0.0)])
     def test_non_finite_sum_raises(self, bad):
         # a single non-finite term, after which the terms vanish and the
@@ -224,3 +233,86 @@ class TestDoubleExpansion:
         v = liu_double_reconstruct(f, 0.2, 0.15, 0.3, 0.25, q, 14, 14)
         target = poch_infinite(0.25 * 0.2 * 0.15, q)
         assert abs(v - target) / abs(target) < 1e-9
+
+
+def _kernel(n, a, alpha, q):
+    """K_n(a) from its definition (K_0 = 1: the (x; q)_{-1} = 1/(1 - alpha)
+    of c_0 cancels the 1 - alpha of the general formula)."""
+    if n == 0:
+        return 1.0
+    num = (1 - alpha * q ** (2 * n)) * poch_finite(alpha * q / a, q, n) * a**n
+    return num / (poch_finite(q, q, n) * poch_finite(a, q, n))
+
+
+def _counted(f):
+    def g(*args):
+        g.calls += 1
+        return f(*args)
+
+    g.calls = 0
+    return g
+
+
+def _rational(beta):
+    return lambda x: 1 / (1 - beta * x) + x**3
+
+
+def _rational2(b1, b2):
+    # not a product of one-variable functions
+    return lambda x, y: 1 / ((1 - b1 * x) * (1 - b2 * y)) + x * y / (1 - b1 * b2 * x * y)
+
+
+_q = st.sampled_from([0.5, 0.7])
+_point = st.floats(0.05, 0.3)
+_shift = st.floats(0.1, 0.5)
+
+
+class TestSeparableWeights:
+    """The separable sums against the coefficient functions they replace."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_jackson_vectors_defining_formula(self, q):
+        order = 9
+        with mp.workdps(60):
+            qm, am = mpf(q), mpf("0.35")
+            rows = _jackson_vectors(order, am, qm)
+            assert len(rows) == order + 1
+            assert rows[0] == [1]
+            for n in range(1, order + 1):
+                assert len(rows[n]) == n + 1
+                for k in range(n + 1):
+                    w = poch_finite(qm**-n, qm, k) * qm**k / poch_finite(qm, qm, k)
+                    v = (qm * am) ** -n * w * poch_finite(qm ** (k + 1) * am, qm, n - 1)
+                    assert abs(rows[n][k] - v) <= mpf("1e-50") * abs(v)
+
+    @given(order=st.integers(0, 12), q=_q, a=_point, alpha=_shift, beta=_shift)
+    @example(order=5, q=0.7, a=0.3, alpha=0.1, beta=0.45)
+    def test_reconstruct_is_kernel_sum_of_coefficients(self, order, q, a, alpha, beta):
+        f = _counted(_rational(beta))
+        v = liu_reconstruct(f, a, alpha, q, order)
+        assert f.calls == order + 1
+        oracle = sum(
+            _kernel(n, a, alpha, q) * liu_coefficient(f, n, alpha, q) for n in range(order + 1)
+        )
+        assert abs(v - oracle) <= 1e-13 * abs(oracle)
+
+    @given(
+        orders=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        q=_q, a=_point, b=_point, alpha=_shift, beta=_shift,
+    )
+    @example(orders=(1, 3), q=0.5, a=0.2, b=0.15, alpha=0.3, beta=0.25)
+    @example(orders=(5, 2), q=0.7, a=0.1, b=0.25, alpha=0.45, beta=0.2)
+    @example(orders=(6, 6), q=0.7, a=0.3, b=0.05, alpha=0.1, beta=0.5)
+    def test_double_reconstruct_is_kernel_sum_of_coefficients(self, orders, q, a, b, alpha, beta):
+        ox, oy = orders
+        f = _counted(_rational2(0.45, 0.35))
+        v = liu_double_reconstruct(f, a, b, alpha, beta, q, ox, oy)
+        assert f.calls == (ox + 1) * (oy + 1)
+        oracle = sum(
+            _kernel(n, a, alpha, q)
+            * _kernel(m, b, beta, q)
+            * liu_double_coefficient(f, n, m, alpha, beta, q)
+            for n in range(ox + 1)
+            for m in range(oy + 1)
+        )
+        assert abs(v - oracle) <= 1e-13 * abs(oracle)
