@@ -48,8 +48,10 @@ class _ArgError(Exception):
 
 
 def _parse_scalar(text: str):
-    """Parse a scalar literal; complex accepted as 're+imi' or 're+imj'."""
-    s = text.strip().lower().replace("i", "j")
+    """Parse a scalar literal; complex as 're+imi' or 're+imj' (a trailing 'i' only)."""
+    s = text.strip().lower()
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     try:
         value = complex(s)
     except ValueError as exc:

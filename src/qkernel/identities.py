@@ -69,7 +69,7 @@ from .polyfamilies import (
     qhahn_poly,
 )
 from . import qintegrals as qi
-from .qintegrals import DEFAULT_QUADRATURE
+from .qintegrals import QuadraturePolicy, periodic_trapezoid
 
 
 @dataclass
@@ -270,31 +270,19 @@ def _qhahn_dps(n: int, m: int, a, b, c, d, q) -> int:
 def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
     """(1/2 pi) * integral over [-pi, pi] of K(theta) H_n H_m."""
     with mp.workdps(dps):
-        stop = mpf(10) ** (-(dps - 28))
 
-        def add_nodes(js, denom):
-            s = mp.zero
-            for j in js:
-                fr = Fraction(j, denom)
-                K = _qhahn_K_node(fr.numerator, fr.denominator, a, b, c, d, rho, q, dps)
-                Hn = _qhahn_H_node(n, fr.numerator, fr.denominator, a, b, c, d, q, dps)
-                Hm = Hn if m == n else _qhahn_H_node(
-                    m, fr.numerator, fr.denominator, a, b, c, d, q, dps
-                )
-                s += K * Hn * Hm
-            return s
+        def node_value(fr: Fraction):
+            jn, jd = fr.numerator, fr.denominator
+            K = _qhahn_K_node(jn, jd, a, b, c, d, rho, q, dps)
+            Hn = _qhahn_H_node(n, jn, jd, a, b, c, d, q, dps)
+            Hm = Hn if m == n else _qhahn_H_node(m, jn, jd, a, b, c, d, q, dps)
+            return K * Hn * Hm
 
-        nodes = DEFAULT_QUADRATURE.initial_nodes
-        total = add_nodes(range(nodes), nodes)
-        prev = total / nodes
-        for _ in range(DEFAULT_QUADRATURE.max_doublings):
-            nodes *= 2
-            total += add_nodes(range(1, nodes, 2), nodes)
-            cur = total / nodes
-            if abs(cur - prev) < stop * max(mp.one, abs(cur)):
-                return complex(cur)
-            prev = cur
-    raise QuadratureNotConverged("q-Hahn orthogonality quadrature did not converge")
+        def node_values(js, denom):
+            return [node_value(Fraction(j, denom)) for j in js]
+
+        mean, _ = periodic_trapezoid(node_values, QuadraturePolicy(tol=mpf(10) ** (-(dps - 28))))
+        return complex(mean)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from .errors import DomainError, PoleInDenominator
 from .qcore import (
     Base,
     DEFAULT_TRUNCATION,
-    TruncationPolicy,
     base_value,
     mp_scalar,
     poch_finite,
     poch_multi,
 )
 from .hyperseries import nearest_pole_distance, phi_terminating_core
+from .qintegrals import askey_roy_rhs
 
 _GUARD = 1e-12
 
@@ -144,19 +144,13 @@ def qhahn_A(n: int, a, b, p: QHahnParams) -> complex:
     return complex(num / den)
 
 
-def qhahn_L0(p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
-    """Normalisation L_0 = (abcd, rho, q/rho, c rho/d, qd/(c rho); q)_inf
-    / (q, ac, ad, bc, bd; q)_inf."""
-    qv = base_value(p.q)
-    a, b, c, d, rho = p.a, p.b, p.c, p.d, p.rho
-    num = poch_multi(
-        [a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)], qv, policy=tp
-    )
-    den = poch_multi([qv, a * c, a * d, b * c, b * d], qv, policy=tp)
-    return complex(num / den)
+def qhahn_L0(p: QHahnParams) -> complex:
+    """Normalisation L_0, the Askey-Roy integral
+    (abcd, rho, q/rho, c rho/d, qd/(c rho); q)_inf / (q, ac, ad, bc, bd; q)_inf."""
+    return complex(askey_roy_rhs(p.a, p.b, p.c, p.d, p.rho, base_value(p.q)))
 
 
-def qhahn_L(n: int, p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def qhahn_L(n: int, p: QHahnParams) -> complex:
     """Diagonal norm L_n =
     (1 - abcd/q) (q, ac, ad, bc, bd; q)_n q^{n(n-1)/2} (-cd)^n
     / ((1 - abcd q^{2n-1}) (abcd/q; q)_n) * L_0.
@@ -175,10 +169,10 @@ def qhahn_L(n: int, p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCATION) -
     den = (1 - abcd * qv ** (2 * n - 1)) * poch_finite(abcd / qv, qv, n)
     if den == 0:
         raise PoleInDenominator("vanishing factor in L_n denominator")
-    return complex(num / den * qhahn_L0(p, tp))
+    return complex(num / den * qhahn_L0(p))
 
 
-def qhahn_K(theta: float, p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def qhahn_K(theta: float, p: QHahnParams) -> complex:
     """Orthogonality weight
     K(theta) = (rho e^{it}/d, q d e^{-it}/rho, rho c e^{-it}, q e^{it}/(c rho); q)_inf
                / (a e^{it}, b e^{it}, c e^{-it}, d e^{-it}; q)_inf."""
@@ -187,9 +181,10 @@ def qhahn_K(theta: float, p: QHahnParams, tp: TruncationPolicy = DEFAULT_TRUNCAT
     e = cmath.exp(1j * theta)
     em = cmath.exp(-1j * theta)
     num = poch_multi(
-        [rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv, policy=tp
+        [rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv,
+        policy=DEFAULT_TRUNCATION,
     )
-    den = poch_multi([a * e, b * e, c * em, d * em], qv, policy=tp)
+    den = poch_multi([a * e, b * e, c * em, d * em], qv, policy=DEFAULT_TRUNCATION)
     return complex(num / den)
 
 

@@ -142,7 +142,11 @@ def _double_sum(f: AnalyticFn, U: list, V: list, alpha, beta, qm):
 
 
 def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
-    """n-th expansion coefficient [D_{q,x}^n {f(x)(x;q)_{n-1}}]_{x=alpha q}."""
+    """n-th expansion coefficient [D_{q,x}^n {f(x)(x;q)_{n-1}}]_{x=alpha q}.
+
+    Accuracy is absolute, relative to the largest Jackson term (40 digits past
+    the sum's cancellation), so a tiny coefficient keeps fewer significant
+    digits: one of 1e-36 can be off by 2e-6 relative."""
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
     qv = base_value(q)
@@ -231,7 +235,9 @@ def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
 
         c_{n,m} = [D_{q,y}^m D_{q,x}^n { f(x,y) (x;q)_{n-1} (y;q)_{m-1} }]
 
-    at (x, y) = (alpha q, beta q), via nested Jackson sums.
+    at (x, y) = (alpha q, beta q), via nested Jackson sums.  As for
+    ``liu_coefficient``, the accuracy is absolute, relative to the largest
+    term of the double sum.
     """
     if n < 0 or m < 0:
         raise DomainError("coefficient indices must be nonnegative")

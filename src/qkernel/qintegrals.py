@@ -2,9 +2,10 @@
 closed-form right-hand sides of the q-beta integral evaluations.
 
 Integrands built from h(cos theta; .) factors are smooth and 2 pi periodic,
-so the composite trapezoid rule on the period converges geometrically; node
-counts double until two successive estimates agree.  Integrand evaluation is
-vectorised over the node array with numpy.
+so the trapezoid rule converges geometrically.  ``periodic_trapezoid`` is the
+one node-doubling loop, in numpy (``trig_integral``, vectorised over [0, pi])
+or mpmath (the q-Hahn orthogonality, full period); each doubling evaluates
+only the new odd-numbered nodes.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .qcore import (
 )
 from .hyperseries import eval_w, eval_wp_limit, sum_until_converged, wp_limit_terms
 from . import qcalculus
-
-FULL_PERIOD = (-math.pi, math.pi)
-HALF_PERIOD = (0.0, math.pi)
-
 
 @dataclass(frozen=True)
 class QuadraturePolicy:
@@ -142,44 +139,50 @@ def circle_phi_factor(
     return factor
 
 
-def _nodes_and_weights(interval, n: int):
-    if abs(interval[0] - FULL_PERIOD[0]) < 1e-12 and abs(interval[1] - FULL_PERIOD[1]) < 1e-12:
-        theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
-        w = np.full(n, 2.0 * math.pi / n)
-        return theta, w
-    if abs(interval[0] - HALF_PERIOD[0]) < 1e-12 and abs(interval[1] - HALF_PERIOD[1]) < 1e-12:
-        theta = math.pi * np.arange(n + 1) / n
-        w = np.full(n + 1, math.pi / n)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return theta, w
-    raise DomainError("interval must be (0, pi) or (-pi, pi)")
+def periodic_trapezoid(node_values, qp: QuadraturePolicy = DEFAULT_QUADRATURE, half=False, scale=1):
+    """Node-doubling trapezoid rule for a smooth 2 pi periodic integrand f.
+
+    ``node_values(js, n)`` returns f at the nodes numbered by the range ``js``
+    of the n-interval grid: -pi + 2 pi j / n (full period) or, with ``half``,
+    pi j / n on [0, pi] (f even, endpoints at half weight).  After the first
+    level only the new odd-numbered nodes are asked for.  Stops when two
+    successive estimates (``scale`` times the trapezoid mean) differ by less
+    than ``qp.tol * max(1, |estimate|)``; returns the estimate and n."""
+    n = qp.initial_nodes
+    if half:
+        f = node_values(range(n + 1), n)
+        total = (f[0] + f[n]) / 2 + sum(f[1:n])
+    else:
+        total = sum(node_values(range(n), n))
+    prev = total / n * scale
+    for _ in range(qp.max_doublings):
+        n *= 2
+        total += sum(node_values(range(1, n, 2), n))
+        cur = total / n * scale
+        if abs(cur - prev) < qp.tol * max(1, abs(cur)):
+            return cur, n
+        prev = cur
+    raise QuadratureNotConverged(
+        f"trapezoid did not converge after {qp.max_doublings} doublings"
+    )
 
 
 def trig_integral(
     w: WeightSpec,
-    interval=HALF_PERIOD,
     qp: QuadraturePolicy = DEFAULT_QUADRATURE,
     tp: TruncationPolicy = DEFAULT_TRUNCATION,
     diagnostics: dict | None = None,
 ) -> complex:
-    """Integrate the WeightSpec integrand over [0, pi] (even extension) or
-    [-pi, pi] (periodic) by node-doubling trapezoid sums."""
-    n = qp.initial_nodes
-    prev = None
-    for _ in range(qp.max_doublings + 1):
-        theta, wts = _nodes_and_weights(interval, n)
-        vals = weight_values(w, theta, tp)
-        estimate = complex(np.sum(wts * vals))
-        if prev is not None and abs(estimate - prev) < qp.tol * max(1.0, abs(estimate)):
-            if diagnostics is not None:
-                diagnostics["nodes"] = n
-            return estimate
-        prev = estimate
-        n *= 2
-    raise QuadratureNotConverged(
-        f"trapezoid did not converge after {qp.max_doublings} doublings"
-    )
+    """Integrate the (even) WeightSpec integrand over [0, pi] by the
+    node-doubling trapezoid rule."""
+
+    def node_values(js, n):
+        return weight_values(w, math.pi * np.asarray(js) / n, tp)
+
+    estimate, n = periodic_trapezoid(node_values, qp, half=True, scale=math.pi)
+    if diagnostics is not None:
+        diagnostics["nodes"] = n
+    return complex(estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def askey_wilson_rhs(a, b, c, d, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -
 
 def askey_wilson_lhs(a, b, c, d, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     w = WeightSpec(base=Base(complex(base_value(q))), denominator_h=(a, b, c, d), cos2_numerator=True)
-    return trig_integral(w, HALF_PERIOD, tp=tp)
+    return trig_integral(w, tp=tp)
 
 
 def askey_roy_rhs(a, b, c, d, rho, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
@@ -233,7 +236,7 @@ def nr_trig_lhs(a, b, c, d, s, r, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) 
         denominator_h=(a, b, c, d, s),
         cos2_numerator=True,
     )
-    return trig_integral(w, HALF_PERIOD, tp=tp)
+    return trig_integral(w, tp=tp)
 
 
 def nassrallah_rahman_rhs(
@@ -352,7 +355,7 @@ def liu_qbeta_lhs(a, b, c, d, s, u, v, q, tp: TruncationPolicy = DEFAULT_TRUNCAT
         cos2_numerator=True,
         extra_factor=factor,
     )
-    return trig_integral(w, HALF_PERIOD, tp=tp)
+    return trig_integral(w, tp=tp)
 
 
 def alsalam_verma_rhs(a, b, c, d, s, q, tp: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:

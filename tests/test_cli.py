@@ -276,6 +276,19 @@ class TestEval:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "infinity", "nan", "1e400"])
+    def test_non_finite_scalar_exit2(self, value, capsys):
+        # 'inf' used to lose its 'i' to the imaginary unit and fail to parse
+        assert main(["eval", "poch", "--a", "0.5", "--q", "0.5", "--n", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"scalar {value!r} is not finite" in captured.err
+
+    def test_trailing_i_is_imaginary_unit(self, capsys):
+        assert main(["eval", "poch", "--a", "1+2i", "--q", "0.5", "--n", "1",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == {"re": 0.0, "im": -2.0}
+
     def test_aw_poly_json(self, capsys):
         rc = main(["eval", "aw", "--n", "2", "--a", "0.3", "--b", "0.4", "--c", "0.2",
                    "--d", "0.1", "--theta", "0.9", "--q", "0.5", "--format", "json"])

@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import contextlib, io, json
+import contextlib, io, json, sys
 import qkernel, qkernel.cli
 from qkernel import identities
 from tracer import Tracer, install, layer_metrics
@@ -23,21 +23,35 @@ from tracer import Tracer, install, layer_metrics
 tracer = Tracer()
 install(tracer)
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    rc = qkernel.cli.main(["check", "aw_integral", "--format", "json", "--deterministic"])
+    rc = qkernel.cli.main(["check", *sys.argv[1:], "--format", "json", "--deterministic"])
 print(json.dumps({"rc": rc, "status": json.loads(out.getvalue())["status"],
                   "metrics": layer_metrics(tracer, identities)}))
 """
 
 
-def test_tracer_binds_and_counts_cli_check():
+def _traced_check(*argv) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["rc"] == 0
     assert doc["status"] == "pass"
-    metrics = doc["metrics"]
-    for name in ("cli.main", "identities.check_identity", "qintegrals.trig_integral"):
+    return doc["metrics"]
+
+
+def test_tracer_binds_and_counts_cli_check():
+    metrics = _traced_check("aw_integral")
+    for name in ("cli.main", "identities.check_identity", "qintegrals.trig_integral",
+                 "qintegrals.poch_infinite_vec"):
         assert metrics[f"{name}.calls"] > 0, name
+    # the trapezoid reaches weight_values through its module binding
+    assert metrics["qintegrals.nodes"] > 0
+
+
+def test_tracer_sees_the_qhahn_node_caches():
+    # the mpmath trapezoid fills the identities node caches the tracer reads
+    metrics = _traced_check("askey_roy", "--a", "0.3", "--b", "0.4", "--c", "0.2",
+                            "--d", "0.1", "--rho", "0.6", "--q", "0.5")
+    assert metrics["identities.node_cache.misses"] > 0

@@ -1,8 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from qkernel.errors import (
     DomainError,
@@ -13,8 +15,6 @@ from qkernel.errors import (
 from qkernel import qintegrals
 from qkernel.qcore import Base, TruncationPolicy, poch_infinite
 from qkernel.qintegrals import (
-    FULL_PERIOD,
-    HALF_PERIOD,
     QuadraturePolicy,
     WeightSpec,
     alsalam_verma_lhs,
@@ -31,6 +31,7 @@ from qkernel.qintegrals import (
     nr_intermediate_rhs,
     nr_product_rhs,
     nr_trig_lhs,
+    periodic_trapezoid,
     qbailey_lhs,
     qbailey_rhs,
     trig_integral,
@@ -40,14 +41,73 @@ Q = Base(0.5 + 0j)
 TP = TruncationPolicy()
 
 
+def _poisson_values(a, half, lib, visited):
+    """node_values for the Poisson kernel (1 - a^2) / (1 - 2 a cos t + a^2),
+    whose mean over the full period and over [0, pi] is 1, in the arithmetic
+    of ``lib`` (math or mpmath); records each node as a fraction of the grid."""
+
+    def node_values(js, n):
+        visited.extend(Fraction(j, n) for j in js)
+        ts = [lib.pi * j / n if half else -lib.pi + 2 * lib.pi * j / n for j in js]
+        return [(1 - a * a) / (1 - 2 * a * lib.cos(t) + a * a) for t in ts]
+
+    return node_values
+
+
 class TestTrapezoid:
     def test_constant_on_half_period(self):
         w = WeightSpec(base=Q)
-        assert trig_integral(w, HALF_PERIOD) == pytest.approx(math.pi, rel=1e-14)
+        assert trig_integral(w) == pytest.approx(math.pi, rel=1e-14)
 
     def test_constant_on_full_period(self):
-        w = WeightSpec(base=Q)
-        assert trig_integral(w, FULL_PERIOD) == pytest.approx(2 * math.pi, rel=1e-14)
+        value, n = periodic_trapezoid(lambda js, n: [1.0] * len(js), scale=2 * math.pi)
+        assert value == pytest.approx(2 * math.pi, rel=1e-14)
+        assert n == 2 * QuadraturePolicy().initial_nodes
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_poisson_kernel_float(self, half):
+        visited = []
+        mean, n = periodic_trapezoid(_poisson_values(0.5, half, math, visited), half=half)
+        assert abs(mean - 1) < 1e-14
+        # each node of the final grid is evaluated exactly once
+        count = n + 1 if half else n
+        assert len(visited) == count
+        assert set(visited) == {Fraction(j, n) for j in range(count)}
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_poisson_kernel_mpmath(self, half):
+        visited = []
+        with mp.workdps(50):
+            qp = QuadraturePolicy(tol=mpf(10) ** -40)
+            a = mpf("0.5")
+            mean, n = periodic_trapezoid(_poisson_values(a, half, mp, visited), qp, half=half)
+            assert abs(mean - 1) < mpf(10) ** -45
+        count = n + 1 if half else n
+        assert len(visited) == count
+        assert set(visited) == {Fraction(j, n) for j in range(count)}
+
+    def test_engine_not_converged(self):
+        with pytest.raises(QuadratureNotConverged):
+            periodic_trapezoid(_poisson_values(0.5, False, math, []),
+                               QuadraturePolicy(max_doublings=0))
+
+    def test_trig_integral_evaluates_each_node_once(self, monkeypatch):
+        # weight_values is called through its module binding, with new
+        # angles only
+        angles = []
+        weight_values = qintegrals.weight_values
+
+        def counted(w, theta, tp):
+            angles.extend(theta.tolist())
+            return weight_values(w, theta, tp)
+
+        monkeypatch.setattr(qintegrals, "weight_values", counted)
+        diag = {}
+        w = WeightSpec(base=Q, denominator_h=(0.3, 0.4), cos2_numerator=True)
+        trig_integral(w, diagnostics=diag)
+        n = diag["nodes"]
+        assert len(angles) == n + 1
+        assert sorted(angles) == (math.pi * np.arange(n + 1) / n).tolist()
 
     def test_policy_validation(self):
         with pytest.raises(DomainError):
@@ -59,11 +119,7 @@ class TestTrapezoid:
         # max_doublings = 0 cannot certify convergence of a nonconstant integrand
         w = WeightSpec(base=Q, denominator_h=(0.3, 0.4))
         with pytest.raises(QuadratureNotConverged):
-            trig_integral(w, HALF_PERIOD, QuadraturePolicy(initial_nodes=8, max_doublings=0))
-
-    def test_bad_interval(self):
-        with pytest.raises(DomainError):
-            trig_integral(WeightSpec(base=Q), (0.0, 1.0))
+            trig_integral(w, QuadraturePolicy(initial_nodes=8, max_doublings=0))
 
     def test_weight_pole_guard(self):
         with pytest.raises(DomainError):
@@ -72,7 +128,7 @@ class TestTrapezoid:
     def test_node_diagnostics(self):
         diag = {}
         w = WeightSpec(base=Q, denominator_h=(0.3,), cos2_numerator=True)
-        trig_integral(w, HALF_PERIOD, diagnostics=diag)
+        trig_integral(w, diagnostics=diag)
         assert diag["nodes"] >= 64
 
 
