@@ -4,11 +4,35 @@ compact form r+1_W_r.
 A series is *terminating* when a numerator parameter equals q^{-n}: it is then
 summed over exactly n + 1 terms.  Terminating sums with growing alternating
 terms cancel catastrophically (the largest term scales like q^{-n(n-1)/2}),
-so they are evaluated in mpmath at a working precision sized from a cheap
+so they are summed at a working precision sized from a cheap float
 log-magnitude pre-pass; plain complex arithmetic would return noise already
-for moderate n.  Non-terminating series have geometrically decaying terms and
-are summed in ordinary complex arithmetic by ``sum_until_converged``, the one
-loop with the one stop rule: stop after three consecutive terms below
+for moderate n.
+
+``phi_terminating_core`` sums them on Python integers at a fixed binary scale
+2^W, as mpmath's own ``libelefun`` sums its series: a complex value is a pair
+(re, im) of integers, the parameters from ``build()`` are converted once with
+``to_fixed``, and the sum goes back through ``from_man_exp``, rounded once to
+the caller's precision.  q^k is kept as a pair times a power of two with W
+significant bits, so each ``a q^k`` is accurate relative to itself.  Each new
+term is one floor division of two exact products of integers,
+
+    t_{k+1} = floor(t_k z prod(1 - a q^k) (-q^k)^e / (prod(1 - b q^k) (1 - q^{k+1})))
+
+with e = 1 + s - r, so every step costs at most one unit 2^-W per component
+beyond what its factors carry, and those carry a few units relative to
+themselves, as in floating point.  An error made at term j reaches term k multiplied by
+``|t_k / t_j|``, which the pre-pass bounds by 10^rise, the largest rise
+``max_{j <= k} (log10 |t_k| - log10 |t_j|)`` of the term magnitudes (at least
+their largest log10, since t_0 = 1).  Over the (n + 1)(n + 2) / 2 pairs the
+absolute error stays below ``(n + 2)^2 10^rise 2^-W``, and W is
+``ambient + 28 + rise + 2 log10(n + 2) + 3`` digits, so the sum is good to an
+absolute 10^-(ambient + 28) with three digits to spare for the factors'
+units: terms that fall by many orders of magnitude and then rise again do
+not lose the digits of their smallest member.
+
+Non-terminating series have geometrically decaying terms and are summed in
+ordinary complex arithmetic by ``sum_until_converged``, the one loop with the
+one stop rule: stop after three consecutive terms below
 ``tol * max(1, |partial sum|)``, and report the ratio bound of the tail.  The
 well-poised limit sums, the t = 0 lbww series and the outer sum of the master
 formula use it too.
@@ -22,10 +46,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
-from .qcore import Base, DEFAULT_TRUNCATION, TruncationPolicy, base_value, mp_scalar
+from .qcore import (
+    Base,
+    DEFAULT_TRUNCATION,
+    TruncationPolicy,
+    base_value,
+    fixed_parts,
+    from_fixed,
+    mp_scalar,
+)
 
 _POLE_TOL = 1e-12
 
@@ -70,10 +102,14 @@ def _check_denominator_poles(dens: Sequence, q) -> None:
             )
 
 
+def _cmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
 def phi_terminating_core(
     build: Callable[[], tuple[list, list, object, object]], order: int
 ) -> tuple[object, float]:
-    """Sum a terminating series at adaptively chosen precision.
+    """Sum a terminating series on integers scaled by 2^W.
 
     ``build`` is re-invoked under each working context and must return
     (numerator params, denominator params, argument z, base q) as mpmath
@@ -81,12 +117,14 @@ def phi_terminating_core(
     q^{-n} or square roots inside ``build`` keeps them coherent with the
     working precision, which the cancellation analysis requires.
 
-    Returns the sum (mpf/mpc) and log10 of the largest term magnitude.
+    Returns the sum (mpf/mpc), rounded once to the caller's precision, and
+    log10 of the largest term magnitude.
     """
     n = order
     ambient = mp.dps
 
-    # Log-magnitude pre-pass in float arithmetic: sizes the cancellation.
+    # Log-magnitude pre-pass in float arithmetic: sizes the cancellation and
+    # the largest rise of the terms over an earlier, smaller one.
     with mp.workdps(30):
         nums, dens, z, q = build()
         nc = [complex(x) for x in nums]
@@ -96,8 +134,7 @@ def phi_terminating_core(
     if zc == 0:
         return mp.one, 0.0  # every term after the leading 1 vanishes
     d_exp = 1 + len(dc) - len(nc)
-    log_t = 0.0
-    max_log = 0.0
+    log_t = max_log = low = rise = 0.0
     qk = 1 + 0j
     for k in range(n):
         step = math.log10(abs(zc))
@@ -125,32 +162,59 @@ def phi_terminating_core(
             step += d_exp * k * math.log10(abs(qc))
         log_t += step
         max_log = max(max_log, log_t)
+        low = min(low, log_t)
+        rise = max(rise, log_t - low)
         qk *= qc
 
-    work = ambient + int(math.ceil(max_log)) + 28
-    with mp.workdps(work):
+    W = math.ceil((ambient + 28 + rise + 2 * math.log10(n + 2) + 3) * math.log2(10))
+    with mp.workprec(W):
         nums, dens, z, q = build()
-        total = mp.one
-        t = mp.one
-        qk = mp.one
-        for k in range(n):
-            num = mp.one
-            for a in nums:
-                num *= 1 - a * qk
-            den = mp.one
-            for b in dens:
-                den *= 1 - b * qk
-            den *= 1 - q * qk
-            if den == 0:
-                raise PoleInDenominator(
-                    f"terminating series hits a vanishing denominator at k={k + 1}"
-                )
-            t = t * num / den * z
-            if d_exp:
-                t = t * (-qk) ** d_exp
-            qk *= q
-            total += t
-        return total, max_log
+    is_complex = any(isinstance(x, (complex, mpc)) for x in (*nums, *dens, z, q))
+    one = 1 << W
+    A = [fixed_parts(a, W) for a in nums]
+    B = [fixed_parts(b, W) for b in dens]
+    Z = fixed_parts(z, W)
+    Q = fixed_parts(q, W)
+    t = total = (one, 0)
+    M, s = (one, 0), W  # q^k = (M[0] + i M[1]) 2^-s, W significant bits kept
+
+    def one_minus(x):  # 1 - x q^k
+        return one - ((x[0] * M[0] - x[1] * M[1]) >> s), -((x[0] * M[1] + x[1] * M[0]) >> s)
+
+    for k in range(n):
+        # t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^d_exp / (prod(1 - b q^k) (1 - q^{k+1}))
+        # is P / D times 2^E at scale 2^W, with P and D exact products
+        P = _cmul(t, Z)
+        for a in A:
+            P = _cmul(P, one_minus(a))
+        D = (1, 0)
+        for b in B:
+            D = _cmul(D, one_minus(b))
+        E = W * (d_exp - 1) - d_exp * s
+        minus_qk = (-M[0], -M[1])
+        for _ in range(d_exp):
+            P = _cmul(P, minus_qk)
+        for _ in range(-d_exp):
+            D = _cmul(D, minus_qk)
+        M = _cmul(M, Q)
+        drop = max(0, max(abs(M[0]).bit_length(), abs(M[1]).bit_length()) - W)
+        M, s = (M[0] >> drop, M[1] >> drop), s + W - drop
+        D = _cmul(D, (one - (M[0] >> (s - W)), -(M[1] >> (s - W))))
+        if D == (0, 0):
+            raise PoleInDenominator(
+                f"terminating series hits a vanishing denominator at k={k + 1}"
+            )
+        if D[1]:  # divide by |D|^2 after multiplying by conj(D)
+            P, D = _cmul(P, (D[0], -D[1])), D[0] * D[0] + D[1] * D[1]
+        else:
+            D = D[0]
+        if E >= 0:
+            t = (P[0] << E) // D, (P[1] << E) // D
+        else:
+            D <<= -E
+            t = P[0] // D, P[1] // D
+        total = total[0] + t[0], total[1] + t[1]
+    return from_fixed(total[0], total[1], -W, is_complex), max_log
 
 
 def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:

@@ -230,12 +230,14 @@ def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
 @lru_cache(maxsize=None)
 def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
     with mp.workdps(dps):
-        qm = mpf(q)
+        # every argument is formed in mpmath: a float product such as q * d
+        # would round the weight to double precision
+        a, b, c, d, rho, q = (mp_scalar(x) for x in (a, b, c, d, rho, q))
         theta = -mp.pi + 2 * mp.pi * mpf(jn) / jd
         e = mp.expj(theta)
         em = mp.expj(-theta)
-        num = poch_multi([rho * e / d, q * d * em / rho, rho * c * em, q * e / (c * rho)], qm)
-        den = poch_multi([a * e, b * e, c * em, d * em], qm)
+        num = poch_multi([rho * e / d, q * d * em / rho, rho * c * em, q * e / (c * rho)], q)
+        den = poch_multi([a * e, b * e, c * em, d * em], q)
         return num / den
 
 

@@ -20,10 +20,27 @@ near-zero factor stays a factor; the rest, ``(a q^m; q)_inf`` with ``|a q^m| <= 
 is summed by Horner's rule from ``K`` cached coefficients.  For ``|y| <= |q|``
 the series' tail after ``K`` terms, relative to ``|(y; q)_inf| >= (|q|; |q|)_inf``,
 is below ``|q|^{K(K+1)/2} / ((|q|; |q|)_inf^2 (1 - |q|^{K+1}))``; ``K`` is the
-least count that puts it below the same tolerance.  The terms' magnitudes add
-up to at most ``(-|q|; |q|)_inf``, so Horner's rounding error, relative to the
-sum, is at most ``2K (-|q|; |q|)_inf / (|q|; |q|)_inf`` units of the last place:
-the sum runs with that many decimal guard digits, rounded up, plus 2.
+least count that puts it below the same tolerance.
+
+Both stages run on Python integers at a fixed binary scale 2^W, as mpmath's
+own ``libelefun`` sums its series: a complex value is a pair (re, im) of
+integers, ``a`` and ``q`` are converted once with ``to_fixed``, and the result
+goes back through ``from_man_exp``, rounded once to the caller's precision.
+W is ``mp.prec`` plus guard bits, and the coefficients are computed in mpf at
+precision W and truncated once to the scale.  Every product is followed by
+one right shift by W, which truncates by less than one unit 2^-W per
+component, so a complex Horner step adds at most 2 units per component: one
+from its shift, one from its coefficient.  The error already in the sum is
+multiplied by ``|y| <= |q| < 1``, so the K steps add at most ``2 sqrt(2) K``
+units.  The coefficients' own mpf rounding, at most ``4k`` units relative to
+``c_k``, adds at most ``4K (-|q|; |q|)_inf`` units, because the terms'
+magnitudes ``|c_k y^k|`` add up to at most ``(-|q|; |q|)_inf``.  Relative to
+the sum that is below ``8K (-|q|; |q|)_inf / (|q|; |q|)_inf`` units; the
+guard is log2 of that count, rounded up, plus 7 spare bits.  The explicit
+factors' product is a pair times a power of two that keeps W significant
+bits, so a factor near zero keeps its relative accuracy: each factor costs
+under 2 units relative to the product, and each update of ``y = a q^j`` under
+one unit per component, as mpf arithmetic at precision W would.
 """
 
 from __future__ import annotations
@@ -33,7 +50,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from mpmath import mp
+from mpmath import mp, mpc, mpmathify
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, TruncationExceeded
 
@@ -92,8 +110,6 @@ def base_value(q):
 def mp_scalar(x):
     """Convert to an mpmath scalar, mapping real-valued complex inputs to mpf
     (mpf arithmetic is markedly cheaper than mpc)."""
-    from mpmath import mpmathify
-
     if isinstance(x, complex) and x.imag == 0.0:
         return mpmathify(x.real)
     return mpmathify(x)
@@ -196,10 +212,28 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     return acc
 
 
-#: Euler-series data keyed by (q, mp.prec, digits): q as an mpmath scalar,
-#: the guard digits and the coefficients (-1)^k q^{k(k-1)/2} / (q; q)_k,
-#: k < K.  ``identities.clear_caches`` empties it.
+#: Euler-series data keyed by (q, mp.prec, digits): the scale W, q as an
+#: integer pair at that scale, whether q is complex, and the coefficients
+#: (-1)^k q^{k(k-1)/2} / (q; q)_k, k < K, as integer pairs, highest k first.
+#: ``identities.clear_caches`` empties it.
 _EULER_CACHE: dict = {}
+
+
+def fixed_parts(x, W: int) -> tuple[int, int]:
+    """(re, im) of a number as integers scaled by 2^W, truncated once."""
+    x = mpmathify(x)
+    if isinstance(x, mpc):
+        re, im = x._mpc_
+        return to_fixed(re, W), to_fixed(im, W)
+    return to_fixed(x._mpf_, W), 0
+
+
+def from_fixed(re: int, im: int, exp: int, is_complex: bool):
+    """The mpmath number (re + i im) 2^exp, rounded once to ``mp.prec``."""
+    value = from_man_exp(re, exp, mp.prec, round_nearest)
+    if is_complex:
+        return mp.make_mpc((value, from_man_exp(im, exp, mp.prec, round_nearest)))
+    return mp.make_mpf(value)
 
 
 def _euler_data(qv, qmag: float, digits: float):
@@ -217,34 +251,44 @@ def _euler_data(qv, qmag: float, digits: float):
     K = 1
     while K * (K + 1) / 2 * log_q - 2 * log_minus - math.log10(1 - qmag ** (K + 1)) >= -digits:
         K += 1
-    guard = math.ceil(math.log10(2 * K) + log_plus - log_minus) + 2
-    with mp.workdps(mp.dps + guard):
+    W = mp.prec + math.ceil(math.log2(8 * K) + (log_plus - log_minus) / math.log10(2)) + 7
+    with mp.workprec(W):
         qm = mp_scalar(qv)
         coeffs = [mp.one]
         qk = mp.one
         for _ in range(1, K):
             coeffs.append(-coeffs[-1] * qk / (1 - qk * qm))
             qk *= qm
-    data = _EULER_CACHE[key] = (qm, guard, coeffs[-1], coeffs[-2::-1])
+        re, im = zip(*(fixed_parts(c, W) for c in reversed(coeffs)))
+    data = _EULER_CACHE[key] = (W, fixed_parts(qm, W), isinstance(qm, mpc), re, im)
     return data
 
 
 def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
-    """(a; q)_inf in mpmath: explicit factors while |a q^j| > |q|, then
-    Euler's series at y = a q^m by Horner's rule."""
-    qm, guard, top, rest = _euler_data(qv, qmag, digits)
-    with mp.workdps(mp.dps + guard):
-        acc = mp.one
-        y = a
-        while amag > qmag:
-            acc *= 1 - y
-            y *= qm
-            amag *= qmag
-        s = top
-        for c in rest:
-            s = s * y + c
-        acc *= s
-    return +acc
+    """(a; q)_inf on integers scaled by 2^W: explicit factors while
+    |a q^j| > |q|, then Euler's series at y = a q^m by Horner's rule."""
+    W, (qr, qi), q_complex, cr, ci = _euler_data(qv, qmag, digits)
+    one = 1 << W
+    yr, yi = fixed_parts(a, W)
+    # the product of the explicit factors is (pr + i pi) 2^e with W bits kept
+    pr, pi, e = one, 0, -W
+    while amag > qmag:
+        fr = one - yr
+        pr, pi = pr * fr + pi * yi, pi * fr - pr * yi
+        drop = max(0, max(abs(pr).bit_length(), abs(pi).bit_length()) - W)
+        pr, pi, e = pr >> drop, pi >> drop, e + drop - W
+        yr, yi = (yr * qr - yi * qi) >> W, (yr * qi + yi * qr) >> W
+        amag *= qmag
+    if yi or q_complex:
+        sr, si = cr[0], ci[0]
+        for c, d in zip(cr[1:], ci[1:]):
+            sr, si = ((sr * yr - si * yi) >> W) + c, ((sr * yi + si * yr) >> W) + d
+    else:
+        sr, si = cr[0], 0
+        for c in cr[1:]:
+            sr = ((sr * yr) >> W) + c
+    is_complex = q_complex or isinstance(a, (complex, mpc))
+    return from_fixed(pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex)
 
 
 def poch_multi(params: Sequence, q, n=None, policy: TruncationPolicy | None = None):

@@ -16,6 +16,7 @@ from qkernel.hyperseries import (
     eval_w,
     eval_wp_limit,
     nearest_pole_distance,
+    phi_terminating_core,
     sum_until_converged,
 )
 
@@ -180,6 +181,11 @@ class TestSumUntilConverged:
 _unit = st.floats(min_value=-0.9, max_value=0.9)
 
 
+def _disk(radius: float):
+    return st.builds(cmath.rect, st.floats(min_value=0.0, max_value=radius),
+                     st.floats(min_value=-math.pi, max_value=math.pi))
+
+
 class TestMpmathOracle:
     """eval_phi and eval_wp_limit against sums computed independently by
     mpmath: ``qhyper`` for non-terminating r_phi_s, the defining series built
@@ -229,6 +235,41 @@ class TestMpmathOracle:
             ))
         assert abs(res.value - ref) <= 1e-12 * abs(ref) + 1e-30
         assert res.terms_used == n + 1
+
+    @given(
+        q=st.floats(min_value=0.2, max_value=0.8) | st.floats(min_value=-0.8, max_value=-0.2),
+        n=st.integers(min_value=0, max_value=10),
+        nums=st.lists(_disk(1.5), min_size=0, max_size=2),
+        dens=st.lists(_disk(0.9), min_size=1, max_size=2),
+        phase=st.floats(min_value=-math.pi, max_value=math.pi),
+        dps=st.integers(min_value=40, max_value=110),
+    )
+    # q^{-21} e^{i phi} in the denominators: the terms fall by 55 orders of
+    # magnitude to 1e-55 at k = 12 and then rise by 57 to 2e2 at k = 30, so
+    # the units lost at the smallest terms are carried up to the largest
+    @example(q=0.2, n=30, nums=[cmath.rect(0.5, 1.0), cmath.rect(0.7, -0.3)],
+             dens=[cmath.rect(0.2**-21, 0.4), cmath.rect(0.2**-21, -1.1)], phase=0.7, dps=40)
+    def test_terminating_core_mp(self, q, n, nums, dens, phase, dps):
+        # phi_terminating_core under an mpmath context, with complex
+        # parameters and z on the unit circle as the q-Hahn and Askey-Wilson
+        # nodes call it, against the defining sum built from qp
+        def build():
+            qm = mpmath.mpf(q)
+            return ([qm ** -n, *map(mpmath.mpmathify, nums)],
+                    list(map(mpmath.mpmathify, dens)), mpmath.expj(phase), qm)
+
+        with mpmath.workdps(dps):
+            got, max_log = phi_terminating_core(build, n)
+        with mpmath.workdps(2 * dps + max(0, int(max_log)) + 20):
+            nb, db, z, qm = build()
+            d = 1 + len(db) - len(nb)
+            ref = mpmath.fsum(
+                mpmath.fprod(mpmath.qp(a, qm, k) for a in nb)
+                / mpmath.fprod(mpmath.qp(b, qm, k) for b in (qm, *db))
+                * ((-1) ** k * qm ** (k * (k - 1) // 2)) ** d * z ** k
+                for k in range(n + 1)
+            )
+            assert abs(got - ref) <= mpmath.mpf(10) ** -dps * max(1, abs(ref))
 
     @given(
         q=st.floats(min_value=0.1, max_value=0.8),

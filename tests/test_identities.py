@@ -86,6 +86,17 @@ def test_clear_caches_drops_euler_coefficients():
     assert not qcore._EULER_CACHE
 
 
+def test_askey_roy_weight_arguments_formed_in_mpmath():
+    # seed 2 draw 6 (q = 0.7) sits near a zero of a theta pair: the integral
+    # is 1.4e-8 of O(1) terms, so a weight argument rounded to a double first
+    # moves it by 3.4e-9 relative, above the 1e-9 threshold
+    params = REGISTRY["askey_roy"].sampler(identities._rng(2, "askey_roy", 6))
+    assert params["q"] == 0.7
+    report = check_identity("askey_roy", params, label="draw:6")
+    assert report.threshold == 1e-9
+    assert report.status == "pass", report.rel_err
+
+
 class TestLiuMasterOuterSum:
     PRM = {"q": 0.5, "alpha": 0.3, "a": 0.6, "b": 0.35, "b1": 0.35, "c1": 0.35}
 

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qkernel.errors import DomainError, TruncationExceeded
 from qkernel.hyperseries import nearest_pole_distance
@@ -176,6 +176,25 @@ class TestMpmathOracle:
                 assert abs(g - r) <= tol * abs(r)
             prod = mpmath.fprod(ref)
             assert abs(multi - prod) <= len(args) * tol * abs(prod)
+
+    @given(params=st.lists(_wide, min_size=1, max_size=3),
+           q=st.builds(cmath.rect, st.floats(min_value=0.1, max_value=0.9),
+                       st.floats(min_value=-math.pi, max_value=math.pi)),
+           dps=st.integers(min_value=40, max_value=110))
+    @example(params=[0.9j, -0.9], q=cmath.rect(0.9, 2.5), dps=110)
+    def test_mp_path_complex_base(self, params, q, dps):
+        # a complex q makes the cached Euler coefficients complex, a branch of
+        # the Horner loop that no real base reaches
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        args = [mp_scalar(a) for a in params]
+        with mp.workdps(dps):
+            qm = mpc(q)
+            got = [poch_infinite(a, qm) for a in args]
+        with mp.workdps(2 * dps):
+            tol = mpf(10) ** -dps
+            for a, g in zip(args, got):
+                r = mpmath.qp(a, qm)
+                assert abs(g - r) <= tol * abs(r)
 
     def test_mpf_argument_gives_mpf(self):
         with mp.workdps(40):
