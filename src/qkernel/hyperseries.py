@@ -229,7 +229,10 @@ def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:
         )
 
     value, _ = phi_terminating_core(build, n)
-    return SeriesResult(value=complex(value), terms_used=n + 1, tail_estimate=0.0)
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise TruncationExceeded(f"terminating series value {value} is beyond the float range")
+    return SeriesResult(value=value, terms_used=n + 1, tail_estimate=0.0)
 
 
 def sum_until_converged(terms: Iterable, policy: TruncationPolicy, what: str) -> SeriesResult:

@@ -96,6 +96,12 @@ class TestEvalPhi:
         assert res.terms_used == n + 1
         assert res.tail_estimate == 0.0
 
+    def test_terminating_beyond_float_range_raises(self):
+        # the sum is finite in mpmath but overflows complex(): no inf result
+        spec = SeriesSpec((0.3**-25, 0.0, 0.0), (0.0,), Base(0.3), 1.0, 25)
+        with pytest.raises(TruncationExceeded, match="float range"):
+            eval_phi(spec)
+
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_terminating_parameter_permutation(self, seed):
         import numpy as np

@@ -1,10 +1,15 @@
 import math
+from functools import partial
 
 import pytest
-from mpmath import mpf
+from hypothesis import example, given
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from qkernel import identities
 from qkernel.errors import TruncationExceeded, UnknownIdentity
+from qkernel.polyfamilies import BigQJacobiParams, QHahnParams, big_qjacobi_poly, qhahn_poly
+from qkernel.qcore import Base
 from qkernel.identities import (
     REGISTRY,
     check_identity,
@@ -84,6 +89,75 @@ def test_clear_caches_drops_euler_coefficients():
     assert qcore._EULER_CACHE
     clear_caches()
     assert not qcore._EULER_CACHE
+
+
+def test_clear_caches_empties_every_cache():
+    # the cold-cache runs and the benchmark's node_cache counters rely on it
+    from qkernel.identities import _BQJ_FIXED, _QHAHN_FIXED, clear_caches
+
+    check_identity("qhahn_orthogonality", {**_QHAHN_FIXED, "n": 1, "m": 2})
+    check_identity("bigqjacobi_orthogonality", {**_BQJ_FIXED, "n": 1, "m": 2})
+    caches = {name: value for name, value in vars(identities).items()
+              if callable(getattr(value, "cache_info", None))}
+    assert len(caches) >= 6
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    clear_caches()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+
+
+class TestCoefficientRoute:
+    """The polynomial node caches evaluate by Horner's rule on coefficients
+    from n + 1 series values; each node must agree with the series within the
+    module docstring's bound 4 (n + 1)^2 max_{|z|=R} |P| 10^-dps."""
+
+    @staticmethod
+    def _bound(poly, n: int, radius: float, dps: int):
+        # max |P| over 8 (n + 1) points of the circle; the factor 2 covers the
+        # sampled maximum and the rounding of the series value compared with
+        pts = 8 * (n + 1)
+        big = max(abs(poly(radius * mp.expj(2 * mp.pi * j / pts))) for j in range(pts))
+        return 2 * 4 * (n + 1) ** 2 * big * mpf(10) ** -dps
+
+    @given(
+        n=st.integers(0, 6),
+        q=st.sampled_from(identities._Q_CHOICES),
+        a=st.floats(0.05, 0.55),
+        b=st.floats(0.05, 0.55),
+        c=st.floats(0.05, 0.55),
+        d=st.floats(0.05, 0.55),
+        dps=st.integers(40, 70),
+        level=st.integers(6, 8),
+        j=st.integers(0, 255),
+    )
+    def test_qhahn_nodes(self, n, q, a, b, c, d, dps, level, j):
+        jd = 2**level
+        jn = j % jd
+        node = identities._qhahn_H_node(n, jn, jd, a, b, c, d, q, dps)
+        with mp.workdps(dps):
+            poly = partial(qhahn_poly, n, QHahnParams(a, b, c, d, 1.0, Base(complex(q))))
+            direct = poly(mp.expj(-mp.pi + 2 * mp.pi * mpf(jn) / jd))
+            assert abs(node - direct) <= self._bound(poly, n, 1.0, dps)
+
+    @given(
+        n=st.integers(0, 6),
+        q=st.sampled_from(identities._Q_CHOICES),
+        a=st.floats(0.1, 0.6),
+        b=st.floats(0.1, 0.6),
+        c=st.floats(-0.6, -0.1),
+        dps=st.integers(40, 70),
+        k=st.integers(0, 60),
+        upper=st.booleans(),
+    )
+    @example(n=5, q=0.5, a=3.0, b=0.4, c=-0.2, dps=50, k=0, upper=True)  # |aq| > 1: R = 1.5
+    def test_bqj_nodes(self, n, q, a, b, c, dps, k, upper):
+        radius = max(1.0, abs(a * q), abs(c * q))
+        with mp.workdps(dps):
+            qm = mpf(q)
+            x = (a if upper else c) * qm * qm**k  # a Jackson node, as q_integral forms it
+            node = identities._bqj_poly_node(n, x, a, b, c, q, dps)
+            poly = partial(big_qjacobi_poly, n, BigQJacobiParams(a, b, c, Base(complex(q))))
+            assert isinstance(node, mpf)  # real coefficients keep real nodes real
+            assert abs(node - poly(x)) <= self._bound(poly, n, radius, dps)
 
 
 def test_askey_roy_weight_arguments_formed_in_mpmath():

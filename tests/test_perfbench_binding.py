@@ -66,3 +66,14 @@ def test_tracer_sees_the_mpmath_kernels():
     assert metrics["qcore.poch_infinite.mp_calls"] > 0
     assert metrics["hyperseries.phi_terminating_core.calls"] > 0
     assert metrics["hyperseries.phi_terminating_core.terms"] > 0
+    # the node coefficients are sampled through the module binding
+    assert metrics["polyfamilies.qhahn_poly.calls"] > 0
+
+
+def test_tracer_sees_the_big_qjacobi_quadrature():
+    # the stressed orth_sweep metrics of the Jackson-integral side
+    metrics = _traced_check("bigqjacobi_orthogonality", "--n", "2", "--m", "3", "--a", "0.3",
+                            "--b", "0.4", "--c", "-0.2", "--q", "0.5")
+    assert metrics["polyfamilies.big_qjacobi_poly.calls"] > 0
+    assert metrics["qcalculus.q_integral.calls"] > 0
+    assert metrics["identities.node_cache.hits"] > 0
