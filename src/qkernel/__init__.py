@@ -42,7 +42,7 @@ from .polyfamilies import (
     qhahn_L0,
     qhahn_poly,
 )
-from .qintegrals import QuadraturePolicy, WeightSpec, trig_integral
+from .qintegrals import WeightSpec, trig_integral
 from .identities import (
     IdentityReport,
     check_identity,

@@ -22,7 +22,7 @@ import sys
 from datetime import datetime, timezone
 
 from .errors import QKernelError, UnknownIdentity
-from .qcore import Base, TruncationPolicy, h_weight, poch_finite, poch_infinite
+from .qcore import Base, h_weight, poch_finite, poch_infinite
 from .hyperseries import SeriesSpec, eval_phi, eval_w
 from .qcalculus import q_integral
 from .polyfamilies import (
@@ -196,6 +196,14 @@ def _int_param(name: str, value, non_negative: bool = True) -> int:
     return int(value)
 
 
+def _real_param(name: str, value) -> float:
+    """An angle given on the command line, as a float; a complex value
+    exits 2."""
+    if isinstance(value, complex):
+        raise _ArgError(f"--{name} must be real, not {value!r}")
+    return float(value)
+
+
 def _cmd_check(args, extra_tokens) -> int:
     ident = args.identity
     if ident not in REGISTRY:
@@ -258,31 +266,30 @@ def _eval_value(args, extra_tokens):
             raise _ArgError(f"eval {args.target} requires --{', --'.join(missing)}")
         return [prm[n] for n in names]
 
-    tp = TruncationPolicy()
     target = args.target
     if target == "poch":
         a, q = need("a", "q")
         if "n" in prm:
             return poch_finite(a, Base(complex(q)), prm["n"])
-        return poch_infinite(a, Base(complex(q)), tp)
+        return poch_infinite(a, Base(complex(q)))
     if target == "phi":
         q, z = need("q", "z")
         nums = _parse_scalar_list(str(args.num or ""))
         dens = _parse_scalar_list(str(args.den or ""))
         spec = SeriesSpec(tuple(nums), tuple(dens), Base(complex(q)), z, prm.get("order"))
-        return eval_phi(spec, tp).value
+        return eval_phi(spec).value
     if target == "w":
         a1, q, z = need("a1", "q", "z")
         tail = _parse_scalar_list(str(args.tail or ""))
-        return eval_w(a1, tail, Base(complex(q)), z, tp, prm.get("order")).value
+        return eval_w(a1, tail, Base(complex(q)), z, terminating_order=prm.get("order")).value
     if target == "hweight":
         theta, q = need("theta", "q")
         params = _parse_scalar_list(str(args.params or ""))
-        return h_weight(float(theta), params, Base(complex(q)), tp)
+        return h_weight(_real_param("theta", theta), params, Base(complex(q)))
     if target == "qint":
         a, b, q = need("a", "b", "q")
         k = prm.get("power", 1)
-        return q_integral(lambda x: x**k, a, b, Base(complex(q)), tp)
+        return q_integral(lambda x: x**k, a, b, Base(complex(q)))
     if target == "qhahn":
         n, a, b, c, d, z, q = need("n", "a", "b", "c", "d", "z", "q")
         p = QHahnParams(a, b, c, d, prm.get("rho", 1.0), Base(complex(q)))
@@ -294,7 +301,7 @@ def _eval_value(args, extra_tokens):
     if target == "aw":
         n, a, b, c, d, theta, q = need("n", "a", "b", "c", "d", "theta", "q")
         p = AWParams(a, b, c, d, Base(complex(q)))
-        return askey_wilson_poly(n, p, float(theta))
+        return askey_wilson_poly(n, p, _real_param("theta", theta))
     raise _ArgError(f"unknown eval target {target!r}")
 
 

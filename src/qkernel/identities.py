@@ -33,9 +33,11 @@ digits under the trapezoid's 10^-(dps-28), 12 under the Jackson sum's
 To add an identity, write its sampler and then its recipe, and put the
 ``@_identity(...)`` registration on the recipe; a recipe shared with another
 entry, or built by a factory, is registered with a plain call instead.  A
-recipe takes only the parameter dict and returns ``CheckValues``; it uses the
-kernels' default truncation and quadrature policies.  The registry keeps file
-order, which is the order of ``list`` and of the suite.
+recipe takes only the parameter dict and returns ``CheckValues``; its kernels
+take their tolerances from the arithmetic of their arguments (1e-14 for
+Python numbers, the working precision for mpmath values), so a recipe sets
+none.  The registry keeps file order, which is the order of ``list`` and of
+the suite.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from .polyfamilies import (
     qhahn_poly,
 )
 from . import qintegrals as qi
-from .qintegrals import QuadraturePolicy, periodic_trapezoid
+from .qintegrals import periodic_trapezoid
 
 
 @dataclass
@@ -324,7 +326,7 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
         def node_values(js, denom):
             return [node_value(Fraction(j, denom)) for j in js]
 
-        mean, _ = periodic_trapezoid(node_values, QuadraturePolicy(tol=mpf(10) ** (-(dps - 28))))
+        mean, _ = periodic_trapezoid(node_values, mpf(10) ** (-(dps - 28)))
         return complex(mean)
 
 
@@ -336,7 +338,7 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
 @lru_cache(maxsize=None)
 def _bqj_weight_node(x, a, b, c, q, dps: int):
     with mp.workdps(dps):
-        qm = mpf(q)
+        qm = mp_scalar(q)
         num = poch_multi([x / a, x / c], qm)
         den = poch_multi([x, b * x / c], qm)
         return num / den
@@ -391,7 +393,7 @@ def _bqj_dps(n: int, m: int, a, b, c, q) -> int:
 
 def _bqj_integral(n, m, a, b, c, q, dps: int) -> complex:
     with mp.workdps(dps):
-        qm = mpf(q)
+        qm = mp_scalar(q)
 
         def f(x):
             w = _bqj_weight_node(x, a, b, c, q, dps)

@@ -6,9 +6,9 @@ desk scale never justify recurrences).  The terminating sums are delegated to
 the adaptive-precision core in :mod:`hyperseries`; all n-dependent parameters
 (q^{-n}, abcd q^{n-1}, e^{i theta}, ...) are constructed inside the build
 closure so they stay exact functions of the raw inputs at working precision.
-Results are plain complex numbers, except under an active high-precision
-mpmath context (as inside the orthogonality quadratures) where the
-full-precision value is returned.
+A polynomial's value follows the arithmetic of its evaluation point: a plain
+complex number for a Python ``z`` / ``x`` / ``theta``, the full-precision
+mpmath value for an mpmath one (as at the orthogonality quadratures' nodes).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mpmath import mp
 from .errors import DomainError, PoleInDenominator
 from .qcore import (
     Base,
-    DEFAULT_TRUNCATION,
+    _one_like,
     base_value,
     mp_scalar,
     poch_finite,
@@ -88,12 +88,10 @@ class AWParams:
         _require_off_lattice(self.a * self.b * self.c * self.d / qv, qv, "abcd/q")
 
 
-def _finish(value):
-    """Return an ambient-precision value: complex normally, the mpmath value
-    when a high-precision context is active."""
-    if mp.dps > 25:
-        return value
-    return complex(value)
+def _finish(value, point):
+    """``value`` in the arithmetic of the evaluation point: complex for a
+    Python number, the mpmath value itself for an mpmath one."""
+    return complex(value) if isinstance(point, (int, float, complex)) else value
 
 
 def qhahn_poly(n: int, p: QHahnParams, z) -> complex:
@@ -105,7 +103,7 @@ def qhahn_poly(n: int, p: QHahnParams, z) -> complex:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
     qv = base_value(p.q)
     if n == 0:
-        return _finish(mp_scalar(1) if mp.dps > 25 else 1 + 0j)
+        return _one_like(z)
 
     def build():
         qm = mp_scalar(qv)
@@ -123,7 +121,7 @@ def qhahn_poly(n: int, p: QHahnParams, z) -> complex:
         * poch_finite(am * mp_scalar(p.d), qm, n)
         * am ** (-n)
     )
-    return _finish(pref * series)
+    return _finish(pref * series, z)
 
 
 def qhahn_A(n: int, a, b, p: QHahnParams) -> complex:
@@ -180,11 +178,8 @@ def qhahn_K(theta: float, p: QHahnParams) -> complex:
     a, b, c, d, rho = p.a, p.b, p.c, p.d, p.rho
     e = cmath.exp(1j * theta)
     em = cmath.exp(-1j * theta)
-    num = poch_multi(
-        [rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv,
-        policy=DEFAULT_TRUNCATION,
-    )
-    den = poch_multi([a * e, b * e, c * em, d * em], qv, policy=DEFAULT_TRUNCATION)
+    num = poch_multi([rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv)
+    den = poch_multi([a * e, b * e, c * em, d * em], qv)
     return complex(num / den)
 
 
@@ -194,7 +189,7 @@ def big_qjacobi_poly(n: int, p: BigQJacobiParams, x) -> complex:
         raise DomainError("degree must be nonnegative")
     qv = base_value(p.q)
     if n == 0:
-        return _finish(mp_scalar(1) if mp.dps > 25 else 1 + 0j)
+        return _one_like(x)
 
     def build():
         qm = mp_scalar(qv)
@@ -205,7 +200,7 @@ def big_qjacobi_poly(n: int, p: BigQJacobiParams, x) -> complex:
         return nums, dens, qm, qm
 
     series, _ = phi_terminating_core(build, n)
-    return _finish(series)
+    return _finish(series, x)
 
 
 def askey_wilson_poly(n: int, p: AWParams, theta) -> complex:
@@ -218,7 +213,7 @@ def askey_wilson_poly(n: int, p: AWParams, theta) -> complex:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
     qv = base_value(p.q)
     if n == 0:
-        return _finish(mp_scalar(1) if mp.dps > 25 else 1 + 0j)
+        return _one_like(theta)
 
     def build():
         qm = mp_scalar(qv)
@@ -234,4 +229,4 @@ def askey_wilson_poly(n: int, p: AWParams, theta) -> complex:
     pref = am ** (-n)
     for other in (p.b, p.c, p.d):
         pref *= poch_finite(am * mp_scalar(other), qm, n)
-    return _finish(pref * series)
+    return _finish(pref * series, theta)

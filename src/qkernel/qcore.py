@@ -4,10 +4,11 @@
 are the single scalar q-product kernel; ``qintegrals.poch_infinite_vec`` is
 their numpy-array twin.  All of them first count the factors a truncated
 product needs: the product over ``k >= N`` of ``(1 - a q^k)`` differs from 1
-by at most roughly ``|a| |q|^N / (1 - |q|)``, kept below 1e-14, or below
-10^-(dps + 2) inside an mpmath context with ``mp.dps > 25``, or below an
-explicit policy's ``tol``.  That count is checked against the policy's
-``max_terms`` cap and decides whether the product is exactly 1.
+by at most roughly ``|a| |q|^N / (1 - |q|)``.  The arithmetic of the
+arguments sets the tolerance: 1e-14 when ``a`` and ``q`` are Python numbers,
+10^-(dps + 2) at the working precision when either is an mpmath value.  That
+count is checked against the cap ``MAX_FACTORS`` and decides whether the
+product is exactly 1.
 
 Python ``float``/``complex`` arguments are then multiplied out factor by
 factor.  mpmath arguments take Euler's identity (Gasper & Rahman §1.3)
@@ -58,6 +59,12 @@ from .errors import DomainError, TruncationExceeded
 #: Margin keeping |q| away from the unit circle so tail bounds stay effective.
 DEFAULT_EPS_BASE = 1e-3
 
+#: log10 of the tail tolerance of a q-product of Python numbers.
+FLOAT_TOL_LOG10 = -14.0
+
+#: Most factors one infinite q-product may take.
+MAX_FACTORS = 200_000
+
 
 @dataclass(frozen=True)
 class Base:
@@ -74,7 +81,8 @@ class Base:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute tail tolerance and hard cap for infinite products/series."""
+    """Absolute tail tolerance and hard cap of a non-terminating series or a
+    Jackson integral (``hyperseries``, ``qcalculus.q_integral``)."""
 
     tol: float = 1e-14
     max_terms: int = 200_000
@@ -132,20 +140,6 @@ def _validate_base_magnitude(qmag: float) -> None:
         raise DomainError("base q must be nonzero")
 
 
-def _context_tol_log10(policy: TruncationPolicy | None) -> float:
-    """log10 of the tail tolerance actually used.
-
-    With an explicit policy, its tol wins.  Under an active high-precision
-    mpmath context the default tightens to the working precision, so factors
-    computed inside e.g. orthogonality quadratures stay fully accurate.
-    """
-    if policy is not None:
-        return math.log10(policy.tol)
-    if mp.dps > 25:
-        return -float(mp.dps + 2)
-    return math.log10(DEFAULT_TRUNCATION.tol)
-
-
 def tail_count(a_mag: float, q_mag: float, tol_log10: float) -> int:
     """Smallest N with |a| q_mag^N / (1 - q_mag) below 10**tol_log10."""
     if a_mag == 0.0:
@@ -175,15 +169,16 @@ def poch_finite(a, q, n: int):
     return acc + 0j if isinstance(acc, int) else acc
 
 
-def poch_infinite(a, q, policy: TruncationPolicy | None = None):
+def poch_infinite(a, q):
     """Infinite q-shifted factorial (a; q)_infty, truncated at the geometric
-    tail bound |a| |q|^N / (1 - |q|) < tol.
+    tail bound |a| |q|^N / (1 - |q|) < tol: 1e-14 for Python numbers,
+    10^-(mp.dps + 2) when ``a`` or ``q`` is an mpmath value.
 
-    mpmath arguments (``a`` or ``q``) are evaluated by Euler's series to the
-    same tolerance (see the module docstring).  Raises TruncationExceeded when
-    the bound needs more than ``policy.max_terms`` factors, and DomainError
-    when a float/complex result overflows (mpmath results may legitimately
-    exceed the float range).
+    mpmath arguments are evaluated by Euler's series to the same tolerance
+    (see the module docstring).  Raises TruncationExceeded when the bound
+    needs more than ``MAX_FACTORS`` factors, and DomainError when a
+    float/complex result overflows (mpmath results may legitimately exceed
+    the float range).
     """
     qv = base_value(q)
     qmag = _magnitude(qv)
@@ -191,16 +186,14 @@ def poch_infinite(a, q, policy: TruncationPolicy | None = None):
     amag = _magnitude(a)
     if not math.isfinite(amag):
         raise DomainError("poch_infinite requires finite a")
-    tol_log10 = _context_tol_log10(policy)
+    python = isinstance(a, (int, float, complex)) and isinstance(qv, (int, float, complex))
+    tol_log10 = FLOAT_TOL_LOG10 if python else -float(mp.dps + 2)
     n = tail_count(amag, qmag, tol_log10)
-    cap = (policy or DEFAULT_TRUNCATION).max_terms
-    if n > cap:
-        raise TruncationExceeded(
-            f"(a; q)_infty needs {n} factors, cap is {cap}"
-        )
+    if n > MAX_FACTORS:
+        raise TruncationExceeded(f"(a; q)_infty needs {n} factors, cap is {MAX_FACTORS}")
     if n == 0:
         return _one_like(a)
-    if not (isinstance(a, (int, float, complex)) and isinstance(qv, (int, float, complex))):
+    if not python:
         return _poch_euler(a, amag, qv, qmag, -tol_log10)
     acc = 1
     zk = a
@@ -291,7 +284,7 @@ def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
     return from_fixed(pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex)
 
 
-def poch_multi(params: Sequence, q, n=None, policy: TruncationPolicy | None = None):
+def poch_multi(params: Sequence, q, n=None):
     """Product of q-shifted factorials over several first arguments.
 
     ``n`` may be a nonnegative integer, or None / math.inf for the infinite
@@ -301,11 +294,11 @@ def poch_multi(params: Sequence, q, n=None, policy: TruncationPolicy | None = No
     if len(params) == 0:
         raise DomainError("poch_multi requires at least one parameter")
     infinite = n is None or n == math.inf
-    factors = [poch_infinite(a, q, policy) if infinite else poch_finite(a, q, int(n)) for a in params]
+    factors = [poch_infinite(a, q) if infinite else poch_finite(a, q, int(n)) for a in params]
     return math.prod(factors, start=1 + 0j if isinstance(factors[0], (float, complex)) else 1)
 
 
-def h_weight(theta: float, params: Sequence, q, policy: TruncationPolicy | None = None):
+def h_weight(theta: float, params: Sequence, q):
     """Trigonometric weight factor prod_j h(cos theta; a_j) with
     h(cos theta; a) = (a e^{i theta}, a e^{-i theta}; q)_infty,
     equivalently prod_k (1 - 2 q^k a cos theta + q^{2k} a^2).
@@ -314,7 +307,7 @@ def h_weight(theta: float, params: Sequence, q, policy: TruncationPolicy | None 
         return 1 + 0j
     eip = cmath.exp(1j * theta)
     eim = cmath.exp(-1j * theta)
-    acc = poch_multi([x for a in params for x in (a * eip, a * eim)], q, policy=policy)
+    acc = poch_multi([x for a in params for x in (a * eip, a * eim)], q)
     if isinstance(acc, complex) and not cmath.isfinite(acc):
         raise DomainError("h_weight produced a non-finite value")
     return acc

@@ -72,6 +72,15 @@ def test_check_negative_q_mp_products(argv, tmp_path):
     assert json.loads(out.read_text())["status"] == "pass"
 
 
+def test_check_big_qjacobi_complex_q(tmp_path):
+    # the Jackson nodes and weights take q in mpmath as it comes, complex too
+    out = tmp_path / "r.json"
+    assert main(["check", "bigqjacobi_orthogonality", "--n", "1", "--m", "1",
+                 "--q", "0.5+0.1i", "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
 @pytest.mark.parametrize("ident", ["rogers_6phi5", "liu_3phi2_transform"])
 def test_check_zero_base_skipped(ident, tmp_path):
     # both recipes divide by q before any kernel sees it
@@ -288,6 +297,18 @@ class TestEval:
         assert main(["eval", "poch", "--a", "1+2i", "--q", "0.5", "--n", "1",
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == {"re": 0.0, "im": -2.0}
+
+    @pytest.mark.parametrize("argv", [
+        ["hweight", "--theta", "1+1i", "--q", "0.5", "--params", "0.3"],
+        ["aw", "--n", "2", "--a", "0.3", "--b", "0.4", "--c", "0.2", "--d", "0.1",
+         "--theta", "0.9+1i", "--q", "0.5"],
+    ])
+    def test_complex_angle_exit2(self, argv, capsys):
+        assert main(["eval", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--theta must be real" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_aw_poly_json(self, capsys):
         rc = main(["eval", "aw", "--n", "2", "--a", "0.3", "--b", "0.4", "--c", "0.2",

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -77,3 +79,17 @@ def test_tracer_sees_the_big_qjacobi_quadrature():
     assert metrics["polyfamilies.big_qjacobi_poly.calls"] > 0
     assert metrics["qcalculus.q_integral.calls"] > 0
     assert metrics["identities.node_cache.hits"] > 0
+
+
+@pytest.mark.parametrize("ident, stressed", [
+    ("aw_genfun", ("qcore.poch_infinite.calls", "qcore.poch_finite.calls",
+                   "polyfamilies.askey_wilson_poly.calls")),
+    ("q_gauss", ("hyperseries.eval_phi.terms",)),
+    ("q_dougall_c0", ("hyperseries.eval_wp_limit.terms",)),
+])
+def test_tracer_sees_the_float_layers(ident, stressed):
+    # the float_draws metrics perfbench requires to be nonzero, each from an
+    # identity of that workload
+    metrics = _traced_check(ident)
+    for name in stressed:
+        assert metrics[name] > 0, name

@@ -3,6 +3,7 @@ import itertools
 import math
 
 import pytest
+from mpmath import mp, mpc, mpf
 
 from qkernel.errors import DomainError
 from qkernel.qcore import Base, poch_infinite
@@ -186,6 +187,28 @@ class TestAskeyWilson:
     def test_reality(self):
         v = askey_wilson_poly(5, AW, 0.7)
         assert abs(v.imag) <= 1e-12 * max(1.0, abs(v))
+
+
+_FAMILIES = {
+    "qhahn": lambda n, z: qhahn_poly(n, HAHN, z),
+    "bigqjacobi": lambda n, x: big_qjacobi_poly(n, BQJ, x),
+    "aw": lambda n, theta: askey_wilson_poly(n, AW, theta),
+}
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_result_type_follows_the_point(family, n):
+    # an mpmath point gives an mpmath value at any precision, a Python point
+    # a complex at any precision; the ambient mp.dps decides neither
+    poly = _FAMILIES[family]
+    with mp.workdps(15):
+        exact = poly(n, mpf("0.7"))
+    with mp.workdps(40):
+        plain = poly(n, 0.7)
+    assert isinstance(exact, (mpf, mpc))
+    assert type(plain) is complex
+    assert abs(complex(exact) - plain) <= 1e-13 * max(1.0, abs(plain))
 
 
 def test_param_guards():

@@ -90,16 +90,24 @@ class TestPochInfinite:
         assert poch_infinite(0.0, 0.5) == 1
 
     def test_frozen_oracle_half(self):
-        v = poch_infinite(0.5, 0.5, TruncationPolicy(tol=1e-14))
+        v = poch_infinite(0.5, 0.5)
         assert abs(v - POCH_HALF) / POCH_HALF < 1e-12
 
     def test_frozen_oracle_nine(self):
-        v = poch_infinite(0.9, Base(0.9 + 0j), TruncationPolicy(tol=1e-14))
+        v = poch_infinite(0.9, Base(0.9 + 0j))
         assert abs(v - POCH_NINE) / POCH_NINE < 1e-11
 
     def test_cap_raises(self):
+        # 1e300 at q = 0.999 needs 729 556 factors to reach 1e-14, past the
+        # 200 000 cap
         with pytest.raises(TruncationExceeded):
-            poch_infinite(0.9, 0.9, TruncationPolicy(tol=1e-14, max_terms=10))
+            poch_infinite(1e300, 0.999)
+
+    def test_python_numbers_ignore_the_context(self):
+        # the tolerance of a float product is 1e-14 at any ambient precision
+        expected = poch_infinite(0.3 + 0.2j, 0.9)
+        with mp.workdps(40):
+            assert poch_infinite(0.3 + 0.2j, 0.9) == expected
 
     @given(re=_small, im=_small, q=_qs, n=st.integers(min_value=0, max_value=20))
     def test_splitting(self, re, im, q, n):
@@ -214,8 +222,20 @@ class TestMpmathOracle:
             assert got.setdefault(dps, v) == v
 
     def test_mp_cap_raises(self):
+        # at 10^-42 the same product needs 793 996 factors
         with mp.workdps(40), pytest.raises(TruncationExceeded):
-            poch_infinite(mpf("0.9"), mpf("0.9"), TruncationPolicy(tol=1e-14, max_terms=10))
+            poch_infinite(mpf(1e300), mpf("0.999"))
+
+    @pytest.mark.parametrize("dps", [20, 25])
+    def test_mp_tolerance_at_low_precision(self, dps):
+        # an mpmath product is truncated at its working precision however
+        # narrow, not at the 1e-14 of a float product
+        with mp.workdps(dps):
+            a, q = mpf("0.3"), mpf("0.5")
+            v = poch_infinite(a, q)
+        with mp.workdps(2 * dps):
+            r = mpmath.qp(a, q)
+            assert abs(v - r) <= mpf(10) ** -(dps - 1) * abs(r)
 
 
 class TestPochFiniteOracle:
