@@ -9,26 +9,43 @@ cases plus seeded random draws and reports residuals.
 Orthogonality integrals are the one place where plain double precision is
 insufficient: the diagonal norms decay like q^{n(n-1)} (cd)^n, far below the
 float64 noise floor of the oscillating integrand, so those quadratures run in
-mpmath with node values cached across the (n, m) sweep.
+mpmath with weight nodes and moments cached across the (n, m) sweep.
 
-The polynomial nodes of those integrals come from monomial coefficients.
+The polynomials in those integrals are kept as monomial coefficients.
 ``_poly_coeffs`` evaluates a degree-n polynomial P by its terminating series
 (``qhahn_poly``, ``big_qjacobi_poly``) at the n + 1 points R w^j,
 w = exp(2 pi i / (n + 1)), and inverts that DFT once per (n, parameters,
-dps); a new node is then Horner's rule on n + 1 numbers instead of a series.
-R is 1 for the q-Hahn nodes on the unit circle and max(1, |aq|, |cq|) for the
+dps).  R is 1 for q-Hahn on the unit circle and max(1, |aq|, |cq|) for the
 big q-Jacobi Jackson nodes a q^(k+1), c q^(k+1), so every node x has
 |x| <= R.  Error, with M = max over |z| = R of |P| and u = 10^-dps: a sample
 is within e <= (2n + 4) M u of P (the series rounds once, its point and its
 prefactor's n-factor products once per operation).  The DFT on n + 1 points
-of modulus R is unitary up to 1/(n + 1), so each c_i R^i carries at most e.
-At |x| <= R the coefficient errors then move P by at most (n + 1) e, and
-Horner's rounding adds at most 2n sum_i |c_i| R^i u <= 2n (n + 1) M u, since
-|c_i| R^i <= M (Cauchy).  A node is therefore within 4 (n + 1)^2 M 10^-dps of
-P, under 200 M 10^-dps for n <= 6.  Those 2.3 digits come out of the margin
-that ``_qhahn_dps`` and ``_bqj_dps`` keep below the quadratures' stops: 28
-digits under the trapezoid's 10^-(dps-28), 12 under the Jackson sum's
-10^-(dps-12).
+of modulus R is unitary up to 1/(n + 1), so each c_i R^i carries at most e,
+and at |x| <= R the coefficients give P within (n + 1) e.  Horner's rule
+adds at most 2n sum_i |c_i| R^i u <= 2n (n + 1) M u, since |c_i| R^i <= M
+(Cauchy), so P evaluated from its coefficients is within 4 (n + 1)^2 M u.
+
+A pair (n, m) is a sum over moments.  The coefficients of H_n H_m are the
+convolution c_k = sum_{i+j=k} h_n[i] h_m[j], so |c_k| R^k <= (min(n, m) + 1)
+M_n M_m.  For q-Hahn a trapezoid level's sum of K H_n H_m is
+sum_k c_k S_k, where ``_qhahn_moment`` S_k sums K(theta_j) e^{ik theta_j}
+over the nodes that ``periodic_trapezoid`` asks for on that level; all pairs
+of one parameter set and dps share the S_k and the K nodes, and each pair
+keeps its own stop and node count.  For big q-Jacobi the pair is
+sum_k c_k nu_k, where ``_bqj_moment`` nu_k is the Jackson integral of
+x^k w(x) to the pair's tolerance t = 10^-(dps-12).  The regrouped sums add
+the same products K_j z_j^k as a per-node sum, each weighted by |c_k| R^k
+instead of |H_n H_m| <= M_n M_m, so their rounding grows by at most the
+factor (n + m + 1)(min(n, m) + 1), under 2 digits for n, m <= 6.  Together
+with the coefficient error, a q-Hahn pair on N nodes is within
+[(n + m + 1)(min(n, m) + 1)(N + n + m + 2) + 4 (n + 1)^2 + 4 (m + 1)^2]
+M_n M_m mean_j |K_j| u of the per-node trapezoid sum of K H_n H_m on the
+same nodes.  Each nu_k stops after three terms below t, which leaves a tail
+of order t / (1 - |q|); a big q-Jacobi pair is thus within
+(n + m + 2)(min(n, m) + 1) M_n M_m t / (1 - |q|) of the per-node Jackson sum
+of w P_n P_m.  These come out of the margin that ``_qhahn_dps`` and
+``_bqj_dps`` keep below the quadratures' stops: 28 digits under the
+trapezoid's 10^-(dps-28), 12 under the Jackson sum's 10^-(dps-12).
 
 To add an identity, write its sampler and then its recipe, and put the
 ``@_identity(...)`` registration on the recipe; a recipe shared with another
@@ -46,7 +63,6 @@ import cmath
 import math
 import zlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -250,6 +266,7 @@ def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
 
 @lru_cache(maxsize=None)
 def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
+    """The weight K and z = e^{i theta} at theta = -pi + 2 pi jn / jd."""
     with mp.workdps(dps):
         # every argument is formed in mpmath: a float product such as q * d
         # would round the weight to double precision
@@ -259,7 +276,16 @@ def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
         em = mp.expj(-theta)
         num = poch_multi([rho * e / d, q * d * em / rho, rho * c * em, q * e / (c * rho)], q)
         den = poch_multi([a * e, b * e, c * em, d * em], q)
-        return num / den
+        return num / den, e
+
+
+@lru_cache(maxsize=None)
+def _qhahn_moment(k: int, js: range, jd: int, a, b, c, d, rho, q, dps: int):
+    """S_k = sum of K(theta_j) e^{ik theta_j} over the nodes ``js`` of the
+    jd-interval trapezoid level."""
+    with mp.workdps(dps):
+        nodes = (_qhahn_K_node(j, jd, a, b, c, d, rho, q, dps) for j in js)
+        return sum(K * e**k for K, e in nodes)
 
 
 def _poly_coeffs(poly: Callable, n: int, radius: float, params: tuple) -> tuple:
@@ -286,13 +312,6 @@ def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
         return _poly_coeffs(partial(qhahn_poly, n, p), n, 1.0, (a, b, c, d, q))
 
 
-@lru_cache(maxsize=None)
-def _qhahn_H_node(n: int, jn: int, jd: int, a, b, c, d, q, dps: int):
-    with mp.workdps(dps):
-        theta = -mp.pi + 2 * mp.pi * mpf(jn) / jd
-        return mp.polyval(_qhahn_H_coeffs(n, a, b, c, d, q, dps), mp.expj(theta))
-
-
 def _qhahn_deficit(k: int, a, b, c, d, q) -> float:
     """-log10 |L_k / L_0| (digits lost on the diagonal)."""
     if k == 0:
@@ -313,18 +332,15 @@ def _qhahn_dps(n: int, m: int, a, b, c, d, q) -> int:
 
 
 def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
-    """(1/2 pi) * integral over [-pi, pi] of K(theta) H_n H_m."""
+    """(1/2 pi) * integral over [-pi, pi] of K(theta) H_n H_m from the S_k."""
     with mp.workdps(dps):
+        # c_k of H_n H_m, lowest degree first
+        coeffs = np.convolve(_qhahn_H_coeffs(n, a, b, c, d, q, dps),
+                             _qhahn_H_coeffs(m, a, b, c, d, q, dps))[::-1]
 
-        def node_value(fr: Fraction):
-            jn, jd = fr.numerator, fr.denominator
-            K = _qhahn_K_node(jn, jd, a, b, c, d, rho, q, dps)
-            Hn = _qhahn_H_node(n, jn, jd, a, b, c, d, q, dps)
-            Hm = Hn if m == n else _qhahn_H_node(m, jn, jd, a, b, c, d, q, dps)
-            return K * Hn * Hm
-
-        def node_values(js, denom):
-            return [node_value(Fraction(j, denom)) for j in js]
+        def node_values(js, jd):
+            return [mp.fsum(ck * _qhahn_moment(k, js, jd, a, b, c, d, rho, q, dps)
+                            for k, ck in enumerate(coeffs))]
 
         mean, _ = periodic_trapezoid(node_values, mpf(10) ** (-(dps - 28)))
         return complex(mean)
@@ -351,12 +367,6 @@ def _bqj_coeffs(n: int, a, b, c, q, dps: int) -> tuple:
         # every Jackson node a q^(k+1), c q^(k+1) lies in |x| <= radius
         radius = max(1.0, abs(a * q), abs(c * q))
         return _poly_coeffs(partial(big_qjacobi_poly, n, p), n, radius, (a, b, c, q))
-
-
-@lru_cache(maxsize=None)
-def _bqj_poly_node(n: int, x, a, b, c, q, dps: int):
-    with mp.workdps(dps):
-        return mp.polyval(_bqj_coeffs(n, a, b, c, q, dps), x)
 
 
 def _bqj_rhs(n: int, a, b, c, q) -> complex:
@@ -391,18 +401,22 @@ def _bqj_dps(n: int, m: int, a, b, c, q) -> int:
     return _quantize_dps(34 + deficit + n + m)
 
 
-def _bqj_integral(n, m, a, b, c, q, dps: int) -> complex:
+@lru_cache(maxsize=None)
+def _bqj_moment(k: int, a, b, c, q, dps: int):
+    """nu_k = Jackson integral of x^k w(x) from cq to aq."""
     with mp.workdps(dps):
         qm = mp_scalar(q)
-
-        def f(x):
-            w = _bqj_weight_node(x, a, b, c, q, dps)
-            pn = _bqj_poly_node(n, x, a, b, c, q, dps)
-            pm = pn if m == n else _bqj_poly_node(m, x, a, b, c, q, dps)
-            return w * pn * pm
-
         pol = TruncationPolicy(tol=10.0 ** (-(dps - 12)), max_terms=100_000)
-        return complex(qcalculus.q_integral(f, c * qm, a * qm, qm, pol))
+        return qcalculus.q_integral(
+            lambda x: x**k * _bqj_weight_node(x, a, b, c, q, dps), c * qm, a * qm, qm, pol
+        )
+
+
+def _bqj_integral(n, m, a, b, c, q, dps: int) -> complex:
+    """Jackson integral of w p_n p_m from cq to aq, as sum_k c_k nu_k."""
+    with mp.workdps(dps):
+        coeffs = np.convolve(_bqj_coeffs(n, a, b, c, q, dps), _bqj_coeffs(m, a, b, c, q, dps))[::-1]
+        return complex(mp.fsum(ck * _bqj_moment(k, a, b, c, q, dps) for k, ck in enumerate(coeffs)))
 
 
 def clear_caches() -> None:
@@ -410,11 +424,11 @@ def clear_caches() -> None:
     (mainly for tests and cold-cache runs)."""
     qcore._EULER_CACHE.clear()
     _qhahn_K_node.cache_clear()
+    _qhahn_moment.cache_clear()
     _qhahn_H_coeffs.cache_clear()
-    _qhahn_H_node.cache_clear()
     _bqj_weight_node.cache_clear()
+    _bqj_moment.cache_clear()
     _bqj_coeffs.cache_clear()
-    _bqj_poly_node.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +653,8 @@ def _sample_askey_roy(rng) -> dict:
 def _recipe_askey_roy(prm) -> CheckValues:
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
     dps = _quantize_dps(32)
+    rhs = qi.askey_roy_rhs(a, b, c, d, rho, q)  # validates c d rho != 0 before the weight divides
     lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps)
-    rhs = qi.askey_roy_rhs(a, b, c, d, rho, q)
     return CheckValues(lhs, rhs, {"dps": dps})
 
 

@@ -130,7 +130,11 @@ def _one_like(a):
 
 
 def _magnitude(x) -> float:
-    return float(abs(x))
+    """|x|; for an mpmath value a float bound above it, so factor counts stay bounds."""
+    if isinstance(x, (int, float, complex)) or x == 0:
+        return float(abs(x))
+    # each part as a double is within 2^-53 relative, or 2^-1075 if subnormal
+    return abs(complex(x)) * (1 + 2.0**-50) + 2.0**-1072
 
 
 def _validate_base_magnitude(qmag: float) -> None:
@@ -181,7 +185,7 @@ def poch_infinite(a, q):
     the float range).
     """
     qv = base_value(q)
-    qmag = _magnitude(qv)
+    qmag = float(abs(qv))  # nearest, not rounded up: |q| is compared with 1 - eps
     _validate_base_magnitude(qmag)
     amag = _magnitude(a)
     if not math.isfinite(amag):

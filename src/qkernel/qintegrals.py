@@ -139,7 +139,9 @@ def periodic_trapezoid(node_values, tol, half=False, scale=1):
 
     ``node_values(js, n)`` returns f at the nodes numbered by the range ``js``
     of the n-interval grid: -pi + 2 pi j / n (full period) or, with ``half``,
-    pi j / n on [0, pi] (f even, endpoints at half weight).  The first level
+    pi j / n on [0, pi] (f even, endpoints at half weight).  On the full
+    period it may return any sequence whose sum is the sum of those values,
+    such as one regrouped total.  The first level
     has ``INITIAL_NODES`` intervals; after it only the new odd-numbered nodes
     are asked for.  Stops when two successive estimates (``scale`` times the
     trapezoid mean) differ by less than ``tol * max(1, |estimate|)``, and

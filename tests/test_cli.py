@@ -110,6 +110,32 @@ def test_check_division_by_zero_skipped(argv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zero", ["c", "d", "rho"])
+def test_check_askey_roy_zero_parameter_skipped(zero, tmp_path):
+    # the weight divides by c, d and rho, so the closed form validates first
+    params = {"a": "0.3", "b": "0.2", "c": "0.4", "d": "0.1", "rho": "0.6", "q": "0.5", zero: "0"}
+    out = tmp_path / "r.json"
+    assert main(["check", "askey_roy", *(x for k, v in params.items() for x in (f"--{k}", v)),
+                 "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"] == "DomainError: askey_roy_rhs requires c d rho != 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["qhahn_orthogonality", "--n", "7", "--m", "8", "--a", "0.3", "--b", "0.2", "--c", "0.4",
+     "--d", "0.1", "--rho", "0.6", "--q", "0.5"],
+    ["bigqjacobi_orthogonality", "--n", "8", "--m", "8", "--a", "0.3", "--b", "0.4",
+     "--c", "-0.2", "--q", "0.5"],
+])
+def test_check_orthogonality_beyond_the_pinned_degrees(argv, tmp_path):
+    # n + m > 12: the moments are formed for every k the pair needs
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
 def test_check_lbww_t_zero_pole_skipped(tmp_path):
     # h u = 1: the t = 0 series has the same pole check as t != 0
     for t in ("0", "0.3"):

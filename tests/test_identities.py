@@ -2,14 +2,15 @@ import math
 from functools import partial
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from qkernel import identities
+from qkernel import identities, qcalculus
 from qkernel.errors import TruncationExceeded, UnknownIdentity
 from qkernel.polyfamilies import BigQJacobiParams, QHahnParams, big_qjacobi_poly, qhahn_poly
-from qkernel.qcore import Base
+from qkernel.qcore import Base, TruncationPolicy
+from qkernel.qintegrals import periodic_trapezoid
 from qkernel.identities import (
     REGISTRY,
     check_identity,
@@ -105,18 +106,22 @@ def test_clear_caches_empties_every_cache():
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
 
 
+def _max_on_circle(poly, n: int, radius: float):
+    """max |P| over 8 (n + 1) points of |z| = R."""
+    pts = 8 * (n + 1)
+    return max(abs(poly(radius * mp.expj(2 * mp.pi * j / pts))) for j in range(pts))
+
+
 class TestCoefficientRoute:
-    """The polynomial node caches evaluate by Horner's rule on coefficients
-    from n + 1 series values; each node must agree with the series within the
-    module docstring's bound 4 (n + 1)^2 max_{|z|=R} |P| 10^-dps."""
+    """The orthogonality integrals use the cached monomial coefficients of
+    each polynomial; Horner's rule on them must agree with the series within
+    the module docstring's bound 4 (n + 1)^2 max_{|z|=R} |P| 10^-dps."""
 
     @staticmethod
     def _bound(poly, n: int, radius: float, dps: int):
-        # max |P| over 8 (n + 1) points of the circle; the factor 2 covers the
-        # sampled maximum and the rounding of the series value compared with
-        pts = 8 * (n + 1)
-        big = max(abs(poly(radius * mp.expj(2 * mp.pi * j / pts))) for j in range(pts))
-        return 2 * 4 * (n + 1) ** 2 * big * mpf(10) ** -dps
+        # the factor 2 covers the sampled maximum and the rounding of the
+        # series value compared with
+        return 2 * 4 * (n + 1) ** 2 * _max_on_circle(poly, n, radius) * mpf(10) ** -dps
 
     @given(
         n=st.integers(0, 6),
@@ -131,12 +136,11 @@ class TestCoefficientRoute:
     )
     def test_qhahn_nodes(self, n, q, a, b, c, d, dps, level, j):
         jd = 2**level
-        jn = j % jd
-        node = identities._qhahn_H_node(n, jn, jd, a, b, c, d, q, dps)
+        coeffs = identities._qhahn_H_coeffs(n, a, b, c, d, q, dps)
         with mp.workdps(dps):
             poly = partial(qhahn_poly, n, QHahnParams(a, b, c, d, 1.0, Base(complex(q))))
-            direct = poly(mp.expj(-mp.pi + 2 * mp.pi * mpf(jn) / jd))
-            assert abs(node - direct) <= self._bound(poly, n, 1.0, dps)
+            z = mp.expj(-mp.pi + 2 * mp.pi * mpf(j % jd) / jd)
+            assert abs(mp.polyval(coeffs, z) - poly(z)) <= self._bound(poly, n, 1.0, dps)
 
     @given(
         n=st.integers(0, 6),
@@ -151,13 +155,103 @@ class TestCoefficientRoute:
     @example(n=5, q=0.5, a=3.0, b=0.4, c=-0.2, dps=50, k=0, upper=True)  # |aq| > 1: R = 1.5
     def test_bqj_nodes(self, n, q, a, b, c, dps, k, upper):
         radius = max(1.0, abs(a * q), abs(c * q))
+        coeffs = identities._bqj_coeffs(n, a, b, c, q, dps)
+        assert all(isinstance(ci, mpf) for ci in coeffs)  # real parameters, real coefficients
         with mp.workdps(dps):
             qm = mpf(q)
             x = (a if upper else c) * qm * qm**k  # a Jackson node, as q_integral forms it
-            node = identities._bqj_poly_node(n, x, a, b, c, q, dps)
             poly = partial(big_qjacobi_poly, n, BigQJacobiParams(a, b, c, Base(complex(q))))
-            assert isinstance(node, mpf)  # real coefficients keep real nodes real
-            assert abs(node - poly(x)) <= self._bound(poly, n, radius, dps)
+            assert abs(mp.polyval(coeffs, x) - poly(x)) <= self._bound(poly, n, radius, dps)
+
+
+class TestMomentRegrouping:
+    """A pair from shared moment sums against the per-node quadrature of the
+    same integrand, within the module docstring's bounds plus the rounding of
+    the pair's value to a Python complex."""
+
+    @staticmethod
+    def _within(value, reference, bound) -> bool:
+        return abs(value - reference) <= 2 * bound + 2.0**-52 * abs(reference)
+
+    @staticmethod
+    def _node_counts(monkeypatch) -> list:
+        counts = []
+
+        def recorded(node_values, tol):
+            mean, n = periodic_trapezoid(node_values, tol)
+            counts.append(n)
+            return mean, n
+
+        monkeypatch.setattr(identities, "periodic_trapezoid", recorded)
+        return counts
+
+    @settings(max_examples=12)
+    @given(
+        n=st.integers(0, 6),
+        m=st.integers(0, 6),
+        q=st.sampled_from(identities._Q_CHOICES),
+        a=st.floats(0.05, 0.55),
+        b=st.floats(0.05, 0.55),
+        c=st.floats(0.05, 0.55),
+        d=st.floats(0.05, 0.55),
+        rho=st.floats(0.35, 1.3),
+    )
+    def test_qhahn_pair_against_per_node_trapezoid(self, n, m, q, a, b, c, d, rho):
+        dps = identities._qhahn_dps(n, m, a, b, c, d, q)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = self._node_counts(monkeypatch)
+            value = identities._qhahn_integral(n, m, a, b, c, d, rho, q, dps)
+        (N,) = counts
+        with mp.workdps(dps):
+            p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
+            Hn, Hm = partial(qhahn_poly, n, p), partial(qhahn_poly, m, p)
+            total = k_abs = 0
+            for j in range(N):
+                K, z = identities._qhahn_K_node(j, N, a, b, c, d, rho, q, dps)
+                total += K * Hn(z) * Hm(z)
+                k_abs += abs(K)
+            grow = (n + m + 1) * (min(n, m) + 1) * (N + n + m + 2) + 4 * (n + 1) ** 2 + 4 * (m + 1) ** 2
+            bound = (grow * _max_on_circle(Hn, n, 1.0) * _max_on_circle(Hm, m, 1.0)
+                     * k_abs / N * mpf(10) ** -dps)
+            assert self._within(value, total / N, bound)
+
+    @settings(max_examples=20)
+    @given(
+        n=st.integers(0, 6),
+        m=st.integers(0, 6),
+        q=st.sampled_from(identities._Q_CHOICES),
+        a=st.floats(0.1, 0.6),
+        b=st.floats(0.1, 0.6),
+        c=st.floats(-0.6, -0.1),
+    )
+    def test_bqj_pair_against_per_node_jackson_sum(self, n, m, q, a, b, c):
+        dps = identities._bqj_dps(n, m, a, b, c, q)
+        value = identities._bqj_integral(n, m, a, b, c, q, dps)
+        radius = max(1.0, abs(a * q), abs(c * q))
+        tol = 10.0 ** (-(dps - 12))
+        with mp.workdps(dps):
+            p = BigQJacobiParams(a, b, c, Base(complex(q)))
+            Pn, Pm = partial(big_qjacobi_poly, n, p), partial(big_qjacobi_poly, m, p)
+
+            def f(x):
+                return identities._bqj_weight_node(x, a, b, c, q, dps) * Pn(x) * Pm(x)
+
+            qm = mpf(q)
+            direct = qcalculus.q_integral(f, c * qm, a * qm, qm,
+                                          TruncationPolicy(tol=tol, max_terms=100_000))
+            bound = ((n + m + 2) * (min(n, m) + 1) * _max_on_circle(Pn, n, radius)
+                     * _max_on_circle(Pm, m, radius) * tol / (1 - q))
+            assert self._within(value, direct, bound)
+
+    def test_pair_keeps_its_trapezoid_stop(self, monkeypatch):
+        # this draw (b = 0.052) needs 256 nodes for the moment S_3 alone to
+        # meet the stop; the pair's own sum stops at 128, as it did per node
+        params = sample_params("qhahn_orthogonality", 326785195)
+        assert (params["n"], params["m"]) == (1, 2)
+        counts = self._node_counts(monkeypatch)
+        identities.clear_caches()
+        assert check_identity("qhahn_orthogonality", params).status == "pass"
+        assert counts == [128]
 
 
 def test_askey_roy_weight_arguments_formed_in_mpmath():

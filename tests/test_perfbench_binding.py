@@ -70,6 +70,8 @@ def test_tracer_sees_the_mpmath_kernels():
     assert metrics["hyperseries.phi_terminating_core.terms"] > 0
     # the node coefficients are sampled through the module binding
     assert metrics["polyfamilies.qhahn_poly.calls"] > 0
+    # the pair's moment sums share the weight nodes
+    assert metrics["identities.node_cache.hits"] > 0
 
 
 def test_tracer_sees_the_big_qjacobi_quadrature():

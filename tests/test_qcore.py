@@ -11,6 +11,7 @@ from qkernel.errors import DomainError, TruncationExceeded
 from qkernel.hyperseries import nearest_pole_distance
 from qkernel.qcore import (
     Base,
+    _magnitude,
     TruncationPolicy,
     as_base,
     h_weight,
@@ -236,6 +237,31 @@ class TestMpmathOracle:
         with mp.workdps(2 * dps):
             r = mpmath.qp(a, q)
             assert abs(v - r) <= mpf(10) ** -(dps - 1) * abs(r)
+
+
+class TestMagnitude:
+    """``poch_infinite`` sizes its factor count by ``_magnitude(a)``: for an
+    mpmath value it must never fall below |a|."""
+
+    @given(
+        re=st.integers(-10**80, 10**80),
+        im=st.integers(-10**80, 10**80),
+        exp=st.integers(-1100, 1000),
+        dps=st.integers(15, 80),
+        is_complex=st.booleans(),
+    )
+    @example(re=10**80, im=0, exp=-1000, dps=80, is_complex=False)  # subnormal as a double
+    def test_mpmath_value_rounds_up(self, re, im, exp, dps, is_complex):
+        with mp.workdps(dps):
+            scale = mpf(2) ** exp / mpf(10) ** 80
+            x = mpc(re * scale, im * scale) if is_complex else mpf(re) * scale
+            assert mpf(_magnitude(x)) >= abs(x)
+
+    def test_zero_and_python_numbers(self):
+        assert _magnitude(mpf(0)) == _magnitude(mpc(0)) == 0.0
+        assert _magnitude(-0.3) == 0.3
+        assert _magnitude(3 + 4j) == 5.0
+        assert _magnitude(2) == 2.0
 
 
 class TestPochFiniteOracle:
