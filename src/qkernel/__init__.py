@@ -13,8 +13,6 @@ from .errors import (
 )
 from .qcore import (
     Base,
-    TruncationPolicy,
-    as_base,
     h_weight,
     poch_finite,
     poch_infinite,

@@ -33,9 +33,10 @@ not lose the digits of their smallest member.
 Non-terminating series have geometrically decaying terms and are summed in
 ordinary complex arithmetic by ``sum_until_converged``, the one loop with the
 one stop rule: stop after three consecutive terms below
-``tol * max(1, |partial sum|)``, and report the ratio bound of the tail.  The
-well-poised limit sums, the t = 0 lbww series and the outer sum of the master
-formula use it too.
+``SERIES_TOL * max(1, |partial sum|)`` = 1e-14 relative, within ``MAX_TERMS``
+= 200 000 terms, and report the ratio bound of the tail.  The well-poised
+limit sums, the t = 0 lbww series and the outer sum of the master formula use
+it too.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from mpmath import mp, mpc
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
     Base,
-    DEFAULT_TRUNCATION,
-    TruncationPolicy,
     base_value,
     fixed_parts,
     from_fixed,
@@ -235,13 +234,20 @@ def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:
     return SeriesResult(value=value, terms_used=n + 1, tail_estimate=0.0)
 
 
-def sum_until_converged(terms: Iterable, policy: TruncationPolicy, what: str) -> SeriesResult:
+#: Stop of ``sum_until_converged``: a term below SERIES_TOL * max(1, |sum|).
+SERIES_TOL = 1e-14
+
+#: Most terms after the leading one that ``sum_until_converged`` sums.
+MAX_TERMS = 200_000
+
+
+def sum_until_converged(terms: Iterable, what: str) -> SeriesResult:
     """Sum ``terms`` under the one stop rule of every convergent-series loop.
 
     Summation stops once three consecutive terms fall below
-    ``policy.tol * max(1, |partial sum|)``; at most ``policy.max_terms``
-    terms after the leading one are summed, and a generator that runs out
-    first is its own cap.  A non-finite term or sum, an exhausted cap and a
+    ``SERIES_TOL * max(1, |partial sum|)``; at most ``MAX_TERMS`` terms after
+    the leading one are summed, and a generator that runs out first is its
+    own cap.  A non-finite term or sum, an exhausted cap and a
     term ratio of 1 or more at the stop all raise ``TruncationExceeded``.
     The tail estimate is the geometric bound ``|t| r / (1 - r)`` from the
     ratio ``r`` of the last two term magnitudes (0 after an exact zero term).
@@ -249,12 +255,12 @@ def sum_until_converged(terms: Iterable, policy: TruncationPolicy, what: str) ->
     total = 0j
     small = used = 0
     mag = math.inf
-    for used, t in enumerate(itertools.islice(terms, policy.max_terms + 1), 1):
+    for used, t in enumerate(itertools.islice(terms, MAX_TERMS + 1), 1):
         total += t
         prev, mag = mag, abs(t)
         if not (math.isfinite(mag) and cmath.isfinite(total)):
             raise TruncationExceeded(f"{what} terms or sum became non-finite (divergent?)")
-        small = small + 1 if mag < policy.tol * max(1.0, abs(total)) else 0
+        small = small + 1 if mag < SERIES_TOL * max(1.0, abs(total)) else 0
         if small == 3:
             if prev == 0:
                 return SeriesResult(total, used, 0.0)
@@ -264,10 +270,10 @@ def sum_until_converged(terms: Iterable, policy: TruncationPolicy, what: str) ->
                     f"{what} stopped with term ratio {r:g} >= 1; its tail is unbounded"
                 )
             return SeriesResult(total, used, mag * r / (1 - r))
-    raise TruncationExceeded(f"{what} did not meet tol={policy.tol:g} within {used} terms")
+    raise TruncationExceeded(f"{what} did not meet tol={SERIES_TOL:g} within {used} terms")
 
 
-def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesResult:
+def eval_phi(spec: SeriesSpec) -> SeriesResult:
     """Evaluate the series
 
         sum_n  (a_1..a_r; q)_n / (q, b_1..b_s; q)_n
@@ -318,7 +324,7 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) ->
             qk *= q
             yield t
 
-    return sum_until_converged(terms(), policy, "series")
+    return sum_until_converged(terms(), "series")
 
 
 def eval_wp_limit(
@@ -328,7 +334,6 @@ def eval_wp_limit(
     q,
     w,
     shift: int = -1,
-    policy: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> SeriesResult:
     """Evaluate the well-poised limit sum
 
@@ -349,7 +354,7 @@ def eval_wp_limit(
         return W * wv * (qn if shift == -1 else qn * qv)
 
     terms = wp_limit_terms(alpha, numerator, denominator, qv, step)
-    return sum_until_converged(terms, policy, "well-poised limit sum")
+    return sum_until_converged(terms, "well-poised limit sum")
 
 
 def wp_limit_terms(alpha, numerator: Sequence, denominator: Sequence, q: complex, step: Callable):
@@ -412,13 +417,6 @@ def w_spec(a1, tail: Sequence, q, z, terminating_order: int | None = None) -> Se
     )
 
 
-def eval_w(
-    a1,
-    tail: Sequence,
-    q,
-    z,
-    policy: TruncationPolicy = DEFAULT_TRUNCATION,
-    terminating_order: int | None = None,
-) -> SeriesResult:
+def eval_w(a1, tail: Sequence, q, z, terminating_order: int | None = None) -> SeriesResult:
     """Evaluate r+1_W_r(a1; tail...; q, z) by delegating to eval_phi."""
-    return eval_phi(w_spec(a1, tail, q, z, terminating_order), policy)
+    return eval_phi(w_spec(a1, tail, q, z, terminating_order))

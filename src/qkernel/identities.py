@@ -79,8 +79,6 @@ from .errors import (
 )
 from .qcore import (
     Base,
-    DEFAULT_TRUNCATION,
-    TruncationPolicy,
     mp_scalar,
     poch_finite,
     poch_infinite,
@@ -406,9 +404,9 @@ def _bqj_moment(k: int, a, b, c, q, dps: int):
     """nu_k = Jackson integral of x^k w(x) from cq to aq."""
     with mp.workdps(dps):
         qm = mp_scalar(q)
-        pol = TruncationPolicy(tol=10.0 ** (-(dps - 12)), max_terms=100_000)
         return qcalculus.q_integral(
-            lambda x: x**k * _bqj_weight_node(x, a, b, c, q, dps), c * qm, a * qm, qm, pol
+            lambda x: x**k * _bqj_weight_node(x, a, b, c, q, dps), c * qm, a * qm, qm,
+            10.0 ** -(dps - 12),
         )
 
 
@@ -504,7 +502,7 @@ def _make_liu_master(m: int):
                     (1 - q ** (n + 1)) * (1 - al * a * q**n)
                 )
 
-        res = sum_until_converged(terms(), DEFAULT_TRUNCATION, "master summation outer series")
+        res = sum_until_converged(terms(), "master summation outer series")
         return CheckValues(lhs, res.value, {"outer_terms": res.terms_used})
 
     return recipe
@@ -715,14 +713,14 @@ def _recipe_qhahn_orthogonality(prm) -> CheckValues:
     L0 = qhahn_L0(p)
     rhs = qhahn_L(n, p) if n == m else 0j
     scale = abs(L0)
-    imag_ok = abs(lhs.imag) <= 1e-9 * scale
+    imag_err = lhs.imag - rhs.imag  # L_n is complex for complex parameters
     return CheckValues(
         lhs,
         rhs,
-        {"dps": dps, "imag_over_L0": lhs.imag / scale},
+        {"dps": dps, "imag_over_L0": imag_err / scale},
         scale=scale,
         metric="rel" if n == m else "abs_scaled",
-        ok_extra=imag_ok,
+        ok_extra=abs(imag_err) <= 1e-9 * scale,
     )
 
 
@@ -1837,10 +1835,10 @@ def check_identity(
 ) -> IdentityReport:
     """Evaluate both sides of one identity and report residuals.
 
-    Unknown ids raise; domain violations, a recipe's own division by zero
-    among them, surface as status="skipped" with a reason.  The base (``q``,
-    or ``p`` where q = p^3) is validated before the recipe runs, since
-    recipes may divide by it first.
+    Unknown ids raise; domain violations, a recipe's own division by zero or
+    float overflow among them, surface as status="skipped" with a reason.
+    The base (``q``, or ``p`` where q = p^3) is validated before the recipe
+    runs, since recipes may divide by it first.
     """
     if ident not in REGISTRY:
         raise UnknownIdentity(ident)
@@ -1860,7 +1858,7 @@ def check_identity(
                 Base(params[name])
         values = recipe(params)
     except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, OverflowError) as exc:
         return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold)
     return _finalise_report(ident, label, params, values, threshold)
 

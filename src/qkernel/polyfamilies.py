@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .errors import DomainError, PoleInDenominator
+from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
     Base,
     _one_like,
@@ -90,8 +90,14 @@ class AWParams:
 
 def _finish(value, point):
     """``value`` in the arithmetic of the evaluation point: complex for a
-    Python number, the mpmath value itself for an mpmath one."""
-    return complex(value) if isinstance(point, (int, float, complex)) else value
+    Python number, the mpmath value itself for an mpmath one.  A complex
+    value beyond the float range raises TruncationExceeded."""
+    if not isinstance(point, (int, float, complex)):
+        return value
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise TruncationExceeded(f"polynomial value {value} is beyond the float range")
+    return value
 
 
 def qhahn_poly(n: int, p: QHahnParams, z) -> complex:

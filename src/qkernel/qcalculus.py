@@ -30,9 +30,12 @@ from typing import Callable
 from mpmath import mp
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
-from .qcore import DEFAULT_TRUNCATION, TruncationPolicy, base_value, mp_scalar
+from .qcore import base_value, mp_scalar
 
 AnalyticFn = Callable
+
+#: Most terms the Jackson sum of ``q_integral`` may take.
+MAX_TERMS = 200_000
 
 
 def q_derivative(f: AnalyticFn, x, q):
@@ -78,14 +81,16 @@ def q_derivative_n(f: AnalyticFn, x, q, n: int):
     return complex(value)
 
 
-def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCATION):
+def q_integral(f: AnalyticFn, a, b, q, tol=1e-14):
     """Jackson q-integral of f from a to b:
 
         (1 - q) sum_{n>=0} [b f(b q^n) - a f(a q^n)] q^n,
 
-    truncated once q^n max(|b f(b q^n)|, |a f(a q^n)|) stays below
-    ``policy.tol`` for three consecutive n.  Generic over complex/mpmath.
-    Raises TruncationExceeded when f overflows or the sum is not finite.
+    truncated once q^n max(|b f(b q^n)|, |a f(a q^n)|) stays below the
+    absolute ``tol`` for three consecutive n, within ``MAX_TERMS`` terms.
+    Generic over complex/mpmath; an extended-precision caller passes a
+    ``tol`` that matches its working precision.  Raises TruncationExceeded
+    when f overflows, the sum is not finite or the cap is reached.
     """
     qv = base_value(q)
     qmag = float(abs(qv))
@@ -95,7 +100,7 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
     qn = 1
     small = 0
     try:
-        for _ in range(policy.max_terms):
+        for _ in range(MAX_TERMS):
             tb = b * f(b * qn) if b != 0 else 0
             ta = a * f(a * qn) if a != 0 else 0
             total = total + (tb - ta) * qn
@@ -104,7 +109,7 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
             )
             if not math.isfinite(mag):  # an mpmath term beyond float range
                 mag = abs(qn) * max(abs(tb), abs(ta))
-            if mag < policy.tol:
+            if mag < tol:
                 small += 1
                 if small >= 3:
                     break
@@ -112,9 +117,7 @@ def q_integral(f: AnalyticFn, a, b, q, policy: TruncationPolicy = DEFAULT_TRUNCA
                 small = 0
             qn = qn * qv
         else:
-            raise TruncationExceeded(
-                f"q-integral did not meet tol={policy.tol:g} within {policy.max_terms} terms"
-            )
+            raise TruncationExceeded(f"q-integral did not meet tol={tol:g} within {MAX_TERMS} terms")
     except OverflowError as exc:
         raise TruncationExceeded(f"q-integral overflowed: {exc}") from exc
     result = (1 - qv) * total

@@ -79,31 +79,6 @@ class Base:
         _validate_base_magnitude(abs(qc))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Absolute tail tolerance and hard cap of a non-terminating series or a
-    Jackson integral (``hyperseries``, ``qcalculus.q_integral``)."""
-
-    tol: float = 1e-14
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
-
-
-def as_base(q) -> Base:
-    """Coerce a raw number to a validated Base (idempotent on Base)."""
-    if isinstance(q, Base):
-        return q
-    return Base(complex(q))
-
-
 def base_value(q):
     """The numeric base behind ``q`` without converting its type.
 
@@ -158,7 +133,8 @@ def poch_finite(a, q, n: int):
     """Finite q-shifted factorial (a; q)_n = prod_{k=0}^{n-1} (1 - a q^k).
 
     Returns exactly 1 for n = 0 (``mp.one`` for mpmath ``a``).  Generic over
-    complex and mpmath scalars.
+    complex and mpmath scalars; raises DomainError when a float/complex
+    result overflows.
     """
     if n < 0:
         raise DomainError("poch_finite requires n >= 0")
@@ -170,6 +146,8 @@ def poch_finite(a, q, n: int):
     for _ in range(n):
         acc = acc * (1 - zk)
         zk = zk * qv
+    if isinstance(acc, (float, complex)) and not cmath.isfinite(acc):
+        raise DomainError("poch_finite overflowed the float range")
     return acc + 0j if isinstance(acc, int) else acc
 
 
@@ -288,17 +266,15 @@ def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
     return from_fixed(pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex)
 
 
-def poch_multi(params: Sequence, q, n=None):
-    """Product of q-shifted factorials over several first arguments.
+def poch_multi(params: Sequence, q):
+    """Product of infinite q-shifted factorials over several first arguments.
 
-    ``n`` may be a nonnegative integer, or None / math.inf for the infinite
-    product.  A product of Python numbers is complex even when every factor is
-    real; a product of mpmath reals stays ``mpf``.
+    A product of Python numbers is complex even when every factor is real; a
+    product of mpmath reals stays ``mpf``.
     """
     if len(params) == 0:
         raise DomainError("poch_multi requires at least one parameter")
-    infinite = n is None or n == math.inf
-    factors = [poch_infinite(a, q) if infinite else poch_finite(a, q, int(n)) for a in params]
+    factors = [poch_infinite(a, q) for a in params]
     return math.prod(factors, start=1 + 0j if isinstance(factors[0], (float, complex)) else 1)
 
 

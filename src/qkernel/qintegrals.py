@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError, QuadratureNotConverged
 from .qcore import (
-    DEFAULT_TRUNCATION,
     FLOAT_TOL_LOG10,
     Base,
     base_value,
@@ -37,6 +36,9 @@ MAX_DOUBLINGS = 10
 
 #: Stop of the float trapezoid in ``trig_integral``.
 TRIG_TOL = 1e-11
+
+#: Most terms of the series factor of ``circle_phi_factor``.
+CIRCLE_PHI_MAX_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def weight_values(w: WeightSpec, theta: np.ndarray) -> np.ndarray:
 
 
 def circle_phi_factor(
-    a: complex, extra_upper: Sequence, lower: Sequence, q, z, max_terms: int = 2000
+    a: complex, extra_upper: Sequence, lower: Sequence, q, z
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorised non-terminating series factor
 
@@ -113,7 +115,7 @@ def circle_phi_factor(
         total = t.copy()
         qk = 1.0 + 0j
         small = 0
-        for _ in range(max_terms):
+        for _ in range(CIRCLE_PHI_MAX_TERMS):
             num = (1.0 - A * qk) * (1.0 - B * qk)
             for u in ups:
                 num = num * (1.0 - u * qk)
@@ -377,7 +379,7 @@ def lbww_rhs(u, v, h, r, s, t, q) -> complex:
             lam, (lam, r * u, r * v, h / s), (h * u, h * v, r * s * u * v), complex(qv),
             lambda W, qn: W * w * qn * qn,
         )
-        return pref * sum_until_converged(terms, DEFAULT_TRUNCATION, "lbww t = 0 series").value
+        return pref * sum_until_converged(terms, "lbww t = 0 series").value
     series = eval_wp_limit(
         lam,
         numerator=(lam, r * u, r * v, h / s, h / t),

@@ -3,7 +3,11 @@ full verification run (`suite --all --draws 5 --seed 42`) plus a byte-level
 determinism comparison of two CLI runs."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,24 @@ def test_criterion_12_determinism(tmp_path):
     doc = json.loads(out[0])
     ok &= doc["summary"]["fail"] == 0
     _announce("12 deterministic byte-identical reports", ok,
+              f"{len(out[0])} bytes each")
+
+
+def test_determinism_across_fresh_interpreters():
+    # criterion 12 shares one interpreter's hash seed and warm caches; these
+    # two runs share neither
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkernel.cli", "suite", "--all", "--draws", "1",
+             "--seed", str(SEED), "--format", "json", "--deterministic"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True, check=True, timeout=600,
+        )
+        out.append(proc.stdout)
+    _announce("12 byte-identical reports across fresh interpreters", out[0] == out[1],
               f"{len(out[0])} bytes each")
 
 

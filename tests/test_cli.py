@@ -110,6 +110,37 @@ def test_check_division_by_zero_skipped(argv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pfaff_saalschutz_instance", "--n", "12", "--a", "1e100", "--d", "1e100"],
+    ["verma_jain_4phi3", "--n", "12", "--lambda", "1e100"],
+    ["q_watson_4phi3", "--n", "12", "--lambda", "1e100"],
+])
+def test_check_float_overflow_skipped(argv, tmp_path, capsys):
+    # float ** in a right-hand side overflows: skipped, not a traceback and exit 1
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"].startswith("OverflowError")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--m", "2", "--c", "0.3-0.2i"],
+    ["--n", "0", "--m", "0", "--a", "0.3+0.1i"],
+    ["--n", "1", "--m", "2", "--c", "0.3-0.2i"],
+])
+def test_check_qhahn_orthogonality_complex_parameters(argv, tmp_path):
+    # L_n is complex here: the imaginary part of the integral is held to L_n's
+    params = {"--a": "0.3", "--b": "0.2", "--c": "0.4", "--d": "0.1", "--rho": "0.6",
+              "--q": "0.5", **dict(zip(argv[::2], argv[1::2]))}
+    out = tmp_path / "r.json"
+    assert main(["check", "qhahn_orthogonality", *(x for kv in params.items() for x in kv),
+                 "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
 @pytest.mark.parametrize("zero", ["c", "d", "rho"])
 def test_check_askey_roy_zero_parameter_skipped(zero, tmp_path):
     # the weight divides by c, d and rho, so the closed form validates first
@@ -242,6 +273,20 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "DomainError" in captured.err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["poch", "--a", "1e200", "--q", "0.5", "--n", "3"], "DomainError"),
+        (["qhahn", "--n", "3", "--a", "0.3", "--b", "0.2", "--c", "0.4", "--d", "0.1",
+          "--z", "1e300", "--q", "0.5"], "TruncationExceeded"),
+        (["bigqjacobi", "--n", "3", "--a", "0.3", "--b", "0.2", "--c", "-0.4",
+          "--x", "1e300", "--q", "0.5"], "TruncationExceeded"),
+    ])
+    def test_non_finite_value_exit2(self, argv, error, capsys):
+        # a value beyond the float range is an error, never inf or nan
+        assert main(["eval", *argv, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error in captured.err
 
     def test_divergent_phi_exit2(self, capsys):
         # |z| > 1: the running sum overflows and must not be reported as inf

@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qkernel.errors import DomainError, PoleInDenominator, TruncationExceeded
-from qkernel.qcore import Base, TruncationPolicy, h_weight, poch_infinite
+from qkernel import hyperseries
+from qkernel.qcore import Base, h_weight, poch_infinite
 from qkernel.hyperseries import (
     SeriesSpec,
     eval_phi,
@@ -54,7 +55,7 @@ class TestEvalPhi:
     def test_q_gauss_example(self):
         q, a, b, c = 0.5, 0.2, 0.3, 0.71
         spec = SeriesSpec((q / a, q / b), (c,), Base(q + 0j), a * b * c / q**2)
-        res = eval_phi(spec, TruncationPolicy(tol=1e-15))
+        res = eval_phi(spec)
         assert abs(res.value - Q_GAUSS_SERIES) / Q_GAUSS_SERIES < 1e-11
         rhs = (
             poch_infinite(c * a / q, q)
@@ -78,10 +79,11 @@ class TestEvalPhi:
         with pytest.raises(PoleInDenominator):
             eval_phi(SeriesSpec((0.2,), (4.0,), Base(q + 0j), 0.3))  # q^-2
 
-    def test_divergent_raises(self):
+    def test_divergent_raises(self, monkeypatch):
+        monkeypatch.setattr(hyperseries, "MAX_TERMS", 2000)
         spec = SeriesSpec((0.2, 0.3), (0.4,), Base(0.5 + 0j), 1.8)
         with pytest.raises(TruncationExceeded):
-            eval_phi(spec, TruncationPolicy(max_terms=2000))
+            eval_phi(spec)
 
     def test_terminating_requires_matching_parameter(self):
         spec = SeriesSpec((0.2,), (0.4,), Base(0.5 + 0j), 0.5, terminating_order=3)
@@ -122,10 +124,12 @@ class TestEvalPhi:
         ).value
         assert abs(v - base) <= 1e-13 * max(1e-30, abs(base))
 
-    def test_tail_estimate_bounds_extension(self):
+    def test_tail_estimate_bounds_extension(self, monkeypatch):
+        # a stop at 1e-10 leaves a tail far above the rounding of the sum
+        monkeypatch.setattr(hyperseries, "SERIES_TOL", 1e-10)
         q = 0.5
         spec = SeriesSpec((0.25, 0.4), (0.6,), Base(q + 0j), 0.7)
-        res = eval_phi(spec, TruncationPolicy(tol=1e-10))
+        res = eval_phi(spec)
         extended = _direct_phi([0.25, 0.4], [0.6], q, 0.7, 3 * res.terms_used)
         assert abs(res.value - extended) <= res.tail_estimate + 1e-14
 
@@ -140,48 +144,48 @@ class TestEvalPhi:
         rounding = res.terms_used * sys.float_info.epsilon * abs(res.value)
         assert abs(res.value - exact) <= res.tail_estimate + rounding
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hyperseries, "MAX_TERMS", 5)
         spec = SeriesSpec((0.25, 0.4), (0.6,), Base(0.5 + 0j), 0.9)
         with pytest.raises(TruncationExceeded):
-            eval_phi(spec, TruncationPolicy(max_terms=5))
+            eval_phi(spec)
 
 
 class TestSumUntilConverged:
-    POLICY = TruncationPolicy(tol=1e-10)
+    # the stop is a term below 1e-14 * max(1, |partial sum|)
 
     def test_stops_after_three_small_terms(self):
-        res = sum_until_converged(iter([1.0, 1e-11, 0.5, 4e-11, 2e-11, 1e-11, 7.0]),
-                                  self.POLICY, "test")
+        res = sum_until_converged(iter([1.0, 1e-15, 0.5, 4e-15, 2e-15, 1e-15, 7.0]), "test")
         assert res.terms_used == 6
-        assert res.value == 1.0 + 1e-11 + 0.5 + 4e-11 + 2e-11 + 1e-11
-        assert res.tail_estimate == pytest.approx(1e-11)  # r = 1/2
+        assert res.value == 1.0 + 1e-15 + 0.5 + 4e-15 + 2e-15 + 1e-15
+        assert res.tail_estimate == pytest.approx(1e-15, rel=1e-12, abs=0)  # r = 1/2
 
     def test_exact_zero_term_gives_zero_tail(self):
-        res = sum_until_converged(iter([1.0, 0.0, 0.0, 0.0]), self.POLICY, "test")
+        res = sum_until_converged(iter([1.0, 0.0, 0.0, 0.0]), "test")
         assert (res.terms_used, res.tail_estimate) == (4, 0.0)
 
     def test_growing_small_terms_raise(self):
         # three small terms, but the last ratio is 1.5: no geometric bound
         with pytest.raises(TruncationExceeded, match="ratio"):
-            sum_until_converged(iter([1.0, 1e-12, 2e-12, 3e-12]), self.POLICY, "test")
+            sum_until_converged(iter([1.0, 1e-16, 2e-16, 3e-16]), "test")
 
     def test_non_finite_raises(self):
         with pytest.raises(TruncationExceeded, match="non-finite"):
-            sum_until_converged(iter([1.0, math.inf]), self.POLICY, "test")
+            sum_until_converged(iter([1.0, math.inf]), "test")
         with pytest.raises(TruncationExceeded, match="non-finite"):
-            sum_until_converged(iter([1e308, 1e308]), self.POLICY, "test")
+            sum_until_converged(iter([1e308, 1e308]), "test")
 
-    def test_cap_counts_terms_after_the_leading_one(self):
-        terms = [1.0, 0.5, 1e-11, 1e-11, 1e-12]
-        pol = TruncationPolicy(tol=1e-10, max_terms=4)
-        assert sum_until_converged(iter(terms), pol, "test").terms_used == 5
+    def test_cap_counts_terms_after_the_leading_one(self, monkeypatch):
+        terms = [1.0, 0.5, 1e-15, 1e-15, 1e-16]
+        monkeypatch.setattr(hyperseries, "MAX_TERMS", 4)
+        assert sum_until_converged(iter(terms), "test").terms_used == 5
+        monkeypatch.setattr(hyperseries, "MAX_TERMS", 3)
         with pytest.raises(TruncationExceeded, match="within 4 terms"):
-            sum_until_converged(iter(terms), TruncationPolicy(tol=1e-10, max_terms=3),
-                                "test")
+            sum_until_converged(iter(terms), "test")
 
     def test_exhausted_generator_raises(self):
         with pytest.raises(TruncationExceeded, match="within 2 terms"):
-            sum_until_converged(iter([1.0, 0.5]), self.POLICY, "test")
+            sum_until_converged(iter([1.0, 0.5]), "test")
 
 
 _unit = st.floats(min_value=-0.9, max_value=0.9)
@@ -304,9 +308,10 @@ class TestMpmathOracle:
         with pytest.raises(TruncationExceeded, match="non-finite"):
             eval_wp_limit(0.2, (0.3,), (0.4,), 0.5, 1e300)
 
-    def test_wp_limit_cap_raises(self):
+    def test_wp_limit_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hyperseries, "MAX_TERMS", 2)
         with pytest.raises(TruncationExceeded):
-            eval_wp_limit(0.2, (0.3,), (0.4,), 0.5, 0.7, policy=TruncationPolicy(max_terms=2))
+            eval_wp_limit(0.2, (0.3,), (0.4,), 0.5, 0.7)
 
 
 class TestEvalW:

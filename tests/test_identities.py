@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 from qkernel import identities, qcalculus
 from qkernel.errors import TruncationExceeded, UnknownIdentity
 from qkernel.polyfamilies import BigQJacobiParams, QHahnParams, big_qjacobi_poly, qhahn_poly
-from qkernel.qcore import Base, TruncationPolicy
+from qkernel.qcore import Base
 from qkernel.qintegrals import periodic_trapezoid
 from qkernel.identities import (
     REGISTRY,
@@ -237,8 +237,7 @@ class TestMomentRegrouping:
                 return identities._bqj_weight_node(x, a, b, c, q, dps) * Pn(x) * Pm(x)
 
             qm = mpf(q)
-            direct = qcalculus.q_integral(f, c * qm, a * qm, qm,
-                                          TruncationPolicy(tol=tol, max_terms=100_000))
+            direct = qcalculus.q_integral(f, c * qm, a * qm, qm, tol)
             bound = ((n + m + 2) * (min(n, m) + 1) * _max_on_circle(Pn, n, radius)
                      * _max_on_circle(Pm, m, radius) * tol / (1 - q))
             assert self._within(value, direct, bound)

@@ -6,8 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from qkernel import qcalculus
 from qkernel.errors import DomainError, TruncationExceeded
-from qkernel.qcore import Base, TruncationPolicy, mp_scalar, poch_finite, poch_infinite
+from qkernel.qcore import Base, mp_scalar, poch_finite, poch_infinite
 from qkernel.qcalculus import (
     _jackson_vectors,
     liu_coefficient,
@@ -114,6 +115,17 @@ class TestQIntegral:
         lhs = q_integral(lambda x: 2 * f(x) + g(x), 0.1, 0.5, 0.5)
         rhs = 2 * q_integral(f, 0.1, 0.5, 0.5) + q_integral(g, 0.1, 0.5, 0.5)
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
+
+    def test_tol_sets_the_stop(self):
+        # the terms 0.7 q^n first fall below 1e-6 at n = 20; the sum stops
+        # after n = 22 and misses the tail 0.7 q^23
+        v = q_integral(lambda x: 1.0, 0.0, 0.7, 0.5, tol=1e-6)
+        assert 0.7 - v == pytest.approx(0.7 * 0.5**23, rel=1e-6)
+
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(qcalculus, "MAX_TERMS", 3)
+        with pytest.raises(TruncationExceeded, match="within 3 terms"):
+            q_integral(lambda x: 1.0, 0.0, 0.7, 0.5)
 
     def test_overflowing_integrand_raises(self):
         with pytest.raises(TruncationExceeded, match="overflowed"):

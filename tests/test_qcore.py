@@ -12,8 +12,6 @@ from qkernel.hyperseries import nearest_pole_distance
 from qkernel.qcore import (
     Base,
     _magnitude,
-    TruncationPolicy,
-    as_base,
     h_weight,
     mp_scalar,
     poch_finite,
@@ -46,19 +44,12 @@ class TestBase:
             Base(0.9995 + 0j)
         with pytest.raises(DomainError):
             Base(1.2 + 0j)
-        assert as_base(0.5).q == 0.5 + 0j
 
     def test_zero_base_rejected(self):
         with pytest.raises(DomainError):
             Base(0j)
         with pytest.raises(DomainError):
             poch_infinite(0.3, 0.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            TruncationPolicy(tol=0.0)
-        with pytest.raises(DomainError):
-            TruncationPolicy(max_terms=0)
 
 
 class TestPochFinite:
@@ -77,6 +68,10 @@ class TestPochFinite:
     def test_negative_n_rejected(self):
         with pytest.raises(DomainError):
             poch_finite(0.5, 0.5, -1)
+
+    def test_float_overflow_rejected(self):
+        with pytest.raises(DomainError, match="float range"):
+            poch_finite(1e200, 0.5, 3)
 
     @given(re=_small, im=_small, q=_qs, n=st.integers(min_value=0, max_value=50))
     def test_recurrence(self, re, im, q, n):
@@ -136,17 +131,18 @@ class TestPochInfinite:
 
 class TestPochMulti:
     def test_singleton(self):
-        assert poch_multi([0.3], 0.5, 4) == poch_finite(0.3, 0.5, 4)
+        assert poch_multi([0.3], 0.5) == poch_infinite(0.3, 0.5)
 
     def test_hand_pair(self):
-        assert poch_multi([0.5, 0.25], 0.5, 1) == pytest.approx(0.375, rel=1e-15)
+        # (a; q^2)_inf (a q; q^2)_inf = (a; q)_inf
+        assert poch_multi([0.5, 0.25], 0.25) == pytest.approx(POCH_HALF, rel=1e-14)
 
     def test_all_zero_infinite(self):
-        assert poch_multi([0.0, 0.0, 0.0], 0.5, None) == 1
+        assert poch_multi([0.0, 0.0, 0.0], 0.5) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            poch_multi([], 0.5, 3)
+            poch_multi([], 0.5)
 
 
 class TestMpmathOracle:
