@@ -12,9 +12,10 @@ for moderate n.
 2^W, as mpmath's own ``libelefun`` sums its series: a complex value is a pair
 (re, im) of integers, the parameters from ``build()`` are converted once with
 ``to_fixed``, and the sum goes back through ``from_man_exp``, rounded once to
-the caller's precision.  q^k is kept as a pair times a power of two with W
-significant bits, so each ``a q^k`` is accurate relative to itself.  Each new
-term is one floor division of two exact products of integers,
+the caller's precision.  q^k and z are kept as pairs times a power of two
+with W significant bits, so each ``a q^k`` is accurate relative to itself and
+a z below 2^-W does not truncate to 0.  Each new term is one floor division
+of two exact products of integers,
 
     t_{k+1} = floor(t_k z prod(1 - a q^k) (-q^k)^e / (prod(1 - b q^k) (1 - q^{k+1})))
 
@@ -30,13 +31,17 @@ absolute 10^-(ambient + 28) with three digits to spare for the factors'
 units: terms that fall by many orders of magnitude and then rise again do
 not lose the digits of their smallest member.
 
-Non-terminating series have geometrically decaying terms and are summed in
-ordinary complex arithmetic by ``sum_until_converged``, the one loop with the
-one stop rule: stop after three consecutive terms below
-``SERIES_TOL * max(1, |partial sum|)`` = 1e-14 relative, within ``MAX_TERMS``
-= 200 000 terms, and report the ratio bound of the tail.  The well-poised
-limit sums, the t = 0 lbww series and the outer sum of the master formula use
-it too.
+Non-terminating series have geometrically decaying terms.  ``phi_terms`` is
+the one recurrence for them: the t_{k+1} above in complex arithmetic, with a
+free exponent e.  It serves ``eval_phi`` (e = 1 + s - r: the 8W7 and 3phi2
+closed forms), ``wp_limit_terms`` (the well-poised limit sums, e = 1, and the
+t = 0 lbww series, e = 2) and ``qintegrals.circle_phi_factor`` (e = 0, with
+numpy arrays of node values as numerator parameters).  ``sum_until_converged``
+is the one loop with the one stop rule, which the theta series and the outer
+sum of the master formula use too: stop after three consecutive terms below
+``SERIES_TOL * max(1, |partial sum|)`` = 1e-14 relative (the largest modulus
+over an array of nodes), within ``MAX_TERMS`` = 200 000 terms, and report
+the ratio bound of the tail.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 from mpmath import mp, mpc
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
@@ -128,15 +134,16 @@ def phi_terminating_core(
         nums, dens, z, q = build()
         nc = [complex(x) for x in nums]
         dc = [complex(x) for x in dens]
-        zc = complex(z)
         qc = complex(q)
-    if zc == 0:
-        return mp.one, 0.0  # every term after the leading 1 vanishes
+        if z == 0:
+            return mp.one, 0.0  # every term after the leading 1 vanishes
+        zc = abs(complex(z))  # 0.0 when z is below the float range
+        log_z = math.log10(zc) if zc else float(mp.log10(abs(z)))
     d_exp = 1 + len(dc) - len(nc)
     log_t = max_log = low = rise = 0.0
     qk = 1 + 0j
     for k in range(n):
-        step = math.log10(abs(zc))
+        step = log_z
         dead = False
         for a in nc:
             fac = abs(1 - a * qk)
@@ -172,7 +179,8 @@ def phi_terminating_core(
     one = 1 << W
     A = [fixed_parts(a, W) for a in nums]
     B = [fixed_parts(b, W) for b in dens]
-    Z = fixed_parts(z, W)
+    zs = max(0, -int(mp.mag(z)))  # z keeps W significant bits, as q^k does
+    Z = fixed_parts(z, W + zs)
     Q = fixed_parts(q, W)
     t = total = (one, 0)
     M, s = (one, 0), W  # q^k = (M[0] + i M[1]) 2^-s, W significant bits kept
@@ -189,7 +197,7 @@ def phi_terminating_core(
         D = (1, 0)
         for b in B:
             D = _cmul(D, one_minus(b))
-        E = W * (d_exp - 1) - d_exp * s
+        E = W * (d_exp - 1) - d_exp * s - zs
         minus_qk = (-M[0], -M[1])
         for _ in range(d_exp):
             P = _cmul(P, minus_qk)
@@ -251,16 +259,20 @@ def sum_until_converged(terms: Iterable, what: str) -> SeriesResult:
     term ratio of 1 or more at the stop all raise ``TruncationExceeded``.
     The tail estimate is the geometric bound ``|t| r / (1 - r)`` from the
     ratio ``r`` of the last two term magnitudes (0 after an exact zero term).
+    Terms may be numpy arrays (one series per node); every modulus is then
+    the largest over the nodes.
     """
     total = 0j
     small = used = 0
     mag = math.inf
     for used, t in enumerate(itertools.islice(terms, MAX_TERMS + 1), 1):
         total += t
-        prev, mag = mag, abs(t)
-        if not (math.isfinite(mag) and cmath.isfinite(total)):
+        prev, mag, size = mag, abs(t), abs(total)
+        if isinstance(size, np.ndarray):  # one series per node: the largest
+            mag, size = np.max(mag), size.max()
+        if not (math.isfinite(mag) and math.isfinite(size)):
             raise TruncationExceeded(f"{what} terms or sum became non-finite (divergent?)")
-        small = small + 1 if mag < SERIES_TOL * max(1.0, abs(total)) else 0
+        small = small + 1 if mag < SERIES_TOL * max(1.0, size) else 0
         if small == 3:
             if prev == 0:
                 return SeriesResult(total, used, 0.0)
@@ -273,6 +285,29 @@ def sum_until_converged(terms: Iterable, what: str) -> SeriesResult:
     raise TruncationExceeded(f"{what} did not meet tol={SERIES_TOL:g} within {used} terms")
 
 
+def phi_terms(nums: Sequence, dens: Sequence, q: complex, z, d_exp: int):
+    """Terms (nums; q)_k / (q, dens; q)_k z^k ((-1)^k q^{k(k-1)/2})^d_exp,
+    k = 0, 1, ..., of a non-terminating series.  Numerator parameters may be
+    numpy arrays, which gives the terms at every node at once."""
+    t = qk = 1 + 0j
+    yield t
+    for k in itertools.count():
+        num = 1 + 0j
+        for a in nums:
+            num *= 1 - a * qk
+        den = 1 + 0j
+        for b in dens:
+            den *= 1 - b * qk
+        den *= 1 - q * qk
+        if den == 0:
+            raise PoleInDenominator(f"vanishing denominator factor at k={k + 1}")
+        t = t * num / den * z
+        if d_exp:
+            t = t * (-qk) ** d_exp
+        qk *= q
+        yield t
+
+
 def eval_phi(spec: SeriesSpec) -> SeriesResult:
     """Evaluate the series
 
@@ -280,7 +315,7 @@ def eval_phi(spec: SeriesSpec) -> SeriesResult:
                * ((-1)^n q^{n(n-1)/2})^{1+s-r} * z^n.
 
     Terminating specs are summed over exactly ``terminating_order + 1`` terms;
-    otherwise by ``sum_until_converged``.
+    otherwise ``phi_terms`` by ``sum_until_converged``.
     """
     qv = base_value(spec.base)
     _check_denominator_poles(spec.denominator, qv)
@@ -299,42 +334,14 @@ def eval_phi(spec: SeriesSpec) -> SeriesResult:
             )
         return _eval_terminating(spec, n)
 
-    q = complex(qv)
-    z = complex(spec.argument)
     nums = [complex(a) for a in spec.numerator]
     dens = [complex(b) for b in spec.denominator]
-    d_exp = 1 + len(dens) - len(nums)
-
-    def terms():
-        t = qk = 1 + 0j
-        yield t
-        for k in itertools.count():
-            num = 1 + 0j
-            for a in nums:
-                num *= 1 - a * qk
-            den = 1 + 0j
-            for b in dens:
-                den *= 1 - b * qk
-            den *= 1 - q * qk
-            if den == 0:
-                raise PoleInDenominator(f"vanishing denominator factor at k={k + 1}")
-            t = t * num / den * z
-            if d_exp:
-                t = t * (-qk) ** d_exp
-            qk *= q
-            yield t
-
-    return sum_until_converged(terms(), "series")
+    terms = phi_terms(nums, dens, complex(qv), complex(spec.argument), 1 + len(dens) - len(nums))
+    return sum_until_converged(terms, "series")
 
 
-def eval_wp_limit(
-    alpha,
-    numerator: Sequence,
-    denominator: Sequence,
-    q,
-    w,
-    shift: int = -1,
-) -> SeriesResult:
+def eval_wp_limit(alpha, numerator: Sequence, denominator: Sequence, q, w,
+                  shift: int = -1) -> SeriesResult:
     """Evaluate the well-poised limit sum
 
         sum_n (1 - alpha q^{2n})/(1 - alpha)
@@ -348,21 +355,17 @@ def eval_wp_limit(
     if shift not in (-1, 1):
         raise DomainError("shift must be -1 or +1")
     qv = complex(base_value(q))
-    wv = complex(w)
-
-    def step(W, qn):
-        return W * wv * (qn if shift == -1 else qn * qv)
-
-    terms = wp_limit_terms(alpha, numerator, denominator, qv, step)
+    z = -complex(w) if shift == -1 else -complex(w) * qv
+    terms = wp_limit_terms(alpha, numerator, denominator, qv, z, 1)
     return sum_until_converged(terms, "well-poised limit sum")
 
 
-def wp_limit_terms(alpha, numerator: Sequence, denominator: Sequence, q: complex, step: Callable):
-    """Terms of (1 - alpha q^{2n})/(1 - alpha) prod(numerator; q)_n
-    / (q, denominator; q)_n W_n, where W_0 = 1 and ``step(W_n, q^n)`` gives
-    W_{n+1}: the series of ``eval_wp_limit``, also summed by the t = 0 limit
-    of ``qintegrals.lbww_rhs`` (W_n = w^n q^{n(n-1)}).  Poles and alpha = 1
-    are rejected here, before the first term."""
+def wp_limit_terms(alpha, numerator: Sequence, denominator: Sequence, q: complex, z, d_exp: int):
+    """Terms of (1 - alpha q^{2n})/(1 - alpha) times those of
+    ``phi_terms(numerator, denominator, q, z, d_exp)``: the series of
+    ``eval_wp_limit`` (d_exp = 1), also summed by the t = 0 limit of
+    ``qintegrals.lbww_rhs`` (d_exp = 2).  Poles and alpha = 1 are rejected
+    here, before the first term."""
     _check_denominator_poles(denominator, q)
     al = complex(alpha)
     if abs(1 - al) < 1e-300:
@@ -371,22 +374,10 @@ def wp_limit_terms(alpha, numerator: Sequence, denominator: Sequence, q: complex
     dens = [complex(x) for x in denominator]
 
     def terms():
-        yield 1 + 0j
-        P = W = qn = q2n = 1 + 0j
-        for n in itertools.count():
-            num_f = 1 + 0j
-            for x in nums:
-                num_f *= 1 - x * qn
-            den_f = 1 - q * qn
-            for x in dens:
-                den_f *= 1 - x * qn
-            if den_f == 0:
-                raise PoleInDenominator(f"vanishing denominator factor at n={n + 1}")
-            P = P * num_f / den_f
-            W = step(W, qn)
-            qn *= q
+        q2n = 1 + 0j
+        for t in phi_terms(nums, dens, q, complex(z), d_exp):
+            yield (1 - al * q2n) / (1 - al) * t
             q2n *= q * q
-            yield (1 - al * q2n) / (1 - al) * P * W
 
     return terms()
 

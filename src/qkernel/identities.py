@@ -60,6 +60,7 @@ the suite.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -99,6 +100,7 @@ from .polyfamilies import (
     QHahnParams,
     big_qjacobi_poly,
     qhahn_A,
+    qhahn_K,
     qhahn_L,
     qhahn_L0,
     qhahn_poly,
@@ -239,7 +241,8 @@ def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
     """Sum ``term(n, w_n)`` over n with w_0 = 1 and w_{n+1} = w_n * step(n).
 
     Stops after 5 consecutive terms below 1e-14 in absolute value; returns the
-    sum and the number of terms used.
+    sum and the number of terms used.  A partial sum that is not finite
+    (outside the disk of convergence) raises at once.
     """
     total = 0j
     weight = 1 + 0j
@@ -247,6 +250,8 @@ def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
     for n in range(250):
         t = term(n, weight)
         total += t
+        if not cmath.isfinite(total):
+            raise TruncationExceeded("generating function sum became non-finite (divergent?)")
         if abs(t) < 1e-14:
             small += 1
             if small >= 5:
@@ -266,15 +271,8 @@ def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
 def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
     """The weight K and z = e^{i theta} at theta = -pi + 2 pi jn / jd."""
     with mp.workdps(dps):
-        # every argument is formed in mpmath: a float product such as q * d
-        # would round the weight to double precision
-        a, b, c, d, rho, q = (mp_scalar(x) for x in (a, b, c, d, rho, q))
         theta = -mp.pi + 2 * mp.pi * mpf(jn) / jd
-        e = mp.expj(theta)
-        em = mp.expj(-theta)
-        num = poch_multi([rho * e / d, q * d * em / rho, rho * c * em, q * e / (c * rho)], q)
-        den = poch_multi([a * e, b * e, c * em, d * em], q)
-        return num / den, e
+        return qhahn_K(theta, QHahnParams(a, b, c, d, rho, Base(complex(q)))), mp.expj(theta)
 
 
 @lru_cache(maxsize=None)
@@ -1515,17 +1513,14 @@ def _recipe_theta_product(prm) -> CheckValues:
         * poch_infinite(q3, q3)
         / (poch_infinite(-q, q) * poch_infinite(-q3, q3))
     )
-    total = 1.0
-    n = 1
-    while True:
-        term = 2.0 * (-1) ** n * q**n * (1 + q**n) / (1 + q ** (3 * n))
-        total += term
-        if abs(term) < 1e-18:
-            break
-        n += 1
-        if n > 10_000:
-            raise TruncationExceeded("theta series did not converge")
-    return CheckValues(complex(lhs), complex(total), {"terms": n})
+
+    def terms():
+        yield 1.0
+        for n in itertools.count(1):
+            yield 2.0 * (-1) ** n * q**n * (1 + q**n) / (1 + q ** (3 * n))
+
+    res = sum_until_converged(terms(), "theta series")
+    return CheckValues(complex(lhs), res.value, {"terms": res.terms_used})
 
 
 def _sample_andrews_mod3(rng) -> dict:
@@ -1792,38 +1787,15 @@ def _finalise_report(
     else:
         ok = rel_err <= threshold
     status = "pass" if (ok and values.ok_extra) else "fail"
-    return IdentityReport(
-        id=ident,
-        label=label,
-        params=dict(params),
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        status=status,
-        metric=metric,
-        threshold=threshold,
-        scale=scale,
-        diagnostics=values.diagnostics,
-    )
+    return IdentityReport(id=ident, label=label, params=dict(params), lhs=lhs, rhs=rhs,
+                          abs_err=abs_err, rel_err=rel_err, status=status, metric=metric,
+                          threshold=threshold, scale=scale, diagnostics=values.diagnostics)
 
 
 def _skip_report(ident, label, params, reason, threshold) -> IdentityReport:
-    return IdentityReport(
-        id=ident,
-        label=label,
-        params=dict(params),
-        lhs=0j,
-        rhs=0j,
-        abs_err=math.nan,
-        rel_err=math.nan,
-        status="skipped",
-        metric="rel",
-        threshold=threshold,
-        scale=1.0,
-        diagnostics={},
-        reason=reason,
-    )
+    return IdentityReport(id=ident, label=label, params=dict(params), lhs=0j, rhs=0j,
+                          abs_err=math.nan, rel_err=math.nan, status="skipped", metric="rel",
+                          threshold=threshold, scale=1.0, reason=reason)
 
 
 def check_identity(
@@ -1836,7 +1808,8 @@ def check_identity(
     """Evaluate both sides of one identity and report residuals.
 
     Unknown ids raise; domain violations, a recipe's own division by zero or
-    float overflow among them, surface as status="skipped" with a reason.
+    float overflow among them, and an inf or nan side surface as
+    status="skipped" with a reason.
     The base (``q``, or ``p`` where q = p^3) is validated before the recipe
     runs, since recipes may divide by it first.
     """
@@ -1857,6 +1830,9 @@ def check_identity(
             if name in params:
                 Base(params[name])
         values = recipe(params)
+        for side in ("lhs", "rhs"):
+            if not cmath.isfinite(complex(getattr(values, side))):
+                raise TruncationExceeded(f"{side} is not finite")
     except (DomainError, PoleInDenominator, TruncationExceeded, QuadratureNotConverged,
             ZeroDivisionError, OverflowError) as exc:
         return _skip_report(ident, label, params, f"{type(exc).__name__}: {exc}", threshold)

@@ -176,17 +176,23 @@ def qhahn_L(n: int, p: QHahnParams) -> complex:
     return complex(num / den * qhahn_L0(p))
 
 
-def qhahn_K(theta: float, p: QHahnParams) -> complex:
+def qhahn_K(theta, p: QHahnParams):
     """Orthogonality weight
     K(theta) = (rho e^{it}/d, q d e^{-it}/rho, rho c e^{-it}, q e^{it}/(c rho); q)_inf
-               / (a e^{it}, b e^{it}, c e^{-it}, d e^{-it}; q)_inf."""
-    qv = base_value(p.q)
-    a, b, c, d, rho = p.a, p.b, p.c, p.d, p.rho
-    e = cmath.exp(1j * theta)
-    em = cmath.exp(-1j * theta)
+               / (a e^{it}, b e^{it}, c e^{-it}, d e^{-it}; q)_inf.
+
+    For an mpmath angle every argument is formed in mpmath (a float product
+    such as q d would round the weight to double precision) and the mpmath
+    value is returned; otherwise a complex number."""
+    qv, a, b, c, d, rho = base_value(p.q), p.a, p.b, p.c, p.d, p.rho
+    if isinstance(theta, (int, float, complex)):
+        e, em = cmath.exp(1j * theta), cmath.exp(-1j * theta)
+    else:
+        qv, a, b, c, d, rho = (mp_scalar(x) for x in (qv, a, b, c, d, rho))
+        e, em = mp.expj(theta), mp.expj(-theta)
     num = poch_multi([rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv)
     den = poch_multi([a * e, b * e, c * em, d * em], qv)
-    return complex(num / den)
+    return _finish(num / den, theta)
 
 
 def big_qjacobi_poly(n: int, p: BigQJacobiParams, x) -> complex:

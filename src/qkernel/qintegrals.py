@@ -8,6 +8,11 @@ stopping at 1e-11) or mpmath (the q-Hahn orthogonality, full period, with a
 stop at its working precision); each doubling evaluates only the new
 odd-numbered nodes.  Every q-product here is truncated at the tolerance its
 arguments' arithmetic sets (see ``qcore``).
+
+Every non-terminating series here (the 8W7 and 3phi2 closed forms, the
+well-poised limit sums of ``liu_qbeta_rhs`` and ``lbww_rhs``, and the 3phi2
+factor of ``circle_phi_factor``, at every node at once) takes its terms from
+``hyperseries.phi_terms`` and is summed by ``sum_until_converged``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .qcore import (
     poch_multi,
     tail_count,
 )
-from .hyperseries import eval_w, eval_wp_limit, sum_until_converged, wp_limit_terms
+from .hyperseries import (SeriesSpec, eval_phi, eval_w, eval_wp_limit, phi_terms,
+                          sum_until_converged, wp_limit_terms)
 from . import qcalculus
 
 #: Nodes of the trapezoid's first level, and how often it may double them.
@@ -36,9 +42,6 @@ MAX_DOUBLINGS = 10
 
 #: Stop of the float trapezoid in ``trig_integral``.
 TRIG_TOL = 1e-11
-
-#: Most terms of the series factor of ``circle_phi_factor``.
-CIRCLE_PHI_MAX_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -102,36 +105,16 @@ def circle_phi_factor(
 
         phi(a e^{i theta}, a e^{-i theta}, extra_upper...; lower...; q, z)
 
-    with the balanced r = s + 1 convention (no compensating power of q)."""
+    with the balanced r = s + 1 convention (no compensating power of q): the
+    terms of ``phi_terms`` at every node, summed by ``sum_until_converged``."""
     qv = complex(base_value(q))
     ups = [complex(x) for x in extra_upper]
     lows = [complex(x) for x in lower]
 
     def factor(theta: np.ndarray) -> np.ndarray:
         eip = np.exp(1j * theta)
-        A = a * eip
-        B = a * np.conj(eip)
-        t = np.ones(theta.shape, dtype=complex)
-        total = t.copy()
-        qk = 1.0 + 0j
-        small = 0
-        for _ in range(CIRCLE_PHI_MAX_TERMS):
-            num = (1.0 - A * qk) * (1.0 - B * qk)
-            for u in ups:
-                num = num * (1.0 - u * qk)
-            den = 1.0 - qv * qk
-            for l in lows:
-                den = den * (1.0 - l * qk)
-            t = t * num / den * z
-            qk *= qv
-            total += t
-            if float(np.max(np.abs(t))) < 1e-17 * max(1.0, float(np.max(np.abs(total)))):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
-        raise QuadratureNotConverged("series factor did not converge on the node set")
+        terms = phi_terms([a * eip, a * np.conj(eip), *ups], lows, qv, z, 0)
+        return sum_until_converged(terms, "series factor on the node set").value
 
     return factor
 
@@ -278,8 +261,6 @@ def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
 
 def liu_r0_rhs(a, b, c, d, s, q) -> complex:
     """r = 0 form: products times 3phi2(ab, ac, bc; abcd, abcs; q, ds)."""
-    from .hyperseries import SeriesSpec, eval_phi
-
     qv = base_value(q)
     num = poch_multi([a * b * c * d, a * b * c * s], qv)
     den = poch_multi([qv, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], qv)
@@ -373,12 +354,10 @@ def lbww_rhs(u, v, h, r, s, t, q) -> complex:
     pref = (1 - qv) * v * num / den
     if t == 0:
         # t -> 0 limit of (h/t; q)_n (-stuv)^n q^{n(n-1)/2}: terms become
-        # (lam, ru, rv, h/s; q)_n (hsuv)^n q^{n(n-1)} / (q, hu, hv, rsuv; q)_n.
-        w = h * s * u * v
-        terms = wp_limit_terms(
-            lam, (lam, r * u, r * v, h / s), (h * u, h * v, r * s * u * v), complex(qv),
-            lambda W, qn: W * w * qn * qn,
-        )
+        # (lam, ru, rv, h/s; q)_n (hsuv)^n q^{n(n-1)} / (q, hu, hv, rsuv; q)_n,
+        # the d_exp = 2 form of the phi_terms recurrence.
+        terms = wp_limit_terms(lam, (lam, r * u, r * v, h / s), (h * u, h * v, r * s * u * v),
+                               complex(qv), h * s * u * v, 2)
         return pref * sum_until_converged(terms, "lbww t = 0 series").value
     series = eval_wp_limit(
         lam,

@@ -126,6 +126,51 @@ def test_check_float_overflow_skipped(argv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, b", [("1e150", "0.45"), ("-1e150", "0.45"), ("1e200", "1e200")])
+def test_check_terminating_argument_below_fixed_point_unit(a, b, tmp_path):
+    # the 8phi7 argument is about 1e-153 (1e-403 for the last pair), below
+    # the kernel's fixed-point unit
+    out = tmp_path / "r.json"
+    assert main(["check", "watson_q_whipple", "--n", "9", "--q", "0.5", "--alpha", "0.42",
+                 "--a", a, "--b", b, "--c", "0.3", "--d", "0.38",
+                 "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "pass"
+    assert doc["rel_err"] <= 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    ["qhahn_genfun", "--s", "1e150", "--seed", "7"],
+    ["qhahn_genfun_swapped", "--r", "1e150"],
+    ["bigqjacobi_genfun", "--t", "1e150"],
+    ["aw_genfun", "--s", "1e150"],
+])
+def test_check_divergent_generating_function_skipped(argv, tmp_path):
+    # outside the disk of convergence the partial sum overflows within a few
+    # degrees, instead of running to degree 249 first
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"].startswith("TruncationExceeded")
+    assert "non-finite" in doc["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["liu_expansion", "--alpha", "1e150", "--seed", "7"],
+    ["liu_double_expansion", "--alpha", "1e150", "--seed", "7"],
+])
+def test_check_non_finite_side_skipped(argv, tmp_path):
+    # an inf or nan side is a breakdown, not a failure with rel_err nan
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"] == "TruncationExceeded: lhs is not finite"
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "2", "--m", "2", "--c", "0.3-0.2i"],
     ["--n", "0", "--m", "0", "--a", "0.3+0.1i"],

@@ -4,6 +4,7 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from qkernel.hyperseries import (
     nearest_pole_distance,
     phi_terminating_core,
     sum_until_converged,
+    wp_limit_terms,
 )
 
 # independent 500-term truncation oracle of 2phi1(q/a, q/b; c; q, abc/q^2)
@@ -186,6 +188,24 @@ class TestSumUntilConverged:
     def test_exhausted_generator_raises(self):
         with pytest.raises(TruncationExceeded, match="within 2 terms"):
             sum_until_converged(iter([1.0, 0.5]), "test")
+
+    def test_array_terms_stop_on_the_largest_node(self):
+        # node 0 is small from the second term on; node 1 keeps the sum going
+        terms = [np.array([1.0, 1.0]), np.array([1e-16, 0.5]), np.array([1e-16, 0.25]),
+                 np.array([1e-16, 1e-15]), np.array([1e-16, 5e-16]), np.array([1e-16, 2e-16]),
+                 np.array([7.0, 7.0])]
+        res = sum_until_converged(iter(terms), "test")
+        assert res.terms_used == 6
+        np.testing.assert_array_equal(res.value, sum(terms[:6]))
+        assert res.tail_estimate == pytest.approx(2e-16 * 0.4 / 0.6, rel=1e-12)
+
+    def test_array_terms_one_non_finite_node_raises(self):
+        terms = [np.array([1.0, 1.0]), np.array([0.5, math.inf])]
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            sum_until_converged(iter(terms), "test")
+        terms = [np.array([1.0, 1.0]), np.array([0.5, math.nan])]
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            sum_until_converged(iter(terms), "test")
 
 
 _unit = st.floats(min_value=-0.9, max_value=0.9)
@@ -380,6 +400,21 @@ class TestEvalW:
 
 
 class TestWpLimit:
+    def test_d_exp_two_terms_match_mpmath(self):
+        # the t = 0 lbww form: (1 - alpha q^2n)/(1 - alpha) (nums; q)_n
+        # / (q, dens; q)_n z^n q^{n(n-1)}
+        alpha, q, z = 0.3, 0.6, 0.9
+        nums, dens = (alpha, 0.25, -0.4, 1.7), (0.35, 0.2, 0.45)
+        res = sum_until_converged(wp_limit_terms(alpha, nums, dens, q, z, 2), "test")
+        with mpmath.workdps(30):
+            ref = mpmath.mpf(0)
+            for n in range(60):
+                t = (1 - alpha * mpmath.mpf(q) ** (2 * n)) / (1 - alpha)
+                t *= mpmath.fprod(mpmath.qp(x, q, n) for x in nums)
+                t /= mpmath.qp(q, q, n) * mpmath.fprod(mpmath.qp(x, q, n) for x in dens)
+                ref += t * mpmath.mpf(z) ** n * mpmath.mpf(q) ** (n * (n - 1))
+        assert abs(res.value - complex(ref)) <= 1e-14 * abs(complex(ref))
+
     def test_dougall_degenerate_sum(self):
         # alpha = 0 and w = 0 collapse to the single leading term
         res = eval_wp_limit(0.0, (0.0, 0.5), (0.3,), 0.5, 0.0)
@@ -407,6 +442,36 @@ class TestWpLimit:
             t = t / den * (-alpha * 0.12) ** n * q ** (n * (n + 1) // 2)
             total += t
         assert abs(res.value - total) <= 1e-13 * max(1.0, abs(total))
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (1e150, 0.45, 8.10789667226987),  # z = 1.7e-153, below 2^-W
+    (1e200, 1e200, -1.05638948850353),  # z = 7.6e-404, below the float range too
+])
+def test_terminating_core_argument_below_the_fixed_point_unit(a, b, expected):
+    # Watson's 8phi7 with a tiny z: z keeps its significant bits instead of
+    # truncating to 0, which made the sum exactly 1
+    n, q, al, c, d = 9, 0.5, 0.42, 0.3, 0.38
+
+    def build():
+        qm, alm, am, bm, cm, dm = (mpmath.mpf(x) for x in (q, al, a, b, c, d))
+        rt = mpmath.sqrt(alm)
+        nums = [alm, qm * rt, -qm * rt, am, bm, cm, dm, qm ** (-n)]
+        dens = [rt, -rt, qm * alm / am, qm * alm / bm, qm * alm / cm, qm * alm / dm,
+                alm * qm ** (n + 1)]
+        return nums, dens, alm * alm * qm ** (2 + n) / (am * bm * cm * dm), qm
+
+    value, _ = phi_terminating_core(build, n)
+    with mpmath.workdps(400):
+        nums, dens, z, qm = build()
+        ref = t = mpmath.mpf(1)
+        for k in range(n):
+            t *= z / (1 - qm ** (k + 1))
+            t *= mpmath.fprod(1 - x * qm**k for x in nums)
+            t /= mpmath.fprod(1 - x * qm**k for x in dens)
+            ref += t
+    assert ref == pytest.approx(expected, rel=1e-14)
+    assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 def test_nearest_pole_distance():

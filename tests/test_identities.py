@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -353,6 +354,16 @@ class TestCheckIdentity:
         r = check_identity("nassrallah_rahman", prm)
         assert r.status == "skipped"
         assert "DomainError" in r.reason
+
+    @pytest.mark.parametrize("side, value", [("lhs", math.inf), ("rhs", complex(math.nan, 0))])
+    def test_non_finite_side_is_skipped(self, side, value, monkeypatch):
+        entry = REGISTRY["q_gauss"]
+        values = {"lhs": 1.0, "rhs": 1.0, side: value}
+        monkeypatch.setitem(REGISTRY, "q_gauss", replace(
+            entry, recipe=lambda prm: identities.CheckValues(values["lhs"], values["rhs"])))
+        r = check_identity("q_gauss", sample_params("q_gauss", 7))
+        assert r.status == "skipped"
+        assert r.reason == f"TruncationExceeded: {side} is not finite"
 
 
 class TestRunSuite:

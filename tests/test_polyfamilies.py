@@ -113,6 +113,13 @@ class TestQHahnConstants:
             qhahn_K(t + 2 * math.pi, HAHN), rel=1e-12
         )
 
+    def test_K_mpmath_angle(self):
+        # an mpmath angle gives the mpmath value, agreeing with the float path
+        with mp.workdps(40):
+            value = qhahn_K(mpf("0.83"), HAHN)
+            assert isinstance(value, mpc)
+            assert abs(value - qhahn_K(0.83, HAHN)) <= 1e-14 * abs(value)
+
     def test_K_at_zero_via_products(self):
         a, b, c, d, rho, q = 0.3, 0.2, 0.4, 0.1, 0.6, 0.5
         num = (

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from qkernel.errors import (
     TruncationExceeded,
 )
 from qkernel import qintegrals
+from qkernel.hyperseries import SeriesSpec, eval_phi
 from qkernel.qcore import Base, poch_infinite
 from qkernel.qintegrals import (
     WeightSpec,
@@ -21,6 +23,7 @@ from qkernel.qintegrals import (
     askey_roy_rhs,
     askey_wilson_lhs,
     askey_wilson_rhs,
+    circle_phi_factor,
     lbww_lhs,
     lbww_rhs,
     liu_qbeta_lhs,
@@ -237,6 +240,22 @@ class TestLiuQBeta:
         a, b, c, d, q = 0.3, 0.4, 0.2, 0.25, 0.5
         v = liu_qbeta_rhs(a, b, c, d, 0.0, 0.8, 1.1, q)
         assert v == pytest.approx(askey_wilson_rhs(a, b, c, d, q), rel=1e-13)
+
+    def test_circle_factor_matches_per_node_eval_phi(self):
+        a, q, z = 0.3 + 0.1j, 0.5, 0.35
+        upper, lower = [0.6], [0.2, -0.45 + 0.1j]
+        theta = np.linspace(0.0, math.pi, 9)
+        values = circle_phi_factor(a, upper, lower, q, z)(theta)
+        for t, v in zip(theta, values):
+            e = cmath.exp(1j * t)
+            ref = eval_phi(SeriesSpec((a * e, a / e, *upper), tuple(lower), Base(q), z)).value
+            assert abs(v - ref) <= 1e-13 * abs(ref)
+
+    def test_circle_factor_breakdown_raises(self):
+        # |z| > 1: the terms grow at every node until they overflow
+        factor = circle_phi_factor(0.3, [0.6], [0.2, 0.4], 0.5, 3.0)
+        with pytest.raises(TruncationExceeded, match="non-finite"):
+            factor(np.linspace(0.0, math.pi, 5))
 
 
 class TestJacksonIntegralFormulas:
