@@ -8,35 +8,34 @@ so they are summed at a working precision sized from a cheap float
 log-magnitude pre-pass; plain complex arithmetic would return noise already
 for moderate n.
 
-``phi_terminating_core`` sums them on Python integers at a fixed binary scale
-2^W, as mpmath's own ``libelefun`` sums its series: a complex value is a pair
-(re, im) of integers, the parameters from ``build()`` are converted once with
-``to_fixed``, and the sum goes back through ``from_man_exp``, rounded once to
-the caller's precision.  q^k and z are kept as pairs times a power of two
-with W significant bits, so each ``a q^k`` is accurate relative to itself and
-a z below 2^-W does not truncate to 0.  Each new term is one floor division
-of two exact products of integers,
-
-    t_{k+1} = floor(t_k z prod(1 - a q^k) (-q^k)^e / (prod(1 - b q^k) (1 - q^{k+1})))
-
-with e = 1 + s - r, so every step costs at most one unit 2^-W per component
-beyond what its factors carry, and those carry a few units relative to
-themselves, as in floating point.  An error made at term j reaches term k multiplied by
-``|t_k / t_j|``, which the pre-pass bounds by 10^rise, the largest rise
-``max_{j <= k} (log10 |t_k| - log10 |t_j|)`` of the term magnitudes (at least
-their largest log10, since t_0 = 1).  Over the (n + 1)(n + 2) / 2 pairs the
-absolute error stays below ``(n + 2)^2 10^rise 2^-W``, and W is
-``ambient + 28 + rise + 2 log10(n + 2) + 3`` digits, so the sum is good to an
-absolute 10^-(ambient + 28) with three digits to spare for the factors'
-units: terms that fall by many orders of magnitude and then rise again do
-not lose the digits of their smallest member.
+``phi_terminating_core`` sums them on Python integers, as mpmath's own
+``libelefun`` sums its series: a complex value is a pair (re, im) of
+integers, the parameters from ``build()`` are converted once with
+``to_fixed``, and each sum goes back through ``from_man_exp``, rounded once to
+the caller's precision.  One call sums the degrees n = first..N of a family,
+where a numerator (x, e) moves with the degree as x q^(e n) (q^-n is (1, -1),
+abcd q^(n-1) is (abcd/q, +1)) and the others are fixed.  The block shares the
+tables of u_k = (fixed nums; q)_k z^k ((-1)^k q^(k(k-1)/2))^e' / (q, dens; q)_k,
+e' = 1 + s - r, one division per k, and of the moving factors 1 - x q^m; term
+k of degree n is u_k times the running product of its moving factors, a few
+integer multiplications.  Every entry, q^k and z among them, is a pair times
+a power of two with W significant bits, accurate relative to itself to a few
+units 2^-W as in floating point, and each term, a product of such entries, is
+added at the scale 2^W.  So degree n is within ``(n + 2)^2 10^rise 2^-W``,
+where rise, the largest ``max_{j <= k} (log10 |t_k| - log10 |t_j|)`` over the
+block (t_0 = 1), bounds every term.  A float log-magnitude pre-pass over the
+same tables gives it, and W is ``ambient + 28 + rise + 2 log10(N + 2) + 3``
+digits: every sum is good to an absolute 10^-(ambient + 28), with three
+digits to spare for the entries' units.  ``build()`` runs once, allowing a
+rise of ``RISE_PER_SQUARED_DEGREE`` N^2 digits; a larger rise builds again at W.
 
 Non-terminating series have geometrically decaying terms.  ``phi_terms`` is
-the one recurrence for them: the t_{k+1} above in complex arithmetic, with a
-free exponent e.  It serves ``eval_phi`` (e = 1 + s - r: the 8W7 and 3phi2
-closed forms), ``wp_limit_terms`` (the well-poised limit sums, e = 1, and the
-t = 0 lbww series, e = 2) and ``qintegrals.circle_phi_factor`` (e = 0, with
-numpy arrays of node values as numerator parameters).  ``sum_until_converged``
+the one recurrence for them, t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^e /
+(prod(1 - b q^k) (1 - q^{k+1})) in complex arithmetic, with a free exponent
+e.  It serves ``eval_phi`` (e = 1 + s - r: the 8W7 and 3phi2 closed forms),
+``wp_limit_terms`` (the well-poised limit sums, e = 1, and the t = 0 lbww
+series, e = 2) and ``qintegrals.circle_phi_factor`` (e = 0, with numpy
+arrays of node values as numerator parameters).  ``sum_until_converged``
 is the one loop with the one stop rule, which the theta series and the outer
 sum of the master formula use too: stop after three consecutive terms below
 ``SERIES_TOL * max(1, |partial sum|)`` = 1e-14 relative (the largest modulus
@@ -49,7 +48,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -107,121 +108,150 @@ def _check_denominator_poles(dens: Sequence, q) -> None:
             )
 
 
-def _cmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+def _fparts(x, W: int) -> tuple[int, int, int]:
+    """x as (re, im, s): (re + i im) 2^-s with W significant bits, or more."""
+    s = W + max(0, -int(mp.mag(x))) if x else W
+    return (*fixed_parts(x, s), s)
+
+
+def _fmul(x: tuple, y: tuple, W: int) -> tuple[int, int, int]:
+    """x y for (re, im, s) numbers, cut back to W significant bits."""
+    (a, b, s), (c, d, t) = x, y
+    re, im = a * c - b * d, a * d + b * c
+    drop = max(0, re.bit_length() - W, im.bit_length() - W)
+    return re >> drop, im >> drop, s + t - drop
+
+
+def _fdiv(x: tuple, y: tuple, W: int) -> tuple[int, int, int]:
+    """x / y for (re, im, s) numbers, to about W significant bits."""
+    (a, b, s), (c, d, t) = x, y
+    a, b, c = (a * c + b * d, b * c - a * d, c * c + d * d) if d else (a, b, c)
+    if c == 0:
+        raise PoleInDenominator("terminating series hits a vanishing denominator")
+    sh = max(0, W + 2 + c.bit_length() - max(a.bit_length(), b.bit_length()))
+    return (a << sh) // c, (b << sh) // c, s - t + sh
+
+
+def _one_minus_ladder(x: tuple, q: tuple, count: int, W: int) -> list:
+    """1 - x q^j, j < count, at the scale 2^W (x q^j to W significant bits)."""
+    (a, b, s), (c, d, t), out = x, q, []
+    for _ in range(count):
+        re, im = (a >> s - W, b >> s - W) if s >= W else (a << W - s, b << W - s)
+        out.append(((1 << W) - re, -im, W))
+        a, b, s = a * c - b * d, a * d + b * c, s + t
+        drop = max(0, a.bit_length() - W, b.bit_length() - W)
+        a, b, s = a >> drop, b >> drop, s - drop
+    return out
+
+
+def _log10(x: float) -> float:
+    return math.log10(x) if x else -math.inf
+
+
+#: Rise per squared top degree, in digits, that ``build()`` first allows for:
+#: q^-N with z = q rises about (N^2 / 2) log10(1 / |q|), so |q| >= 0.22.
+RISE_PER_SQUARED_DEGREE = 1 / 3
 
 
 def phi_terminating_core(
-    build: Callable[[], tuple[list, list, object, object]], order: int
+    build: Callable[[], tuple[list, list, object, object]], order: int, first: int | None = None
 ) -> tuple[object, float]:
-    """Sum a terminating series on integers scaled by 2^W.
+    """Sum a terminating series of degree ``order`` on integers scaled by
+    2^W, or with ``first`` each degree first..order of a block.
 
-    ``build`` is re-invoked under each working context and must return
+    ``build`` is invoked under the working context and must return
     (numerator params, denominator params, argument z, base q) as mpmath
-    values derived from exact inputs; constructing derived parameters such as
-    q^{-n} or square roots inside ``build`` keeps them coherent with the
-    working precision, which the cancellation analysis requires.
-
-    Returns the sum (mpf/mpc), rounded once to the caller's precision, and
-    log10 of the largest term magnitude.
+    values derived from exact inputs, so that derived parameters such as
+    square roots are coherent with the working precision.  A numerator
+    (x, e), e = -1 or +1, moves with the degree n as x q^(e n).  Returns the
+    sum (mpf/mpc), rounded once to the caller's precision, or the list of the
+    block's sums, and log10 of the largest term magnitude.
     """
-    n = order
-    ambient = mp.dps
-
-    # Log-magnitude pre-pass in float arithmetic: sizes the cancellation and
-    # the largest rise of the terms over an earlier, smaller one.
-    with mp.workdps(30):
+    degrees = range(order if first is None else first, order + 1)
+    if order == 0:  # the leading 1 alone
+        return ([mp.one] if first is not None else mp.one), 0.0
+    digits = mp.dps + 28 + 2 * math.log10(order + 2) + 3
+    build_prec = math.ceil((digits + RISE_PER_SQUARED_DEGREE * order * order) * math.log2(10))
+    with mp.workprec(build_prec):
         nums, dens, z, q = build()
-        nc = [complex(x) for x in nums]
-        dc = [complex(x) for x in dens]
-        qc = complex(q)
-        if z == 0:
-            return mp.one, 0.0  # every term after the leading 1 vanishes
-        zc = abs(complex(z))  # 0.0 when z is below the float range
-        log_z = math.log10(zc) if zc else float(mp.log10(abs(z)))
-    d_exp = 1 + len(dc) - len(nc)
-    log_t = max_log = low = rise = 0.0
-    qk = 1 + 0j
-    for k in range(n):
-        step = log_z
-        dead = False
-        for a in nc:
-            fac = abs(1 - a * qk)
-            if fac == 0.0:
-                dead = True
-                break
-            step += math.log10(fac)
-        if dead:
-            break
-        for b in dc:
-            fac = abs(1 - b * qk)
-            if fac < 1e-280:
-                raise PoleInDenominator(
-                    f"terminating series hits a vanishing denominator at k={k + 1}"
-                )
-            step -= math.log10(fac)
-        fac = abs(1 - qc * qk)
-        if fac < 1e-280:
-            raise PoleInDenominator("base factor (q;q)_k vanished")
-        step -= math.log10(fac)
-        if d_exp:
-            step += d_exp * k * math.log10(abs(qc))
-        log_t += step
-        max_log = max(max_log, log_t)
-        low = min(low, log_t)
-        rise = max(rise, log_t - low)
+    exps = [a[1] for a in nums if isinstance(a, tuple)]
+    if any(e not in (-1, 1) for e in exps):
+        raise DomainError("a moving parameter moves with the degree as x q^n or x q^-n")
+    d_exp = 1 + len(dens) - len(nums)
+    # The moving factor (x, e) of term k + 1 of degree n is 1 - x q^m with
+    # m = e n + k; over the block m runs through range(*span).
+    spans = [(min(e * degrees[0], e * order), max((e + 1) * degrees[0], (e + 1) * order))
+             for e in exps]
+
+    def columns(tables: list, n: int) -> list:  # degree n's moving factors
+        return [table[e * n - m0:][:n] for table, e, (m0, _) in zip(tables, exps, spans)]
+
+    # Log-magnitude pre-pass in float arithmetic, over the same tables.
+    qc = complex(q)
+    zc = abs(complex(z))  # 0.0 when z is below the float range
+    log_z = math.log10(zc) if zc else float(mp.log10(abs(z)))
+    fixed_c = [complex(a) for a in nums if not isinstance(a, tuple)]
+    below_c = [complex(b) for b in dens] + [qc]  # (q; q)_k is (q q^0; q)_k
+    log_r, qk, log_q = [], 1 + 0j, math.log10(abs(qc))
+    for k in range(order):
+        facs = [abs(1 - b * qk) for b in below_c]
+        if min(facs) < 1e-280:
+            raise PoleInDenominator(f"terminating series hits a vanishing denominator at k={k + 1}")
+        log_r.append(log_z + d_exp * k * log_q - sum(map(math.log10, facs))
+                     + sum([_log10(abs(1 - a * qk)) for a in fixed_c]))
         qk *= qc
+    log_f = [[_log10(abs(1 - x * qc**m)) for m in range(*span)]
+             for x, span in zip([complex(a[0]) for a in nums if isinstance(a, tuple)], spans)]
+    max_log = rise = 0.0
+    for n in degrees:
+        steps = [sum(s) for s in zip(log_r[:n], *columns(log_f, n))]
+        if -math.inf in steps:  # a vanishing numerator ends the series
+            del steps[steps.index(-math.inf):]
+        logs = list(itertools.accumulate(steps, initial=0.0))
+        max_log = max(max_log, *logs)
+        rise = max(rise, *map(operator.sub, logs, itertools.accumulate(logs, min)))
 
-    W = math.ceil((ambient + 28 + rise + 2 * math.log10(n + 2) + 3) * math.log2(10))
-    with mp.workprec(W):
-        nums, dens, z, q = build()
-    is_complex = any(isinstance(x, (complex, mpc)) for x in (*nums, *dens, z, q))
-    one = 1 << W
-    A = [fixed_parts(a, W) for a in nums]
-    B = [fixed_parts(b, W) for b in dens]
-    zs = max(0, -int(mp.mag(z)))  # z keeps W significant bits, as q^k does
-    Z = fixed_parts(z, W + zs)
-    Q = fixed_parts(q, W)
-    t = total = (one, 0)
-    M, s = (one, 0), W  # q^k = (M[0] + i M[1]) 2^-s, W significant bits kept
+    W = math.ceil((digits + rise) * math.log2(10))
+    if W > build_prec:
+        with mp.workprec(W):
+            nums, dens, z, q = build()
+    xs = [a[0] for a in nums if isinstance(a, tuple)]
+    is_complex = any(isinstance(x, (complex, mpc)) for x in (*nums, *xs, *dens, z, q))
+    # Tables of (re, im, s) entries with W significant bits: q^k; the factors
+    # 1 - a q^k and 1 - x q^m from ladders of products by q; the u_k.
+    Q, Z, mul = _fparts(q, W), _fparts(z, W), partial(_fmul, W=W)
+    powers = list(itertools.accumulate([Q] * order, mul, initial=(1, 0, 0)))
+    fixed = [_one_minus_ladder(_fparts(a, W), Q, order, W)
+             for a in nums if not isinstance(a, tuple)]
+    below = [_one_minus_ladder(_fparts(b, W), Q, order, W) for b in (*dens, q)]
+    minus_qk = [(-p[0], -p[1], p[2]) for p in powers]
+    fixed += [minus_qk] * d_exp
+    below += [minus_qk] * -d_exp
+    num = reduce(partial(map, mul), fixed, [Z] * order)  # entrywise products
+    den = reduce(partial(map, mul), below[1:], below[0])
+    u = list(itertools.accumulate(map(partial(_fdiv, W=W), num, den), mul, initial=(1, 0, 0)))
+    factors = []
+    for x, (m0, m1) in zip(xs, spans):
+        X = _fparts(x, W)
+        start = mul(X, powers[m0]) if m0 >= 0 else _fdiv(X, powers[-m0], W)
+        factors.append(_one_minus_ladder(start, Q, m1 - m0, W))
 
-    def one_minus(x):  # 1 - x q^k
-        return one - ((x[0] * M[0] - x[1] * M[1]) >> s), -((x[0] * M[1] + x[1] * M[0]) >> s)
-
-    for k in range(n):
-        # t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^d_exp / (prod(1 - b q^k) (1 - q^{k+1}))
-        # is P / D times 2^E at scale 2^W, with P and D exact products
-        P = _cmul(t, Z)
-        for a in A:
-            P = _cmul(P, one_minus(a))
-        D = (1, 0)
-        for b in B:
-            D = _cmul(D, one_minus(b))
-        E = W * (d_exp - 1) - d_exp * s - zs
-        minus_qk = (-M[0], -M[1])
-        for _ in range(d_exp):
-            P = _cmul(P, minus_qk)
-        for _ in range(-d_exp):
-            D = _cmul(D, minus_qk)
-        M = _cmul(M, Q)
-        drop = max(0, max(abs(M[0]).bit_length(), abs(M[1]).bit_length()) - W)
-        M, s = (M[0] >> drop, M[1] >> drop), s + W - drop
-        D = _cmul(D, (one - (M[0] >> (s - W)), -(M[1] >> (s - W))))
-        if D == (0, 0):
-            raise PoleInDenominator(
-                f"terminating series hits a vanishing denominator at k={k + 1}"
-            )
-        if D[1]:  # divide by |D|^2 after multiplying by conj(D)
-            P, D = _cmul(P, (D[0], -D[1])), D[0] * D[0] + D[1] * D[1]
-        else:
-            D = D[0]
-        if E >= 0:
-            t = (P[0] << E) // D, (P[1] << E) // D
-        else:
-            D <<= -E
-            t = P[0] // D, P[1] // D
-        total = total[0] + t[0], total[1] + t[1]
-    return from_fixed(total[0], total[1], -W, is_complex), max_log
+    # Degree n: term k is u_k times the running product P of its moving
+    # factors, added at the scale 2^W.
+    sums = []
+    for n in degrees:
+        re, im, pr, pi, ps = 1 << W, 0, 1, 0, 0
+        for (ur, ui, us), *fs in zip(u[1:n + 1], *columns(factors, n)):
+            for fr, fi, fsh in fs:
+                pr, pi, ps = pr * fr - pi * fi, pr * fi + pi * fr, ps + fsh
+                drop = max(pr.bit_length(), pi.bit_length()) - W
+                if drop > 0:
+                    pr, pi, ps = pr >> drop, pi >> drop, ps - drop
+            tr, ti, sh = ur * pr - ui * pi, ur * pi + ui * pr, us + ps - W
+            tr, ti = (tr >> sh, ti >> sh) if sh >= 0 else (tr << -sh, ti << -sh)
+            re, im = re + tr, im + ti
+        sums.append(from_fixed(re, im, -W, is_complex))
+    return (sums if first is not None else sums[0]), max_log
 
 
 def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:

@@ -96,8 +96,10 @@ from .hyperseries import (
 )
 from . import qcalculus, qcore
 from .polyfamilies import (
+    AWParams,
     BigQJacobiParams,
     QHahnParams,
+    askey_wilson_poly,
     big_qjacobi_poly,
     qhahn_A,
     qhahn_K,
@@ -237,8 +239,14 @@ def _quantize_dps(d: float) -> int:
     return max(40, 10 * int(math.ceil(d / 10.0)))
 
 
-def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
-    """Sum ``term(n, w_n)`` over n with w_0 = 1 and w_{n+1} = w_n * step(n).
+#: Degrees that a sum over degrees asks of its terminating series at once.
+DEGREE_BLOCK = 12
+
+
+def _genfun_sum(poly: Callable, coeff: Callable, step: Callable) -> tuple[complex, int]:
+    """Sum ``coeff(n, w_n) * p_n`` over n with w_0 = 1 and
+    w_{n+1} = w_n * step(n), where ``poly`` maps a range of degrees to their
+    values p_n.
 
     Stops after 5 consecutive terms below 1e-14 in absolute value; returns the
     sum and the number of terms used.  A partial sum that is not finite
@@ -247,18 +255,17 @@ def _genfun_sum(term: Callable, step: Callable) -> tuple[complex, int]:
     total = 0j
     weight = 1 + 0j
     small = 0
-    for n in range(250):
-        t = term(n, weight)
-        total += t
-        if not cmath.isfinite(total):
-            raise TruncationExceeded("generating function sum became non-finite (divergent?)")
-        if abs(t) < 1e-14:
-            small += 1
-            if small >= 5:
+    for lo in range(0, 250, DEGREE_BLOCK):
+        degrees = range(lo, min(lo + DEGREE_BLOCK, 250))
+        for n, value in zip(degrees, poly(degrees)):
+            t = coeff(n, weight) * value
+            total += t
+            if not cmath.isfinite(total):
+                raise TruncationExceeded("generating function sum became non-finite (divergent?)")
+            small = small + 1 if abs(t) < 1e-14 else 0
+            if small == 5:
                 return total, n + 1
-        else:
-            small = 0
-        weight *= step(n)
+            weight *= step(n)
     raise TruncationExceeded("generating function series did not converge")
 
 
@@ -481,24 +488,23 @@ def _make_liu_master(m: int):
                 [al * a * cj / q, al * bj], q
             )
 
-        def inner(order: int) -> complex:
-            def build():
-                qm = mp_scalar(q)
-                alm = mp_scalar(al)
-                nums = [qm ** (-order), alm * qm**order] + [alm * mp_scalar(cj) for cj in cs]
-                dens = [alm * mp_scalar(b)] + [alm * mp_scalar(bj) for bj in bs]
-                return nums, dens, qm, qm
-
-            value, _ = phi_terminating_core(build, order)
-            return complex(value)
+        def build():
+            qm = mp_scalar(q)
+            alm = mp_scalar(al)
+            nums = [(1, -1), (alm, 1)] + [alm * mp_scalar(cj) for cj in cs]
+            dens = [alm * mp_scalar(b)] + [alm * mp_scalar(bj) for bj in bs]
+            return nums, dens, qm, qm
 
         def terms():
             R = 1 + 0j
-            for n in range(300):
-                yield (1 - al * q ** (2 * n)) / (1 - al) * R * inner(n)
-                R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
-                    (1 - q ** (n + 1)) * (1 - al * a * q**n)
-                )
+            for lo in range(0, 300, DEGREE_BLOCK):
+                hi = min(lo + DEGREE_BLOCK, 300) - 1
+                inner, _ = phi_terminating_core(build, hi, lo)
+                for n, value in zip(range(lo, hi + 1), inner):
+                    yield (1 - al * q ** (2 * n)) / (1 - al) * R * complex(value)
+                    R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
+                        (1 - q ** (n + 1)) * (1 - al * a * q**n)
+                    )
 
         res = sum_until_converged(terms(), "master summation outer series")
         return CheckValues(lhs, res.value, {"outer_terms": res.terms_used})
@@ -580,19 +586,15 @@ def _sample_qhahn_genfun(swapped: bool):
                             "theta": 1.1})],
 )
 def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
-    q = prm["q"]
-    a, b = prm["a"], prm["b"]
-    c, d = prm["c"], prm["d"]
+    q, a, b, c, d = (prm[k] for k in ("q", "a", "b", "c", "d"))
     s = prm["r"] if swapped else prm["s"]
     z = cmath.exp(1j * prm["theta"])
     p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
-    if swapped:
-        a_role, b_role = b, a
-    else:
-        a_role, b_role = a, b
+    a_role, b_role = (b, a) if swapped else (a, b)
     abcd = a * b * c * d
     total, used = _genfun_sum(
-        lambda n, T: T * qhahn_A(n, a_role, b_role, p) * qhahn_poly(n, p, z),
+        lambda degrees: qhahn_poly(degrees, p, z),
+        lambda n, T: T * qhahn_A(n, a_role, b_role, p),
         lambda n: (s - q**n) / (1 - abcd * s * q**n),
     )
     rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q) / poch_multi(
@@ -884,7 +886,8 @@ def _recipe_bqj_genfun(prm) -> CheckValues:
     a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
     p = BigQJacobiParams(a, b, c, Base(complex(q)))
     total, used = _genfun_sum(
-        lambda n, B: ((1 - a * b * q ** (2 * n + 1)) * B) * big_qjacobi_poly(n, p, x),
+        lambda degrees: big_qjacobi_poly(degrees, p, x),
+        lambda n, B: (1 - a * b * q ** (2 * n + 1)) * B,
         lambda n: (1 - q * a * b * q**n) * (t - q**n) / (
             (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
         ),
@@ -976,14 +979,13 @@ def _sample_aw_genfun(rng) -> dict:
     ("q", "a", "b", "c", "d", "s", "theta"), 1e-10, _sample_aw_genfun,
 )
 def _recipe_aw_genfun(prm) -> CheckValues:
-    from .polyfamilies import AWParams, askey_wilson_poly
-
     a, b, c, d, s, q, theta = (prm[k] for k in ("a", "b", "c", "d", "s", "q", "theta"))
     p = AWParams(a, b, c, d, Base(complex(q)))
     abcd = a * b * c * d
     lead = 1 - abcd / q
     total, used = _genfun_sum(
-        lambda n, B: ((1 - abcd * q ** (2 * n - 1)) / lead * B) * askey_wilson_poly(n, p, theta),
+        lambda degrees: askey_wilson_poly(degrees, p, theta),
+        lambda n, B: (1 - abcd * q ** (2 * n - 1)) / lead * B,
         lambda n: (1 - abcd / q * q**n) * (s - q**n) * a / (
             (1 - q ** (n + 1)) * (1 - a * b * q**n) * (1 - a * c * q**n)
             * (1 - a * d * q**n) * (1 - abcd * s * q**n)

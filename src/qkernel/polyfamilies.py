@@ -3,12 +3,15 @@ normalisation constants.
 
 Each family is evaluated through its defining terminating series (degrees at
 desk scale never justify recurrences).  The terminating sums are delegated to
-the adaptive-precision core in :mod:`hyperseries`; all n-dependent parameters
-(q^{-n}, abcd q^{n-1}, e^{i theta}, ...) are constructed inside the build
-closure so they stay exact functions of the raw inputs at working precision.
-A polynomial's value follows the arithmetic of its evaluation point: a plain
-complex number for a Python ``z`` / ``x`` / ``theta``, the full-precision
-mpmath value for an mpmath one (as at the orthogonality quadratures' nodes).
+the adaptive-precision core in :mod:`hyperseries`; every parameter (a e^{i
+theta}, abcd/q, ...) is constructed inside the build closure so it stays an
+exact function of the raw inputs at working precision.  A polynomial function
+takes one degree n or a range of degrees, one block of the core that moves
+q^-n and abcd q^(n-1) or ab q^(n+1) with the degree over shared tables; each
+later degree's prefactor is one factor more.  A polynomial's value follows
+the arithmetic of its evaluation point: a plain complex number for a Python
+``z`` / ``x`` / ``theta``, the mpmath value for an mpmath one (as at the
+orthogonality quadratures' nodes).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from mpmath import mp
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
     Base,
-    _one_like,
     base_value,
     mp_scalar,
     poch_finite,
@@ -100,34 +102,43 @@ def _finish(value, point):
     return value
 
 
-def qhahn_poly(n: int, p: QHahnParams, z) -> complex:
+def _family(n, build, point, q, a=1, others=()):
+    """The series of ``build`` at degree n, or a list over a range ``n``, each
+    times (a x_1, ..., a x_j; q)_k a^-k for degree k, x_i in ``others``:
+    ``poch_finite`` at the first degree, one factor per later degree."""
+    degrees = n if isinstance(n, range) else range(n, n + 1)
+    if degrees.step != 1 or (degrees and degrees[0] < 0):
+        raise DomainError("degrees must be nonnegative and consecutive")
+    if not degrees:
+        return []
+    series, _ = phi_terminating_core(build, degrees[-1], degrees[0])
+    qm, am = mp_scalar(base_value(q)), mp_scalar(a)
+    xs = [am * mp_scalar(x) for x in others]
+    pref = am ** -degrees[0] * mp.fprod(poch_finite(x, qm, degrees[0]) for x in xs)
+    qk = qm ** degrees[0]
+    values = [_finish(pref * series[0], point)]
+    for s in series[1:]:
+        pref *= mp.fprod(1 - x * qk for x in xs) / am
+        values.append(_finish(pref * s, point))
+        qk *= qm
+    return values if isinstance(n, range) else values[0]
+
+
+def qhahn_poly(n, p: QHahnParams, z):
     """q-Hahn polynomial
-    (ac, ad; q)_n a^{-n} 3phi2(q^{-n}, abcd q^{n-1}, az; ac, ad; q, q)."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    (ac, ad; q)_n a^{-n} 3phi2(q^{-n}, abcd q^{n-1}, az; ac, ad; q, q),
+    or the list of them over a range ``n`` of degrees."""
     if p.a == 0:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
     qv = base_value(p.q)
-    if n == 0:
-        return _one_like(z)
 
     def build():
         qm = mp_scalar(qv)
         am, bm, cm, dm = (mp_scalar(x) for x in (p.a, p.b, p.c, p.d))
-        zm = mp_scalar(z)
-        nums = [qm ** (-n), am * bm * cm * dm * qm ** (n - 1), am * zm]
-        dens = [am * cm, am * dm]
-        return nums, dens, qm, qm
+        nums = [(1, -1), (am * bm * cm * dm / qm, 1), am * mp_scalar(z)]
+        return nums, [am * cm, am * dm], qm, qm
 
-    series, _ = phi_terminating_core(build, n)
-    qm = mp_scalar(qv)
-    am = mp_scalar(p.a)
-    pref = (
-        poch_finite(am * mp_scalar(p.c), qm, n)
-        * poch_finite(am * mp_scalar(p.d), qm, n)
-        * am ** (-n)
-    )
-    return _finish(pref * series, z)
+    return _family(n, build, z, qv, p.a, (p.c, p.d))
 
 
 def qhahn_A(n: int, a, b, p: QHahnParams) -> complex:
@@ -195,50 +206,34 @@ def qhahn_K(theta, p: QHahnParams):
     return _finish(num / den, theta)
 
 
-def big_qjacobi_poly(n: int, p: BigQJacobiParams, x) -> complex:
-    """Big q-Jacobi polynomial 3phi2(q^{-n}, ab q^{n+1}, x; qa, qc; q, q)."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+def big_qjacobi_poly(n, p: BigQJacobiParams, x):
+    """Big q-Jacobi polynomial 3phi2(q^{-n}, ab q^{n+1}, x; qa, qc; q, q),
+    or the list of them over a range ``n`` of degrees."""
     qv = base_value(p.q)
-    if n == 0:
-        return _one_like(x)
 
     def build():
         qm = mp_scalar(qv)
         am, bm, cm = (mp_scalar(v) for v in (p.a, p.b, p.c))
-        xm = mp_scalar(x)
-        nums = [qm ** (-n), am * bm * qm ** (n + 1), xm]
-        dens = [qm * am, qm * cm]
-        return nums, dens, qm, qm
+        nums = [(1, -1), (am * bm * qm, 1), mp_scalar(x)]
+        return nums, [qm * am, qm * cm], qm, qm
 
-    series, _ = phi_terminating_core(build, n)
-    return _finish(series, x)
+    return _family(n, build, x, qv)
 
 
-def askey_wilson_poly(n: int, p: AWParams, theta) -> complex:
+def askey_wilson_poly(n, p: AWParams, theta):
     """Askey-Wilson polynomial
     (ab, ac, ad; q)_n a^{-n}
-    4phi3(q^{-n}, abcd q^{n-1}, a e^{it}, a e^{-it}; ab, ac, ad; q, q)."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    4phi3(q^{-n}, abcd q^{n-1}, a e^{it}, a e^{-it}; ab, ac, ad; q, q),
+    or the list of them over a range ``n`` of degrees."""
     if p.a == 0:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
     qv = base_value(p.q)
-    if n == 0:
-        return _one_like(theta)
 
     def build():
         qm = mp_scalar(qv)
         am, bm, cm, dm = (mp_scalar(v) for v in (p.a, p.b, p.c, p.d))
         e = mp.expj(mp_scalar(theta))
-        nums = [qm ** (-n), am * bm * cm * dm * qm ** (n - 1), am * e, am / e]
-        dens = [am * bm, am * cm, am * dm]
-        return nums, dens, qm, qm
+        nums = [(1, -1), (am * bm * cm * dm / qm, 1), am * e, am / e]
+        return nums, [am * bm, am * cm, am * dm], qm, qm
 
-    series, _ = phi_terminating_core(build, n)
-    qm = mp_scalar(qv)
-    am = mp_scalar(p.a)
-    pref = am ** (-n)
-    for other in (p.b, p.c, p.d):
-        pref *= poch_finite(am * mp_scalar(other), qm, n)
-    return _finish(pref * series, theta)
+    return _family(n, build, theta, qv, p.a, (p.b, p.c, p.d))

@@ -114,7 +114,9 @@ def circle_phi_factor(
     def factor(theta: np.ndarray) -> np.ndarray:
         eip = np.exp(1j * theta)
         terms = phi_terms([a * eip, a * np.conj(eip), *ups], lows, qv, z, 0)
-        return sum_until_converged(terms, "series factor on the node set").value
+        # an overflow is reported once, as the loop's TruncationExceeded
+        with np.errstate(all="ignore"):
+            return sum_until_converged(terms, "series factor on the node set").value
 
     return factor
 

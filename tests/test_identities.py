@@ -269,30 +269,39 @@ class TestLiuMasterOuterSum:
     PRM = {"q": 0.5, "alpha": 0.3, "a": 0.6, "b": 0.35, "b1": 0.35, "c1": 0.35}
 
     @staticmethod
-    def _patch_inner(monkeypatch, value) -> list:
+    def _patch_inner(monkeypatch, value) -> tuple[list, list]:
         """Make every inner terminating sum return ``value``; the returned
-        list collects the orders asked for."""
-        calls = []
+        lists collect the degrees whose sums the outer series used, and the
+        blocks of degrees asked for."""
+        calls, blocks = [], []
 
-        def fake_inner(build, order):
-            calls.append(order)
-            return mpf(value), 0.0
+        def fake_inner(build, order, first):
+            blocks.append(range(first, order + 1))
+
+            def sums():
+                for n in range(first, order + 1):
+                    calls.append(n)
+                    yield mpf(value)
+
+            return sums(), 0.0
 
         monkeypatch.setattr(identities, "phi_terminating_core", fake_inner)
-        return calls
+        return calls, blocks
 
     def test_cap_is_300_terms(self, monkeypatch):
         # with unit inner sums the outer terms grow like (a/q)^n = 1.2^n
-        calls = self._patch_inner(monkeypatch, 1)
+        calls, blocks = self._patch_inner(monkeypatch, 1)
         with pytest.raises(TruncationExceeded, match="within 300 terms"):
             REGISTRY["liu_master_m1"].recipe(self.PRM)
         assert calls == list(range(300))
+        assert [n for block in blocks for n in block] == calls
 
     def test_non_finite_raises(self, monkeypatch):
-        calls = self._patch_inner(monkeypatch, "inf")
+        calls, blocks = self._patch_inner(monkeypatch, "inf")
         with pytest.raises(TruncationExceeded, match="non-finite"):
             REGISTRY["liu_master_m1"].recipe(self.PRM)
         assert calls == [0]
+        assert blocks == [range(identities.DEGREE_BLOCK)]
 
 
 def test_unknown_identity_raises():
