@@ -28,24 +28,45 @@ adds at most 2n sum_i |c_i| R^i u <= 2n (n + 1) M u, since |c_i| R^i <= M
 A pair (n, m) is a sum over moments.  The coefficients of H_n H_m are the
 convolution c_k = sum_{i+j=k} h_n[i] h_m[j], so |c_k| R^k <= (min(n, m) + 1)
 M_n M_m.  For q-Hahn a trapezoid level's sum of K H_n H_m is
-sum_k c_k S_k, where ``_qhahn_moment`` S_k sums K(theta_j) e^{ik theta_j}
-over the nodes that ``periodic_trapezoid`` asks for on that level; all pairs
-of one parameter set and dps share the S_k and the K nodes, and each pair
-keeps its own stop and node count.  For big q-Jacobi the pair is
-sum_k c_k nu_k, where ``_bqj_moment`` nu_k is the Jackson integral of
-x^k w(x) to the pair's tolerance t = 10^-(dps-12).  The regrouped sums add
-the same products K_j z_j^k as a per-node sum, each weighted by |c_k| R^k
-instead of |H_n H_m| <= M_n M_m, so their rounding grows by at most the
-factor (n + m + 1)(min(n, m) + 1), under 2 digits for n, m <= 6.  Together
-with the coefficient error, a q-Hahn pair on N nodes is within
+sum_k c_k S_k, where S_k sums K(theta_j) e^{ik theta_j} over the nodes that
+``periodic_trapezoid`` asks for on that level; each pair keeps its own stop
+and node count.  The weight nodes are cached once per angle, keyed on the
+reduced fraction jn/jd and the parameters, at max(dps, ``NODE_DPS``) digits,
+so the pairs at dps 40-70 share them.  For real parameters and q,
+K(-theta) = conj K(theta), and node jd - j of a level is the conjugate of
+node j, looked up through the same cache.  ``_qhahn_moments`` forms
+S_0..S_kmax (kmax >= ``QHAHN_KMAX``) of a level in one pass on integers
+scaled by 2^W, W = ``mp.prec`` + ``MOMENT_GUARD_BITS``: each K_j is
+truncated once at the scale 2^(W-e), 2^e >= max_j |K_j|, e^{ik theta_j} is
+a running power truncated after each product, and the exact integer sums are
+rounded once to dps.  Each truncation is below one unit per component, so the
+running power drifts by at most 2 sqrt(2) k units, and S_k is within
+6 N (kmax + 1) 2^-W max_j |K_j| of the sum of K_j e^{ik theta_j} on N nodes,
+plus its rounding to dps.  For big q-Jacobi the pair is sum_k c_k nu_k, where
+``_bqj_moment`` nu_k is the Jackson integral of x^k w(x) to the pair's
+tolerance t = 10^-(dps-12).  The regrouped sums add the same products
+K_j z_j^k as a per-node sum, each weighted by |c_k| R^k instead of
+|H_n H_m| <= M_n M_m, so their rounding grows by at most the factor
+(n + m + 1)(min(n, m) + 1), under 2 digits for n, m <= 6.  Together with the
+coefficient error, a q-Hahn pair on N nodes is within
 [(n + m + 1)(min(n, m) + 1)(N + n + m + 2) + 4 (n + 1)^2 + 4 (m + 1)^2]
-M_n M_m mean_j |K_j| u of the per-node trapezoid sum of K H_n H_m on the
-same nodes.  Each nu_k stops after three terms below t, which leaves a tail
-of order t / (1 - |q|); a big q-Jacobi pair is thus within
+M_n M_m mean_j |K_j| u + e_K M_n M_m mean_j |K_j|
++ 6 (n + m + 1)(min(n, m) + 1)(kmax + 1) M_n M_m 2^-W max_j |K_j|
+of the per-node trapezoid sum of K H_n H_m on the same nodes evaluated at
+dps.  e_K, a few u, is the relative error of such a node (eight q-products
+and their quotient); the cached nodes, at max(dps, ``NODE_DPS``) digits, are
+at least as accurate.  Each nu_k stops after three terms below t, which leaves a tail of
+order t / (1 - |q|); a big q-Jacobi pair is thus within
 (n + m + 2)(min(n, m) + 1) M_n M_m t / (1 - |q|) of the per-node Jackson sum
 of w P_n P_m.  These come out of the margin that ``_qhahn_dps`` and
 ``_bqj_dps`` keep below the quadratures' stops: 28 digits under the
-trapezoid's 10^-(dps-28), 12 under the Jackson sum's 10^-(dps-12).
+trapezoid's 10^-(dps-28), 12 under the Jackson sum's 10^-(dps-12).  Of the
+28, the growth factors above take at most 8 for n, m <= 6 and N <= 2^16; the
+other ``QHAHN_CANCEL_HEADROOM`` = 20 absorb a weight whose nodes exceed the
+integral.  ``_qhahn_dps`` adds the digits by which log10(max |K| / |L_0|),
+taken in doubles on the trapezoid's first level, exceeds them: at q = 0.9 the
+weight can reach 45 digits above L_0, while every sampled draw stays within
+16.
 
 To add an identity, write its sampler and then its recipe, and put the
 ``@_identity(...)`` registration on the recipe; a recipe shared with another
@@ -80,6 +101,8 @@ from .errors import (
 )
 from .qcore import (
     Base,
+    fixed_parts,
+    from_fixed,
     mp_scalar,
     poch_finite,
     poch_infinite,
@@ -274,6 +297,22 @@ def _genfun_sum(poly: Callable, coeff: Callable, step: Callable) -> tuple[comple
 # ---------------------------------------------------------------------------
 
 
+#: Digits at which the q-Hahn weight nodes are computed and cached, so that
+#: pairs at every dps up to it share one node per angle.
+NODE_DPS = 80
+
+#: Moments S_0..S_k that one pass over a trapezoid level forms at least: the
+#: pairs n, m <= 6 all need k <= 12, so they share the pass.
+QHAHN_KMAX = 12
+
+#: Bits of the fixed-point moment pass beyond ``mp.prec``.
+MOMENT_GUARD_BITS = 20
+
+#: Digits of cancellation of the weight against L_0 that the 28 digits below
+#: the trapezoid's stop absorb, beside the module bound's growth factors.
+QHAHN_CANCEL_HEADROOM = 20.0
+
+
 @lru_cache(maxsize=None)
 def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
     """The weight K and z = e^{i theta} at theta = -pi + 2 pi jn / jd."""
@@ -282,13 +321,45 @@ def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
         return qhahn_K(theta, QHahnParams(a, b, c, d, rho, Base(complex(q)))), mp.expj(theta)
 
 
+def _qhahn_level_nodes(js: range, jd: int, a, b, c, d, rho, q, dps: int) -> list:
+    """K and z at the nodes ``js`` of the jd-interval level, each from the
+    cache at max(dps, NODE_DPS) under its angle's reduced fraction.  With
+    real parameters K(-theta) = conj K(theta), and node jd - j lies on the
+    same level as node j, so a node past theta = 0 is its mirror's conjugate."""
+    node_dps = max(dps, NODE_DPS)
+    mirrored = all(complex(v).imag == 0 for v in (a, b, c, d, rho, q))
+    nodes = []
+    for j in js:
+        mirror = mirrored and 2 * j > jd
+        jn = jd - j if mirror else j
+        g = math.gcd(jn, jd)
+        K, z = _qhahn_K_node(jn // g, jd // g, a, b, c, d, rho, q, node_dps)
+        if mirror:
+            with mp.workdps(node_dps):  # exact: no digits to round
+                K, z = mp.conj(K), mp.conj(z)
+        nodes.append((K, z))
+    return nodes
+
+
 @lru_cache(maxsize=None)
-def _qhahn_moment(k: int, js: range, jd: int, a, b, c, d, rho, q, dps: int):
-    """S_k = sum of K(theta_j) e^{ik theta_j} over the nodes ``js`` of the
-    jd-interval trapezoid level."""
+def _qhahn_moments(js: range, jd: int, a, b, c, d, rho, q, dps: int, kmax: int) -> tuple:
+    """S_0..S_kmax, S_k = sum of K(theta_j) e^{ik theta_j} over the nodes
+    ``js`` of the jd-interval level, in one fixed-point pass (see the module
+    docstring for its error)."""
+    nodes = _qhahn_level_nodes(js, jd, a, b, c, d, rho, q, dps)
     with mp.workdps(dps):
-        nodes = (_qhahn_K_node(j, jd, a, b, c, d, rho, q, dps) for j in js)
-        return sum(K * e**k for K, e in nodes)
+        W = mp.prec + MOMENT_GUARD_BITS
+        e = max(mp.mag(K) for K, _ in nodes)  # max |K| <= 2^e
+        re, im = [0] * (kmax + 1), [0] * (kmax + 1)
+        for K, z in nodes:
+            kr, ki = fixed_parts(K, W - e)
+            zr, zi = fixed_parts(z, W)
+            er, ei = 1 << W, 0
+            for k in range(kmax + 1):
+                re[k] += kr * er - ki * ei
+                im[k] += kr * ei + ki * er
+                er, ei = (er * zr - ei * zi) >> W, (er * zi + ei * zr) >> W
+        return tuple(from_fixed(r, i, e - 2 * W, True) for r, i in zip(re, im))
 
 
 def _poly_coeffs(poly: Callable, n: int, radius: float, params: tuple) -> tuple:
@@ -328,10 +399,28 @@ def _qhahn_deficit(k: int, a, b, c, d, q) -> float:
     return max(0.0, -v)
 
 
-def _qhahn_dps(n: int, m: int, a, b, c, d, q) -> int:
+def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
+    """log10(max |K| / |L_0|): the digits by which the weight's nodes exceed
+    the integral, with max |K| taken in doubles over the trapezoid's first
+    level."""
+    L0 = qhahn_L0(QHahnParams(a, b, c, d, rho, Base(complex(q))))
+    e = np.exp(1j * (-math.pi + 2 * math.pi * np.arange(qi.INITIAL_NODES) / qi.INITIAL_NODES))
+    with np.errstate(all="ignore"):
+        num = [rho * e / d, q * d / (e * rho), rho * c / e, q * e / (c * rho)]
+        den = [a * e, b * e, c / e, d / e]
+        K = math.prod(qi.poch_infinite_vec(x, q) for x in num) / math.prod(
+            qi.poch_infinite_vec(x, q) for x in den)
+        return math.log10(float(np.max(np.abs(K))) / abs(L0))
+
+
+def _qhahn_dps(n: int, m: int, a, b, c, d, q, *rhos) -> int:
+    """Working digits of the pair (n, m) at each weight parameter in ``rhos``."""
     deficit = 0.5 * (_qhahn_deficit(n, a, b, c, d, q) + _qhahn_deficit(m, a, b, c, d, q))
     growth = (n + m) * math.log10(1.0 / min(abs(a), abs(b)))
-    return _quantize_dps(34 + deficit + growth)
+    cancel = max((_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos), default=0.0)
+    # nan (a pole on the circle) adds nothing; the weight then raises itself
+    excess = cancel - QHAHN_CANCEL_HEADROOM if cancel > QHAHN_CANCEL_HEADROOM else 0.0
+    return _quantize_dps(34 + deficit + growth + excess)
 
 
 def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
@@ -340,10 +429,11 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
         # c_k of H_n H_m, lowest degree first
         coeffs = np.convolve(_qhahn_H_coeffs(n, a, b, c, d, q, dps),
                              _qhahn_H_coeffs(m, a, b, c, d, q, dps))[::-1]
+        kmax = max(n + m, QHAHN_KMAX)
 
         def node_values(js, jd):
-            return [mp.fsum(ck * _qhahn_moment(k, js, jd, a, b, c, d, rho, q, dps)
-                            for k, ck in enumerate(coeffs))]
+            S = _qhahn_moments(js, jd, a, b, c, d, rho, q, dps, kmax)
+            return [mp.fsum(ck * S[k] for k, ck in enumerate(coeffs))]
 
         mean, _ = periodic_trapezoid(node_values, mpf(10) ** (-(dps - 28)))
         return complex(mean)
@@ -427,7 +517,7 @@ def clear_caches() -> None:
     (mainly for tests and cold-cache runs)."""
     qcore._EULER_CACHE.clear()
     _qhahn_K_node.cache_clear()
-    _qhahn_moment.cache_clear()
+    _qhahn_moments.cache_clear()
     _qhahn_H_coeffs.cache_clear()
     _bqj_weight_node.cache_clear()
     _bqj_moment.cache_clear()
@@ -650,8 +740,8 @@ def _sample_askey_roy(rng) -> dict:
 )
 def _recipe_askey_roy(prm) -> CheckValues:
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
-    dps = _quantize_dps(32)
     rhs = qi.askey_roy_rhs(a, b, c, d, rho, q)  # validates c d rho != 0 before the weight divides
+    dps = _qhahn_dps(0, 0, a, b, c, d, q, rho)
     lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps)
     return CheckValues(lhs, rhs, {"dps": dps})
 
@@ -661,7 +751,7 @@ def _recipe_qhahn_rho_agreement(prm) -> CheckValues:
     # so the rho-free statement is agreement of I(rho) / L_0(rho).
     n, m = int(prm["n"]), int(prm["m"])
     a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
-    dps = _qhahn_dps(n, m, a, b, c, d, q)
+    dps = _qhahn_dps(n, m, a, b, c, d, q, prm["rho"], prm["rho2"])
 
     def normalised(rho):
         I = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
@@ -708,7 +798,7 @@ def _recipe_qhahn_orthogonality(prm) -> CheckValues:
     n, m = int(prm["n"]), int(prm["m"])
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
     p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
-    dps = _qhahn_dps(n, m, a, b, c, d, q)
+    dps = _qhahn_dps(n, m, a, b, c, d, q, rho)
     lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
     L0 = qhahn_L0(p)
     rhs = qhahn_L(n, p) if n == m else 0j

@@ -212,6 +212,18 @@ def test_check_orthogonality_beyond_the_pinned_degrees(argv, tmp_path):
     assert json.loads(out.read_text())["status"] == "pass"
 
 
+def test_check_qhahn_weight_far_above_its_integral(tmp_path):
+    # q = 0.9: the weight's nodes reach 5e25 against L_0 = -9.9e-20, 45 digits
+    # of cancellation; at the 40 digits that the degrees alone ask for, the
+    # integral was rounding noise and the check read fail at rel_err 1.00006
+    out = tmp_path / "r.json"
+    assert main(["check", "qhahn_orthogonality", "--seed", "1", "--n", "0", "--m", "0",
+                 "--q", "0.9", "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "pass"
+    assert doc["diagnostics"]["dps"] == 60
+
+
 def test_check_lbww_t_zero_pole_skipped(tmp_path):
     # h u = 1: the t = 0 series has the same pole check as t != 0
     for t in ("0", "0.3"):

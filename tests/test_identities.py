@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from functools import partial
@@ -197,6 +198,8 @@ class TestMomentRegrouping:
         d=st.floats(0.05, 0.55),
         rho=st.floats(0.35, 1.3),
     )
+    # complex c: K(-theta) is not conj K(theta), so every node is computed
+    @example(n=2, m=2, q=0.5, a=0.3, b=0.2, c=0.3 - 0.2j, d=0.1, rho=0.6)
     def test_qhahn_pair_against_per_node_trapezoid(self, n, m, q, a, b, c, d, rho):
         dps = identities._qhahn_dps(n, m, a, b, c, d, q)
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -252,6 +255,102 @@ class TestMomentRegrouping:
         identities.clear_caches()
         assert check_identity("qhahn_orthogonality", params).status == "pass"
         assert counts == [128]
+
+
+# "q0.9" is the weight of ``check qhahn_orthogonality --seed 1 --q 0.9``:
+# max |K| is about 5e25 and L_0 about -9.9e-20
+_WEIGHTS = {
+    "pinned": identities._QHAHN_FIXED,
+    "q0.9": {**sample_params("qhahn_orthogonality", 1), "q": 0.9},
+    "negative_q": {"a": 0.5, "b": 0.05, "c": 0.3, "d": 0.55, "rho": 1.3, "q": -0.7},
+    "complex_c": {**identities._QHAHN_FIXED, "c": 0.3 - 0.2j},
+}
+_LEVELS = ((range(64), 64), (range(1, 128, 2), 128))
+
+
+def _weight(name):
+    w = _WEIGHTS[name]
+    return tuple(w[k] for k in ("a", "b", "c", "d", "rho", "q"))
+
+
+class TestQHahnNodeLayer:
+    """The q-Hahn weight nodes (one per angle, at max(dps, NODE_DPS), mirrored
+    for real parameters) and the fixed-point moment pass over them."""
+
+    @pytest.mark.parametrize("name", ["pinned", "q0.9", "negative_q"])
+    @pytest.mark.parametrize("dps", [40, 60])
+    def test_mirrored_node_is_the_node_at_minus_theta(self, name, dps):
+        # node N - j is conj of node j; it is the node computed directly at
+        # theta_{N-j} (here at 20 more digits) to within 2 ulp at dps
+        for js, N in _LEVELS:
+            nodes = identities._qhahn_level_nodes(js, N, *_weight(name), dps)
+            with mp.workdps(dps):
+                ulp = mpf(2) ** -mp.prec
+                for j, (K, z) in zip(js, nodes):
+                    if 2 * j > N:
+                        K_ref, z_ref = identities._qhahn_K_node(j, N, *_weight(name), dps + 20)
+                        assert abs(K - K_ref) <= 2 * ulp * abs(K_ref)
+                        assert abs(z - z_ref) <= 2 * ulp
+
+    def test_real_weight_evaluates_half_the_nodes(self):
+        # 64 nodes: theta = -pi and 0 are their own mirrors, 31 pairs
+        identities.clear_caches()
+        identities._qhahn_level_nodes(range(64), 64, *_weight("pinned"), 40)
+        info = identities._qhahn_K_node.cache_info()
+        assert (info.currsize, info.hits) == (33, 31)
+
+    def test_complex_weight_evaluates_every_node(self):
+        identities.clear_caches()
+        identities._qhahn_level_nodes(range(64), 64, *_weight("complex_c"), 40)
+        info = identities._qhahn_K_node.cache_info()
+        assert (info.currsize, info.hits) == (64, 0)
+
+    def test_complex_weight_keeps_its_imaginary_check(self):
+        # L_2 is complex here: the integral's imaginary part must meet it, so
+        # a weight taken as its own mirror would show in imag_over_L0
+        r = check_identity("qhahn_orthogonality", {**_WEIGHTS["complex_c"], "n": 2, "m": 2})
+        assert r.status == "pass"
+        assert abs(r.diagnostics["imag_over_L0"]) < 1e-14
+
+    @pytest.mark.parametrize("name", ["pinned", "q0.9", "complex_c"])
+    @pytest.mark.parametrize("dps", [40, 60])
+    def test_fixed_point_moments(self, name, dps):
+        # the module docstring's bound on S_k: 6 N (k + 1) 2^-W max |K| for
+        # the fixed-point pass, plus the rounding of S_k to dps
+        kmax = identities.QHAHN_KMAX
+        for js, N in _LEVELS:
+            moments = identities._qhahn_moments(js, N, *_weight(name), dps, kmax)
+            nodes = identities._qhahn_level_nodes(js, N, *_weight(name), dps)
+            with mp.workdps(dps):
+                prec = mp.prec
+            W = prec + identities.MOMENT_GUARD_BITS
+            with mp.workdps(dps + 30):
+                k_max = max(abs(K) for K, _ in nodes)
+                if name == "q0.9":
+                    assert k_max > 1e25
+                for k in range(kmax + 1):
+                    exact = mp.fsum(K * z**k for K, z in nodes)
+                    bound = 6 * N * (k + 1) * mpf(2) ** -W * k_max + mpf(2) ** -prec * abs(exact)
+                    assert abs(moments[k] - exact) <= bound
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (9, 9)])
+def test_qhahn_report_does_not_depend_on_the_node_caches(n, m):
+    # a pair's report is the same cold and after the pinned sweep has filled
+    # the caches; (9, 9) works above NODE_DPS, so its nodes are its own
+    from qkernel.cli import _report_dict
+
+    params = {**identities._QHAHN_FIXED, "n": n, "m": m}
+    dps = identities._qhahn_dps(n, m, *(params[k] for k in ("a", "b", "c", "d", "q")))
+    assert (dps > identities.NODE_DPS) == (n == 9)
+
+    def report():
+        return json.dumps(_report_dict(check_identity("qhahn_orthogonality", params)))
+
+    identities.clear_caches()
+    cold = report()
+    assert all(r.status == "pass" for r in run_suite(["qhahn_orthogonality"], 0))
+    assert report() == cold
 
 
 def test_askey_roy_weight_arguments_formed_in_mpmath():
