@@ -399,18 +399,14 @@ def _qhahn_deficit(k: int, a, b, c, d, q) -> float:
     return max(0.0, -v)
 
 
+@lru_cache(maxsize=None)
 def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
     """log10(max |K| / |L_0|): the digits by which the weight's nodes exceed
-    the integral, with max |K| taken in doubles over the trapezoid's first
-    level."""
-    L0 = qhahn_L0(QHahnParams(a, b, c, d, rho, Base(complex(q))))
-    e = np.exp(1j * (-math.pi + 2 * math.pi * np.arange(qi.INITIAL_NODES) / qi.INITIAL_NODES))
-    with np.errstate(all="ignore"):
-        num = [rho * e / d, q * d / (e * rho), rho * c / e, q * e / (c * rho)]
-        den = [a * e, b * e, c / e, d / e]
-        K = math.prod(qi.poch_infinite_vec(x, q) for x in num) / math.prod(
-            qi.poch_infinite_vec(x, q) for x in den)
-        return math.log10(float(np.max(np.abs(K))) / abs(L0))
+    the integral, with K taken in doubles on the trapezoid's first level."""
+    p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+    n = qi.INITIAL_NODES
+    top = max(abs(qhahn_K(-math.pi + 2 * math.pi * j / n, p)) for j in range(n))
+    return math.log10(top / abs(qhahn_L0(p)))
 
 
 def _qhahn_dps(n: int, m: int, a, b, c, d, q, *rhos) -> int:
@@ -418,9 +414,7 @@ def _qhahn_dps(n: int, m: int, a, b, c, d, q, *rhos) -> int:
     deficit = 0.5 * (_qhahn_deficit(n, a, b, c, d, q) + _qhahn_deficit(m, a, b, c, d, q))
     growth = (n + m) * math.log10(1.0 / min(abs(a), abs(b)))
     cancel = max((_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos), default=0.0)
-    # nan (a pole on the circle) adds nothing; the weight then raises itself
-    excess = cancel - QHAHN_CANCEL_HEADROOM if cancel > QHAHN_CANCEL_HEADROOM else 0.0
-    return _quantize_dps(34 + deficit + growth + excess)
+    return _quantize_dps(34 + deficit + growth + max(0.0, cancel - QHAHN_CANCEL_HEADROOM))
 
 
 def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
@@ -519,6 +513,7 @@ def clear_caches() -> None:
     _qhahn_K_node.cache_clear()
     _qhahn_moments.cache_clear()
     _qhahn_H_coeffs.cache_clear()
+    _qhahn_cancellation.cache_clear()
     _bqj_weight_node.cache_clear()
     _bqj_moment.cache_clear()
     _bqj_coeffs.cache_clear()
