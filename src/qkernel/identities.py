@@ -410,7 +410,8 @@ def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
 
 
 def _qhahn_dps(n: int, m: int, a, b, c, d, q, *rhos) -> int:
-    """Working digits of the pair (n, m) at each weight parameter in ``rhos``."""
+    """Working digits of the pair (n, m) at each weight parameter in ``rhos``;
+    without ``rhos`` the weight's cancellation against L_0 is not counted."""
     deficit = 0.5 * (_qhahn_deficit(n, a, b, c, d, q) + _qhahn_deficit(m, a, b, c, d, q))
     growth = (n + m) * math.log10(1.0 / min(abs(a), abs(b)))
     cancel = max((_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos), default=0.0)

@@ -325,12 +325,12 @@ class TestQHahnNodeLayer:
                 prec = mp.prec
             W = prec + identities.MOMENT_GUARD_BITS
             with mp.workdps(dps + 30):
-                k_max = max(abs(K) for K, _ in nodes)
+                top = max(abs(K) for K, _ in nodes)
                 if name == "q0.9":
-                    assert k_max > 1e25
+                    assert top > 1e25
                 for k in range(kmax + 1):
                     exact = mp.fsum(K * z**k for K, z in nodes)
-                    bound = 6 * N * (k + 1) * mpf(2) ** -W * k_max + mpf(2) ** -prec * abs(exact)
+                    bound = 6 * N * (k + 1) * mpf(2) ** -W * top + mpf(2) ** -prec * abs(exact)
                     assert abs(moments[k] - exact) <= bound
 
 
