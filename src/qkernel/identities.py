@@ -381,6 +381,8 @@ def _poly_coeffs(poly: Callable, n: int, radius: float, params: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
+    if n == 0:  # H_0 = 1, also at a = 0 where qhahn_poly's a^-n guard refuses
+        return (mpf(1),)
     with mp.workdps(dps):
         p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
         return _poly_coeffs(partial(qhahn_poly, n, p), n, 1.0, (a, b, c, d, q))
@@ -409,12 +411,12 @@ def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
     return math.log10(top / abs(qhahn_L0(p)))
 
 
-def _qhahn_dps(n: int, m: int, a, b, c, d, q, *rhos) -> int:
-    """Working digits of the pair (n, m) at each weight parameter in ``rhos``;
-    without ``rhos`` the weight's cancellation against L_0 is not counted."""
+def _qhahn_dps(n: int, m: int, a, b, c, d, q, rhos: tuple) -> int:
+    """Working digits of the pair (n, m) at every weight parameter in ``rhos``."""
     deficit = 0.5 * (_qhahn_deficit(n, a, b, c, d, q) + _qhahn_deficit(m, a, b, c, d, q))
-    growth = (n + m) * math.log10(1.0 / min(abs(a), abs(b)))
-    cancel = max((_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos), default=0.0)
+    # H_0 = 1 has no coefficients to grow, so a or b = 0 is fine for n = m = 0
+    growth = (n + m) and (n + m) * math.log10(1.0 / min(abs(a), abs(b)))
+    cancel = max(_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos)
     return _quantize_dps(34 + deficit + growth + max(0.0, cancel - QHAHN_CANCEL_HEADROOM))
 
 
@@ -737,7 +739,7 @@ def _sample_askey_roy(rng) -> dict:
 def _recipe_askey_roy(prm) -> CheckValues:
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
     rhs = qi.askey_roy_rhs(a, b, c, d, rho, q)  # validates c d rho != 0 before the weight divides
-    dps = _qhahn_dps(0, 0, a, b, c, d, q, rho)
+    dps = _qhahn_dps(0, 0, a, b, c, d, q, (rho,))
     lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps)
     return CheckValues(lhs, rhs, {"dps": dps})
 
@@ -747,7 +749,7 @@ def _recipe_qhahn_rho_agreement(prm) -> CheckValues:
     # so the rho-free statement is agreement of I(rho) / L_0(rho).
     n, m = int(prm["n"]), int(prm["m"])
     a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
-    dps = _qhahn_dps(n, m, a, b, c, d, q, prm["rho"], prm["rho2"])
+    dps = _qhahn_dps(n, m, a, b, c, d, q, (prm["rho"], prm["rho2"]))
 
     def normalised(rho):
         I = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
@@ -794,7 +796,7 @@ def _recipe_qhahn_orthogonality(prm) -> CheckValues:
     n, m = int(prm["n"]), int(prm["m"])
     a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
     p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
-    dps = _qhahn_dps(n, m, a, b, c, d, q, rho)
+    dps = _qhahn_dps(n, m, a, b, c, d, q, (rho,))
     lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
     L0 = qhahn_L0(p)
     rhs = qhahn_L(n, p) if n == m else 0j

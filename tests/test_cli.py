@@ -198,6 +198,17 @@ def test_check_askey_roy_zero_parameter_skipped(zero, tmp_path):
     assert doc["reason"] == "DomainError: askey_roy_rhs requires c d rho != 0"
 
 
+@pytest.mark.parametrize("zero", ["a", "b"])
+def test_check_askey_roy_zero_a_or_b_passes(zero, tmp_path):
+    # a = 0 or b = 0 is a valid Askey-Roy integral: H_0 = 1 has no a^-n
+    # prefactor and no coefficient growth in 1 / min(|a|, |b|)
+    params = {"a": "0.3", "b": "0.2", "c": "0.4", "d": "0.1", "rho": "0.6", "q": "0.5", zero: "0"}
+    out = tmp_path / "r.json"
+    assert main(["check", "askey_roy", *(x for k, v in params.items() for x in (f"--{k}", v)),
+                 "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
 @pytest.mark.parametrize("argv", [
     ["qhahn_orthogonality", "--n", "7", "--m", "8", "--a", "0.3", "--b", "0.2", "--c", "0.4",
      "--d", "0.1", "--rho", "0.6", "--q", "0.5"],

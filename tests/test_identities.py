@@ -201,7 +201,7 @@ class TestMomentRegrouping:
     # complex c: K(-theta) is not conj K(theta), so every node is computed
     @example(n=2, m=2, q=0.5, a=0.3, b=0.2, c=0.3 - 0.2j, d=0.1, rho=0.6)
     def test_qhahn_pair_against_per_node_trapezoid(self, n, m, q, a, b, c, d, rho):
-        dps = identities._qhahn_dps(n, m, a, b, c, d, q)
+        dps = identities._qhahn_dps(n, m, a, b, c, d, q, (rho,))
         with pytest.MonkeyPatch.context() as monkeypatch:
             counts = self._node_counts(monkeypatch)
             value = identities._qhahn_integral(n, m, a, b, c, d, rho, q, dps)
@@ -341,7 +341,8 @@ def test_qhahn_report_does_not_depend_on_the_node_caches(n, m):
     from qkernel.cli import _report_dict
 
     params = {**identities._QHAHN_FIXED, "n": n, "m": m}
-    dps = identities._qhahn_dps(n, m, *(params[k] for k in ("a", "b", "c", "d", "q")))
+    dps = identities._qhahn_dps(n, m, *(params[k] for k in ("a", "b", "c", "d", "q")),
+                                (params["rho"],))
     assert (dps > identities.NODE_DPS) == (n == 9)
 
     def report():
