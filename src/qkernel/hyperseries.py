@@ -35,17 +35,28 @@ the one recurrence for them, t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^e /
 e.  It serves ``eval_phi`` (e = 1 + s - r: the 8W7 and 3phi2 closed forms),
 ``wp_limit_terms`` (the well-poised limit sums, e = 1, and the t = 0 lbww
 series, e = 2) and ``qintegrals.circle_phi_factor`` (e = 0, with numpy
-arrays of node values as numerator parameters).  ``sum_until_converged``
-is the one loop with the one stop rule, which the theta series and the outer
-sum of the master formula use too: stop after three consecutive terms below
-``SERIES_TOL * max(1, |partial sum|)`` = 1e-14 relative (the largest modulus
-over an array of nodes), within ``MAX_TERMS`` = 200 000 terms, and report
-the ratio bound of the tail.
+arrays of node values as numerator parameters).
+
+``sum_until_converged`` is the one series loop of the library, with one stop
+rule.  It sums the series of ``phi_terms`` and ``wp_limit_terms``, the
+Jackson sums of ``qcalculus.q_integral`` (in floats, and in mpmath for the
+big q-Jacobi moments), and in ``identities`` the generating functions, the
+outer series of the master formula and the theta series.  It stops after
+three consecutive terms with |t| < tol |S|, S the partial sum, or
+|t| <= u sum |t_k|, the rounding noise of the sum (Higham, *Accuracy and
+Stability of Numerical Algorithms*, section 4.2): u is 2^-52 and tol
+``SERIES_TOL`` = 1e-14 for Python numbers and numpy arrays (every modulus
+the largest over the nodes), u is ``mp.eps`` and tol 10^-(dps + 2) for
+mpmath terms.  The tail is bounded by r, the ratio of the last two terms,
+or, when that r is 1 or more as near a sign change of an oscillating tail,
+by the decay of the last six, (max of the last three / max of the three
+before)^(1/3); a tail with r >= 1 by both raises.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import itertools
 import math
 import operator
@@ -54,7 +65,7 @@ from functools import partial, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
@@ -272,47 +283,52 @@ def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:
     return SeriesResult(value=value, terms_used=n + 1, tail_estimate=0.0)
 
 
-#: Stop of ``sum_until_converged``: a term below SERIES_TOL * max(1, |sum|).
+#: Default ``tol`` of ``sum_until_converged`` for Python numbers and numpy arrays.
 SERIES_TOL = 1e-14
 
 #: Most terms after the leading one that ``sum_until_converged`` sums.
 MAX_TERMS = 200_000
 
 
-def sum_until_converged(terms: Iterable, what: str) -> SeriesResult:
-    """Sum ``terms`` under the one stop rule of every convergent-series loop.
+def sum_until_converged(terms: Iterable, what: str, tol=None) -> SeriesResult:
+    """Sum ``terms`` under the one stop rule (see the module docstring).
 
-    Summation stops once three consecutive terms fall below
-    ``SERIES_TOL * max(1, |partial sum|)``; at most ``MAX_TERMS`` terms after
-    the leading one are summed, and a generator that runs out first is its
-    own cap.  A non-finite term or sum, an exhausted cap and a
-    term ratio of 1 or more at the stop all raise ``TruncationExceeded``.
-    The tail estimate is the geometric bound ``|t| r / (1 - r)`` from the
-    ratio ``r`` of the last two term magnitudes (0 after an exact zero term).
-    Terms may be numpy arrays (one series per node); every modulus is then
-    the largest over the nodes.
+    ``tol`` defaults to the arithmetic of the first term, and the sum keeps
+    that arithmetic.  At most ``MAX_TERMS`` terms after the leading one are
+    summed; a generator that runs out first is its own cap.  A non-finite
+    term or sum, an exhausted cap and an unbounded tail raise
+    ``TruncationExceeded``.  The tail estimate is ``|t| r / (1 - r)`` (0 after
+    an exact zero term).  Terms may be numpy arrays (one series per node).
     """
-    total = 0j
-    small = used = 0
-    mag = math.inf
-    for used, t in enumerate(itertools.islice(terms, MAX_TERMS + 1), 1):
+    terms = iter(terms)
+    head = list(itertools.islice(terms, 1))
+    mp_terms = bool(head) and isinstance(head[0], (mpf, mpc))
+    u, finite = (mp.eps, mp.isfinite) if mp_terms else (2.0**-52, math.isfinite)
+    if tol is None:
+        tol = mpf(10) ** -(mp.dps + 2) if mp_terms else SERIES_TOL
+    total = noise = small = used = 0
+    mags = collections.deque(maxlen=6)
+    for used, t in enumerate(itertools.islice(itertools.chain(head, terms), MAX_TERMS + 1), 1):
         total += t
-        prev, mag, size = mag, abs(t), abs(total)
+        mag, size = abs(t), abs(total)
         if isinstance(size, np.ndarray):  # one series per node: the largest
             mag, size = np.max(mag), size.max()
-        if not (math.isfinite(mag) and math.isfinite(size)):
+        if not (finite(mag) and finite(size)):
             raise TruncationExceeded(f"{what} terms or sum became non-finite (divergent?)")
-        small = small + 1 if mag < SERIES_TOL * max(1.0, size) else 0
+        noise += mag
+        mags.append(mag)
+        small = small + 1 if mag < tol * size or mag <= u * noise else 0
         if small == 3:
-            if prev == 0:
-                return SeriesResult(total, used, 0.0)
-            r = mag / prev
+            m = list(mags)
+            r = m[-1] / m[-2] if m[-2] else 0.0
+            if r >= 1 and len(m) == 6:  # three zeros would have stopped: m[:3] > 0
+                r = (max(m[3:]) / max(m[:3])) ** (1 / 3)
             if r >= 1:
                 raise TruncationExceeded(
-                    f"{what} stopped with term ratio {r:g} >= 1; its tail is unbounded"
+                    f"{what} stopped with term ratio {float(r):g} >= 1; its tail is unbounded"
                 )
-            return SeriesResult(total, used, mag * r / (1 - r))
-    raise TruncationExceeded(f"{what} did not meet tol={SERIES_TOL:g} within {used} terms")
+            return SeriesResult(total, used, m[-1] * r / (1 - r))
+    raise TruncationExceeded(f"{what} did not meet tol={mp.nstr(tol, 3)} within {used} terms")
 
 
 def phi_terms(nums: Sequence, dens: Sequence, q: complex, z, d_exp: int):

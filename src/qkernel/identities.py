@@ -55,10 +55,12 @@ M_n M_m mean_j |K_j| u + e_K M_n M_m mean_j |K_j|
 of the per-node trapezoid sum of K H_n H_m on the same nodes evaluated at
 dps.  e_K, a few u, is the relative error of such a node (eight q-products
 and their quotient); the cached nodes, at max(dps, ``NODE_DPS``) digits, are
-at least as accurate.  Each nu_k stops after three terms below t, which leaves a tail of
-order t / (1 - |q|); a big q-Jacobi pair is thus within
-(n + m + 2)(min(n, m) + 1) M_n M_m t / (1 - |q|) of the per-node Jackson sum
-of w P_n P_m.  These come out of the margin that ``_qhahn_dps`` and
+at least as accurate.  Each nu_k stops after three terms below t |nu_k| or
+below the rounding noise 10^-dps A_k of its sum, A_k the sum of the moduli of
+its terms, which leaves a tail of order t A_k / (1 - |q|).  Since
+A_k <= R^k A_0, a big q-Jacobi pair is thus within
+(n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of the per-node Jackson
+sum of w P_n P_m.  These come out of the margin that ``_qhahn_dps`` and
 ``_bqj_dps`` keep below the quadratures' stops: 28 digits under the
 trapezoid's 10^-(dps-28), 12 under the Jackson sum's 10^-(dps-12).  Of the
 28, the growth factors above take at most 8 for n, m <= 6 and N <= 2^16; the
@@ -266,30 +268,21 @@ def _quantize_dps(d: float) -> int:
 DEGREE_BLOCK = 12
 
 
-def _genfun_sum(poly: Callable, coeff: Callable, step: Callable) -> tuple[complex, int]:
-    """Sum ``coeff(n, w_n) * p_n`` over n with w_0 = 1 and
-    w_{n+1} = w_n * step(n), where ``poly`` maps a range of degrees to their
-    values p_n.
+def _degree_values(poly: Callable, limit: int):
+    """The values p_0, ..., p_{limit-1} that ``poly`` gives for a range of
+    degrees, asked for ``DEGREE_BLOCK`` degrees at a time."""
+    for lo in range(0, limit, DEGREE_BLOCK):
+        yield from poly(range(lo, min(lo + DEGREE_BLOCK, limit)))
 
-    Stops after 5 consecutive terms below 1e-14 in absolute value; returns the
-    sum and the number of terms used.  A partial sum that is not finite
-    (outside the disk of convergence) raises at once.
-    """
-    total = 0j
+
+def _genfun_terms(poly: Callable, coeff: Callable, step: Callable):
+    """Terms ``coeff(n, w_n) * p_n``, n < 250, with w_0 = 1 and
+    w_{n+1} = w_n * step(n), where ``poly`` maps a range of degrees to their
+    values p_n."""
     weight = 1 + 0j
-    small = 0
-    for lo in range(0, 250, DEGREE_BLOCK):
-        degrees = range(lo, min(lo + DEGREE_BLOCK, 250))
-        for n, value in zip(degrees, poly(degrees)):
-            t = coeff(n, weight) * value
-            total += t
-            if not cmath.isfinite(total):
-                raise TruncationExceeded("generating function sum became non-finite (divergent?)")
-            small = small + 1 if abs(t) < 1e-14 else 0
-            if small == 5:
-                return total, n + 1
-            weight *= step(n)
-    raise TruncationExceeded("generating function series did not converge")
+    for n, value in enumerate(_degree_values(poly, 250)):
+        yield coeff(n, weight) * value
+        weight *= step(n)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +578,12 @@ def _make_liu_master(m: int):
 
         def terms():
             R = 1 + 0j
-            for lo in range(0, 300, DEGREE_BLOCK):
-                hi = min(lo + DEGREE_BLOCK, 300) - 1
-                inner, _ = phi_terminating_core(build, hi, lo)
-                for n, value in zip(range(lo, hi + 1), inner):
-                    yield (1 - al * q ** (2 * n)) / (1 - al) * R * complex(value)
-                    R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
-                        (1 - q ** (n + 1)) * (1 - al * a * q**n)
-                    )
+            inner = _degree_values(lambda d: phi_terminating_core(build, d[-1], d[0])[0], 300)
+            for n, value in enumerate(inner):
+                yield (1 - al * q ** (2 * n)) / (1 - al) * R * complex(value)
+                R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
+                    (1 - q ** (n + 1)) * (1 - al * a * q**n)
+                )
 
         res = sum_until_converged(terms(), "master summation outer series")
         return CheckValues(lhs, res.value, {"outer_terms": res.terms_used})
@@ -680,15 +671,15 @@ def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
     p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
     a_role, b_role = (b, a) if swapped else (a, b)
     abcd = a * b * c * d
-    total, used = _genfun_sum(
+    res = sum_until_converged(_genfun_terms(
         lambda degrees: qhahn_poly(degrees, p, z),
         lambda n, T: T * qhahn_A(n, a_role, b_role, p),
         lambda n: (s - q**n) / (1 - abcd * s * q**n),
-    )
+    ), "generating function series")
     rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q) / poch_multi(
         [abcd * s, a_role * c, a_role * d, a_role * s * z], q
     )
-    return CheckValues(total, rhs, {"terms": used})
+    return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
 _identity(
@@ -973,17 +964,17 @@ def _sample_bqj_genfun(rng) -> dict:
 def _recipe_bqj_genfun(prm) -> CheckValues:
     a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
     p = BigQJacobiParams(a, b, c, Base(complex(q)))
-    total, used = _genfun_sum(
+    res = sum_until_converged(_genfun_terms(
         lambda degrees: big_qjacobi_poly(degrees, p, x),
         lambda n, B: (1 - a * b * q ** (2 * n + 1)) * B,
         lambda n: (1 - q * a * b * q**n) * (t - q**n) / (
             (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
         ),
-    )
+    ), "generating function series")
     rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q) / poch_multi(
         [q * q * a * b * t, q * a, q * c, t * x], q
     )
-    return CheckValues(total, rhs, {"terms": used})
+    return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
 _BQJ_FIXED = {"a": 0.3, "b": 0.4, "c": -0.2, "q": 0.5}
@@ -1071,19 +1062,19 @@ def _recipe_aw_genfun(prm) -> CheckValues:
     p = AWParams(a, b, c, d, Base(complex(q)))
     abcd = a * b * c * d
     lead = 1 - abcd / q
-    total, used = _genfun_sum(
+    res = sum_until_converged(_genfun_terms(
         lambda degrees: askey_wilson_poly(degrees, p, theta),
         lambda n, B: (1 - abcd * q ** (2 * n - 1)) / lead * B,
         lambda n: (1 - abcd / q * q**n) * (s - q**n) * a / (
             (1 - q ** (n + 1)) * (1 - a * b * q**n) * (1 - a * c * q**n)
             * (1 - a * d * q**n) * (1 - abcd * s * q**n)
         ),
-    )
+    ), "generating function series")
     e = cmath.exp(1j * theta)
     rhs = poch_multi(
         [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q
     ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q)
-    return CheckValues(total, rhs, {"terms": used})
+    return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
 def _recipe_nr_reduction_product(prm) -> CheckValues:

@@ -30,13 +30,10 @@ from typing import Callable
 from mpmath import mp
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
+from .hyperseries import sum_until_converged
 from .qcore import base_value, mp_scalar
 
 AnalyticFn = Callable
-
-#: Most terms the Jackson sum of ``q_integral`` may take.
-MAX_TERMS = 200_000
-
 
 def q_derivative(f: AnalyticFn, x, q):
     """First q-derivative (f(x) - f(qx)) / x."""
@@ -81,49 +78,34 @@ def q_derivative_n(f: AnalyticFn, x, q, n: int):
     return complex(value)
 
 
-def q_integral(f: AnalyticFn, a, b, q, tol=1e-14):
-    """Jackson q-integral of f from a to b:
+def q_integral(f: AnalyticFn, a, b, q, tol=None):
+    """Jackson q-integral of f from a to b (Gasper & Rahman, section 1.11):
 
-        (1 - q) sum_{n>=0} [b f(b q^n) - a f(a q^n)] q^n,
+        (1 - q) sum_{n>=0} [b f(b q^n) - a f(a q^n)] q^n.
 
-    truncated once q^n max(|b f(b q^n)|, |a f(a q^n)|) stays below the
-    absolute ``tol`` for three consecutive n, within ``MAX_TERMS`` terms.
-    Generic over complex/mpmath; an extended-precision caller passes a
-    ``tol`` that matches its working precision.  Raises TruncationExceeded
-    when f overflows, the sum is not finite or the cap is reached.
+    The terms go to ``hyperseries.sum_until_converged`` and its one stop
+    rule: three consecutive terms below ``tol`` times the partial sum, or
+    at the rounding noise of the sum.  ``tol`` follows the arithmetic of the
+    terms unless given (1e-14 for Python numbers, 10^-(dps + 2) for mpmath
+    values), and the result keeps that arithmetic.  Raises
+    TruncationExceeded when f overflows, a term or the sum is not finite or
+    the loop's term cap is reached.
     """
     qv = base_value(q)
-    qmag = float(abs(qv))
-    if not qmag < 1:
+    if not abs(qv) < 1:
         raise DomainError("q-integral requires |q| < 1")
-    total = 0
-    qn = 1
-    small = 0
-    try:
-        for _ in range(MAX_TERMS):
-            tb = b * f(b * qn) if b != 0 else 0
-            ta = a * f(a * qn) if a != 0 else 0
-            total = total + (tb - ta) * qn
-            mag = float(abs(qn)) * max(
-                float(abs(tb)) if tb != 0 else 0.0, float(abs(ta)) if ta != 0 else 0.0
-            )
-            if not math.isfinite(mag):  # an mpmath term beyond float range
-                mag = abs(qn) * max(abs(tb), abs(ta))
-            if mag < tol:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
+
+    def terms():
+        qn = 1
+        while True:
+            yield ((b * f(b * qn) if b != 0 else 0) - (a * f(a * qn) if a != 0 else 0)) * qn
             qn = qn * qv
-        else:
-            raise TruncationExceeded(f"q-integral did not meet tol={tol:g} within {MAX_TERMS} terms")
+
+    try:
+        total = sum_until_converged(terms(), "q-integral", tol).value
     except OverflowError as exc:
         raise TruncationExceeded(f"q-integral overflowed: {exc}") from exc
-    result = (1 - qv) * total
-    if not mp.isfinite(result):
-        raise TruncationExceeded(f"q-integral is not finite: {result}")
-    return result
+    return (1 - qv) * total
 
 
 def _coeff_work_digits(order: int, qmag: float, alpha_mag: float, a_mag: float) -> int:

@@ -155,7 +155,13 @@ def periodic_trapezoid(node_values, tol, half=False, scale=1):
 
 def trig_integral(w: WeightSpec, diagnostics: dict | None = None) -> complex:
     """Integrate the (even) WeightSpec integrand over [0, pi] by the
-    node-doubling trapezoid rule, to ``TRIG_TOL``."""
+    node-doubling trapezoid rule, to ``TRIG_TOL``.
+
+    The stop, two successive levels within ``TRIG_TOL``, certifies only a
+    smooth periodic integrand, whose error falls geometrically with each
+    doubling.  A jump can repeat its error from one level to the next: on
+    the full period, 1 for t < 1 and 2 beyond, meets the stop at 512 nodes
+    with an error of 1e-3."""
 
     def node_values(js, n):
         return weight_values(w, math.pi * np.asarray(js) / n)

@@ -154,7 +154,8 @@ class TestEvalPhi:
 
 
 class TestSumUntilConverged:
-    # the stop is a term below 1e-14 * max(1, |partial sum|)
+    # the stop is three terms below 1e-14 |partial sum| or at the rounding
+    # noise 2^-52 sum |t_k| of the sum
 
     def test_stops_after_three_small_terms(self):
         res = sum_until_converged(iter([1.0, 1e-15, 0.5, 4e-15, 2e-15, 1e-15, 7.0]), "test")
@@ -170,6 +171,34 @@ class TestSumUntilConverged:
         # three small terms, but the last ratio is 1.5: no geometric bound
         with pytest.raises(TruncationExceeded, match="ratio"):
             sum_until_converged(iter([1.0, 1e-16, 2e-16, 3e-16]), "test")
+
+    def test_oscillating_tail_uses_the_window_decay(self):
+        # the last ratio is 10, near a sign change, but the last three terms
+        # are 1e-15 of the three before: r = (1e-15)^(1/3) = 1e-5
+        res = sum_until_converged(iter([1.0, -0.5, 0.25, 1e-15, -1e-17, 1e-16, 7.0]), "test")
+        assert res.terms_used == 6
+        assert res.tail_estimate == pytest.approx(1e-16 * 1e-5 / (1 - 1e-5), rel=1e-9)
+
+    def test_stop_is_relative_to_the_sum(self):
+        # 1e-16 is below 1e-14 but not below 1e-14 |S| = 1e-17
+        res = sum_until_converged(iter([1e-3, 1e-16, 1e-16, 1e-16, 4e-19, 2e-19, 1e-19]), "test")
+        assert res.terms_used == 7
+
+    def test_noise_floor_stops_a_cancelled_sum(self):
+        # the sum cancels to 7e-17, and its terms sit below 2^-52 sum |t_k|
+        res = sum_until_converged(iter([1.0, -1.0, 4e-17, 2e-17, 1e-17, 7.0]), "test")
+        assert res.terms_used == 5
+
+    def test_mpmath_terms_beyond_the_float_range(self):
+        # sum 1e400 2^-k = 2e400: the stop follows the working precision and
+        # the sum stays an mpf
+        for dps in (30, 50):
+            with mpmath.workdps(dps):
+                terms = (mpmath.mpf("1e400") * mpmath.mpf(2) ** -k for k in itertools.count())
+                res = sum_until_converged(terms, "test")
+                assert isinstance(res.value, mpmath.mpf)
+                assert abs(res.value / mpmath.mpf("2e400") - 1) < mpmath.mpf(10) ** -(dps - 3)
+                assert res.terms_used > dps * math.log2(10)
 
     def test_non_finite_raises(self):
         with pytest.raises(TruncationExceeded, match="non-finite"):

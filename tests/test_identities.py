@@ -365,6 +365,28 @@ def test_askey_roy_weight_arguments_formed_in_mpmath():
     assert report.status == "pass", report.rel_err
 
 
+@pytest.mark.parametrize("ident, seed, draw", [
+    # Jackson sums of 1e-7 or less from terms near 0.03: an absolute stop at
+    # 1e-14 left a tail of 1e-8 relative, above the 1e-8 threshold
+    ("lbww_qintegral", 1, 59),
+    ("lbww_qintegral", 2, 26),
+    ("lbww_qintegral", 109, 37),
+    ("alsalam_verma", 216, 13),
+    ("qbailey_8w7", 201, 27),
+    # an inner sum near a sign change: the last two outer terms have ratio
+    # 2.58 at the stop, while the six-term window decays
+    ("liu_master_m3", 3, 31),
+    # the same near a sign change of the generating function's terms
+    ("aw_genfun", 1, 7),
+    ("aw_genfun", 1, 8),
+    ("aw_genfun", 1, 9),
+])
+def test_draws_mended_by_the_one_stop_rule(ident, seed, draw):
+    params = REGISTRY[ident].sampler(identities._rng(seed, ident, draw))
+    report = check_identity(ident, params, label=f"draw:{draw}")
+    assert report.status == "pass", (report.rel_err, report.reason)
+
+
 class TestLiuMasterOuterSum:
     PRM = {"q": 0.5, "alpha": 0.3, "a": 0.6, "b": 0.35, "b1": 0.35, "c1": 0.35}
 

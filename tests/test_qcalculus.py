@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from qkernel import qcalculus
+from qkernel import hyperseries
 from qkernel.errors import DomainError, TruncationExceeded
 from qkernel.qcore import Base, mp_scalar, poch_finite, poch_infinite
 from qkernel.qcalculus import (
@@ -117,14 +117,16 @@ class TestQIntegral:
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
     def test_tol_sets_the_stop(self):
-        # the terms 0.7 q^n first fall below 1e-6 at n = 20; the sum stops
-        # after n = 22 and misses the tail 0.7 q^23
+        # the terms 0.7 q^n first fall below 1e-6 times the partial sum
+        # 1.4 (1 - q^(n+1)) at n = 19; the sum stops after n = 21 and misses
+        # the tail 0.7 q^22
         v = q_integral(lambda x: 1.0, 0.0, 0.7, 0.5, tol=1e-6)
-        assert 0.7 - v == pytest.approx(0.7 * 0.5**23, rel=1e-6)
+        assert 0.7 - v == pytest.approx(0.7 * 0.5**22, rel=1e-6)
 
     def test_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(qcalculus, "MAX_TERMS", 3)
-        with pytest.raises(TruncationExceeded, match="within 3 terms"):
+        # the cap counts the terms after the leading one
+        monkeypatch.setattr(hyperseries, "MAX_TERMS", 3)
+        with pytest.raises(TruncationExceeded, match="q-integral did not meet .* within 4 terms"):
             q_integral(lambda x: 1.0, 0.0, 0.7, 0.5)
 
     def test_overflowing_integrand_raises(self):
@@ -144,7 +146,7 @@ class TestQIntegral:
         # a single non-finite term, after which the terms vanish and the
         # stop rule is met
         f = lambda x: bad if x == 0.7 else 0.0
-        with pytest.raises(TruncationExceeded, match="not finite"):
+        with pytest.raises(TruncationExceeded, match="non-finite"):
             q_integral(f, 0.0, 0.7, 0.5)
 
 
