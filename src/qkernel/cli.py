@@ -101,16 +101,7 @@ def _report_dict(r: IdentityReport) -> dict:
             params[k] = {"re": v.real, "im": v.imag}
         else:
             params[k] = v
-    diag = {"terms": None, "nodes": None}
-    for key in ("terms", "outer_terms", "order"):
-        if key in r.diagnostics:
-            diag["terms"] = r.diagnostics[key]
-            break
-    if "nodes" in r.diagnostics:
-        diag["nodes"] = r.diagnostics["nodes"]
-    for k, v in r.diagnostics.items():
-        if k not in ("terms", "outer_terms", "order", "nodes"):
-            diag[k] = v
+    diag = {"terms": None, "nodes": None, **r.diagnostics}
     return {
         "id": r.id,
         "draw": r.label,

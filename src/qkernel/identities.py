@@ -586,7 +586,7 @@ def _make_liu_master(m: int):
                 )
 
         res = sum_until_converged(terms(), "master summation outer series")
-        return CheckValues(lhs, res.value, {"outer_terms": res.terms_used})
+        return CheckValues(lhs, res.value, {"terms": res.terms_used})
 
     return recipe
 
@@ -912,7 +912,7 @@ def _recipe_watson_whipple(prm) -> CheckValues:
         * poch_finite(q * al / (c * d), q, n)
         / (poch_finite(q * al / c, q, n) * poch_finite(q * al / d, q, n))
     )
-    return CheckValues(complex(lhs), ratio * complex(phi43), {"order": n})
+    return CheckValues(complex(lhs), ratio * complex(phi43), {"terms": n})
 
 
 def _sample_lbww(rng) -> dict:
@@ -1189,7 +1189,7 @@ def _recipe_pfaff(prm) -> CheckValues:
         * (a * d) ** n
         / (poch_finite(r * d, q, n) * poch_finite(a * b * c * d, q, n))
     )
-    return CheckValues(complex(lhs), rhs, {"order": n})
+    return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
 def _sample_alsalam_verma(rng) -> dict:
@@ -1535,7 +1535,7 @@ def _recipe_andrews_cube(prm) -> CheckValues:
             * poch_finite(p, p, n)
         )
     )
-    return CheckValues(complex(lhs), rhs, {"order": n})
+    return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
 def _sample_cube_product(rng) -> dict:
@@ -1634,7 +1634,7 @@ def _recipe_andrews_mod3(prm) -> CheckValues:
     lhs, max_log = phi_terminating_core(build, n)
     scale = float(10.0 ** min(max_log, 300.0))
     if n % 3:
-        return CheckValues(complex(lhs), 0j, {"order": n}, scale=scale, metric="abs_scaled")
+        return CheckValues(complex(lhs), 0j, {"terms": n}, scale=scale, metric="abs_scaled")
     l = n // 3
     q3 = q**3
     rhs = (
@@ -1643,7 +1643,7 @@ def _recipe_andrews_mod3(prm) -> CheckValues:
         * al**l
         / (poch_finite(al, q, 3 * l) * poch_finite(q3, q3, l))
     )
-    return CheckValues(complex(lhs), rhs, {"order": n})
+    return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
 def _sample_q_watson(rng) -> dict:
@@ -1682,7 +1682,7 @@ def _recipe_q_watson(prm) -> CheckValues:
     lhs, max_log = phi_terminating_core(build, n)
     scale = float(10.0 ** min(max_log, 300.0))
     if n % 2:
-        return CheckValues(complex(lhs), 0j, {"order": n}, scale=scale, metric="abs_scaled")
+        return CheckValues(complex(lhs), 0j, {"terms": n}, scale=scale, metric="abs_scaled")
     half = n // 2
     q2 = q**2
     rhs = (
@@ -1691,7 +1691,7 @@ def _recipe_q_watson(prm) -> CheckValues:
         * lam**half
         / (poch_finite(q * al, q2, half) * poch_finite(q * lam, q2, half))
     )
-    return CheckValues(complex(lhs), rhs, {"order": n})
+    return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
 def _sample_verma_jain(rng) -> dict:
@@ -1734,7 +1734,7 @@ def _recipe_verma_jain(prm) -> CheckValues:
         * (1 - al)
         / (poch_finite(al, q, n) * poch_finite(-lam, q, n) * (1 - al * q ** (2 * n)))
     )
-    return CheckValues(complex(lhs), rhs, {"order": n})
+    return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
 _EXPANSION_ORDER = 40
@@ -1755,7 +1755,7 @@ def _recipe_jackson_consistency(prm) -> CheckValues:
     work = 30 + int(math.ceil(n * (n - 1) / 2 * math.log10(1 / q))) + 10
     with mp.workdps(work):
         rhs = complex(g(mp_scalar(x)))
-    return CheckValues(lhs, rhs, {"order": n})
+    return CheckValues(lhs, rhs, {"terms": n})
 
 
 def _sample_liu_expansion(rng) -> dict:
@@ -1783,7 +1783,7 @@ def _recipe_liu_expansion(prm, inverse: bool = False) -> CheckValues:
     lhs = qcalculus.liu_reconstruct(f, a, al, q, _EXPANSION_ORDER)
     target = poch_infinite(beta * a, q)
     rhs = 1 / target if inverse else target
-    return CheckValues(lhs, complex(rhs), {"order": _EXPANSION_ORDER})
+    return CheckValues(lhs, complex(rhs), {"terms": _EXPANSION_ORDER})
 
 
 _DOUBLE_ORDER = 30
@@ -1799,7 +1799,7 @@ def _recipe_liu_double_nonseparable(prm) -> CheckValues:
         poch_infinite(b1 * a, q) * poch_infinite(b2 * b, q)
         + poch_infinite(b3 * a, q) * poch_infinite(b4 * b, q) / 2
     )
-    return CheckValues(lhs, complex(rhs), {"order": _DOUBLE_ORDER})
+    return CheckValues(lhs, complex(rhs), {"terms": _DOUBLE_ORDER})
 
 
 def _sample_liu_double(rng) -> dict:
@@ -1832,7 +1832,7 @@ def _recipe_liu_double(prm) -> CheckValues:
     f = lambda x, y: g1(x) * g2(y)
     lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
     rhs = poch_infinite(b1 * a, q) * poch_infinite(b2 * b, q)
-    return CheckValues(lhs, complex(rhs), {"order": _DOUBLE_ORDER})
+    return CheckValues(lhs, complex(rhs), {"terms": _DOUBLE_ORDER})
 
 
 # ---------------------------------------------------------------------------
