@@ -35,6 +35,7 @@ from .qcore import base_value, mp_scalar
 
 AnalyticFn = Callable
 
+
 def q_derivative(f: AnalyticFn, x, q):
     """First q-derivative (f(x) - f(qx)) / x."""
     if x == 0:

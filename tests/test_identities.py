@@ -376,7 +376,8 @@ def test_askey_roy_weight_arguments_formed_in_mpmath():
     # an inner sum near a sign change: the last two outer terms have ratio
     # 2.58 at the stop, while the six-term window decays
     ("liu_master_m3", 3, 31),
-    # the same near a sign change of the generating function's terms
+    # generating-function terms near a sign change: these skip without the
+    # window decay
     ("aw_genfun", 1, 7),
     ("aw_genfun", 1, 8),
     ("aw_genfun", 1, 9),
