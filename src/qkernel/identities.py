@@ -2,12 +2,12 @@
 
 Every identity the library certifies is registered here with a recipe that
 evaluates both sides through independent code paths (quadrature vs closed
-form, series vs product, reconstruction vs direct evaluation) and a sampler
-that draws admissible parameters.  ``run_suite`` executes pinned example
+form, series vs product, reconstruction vs direct evaluation) and a draw
+spec for admissible parameters.  ``run_suite`` executes pinned example
 cases plus seeded random draws and reports residuals.
 
 Orthogonality integrals are the one place where plain double precision is
-insufficient: the diagonal norms decay like q^{n(n-1)} (cd)^n, far below the
+insufficient: the diagonal norms decay like q^{n(n-1)/2} (cd)^n, far below the
 float64 noise floor of the oscillating integrand, so those quadratures run in
 mpmath with weight nodes and moments cached across the (n, m) sweep.
 
@@ -70,14 +70,17 @@ taken in doubles on the trapezoid's first level, exceeds them: at q = 0.9 the
 weight can reach 45 digits above L_0, while every sampled draw stays within
 16.
 
-To add an identity, write its sampler and then its recipe, and put the
-``@_identity(...)`` registration on the recipe; a recipe shared with another
-entry, or built by a factory, is registered with a plain call instead.  A
-recipe takes only the parameter dict and returns ``CheckValues``; its kernels
-take their tolerances from the arithmetic of their arguments (1e-14 for
-Python numbers, the working precision for mpmath values), so a recipe sets
-none.  The registry keeps file order, which is the order of ``list`` and of
-the suite.
+To add an identity, write its recipe and put the ``@_identity(...)``
+registration on it; a recipe shared with another entry, or built by a
+factory, is registered with a plain call instead.  The registration's sampler
+is ``_draw(spec)``: an ordered mapping of each parameter to its distribution
+(a list of values, a ``range``, an interval, or a function of the earlier
+draws), with an optional rejection predicate ``ok``.  The entry's parameter
+names come from the spec, so they are stated once.  A recipe takes only the
+parameter dict and returns ``CheckValues``; its kernels take their
+tolerances from the arithmetic of their arguments (1e-14 for Python numbers,
+the working precision for mpmath values), so a recipe sets none.  The
+registry keeps file order, which is the order of ``list`` and of the suite.
 """
 
 from __future__ import annotations
@@ -191,16 +194,16 @@ class IdentityDef:
 REGISTRY: dict[str, IdentityDef] = {}
 
 
-def _identity(ident: str, description: str, params: tuple, threshold: float,
-              sampler: Callable, pinned: Sequence[PinnedCase] = ()) -> Callable:
-    """Register the decorated recipe as entry ``ident``; the recipe is
-    returned unchanged."""
+def _identity(ident: str, description: str, threshold: float, sampler: Callable,
+              pinned: Sequence[PinnedCase] = ()) -> Callable:
+    """Register the decorated recipe as entry ``ident``, with the parameter
+    names of its ``_draw`` sampler; the recipe is returned unchanged."""
 
     def register(recipe: Callable) -> Callable:
         if ident in REGISTRY:
             raise ValueError(f"identity {ident!r} is already registered")
         REGISTRY[ident] = IdentityDef(
-            ident, description, params, threshold, recipe, sampler, tuple(pinned)
+            ident, description, sampler.names, threshold, recipe, sampler, tuple(pinned)
         )
         return recipe
 
@@ -225,7 +228,7 @@ def _pairs(params: dict) -> tuple:
 # sampling helpers
 # ---------------------------------------------------------------------------
 
-_Q_CHOICES = (0.3, 0.5, 0.7)
+_Q_CHOICES = [0.3, 0.5, 0.7]
 
 
 def _rng(seed: int, ident: str, draw: int | None = None):
@@ -249,6 +252,46 @@ def _rejection(rng, build: Callable, ok: Callable, tries: int = 500) -> dict:
         if ok(prm):
             return prm
     raise QKernelError("sampler failed to find admissible parameters")
+
+
+def _draw(spec: dict, ok: Callable | None = None, order: tuple | None = None) -> Callable:
+    """The sampler ``rng -> dict`` that draws the parameters of ``spec`` in
+    its order, each from its distribution:
+
+    - a list of values, one picked by ``_pick_q``;
+    - a ``range`` of integers;
+    - an interval ``(lo, hi)``, drawn by ``_u``; an interval below zero is
+      drawn as the negative of its mirror image, ``-_u(rng, -hi, -lo)``;
+    - a function of ``(rng, draws so far)``, for a parameter that depends on
+      earlier ones.
+
+    The rng is called in spec order, so reordering or editing a spec changes
+    every later draw of that entry.  ``ok`` rejects a whole draw, through
+    ``_rejection``.  ``order`` lists the returned parameters where the spec's
+    order cannot: where a parameter is drawn before it is listed, and where a
+    value is drawn and then dropped.  The sampler's ``names``, ``order`` or
+    else the spec's keys, are the entry's parameter names.
+    """
+
+    def build(rng) -> dict:
+        prm = {}
+        for name, dist in spec.items():
+            if isinstance(dist, list):
+                prm[name] = _pick_q(rng, dist)
+            elif isinstance(dist, range):
+                prm[name] = int(rng.integers(dist.start, dist.stop))
+            elif isinstance(dist, tuple):
+                lo, hi = dist
+                prm[name] = _u(rng, lo, hi) if hi > 0 else -_u(rng, -hi, -lo)
+            else:
+                prm[name] = dist(rng, prm)
+        return prm if order is None else {name: prm[name] for name in order}
+
+    def sample(rng) -> dict:
+        return build(rng) if ok is None else _rejection(rng, build, ok)
+
+    sample.names = tuple(order or spec)
+    return sample
 
 
 def _off_lattice(x, q, dist: float = 0.05) -> bool:
@@ -382,7 +425,9 @@ def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
 
 
 def _qhahn_deficit(k: int, a, b, c, d, q) -> float:
-    """-log10 |L_k / L_0| (digits lost on the diagonal)."""
+    """-log10 |L_k / L_0| (digits lost on the diagonal), taken with the
+    q-power q^{k(k-1)} where L_k has q^{k(k-1)/2}: it keeps
+    k(k-1)/2 log10(1/|q|) spare digits."""
     if k == 0:
         return 0.0
     v = math.log10(abs(1 - a * b * c * d / q))
@@ -537,25 +582,9 @@ def _memo_poch_factor(beta, q, inverse: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# samplers and recipes, each entry registered on its recipe (file order is
+# draw specs and recipes, each entry registered on its recipe (file order is
 # registry order; each recipe computes lhs and rhs independently)
 # ---------------------------------------------------------------------------
-
-
-def _sample_liu_master(m: int):
-    def sampler(rng) -> dict:
-        prm = {
-            "q": _pick_q(rng, (0.5, 0.7)),
-            "alpha": _u(rng, 0.1, 0.5),
-            "a": _u(rng, 0.05, 0.3),
-            "b": _u(rng, 0.05, 0.5),
-        }
-        for j in range(1, m + 1):
-            prm[f"b{j}"] = _u(rng, 0.05, 0.5)
-            prm[f"c{j}"] = _u(rng, 0.05, 0.5)
-        return prm
-
-    return sampler
 
 
 def _make_liu_master(m: int):
@@ -596,9 +625,9 @@ for _m in (1, 2, 3):
         f"liu_master_m{_m}",
         f"Master q-summation with {_m} Pochhammer-ratio factor pair{'s' if _m > 1 else ''}:"
         " infinite-product side against the well-poised sum of terminating inner series",
-        ("q", "alpha", "a", "b") + tuple(x for j in range(1, _m + 1) for x in (f"b{j}", f"c{j}")),
         1e-9,
-        _sample_liu_master(_m),
+        _draw({"q": [0.5, 0.7], "alpha": (0.1, 0.5), "a": (0.05, 0.3), "b": (0.05, 0.5),
+               **{f"{x}{j}": (0.05, 0.5) for j in range(1, _m + 1) for x in "bc"}}),
         [PinnedCase("example", {"q": 0.5, "alpha": 0.3, "a": 0.2, "b": 0.35, **{
             k: v for j in range(1, _m + 1)
             for k, v in ((f"b{j}", 0.25 + 0.1 * j), (f"c{j}", 0.4 - 0.05 * j))
@@ -606,29 +635,11 @@ for _m in (1, 2, 3):
     )(_make_liu_master(_m))
 
 
-def _sample_rogers(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.1, 0.5),
-            "a": _u(rng, 0.2, 1.2),
-            "b": _u(rng, 0.2, 1.2),
-            "c": _u(rng, 0.2, 1.2),
-        }
-
-    def ok(prm):
-        q, al = prm["q"], prm["alpha"]
-        z = al * prm["a"] * prm["b"] * prm["c"] / q**2
-        if abs(z) > 0.9:
-            return False
-        return all(abs(al * prm[k]) <= 0.85 for k in ("a", "b", "c"))
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "rogers_6phi5", "Rogers' very-well-poised 6phi5 summation",
-    ("q", "alpha", "a", "b", "c"), 1e-10, _sample_rogers,
+    "rogers_6phi5", "Rogers' very-well-poised 6phi5 summation", 1e-10,
+    _draw({"q": _Q_CHOICES, "alpha": (0.1, 0.5), **dict.fromkeys("abc", (0.2, 1.2))},
+          ok=lambda p: abs(p["alpha"] * p["a"] * p["b"] * p["c"] / p["q"] ** 2) <= 0.9
+          and all(abs(p["alpha"] * p[k]) <= 0.85 for k in "abc")),
     [PinnedCase("example", {"alpha": 0.3, "a": 0.7, "b": 0.9, "c": 1.1, "q": 0.5})],
 )
 def _recipe_rogers(prm) -> CheckValues:
@@ -641,26 +652,13 @@ def _recipe_rogers(prm) -> CheckValues:
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
-def _sample_qhahn_genfun(swapped: bool):
-    key = "r" if swapped else "s"
-
-    def sampler(rng) -> dict:
-        return {
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.05, 0.6),
-            "b": _u(rng, 0.05, 0.6),
-            "c": _u(rng, 0.05, 0.6),
-            "d": _u(rng, 0.05, 0.6),
-            key: _u(rng, 0.1, 0.6),
-            "theta": _u(rng, 0.3, 2.8),
-        }
-
-    return sampler
+#: q and four parameters in (0.05, 0.6): the Askey-Wilson and q-Hahn draws.
+_ABCD = {"q": _Q_CHOICES, **dict.fromkeys("abcd", (0.05, 0.6))}
 
 
 @_identity(
-    "qhahn_genfun", "Generating function of the q-Hahn polynomials",
-    ("q", "a", "b", "c", "d", "s", "theta"), 1e-10, _sample_qhahn_genfun(False),
+    "qhahn_genfun", "Generating function of the q-Hahn polynomials", 1e-10,
+    _draw({**_ABCD, "s": (0.1, 0.6), "theta": (0.3, 2.8)}),
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "s": 0.45,
                             "theta": 1.1})],
 )
@@ -684,22 +682,13 @@ def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
 
 _identity(
     "qhahn_genfun_swapped", "q-Hahn generating function with the symmetric roles swapped",
-    ("q", "a", "b", "c", "d", "r", "theta"), 1e-10, _sample_qhahn_genfun(True),
+    1e-10, _draw({**_ABCD, "r": (0.1, 0.6), "theta": (0.3, 2.8)}),
 )(partial(_recipe_qhahn_genfun, swapped=True))
 
 
-def _sample_q_dougall_c0(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "alpha": _u(rng, 0.05, 0.6),
-        "s": _u(rng, 0.05, 0.6),
-        "r": _u(rng, 0.05, 0.6),
-    }
-
-
 @_identity(
-    "q_dougall_c0", "q-Dougall sum specialised at vanishing third parameter",
-    ("q", "alpha", "s", "r"), 1e-10, _sample_q_dougall_c0,
+    "q_dougall_c0", "q-Dougall sum specialised at vanishing third parameter", 1e-10,
+    _draw({"q": _Q_CHOICES, **dict.fromkeys(("alpha", "s", "r"), (0.05, 0.6))}),
 )
 def _recipe_q_dougall_c0(prm) -> CheckValues:
     q, al, s, r = prm["q"], prm["alpha"], prm["s"], prm["r"]
@@ -711,20 +700,9 @@ def _recipe_q_dougall_c0(prm) -> CheckValues:
 _QHAHN_FIXED = {"a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "rho": 0.6, "q": 0.5}
 
 
-def _sample_askey_roy(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.05, 0.6),
-        "b": _u(rng, 0.05, 0.6),
-        "c": _u(rng, 0.05, 0.6),
-        "d": _u(rng, 0.05, 0.6),
-        "rho": _u(rng, 0.3, 1.4),
-    }
-
-
 @_identity(
-    "askey_roy", "Askey-Roy trigonometric beta integral",
-    ("q", "a", "b", "c", "d", "rho"), 1e-9, _sample_askey_roy,
+    "askey_roy", "Askey-Roy trigonometric beta integral", 1e-9,
+    _draw({**_ABCD, "rho": (0.3, 1.4)}),
     [PinnedCase("example", dict(_QHAHN_FIXED))],
 )
 def _recipe_askey_roy(prm) -> CheckValues:
@@ -755,28 +733,11 @@ def _recipe_qhahn_rho_agreement(prm) -> CheckValues:
     )
 
 
-def _sample_qhahn_orthogonality(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 7)),
-            "m": int(rng.integers(0, 7)),
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.05, 0.55),
-            "b": _u(rng, 0.05, 0.55),
-            "c": _u(rng, 0.05, 0.55),
-            "d": _u(rng, 0.05, 0.55),
-            "rho": _u(rng, 0.35, 1.3),
-        }
-
-    def ok(prm):
-        return _off_lattice(prm["a"] * prm["b"] * prm["c"] * prm["d"] / prm["q"], prm["q"])
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "qhahn_orthogonality", "Orthogonality of the q-Hahn polynomials on the unit circle",
-    ("n", "m", "q", "a", "b", "c", "d", "rho"), 1e-7, _sample_qhahn_orthogonality,
+    "qhahn_orthogonality", "Orthogonality of the q-Hahn polynomials on the unit circle", 1e-7,
+    _draw({"n": range(7), "m": range(7), "q": _Q_CHOICES, **dict.fromkeys("abcd", (0.05, 0.55)),
+           "rho": (0.35, 1.3)},
+          ok=lambda p: _off_lattice(p["a"] * p["b"] * p["c"] * p["d"] / p["q"], p["q"])),
     _pairs(_QHAHN_FIXED) + tuple(
         PinnedCase(label, {**_QHAHN_FIXED, "n": 2, "m": m, "rho2": 1.3}, threshold=1e-9,
                    recipe=_recipe_qhahn_rho_agreement)
@@ -803,31 +764,17 @@ def _recipe_qhahn_orthogonality(prm) -> CheckValues:
     )
 
 
-def _sample_bww_transform(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng, (0.3, 0.5)),
-            "alpha": _u(rng, 0.05, 0.3),
-            "a": _u(rng, 0.1, 0.6),
-            "b": _u(rng, 0.1, 0.6),
-            "c": _u(rng, 0.35, 0.7),
-            "d": _u(rng, 0.35, 0.7),
-        }
-
-    def ok(prm):
-        q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
-        if abs(q * al / (c * d)) > 0.75:
-            return False
-        lam = q * al * al / (b * c * d)
-        checks = (al * q / a, al * q / b, q * lam, q * lam / a)
-        return all(_off_lattice(x, q) for x in checks)
-
-    return _rejection(rng, build, ok)
+def _bww_admissible(prm) -> bool:
+    q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
+    lam = q * al * al / (b * c * d)
+    checks = (al * q / a, al * q / b, q * lam, q * lam / a)
+    return abs(q * al / (c * d)) <= 0.75 and all(_off_lattice(x, q) for x in checks)
 
 
 @_identity(
-    "bww_transform", "3phi2 to well-poised-series transformation",
-    ("q", "alpha", "a", "b", "c", "d"), 1e-9, _sample_bww_transform,
+    "bww_transform", "3phi2 to well-poised-series transformation", 1e-9,
+    _draw({"q": [0.3, 0.5], "alpha": (0.05, 0.3), "a": (0.1, 0.6), "b": (0.1, 0.6),
+           "c": (0.35, 0.7), "d": (0.35, 0.7)}, ok=_bww_admissible),
 )
 def _recipe_bww_transform(prm) -> CheckValues:
     q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
@@ -856,31 +803,13 @@ def _recipe_bww_transform(prm) -> CheckValues:
     return CheckValues(lhs, rhs, {"terms": series.terms_used})
 
 
-def _sample_watson_whipple(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.1, 0.6),
-            "a": _u(rng, 0.1, 0.6),
-            "b": _u(rng, 0.1, 0.6),
-            "c": _u(rng, 0.1, 0.6),
-            "d": _u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        q, al = prm["q"], prm["alpha"]
-        n = prm["n"]
-        checks = [q * al / prm[k] for k in ("a", "b", "c", "d")]
-        checks.append(prm["c"] * prm["d"] * q ** (-n) / al)
-        return all(_off_lattice(x, q) for x in checks)
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
     "watson_q_whipple", "Watson's q-analogue of Whipple's theorem (terminating 8phi7 to 4phi3)",
-    ("n", "q", "alpha", "a", "b", "c", "d"), 1e-10, _sample_watson_whipple,
+    1e-10,
+    _draw({"n": range(13), "q": _Q_CHOICES, **dict.fromkeys(("alpha", *"abcd"), (0.1, 0.6))},
+          ok=lambda p: all(_off_lattice(x, p["q"]) for x in (
+              *(p["q"] * p["alpha"] / p[k] for k in "abcd"),
+              p["c"] * p["d"] * p["q"] ** (-p["n"]) / p["alpha"]))),
     _sweep({"q": 0.5, "alpha": 0.4, "a": 0.3, "b": 0.5, "c": 0.45, "d": 0.25}),
 )
 def _recipe_watson_whipple(prm) -> CheckValues:
@@ -915,27 +844,10 @@ def _recipe_watson_whipple(prm) -> CheckValues:
     return CheckValues(complex(lhs), ratio * complex(phi43), {"terms": n})
 
 
-def _sample_lbww(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "u": _u(rng, 0.2, 0.6),
-            "v": _u(rng, 0.2, 0.6),
-            "h": _u(rng, 0.05, 0.6),
-            "r": _u(rng, 0.05, 0.6),
-            "s": _u(rng, 0.05, 0.6),
-            "t": _u(rng, 0.05, 0.6),
-        }
-
-    def ok(prm):
-        return abs(prm["u"] - prm["v"]) >= 0.08
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "lbww_qintegral", "Jackson q-integral of a triple Pochhammer ratio in well-poised form",
-    ("q", "u", "v", "h", "r", "s", "t"), 1e-8, _sample_lbww,
+    "lbww_qintegral", "Jackson q-integral of a triple Pochhammer ratio in well-poised form", 1e-8,
+    _draw({"q": _Q_CHOICES, **dict.fromkeys("uv", (0.2, 0.6)),
+           **dict.fromkeys("hrst", (0.05, 0.6))}, ok=lambda p: abs(p["u"] - p["v"]) >= 0.08),
     [PinnedCase("t_zero", {"q": 0.5, "u": 0.3, "v": 0.5, "h": 0.35, "r": 0.2, "s": 0.25,
                            "t": 0.0})],
 )
@@ -946,20 +858,10 @@ def _recipe_lbww(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_bqj_genfun(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.05, 0.6),
-        "b": _u(rng, 0.05, 0.6),
-        "c": -_u(rng, 0.05, 0.6),
-        "t": _u(rng, 0.1, 0.6),
-        "x": _u(rng, 0.05, 0.6),
-    }
-
-
 @_identity(
-    "bigqjacobi_genfun", "Generating function of the big q-Jacobi polynomials",
-    ("q", "a", "b", "c", "t", "x"), 1e-10, _sample_bqj_genfun,
+    "bigqjacobi_genfun", "Generating function of the big q-Jacobi polynomials", 1e-10,
+    _draw({"q": _Q_CHOICES, "a": (0.05, 0.6), "b": (0.05, 0.6), "c": (-0.6, -0.05),
+           "t": (0.1, 0.6), "x": (0.05, 0.6)}),
 )
 def _recipe_bqj_genfun(prm) -> CheckValues:
     a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
@@ -980,27 +882,14 @@ def _recipe_bqj_genfun(prm) -> CheckValues:
 _BQJ_FIXED = {"a": 0.3, "b": 0.4, "c": -0.2, "q": 0.5}
 
 
-def _sample_bqj_orthogonality(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 7)),
-            "m": int(rng.integers(0, 7)),
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.1, 0.6),
-            "b": _u(rng, 0.1, 0.6),
-            "c": -_u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        a, b, c, q = prm["a"], prm["b"], prm["c"], prm["q"]
-        return _off_lattice(a * b * q, q) and abs(a * b * q / c) < 3.0
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
     "bigqjacobi_orthogonality", "Orthogonality of the big q-Jacobi polynomials (Jackson integral)",
-    ("n", "m", "q", "a", "b", "c"), 1e-8, _sample_bqj_orthogonality, _pairs(_BQJ_FIXED),
+    1e-8,
+    _draw({"n": range(7), "m": range(7), "q": _Q_CHOICES, "a": (0.1, 0.6), "b": (0.1, 0.6),
+           "c": (-0.6, -0.1)},
+          ok=lambda p: _off_lattice(p["a"] * p["b"] * p["q"], p["q"])
+          and abs(p["a"] * p["b"] * p["q"] / p["c"]) < 3.0),
+    _pairs(_BQJ_FIXED),
 )
 def _recipe_bqj_orthogonality(prm) -> CheckValues:
     n, m = int(prm["n"]), int(prm["m"])
@@ -1018,19 +907,8 @@ def _recipe_bqj_orthogonality(prm) -> CheckValues:
     )
 
 
-def _sample_aw_integral(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.05, 0.6),
-        "b": _u(rng, 0.05, 0.6),
-        "c": _u(rng, 0.05, 0.6),
-        "d": _u(rng, 0.05, 0.6),
-    }
-
-
 @_identity(
-    "aw_integral", "Askey-Wilson trigonometric beta integral",
-    ("q", "a", "b", "c", "d"), 1e-10, _sample_aw_integral,
+    "aw_integral", "Askey-Wilson trigonometric beta integral", 1e-10, _draw(_ABCD),
     [PinnedCase("all_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}),
      PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1})],
 )
@@ -1041,21 +919,9 @@ def _recipe_aw_integral(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_aw_genfun(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.05, 0.6),
-        "b": _u(rng, 0.05, 0.6),
-        "c": _u(rng, 0.05, 0.6),
-        "d": _u(rng, 0.05, 0.6),
-        "s": _u(rng, 0.1, 0.6),
-        "theta": _u(rng, 0.3, 2.8),
-    }
-
-
 @_identity(
-    "aw_genfun", "Generating function of the Askey-Wilson polynomials",
-    ("q", "a", "b", "c", "d", "s", "theta"), 1e-10, _sample_aw_genfun,
+    "aw_genfun", "Generating function of the Askey-Wilson polynomials", 1e-10,
+    _draw({**_ABCD, "s": (0.1, 0.6), "theta": (0.3, 2.8)}),
 )
 def _recipe_aw_genfun(prm) -> CheckValues:
     a, b, c, d, s, q, theta = (prm[k] for k in ("a", "b", "c", "d", "s", "q", "theta"))
@@ -1086,22 +952,15 @@ def _recipe_nr_reduction_product(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_nr(rng) -> dict:
-    s = _u(rng, 0.15, 0.55)
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.1, 0.55),
-        "b": _u(rng, 0.1, 0.55),
-        "c": _u(rng, 0.1, 0.55),
-        "d": _u(rng, 0.1, 0.55),
-        "s": s,
-        "r": _u(rng, 0.05, 0.8 * s),
-    }
+#: The Nassrallah-Rahman draw: s first, and r in (0.05, 0.8 s).
+_NR = {"s": (0.15, 0.55), "q": _Q_CHOICES, **dict.fromkeys("abcd", (0.1, 0.55)),
+       "r": lambda rng, p: _u(rng, 0.05, 0.8 * p["s"])}
+_NR_ORDER = ("q", "a", "b", "c", "d", "s", "r")
 
 
 @_identity(
-    "nassrallah_rahman", "Nassrallah-Rahman q-beta integral (8W7 closed form)",
-    ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_nr,
+    "nassrallah_rahman", "Nassrallah-Rahman q-beta integral (8W7 closed form)", 1e-8,
+    _draw(_NR, order=_NR_ORDER),
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "r": 0.35}),
      PinnedCase("reduction_r_abcds", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5},
@@ -1116,7 +975,7 @@ def _recipe_nr(prm) -> CheckValues:
 
 @_identity(
     "nr_intermediate", "Equality of the two 8W7 closed forms of the Nassrallah-Rahman integral",
-    ("q", "a", "b", "c", "d", "s", "r"), 1e-9, _sample_nr,
+    1e-9, _draw(_NR, order=_NR_ORDER),
 )
 def _recipe_nr_intermediate(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
@@ -1125,21 +984,14 @@ def _recipe_nr_intermediate(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_nr_nos(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.1, 0.55),
-        "b": _u(rng, 0.1, 0.55),
-        "c": _u(rng, 0.1, 0.55),
-        "d": _u(rng, 0.1, 0.55),
-        "s": _u(rng, 0.1, 0.55),
-    }
+#: q and five parameters in (0.1, 0.55): the Nassrallah-Rahman draw without r.
+_ABCDS = {"q": _Q_CHOICES, **dict.fromkeys("abcds", (0.1, 0.55))}
 
 
 @_identity(
     "nr_r0_3phi2",
     "Five-parameter trigonometric integral in 3phi2 form (vanishing numerator parameter)",
-    ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_nr_nos,
+    1e-8, _draw(_ABCDS),
 )
 def _recipe_nr_r0(prm) -> CheckValues:
     a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
@@ -1148,27 +1000,11 @@ def _recipe_nr_r0(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_pfaff(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.1, 0.6),
-            "b": _u(rng, 0.1, 0.6),
-            "c": _u(rng, 0.1, 0.6),
-            "d": _u(rng, 0.1, 0.6),
-            "r": _u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        return _off_lattice(prm["r"] / prm["a"], prm["q"])
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
     "pfaff_saalschutz_instance", "q-Pfaff-Saalschuetz summation (balanced terminating 3phi2)",
-    ("n", "q", "a", "b", "c", "d", "r"), 1e-10, _sample_pfaff,
+    1e-10,
+    _draw({"n": range(13), "q": _Q_CHOICES, **dict.fromkeys("abcdr", (0.1, 0.6))},
+          ok=lambda p: _off_lattice(p["r"] / p["a"], p["q"])),
     _sweep({"q": 0.5, "a": 0.3, "b": 0.25, "c": 0.4, "d": 0.2, "r": 0.35}),
 )
 def _recipe_pfaff(prm) -> CheckValues:
@@ -1192,26 +1028,14 @@ def _recipe_pfaff(prm) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
-def _sample_alsalam_verma(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.05, 0.5),
-            "b": _u(rng, 0.05, 0.5),
-            "c": _u(rng, 0.05, 0.5),
-            "d": _u(rng, 0.15, 0.6),
-            "s": _u(rng, 0.15, 0.6),
-        }
-
-    def ok(prm):
-        return abs(prm["d"] - prm["s"]) >= 0.05
-
-    return _rejection(rng, build, ok)
+def _d_apart_from_s(prm) -> bool:
+    return abs(prm["d"] - prm["s"]) >= 0.05
 
 
 @_identity(
-    "alsalam_verma", "Al-Salam--Verma q-integral evaluation",
-    ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_alsalam_verma,
+    "alsalam_verma", "Al-Salam--Verma q-integral evaluation", 1e-8,
+    _draw({"q": _Q_CHOICES, **dict.fromkeys("abc", (0.05, 0.5)),
+           **dict.fromkeys("ds", (0.15, 0.6))}, ok=_d_apart_from_s),
     [PinnedCase("abc_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.2, "s": 0.55},
                 threshold=1e-9)],
 )
@@ -1222,29 +1046,14 @@ def _recipe_alsalam_verma(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_qbailey(rng) -> dict:
-    def build(rng):
-        d = _u(rng, 0.2, 0.6)
-        s = _u(rng, 0.2, 0.6)
-        return {
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.05, 0.5),
-            "b": _u(rng, 0.05, 0.5),
-            "c": _u(rng, 0.05, 0.5),
-            "d": d,
-            "s": s,
-            "r": _u(rng, 0.05, 0.8 * min(d, s)),
-        }
-
-    def ok(prm):
-        return abs(prm["d"] - prm["s"]) >= 0.05
-
-    return _rejection(rng, build, ok)
+#: The Bailey-type draw: d and s first, and r in (0.05, 0.8 min(d, s)).
+_QBAILEY = {**dict.fromkeys("ds", (0.2, 0.6)), "q": _Q_CHOICES, **dict.fromkeys("abc", (0.05, 0.5)),
+            "r": lambda rng, p: _u(rng, 0.05, 0.8 * min(p["d"], p["s"]))}
 
 
 @_identity(
-    "qbailey_8w7", "q-integral with 8W7 closed form (Bailey-type evaluation)",
-    ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_qbailey,
+    "qbailey_8w7", "q-integral with 8W7 closed form (Bailey-type evaluation)", 1e-8,
+    _draw(_QBAILEY, ok=_d_apart_from_s, order=_NR_ORDER),
 )
 def _recipe_qbailey(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
@@ -1255,7 +1064,7 @@ def _recipe_qbailey(prm) -> CheckValues:
 
 @_identity(
     "qbailey_bridge", "Bridge between the Bailey q-integral and the trigonometric integral",
-    ("q", "a", "b", "c", "d", "s", "r"), 1e-8, _sample_qbailey,
+    1e-8, _draw(_QBAILEY, ok=_d_apart_from_s, order=_NR_ORDER),
 )
 def _recipe_qbailey_bridge(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
@@ -1279,8 +1088,7 @@ def _recipe_nr_product_s0(prm) -> CheckValues:
 
 
 @_identity(
-    "nr_product", "Product-form five-parameter trigonometric integral",
-    ("q", "a", "b", "c", "d", "s"), 1e-8, _sample_nr_nos,
+    "nr_product", "Product-form five-parameter trigonometric integral", 1e-8, _draw(_ABCDS),
     [PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1},
                 threshold=1e-9, recipe=_recipe_nr_product_s0)],
 )
@@ -1292,15 +1100,9 @@ def _recipe_nr_product(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_q_dougall_6w5(rng) -> dict:
-    prm = _sample_nr(rng)
-    prm["theta"] = _u(rng, 0.3, 2.8)
-    return prm
-
-
 @_identity(
-    "q_dougall_6w5", "q-Dougall 6W5 summation with conjugate circle parameters",
-    ("q", "a", "b", "c", "d", "s", "r", "theta"), 1e-9, _sample_q_dougall_6w5,
+    "q_dougall_6w5", "q-Dougall 6W5 summation with conjugate circle parameters", 1e-9,
+    _draw({**_NR, "theta": (0.3, 2.8)}, order=(*_NR_ORDER, "theta")),
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "r": 0.35, "theta": 1.0})],
 )
@@ -1321,29 +1123,11 @@ def _recipe_q_dougall_6w5(prm) -> CheckValues:
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
-def _sample_liu_3phi2(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.05, 0.35),
-            "x": _u(rng, 0.3, 1.2),
-            "y": _u(rng, 0.3, 1.2),
-            "u": _u(rng, 0.3, 1.2),
-            "v": _u(rng, 0.3, 1.2),
-        }
-
-    def ok(prm):
-        q, al = prm["q"], prm["alpha"]
-        if abs(al * prm["x"] * prm["y"] / q) > 0.75:
-            return False
-        return all(abs(al * prm[k]) <= 0.85 for k in ("x", "y", "u", "v"))
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "liu_3phi2_transform", "Nonterminating 3phi2 against its well-poised limit series",
-    ("q", "alpha", "x", "y", "u", "v"), 1e-9, _sample_liu_3phi2,
+    "liu_3phi2_transform", "Nonterminating 3phi2 against its well-poised limit series", 1e-9,
+    _draw({"q": _Q_CHOICES, "alpha": (0.05, 0.35), **dict.fromkeys("xyuv", (0.3, 1.2))},
+          ok=lambda p: abs(p["alpha"] * p["x"] * p["y"] / p["q"]) <= 0.75
+          and all(abs(p["alpha"] * p[k]) <= 0.85 for k in "xyuv")),
 )
 def _recipe_liu_3phi2(prm) -> CheckValues:
     q, al, x, y, u, v = (prm[k] for k in ("q", "alpha", "x", "y", "u", "v"))
@@ -1374,22 +1158,13 @@ def _recipe_liu_qbeta_s0(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_liu_qbeta(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "a": _u(rng, 0.1, 0.55),
-        "b": _u(rng, 0.1, 0.55),
-        "c": _u(rng, 0.1, 0.55),
-        "d": _u(rng, 0.1, 0.55),
-        "s": _u(rng, 0.1, 0.55),
-        "u": _u(rng, 0.3, 1.3),
-        "v": _u(rng, 0.3, 1.3),
-    }
+#: The extended q-beta draw; its two reductions drop u or v after drawing it.
+_LIU_QBETA = {**_ABCDS, **dict.fromkeys("uv", (0.3, 1.3))}
 
 
 @_identity(
-    "liu_qbeta", "Extended q-beta integral with 3phi2 integrand factor",
-    ("q", "a", "b", "c", "d", "s", "u", "v"), 1e-8, _sample_liu_qbeta,
+    "liu_qbeta", "Extended q-beta integral with 3phi2 integrand factor", 1e-8,
+    _draw(_LIU_QBETA),
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "u": 0.8, "v": 1.1}),
      PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "u": 0.8,
@@ -1402,15 +1177,9 @@ def _recipe_liu_qbeta(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_liu_qbeta_u_eq_q(rng) -> dict:
-    prm = _sample_liu_qbeta(rng)
-    prm.pop("u")
-    return prm
-
-
 @_identity(
     "liu_qbeta_u_eq_q", "Reduction of the extended q-beta integral at u = q to the product form",
-    ("q", "a", "b", "c", "d", "s", "v"), 1e-9, _sample_liu_qbeta_u_eq_q,
+    1e-9, _draw(_LIU_QBETA, order=(*_ABCDS, "v")),
 )
 def _recipe_liu_qbeta_u_eq_q(prm) -> CheckValues:
     # At u = q the integrand's 3phi2 factor is Gauss-summable, so the
@@ -1423,15 +1192,9 @@ def _recipe_liu_qbeta_u_eq_q(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_liu_qbeta_v_limit(rng) -> dict:
-    prm = _sample_liu_qbeta(rng)
-    prm.pop("v")
-    return prm
-
-
 @_identity(
     "liu_qbeta_v_limit", "Confluent limit of the extended q-beta integral against the 8W7 form",
-    ("q", "a", "b", "c", "d", "s", "u"), 1e-9, _sample_liu_qbeta_v_limit,
+    1e-9, _draw(_LIU_QBETA, order=(*_ABCDS, "u")),
 )
 def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
     # Confluent limit of the extended q-beta integral: the extra series
@@ -1456,24 +1219,10 @@ def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
     return CheckValues(lhs, rhs)
 
 
-def _sample_q_gauss(rng) -> dict:
-    def build(rng):
-        return {
-            "q": _pick_q(rng),
-            "a": _u(rng, 0.1, 0.8),
-            "b": _u(rng, 0.1, 0.8),
-            "c": _u(rng, 0.1, 0.8),
-        }
-
-    def ok(prm):
-        return abs(prm["a"] * prm["b"] * prm["c"] / prm["q"] ** 2) <= 0.8
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "q_gauss", "q-Gauss summation of a 2phi1 (reciprocal-parameter form)",
-    ("q", "a", "b", "c"), 1e-11, _sample_q_gauss,
+    "q_gauss", "q-Gauss summation of a 2phi1 (reciprocal-parameter form)", 1e-11,
+    _draw({"q": _Q_CHOICES, **dict.fromkeys("abc", (0.1, 0.8))},
+          ok=lambda p: abs(p["a"] * p["b"] * p["c"] / p["q"] ** 2) <= 0.8),
     [PinnedCase("example", {"a": 0.2, "b": 0.3, "c": 0.71, "q": 0.5})],
 )
 def _recipe_q_gauss(prm) -> CheckValues:
@@ -1490,17 +1239,9 @@ def _recipe_q_gauss(prm) -> CheckValues:
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
-def _sample_andrews_cube(rng) -> dict:
-    return {
-        "n": int(rng.integers(0, 13)),
-        "p": _pick_q(rng) ** (1.0 / 3.0),
-        "beta": _u(rng, 0.3, 0.85),
-    }
-
-
 @_identity(
-    "andrews_cube_5phi4", "Andrews' cube-root terminating 5phi4 evaluation",
-    ("n", "p", "beta"), 1e-10, _sample_andrews_cube,
+    "andrews_cube_5phi4", "Andrews' cube-root terminating 5phi4 evaluation", 1e-10,
+    _draw({"n": range(13), "p": lambda rng, _: _pick_q(rng) ** (1.0 / 3.0), "beta": (0.3, 0.85)}),
     _sweep({"p": 0.5 ** (1.0 / 3.0), "beta": 0.6}),
 )
 def _recipe_andrews_cube(prm) -> CheckValues:
@@ -1538,23 +1279,10 @@ def _recipe_andrews_cube(prm) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
-def _sample_cube_product(rng) -> dict:
-    def build(rng):
-        return {
-            "p": _pick_q(rng) ** (1.0 / 3.0),
-            "beta": _u(rng, 0.3, 0.85),
-            "a": _u(rng, 0.1, 0.6),
-        }
-
-    def ok(prm):
-        return abs(prm["beta"] * prm["a"] / prm["p"] ** 2) <= 0.72
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "cube_product_expansion", "Mixed-base product expansion via cube roots of unity",
-    ("p", "beta", "a"), 1e-10, _sample_cube_product,
+    "cube_product_expansion", "Mixed-base product expansion via cube roots of unity", 1e-10,
+    _draw({"p": lambda rng, _: _pick_q(rng) ** (1.0 / 3.0), "beta": (0.3, 0.85), "a": (0.1, 0.6)},
+          ok=lambda p: abs(p["beta"] * p["a"] / p["p"] ** 2) <= 0.72),
 )
 def _recipe_cube_product(prm) -> CheckValues:
     beta, p, a = prm["beta"], prm["p"], prm["a"]
@@ -1576,13 +1304,9 @@ def _recipe_cube_product(prm) -> CheckValues:
     return CheckValues(lhs, res.value, {"terms": res.terms_used})
 
 
-def _sample_theta_product(rng) -> dict:
-    return {"q": _u(rng, 0.02, 0.25)}
-
-
 @_identity(
-    "theta_phi_product", "Theta product phi(-q) phi(-q^3) as a rational q-series",
-    ("q",), 1e-12, _sample_theta_product,
+    "theta_phi_product", "Theta product phi(-q) phi(-q^3) as a rational q-series", 1e-12,
+    _draw({"q": (0.02, 0.25)}),
     [PinnedCase("q005", {"q": 0.05}), PinnedCase("q01", {"q": 0.1}),
      PinnedCase("q02", {"q": 0.2})],
 )
@@ -1604,17 +1328,10 @@ def _recipe_theta_product(prm) -> CheckValues:
     return CheckValues(complex(lhs), res.value, {"terms": res.terms_used})
 
 
-def _sample_andrews_mod3(rng) -> dict:
-    return {
-        "n": int(rng.integers(0, 13)),
-        "q": _pick_q(rng),
-        "alpha": _u(rng, 0.1, 0.8),
-    }
-
-
 @_identity(
-    "andrews_mod3_5phi4", "Andrews' terminating 5phi4 with mod-3 vanishing structure",
-    ("n", "q", "alpha"), 1e-10, _sample_andrews_mod3, _sweep({"q": 0.5, "alpha": 0.45}),
+    "andrews_mod3_5phi4", "Andrews' terminating 5phi4 with mod-3 vanishing structure", 1e-10,
+    _draw({"n": range(13), "q": _Q_CHOICES, "alpha": (0.1, 0.8)}),
+    _sweep({"q": 0.5, "alpha": 0.45}),
 )
 def _recipe_andrews_mod3(prm) -> CheckValues:
     al = prm["alpha"]
@@ -1646,25 +1363,15 @@ def _recipe_andrews_mod3(prm) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
-def _sample_q_watson(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.1, 0.8),
-            "lambda": _u(rng, 0.1, 0.8),
-        }
-
-    def ok(prm):
-        q = prm["q"]
-        return _off_lattice(prm["alpha"] * q / prm["lambda"], q * q)
-
-    return _rejection(rng, build, ok)
+#: The draw of the two 4phi3 summations; each rejects its own lattice.
+_N_ALPHA_LAMBDA = {"n": range(13), "q": _Q_CHOICES,
+                   **dict.fromkeys(("alpha", "lambda"), (0.1, 0.8))}
 
 
 @_identity(
-    "q_watson_4phi3", "q-Watson terminating 4phi3 with odd-order vanishing",
-    ("n", "q", "alpha", "lambda"), 1e-10, _sample_q_watson,
+    "q_watson_4phi3", "q-Watson terminating 4phi3 with odd-order vanishing", 1e-10,
+    _draw(_N_ALPHA_LAMBDA,
+          ok=lambda p: _off_lattice(p["alpha"] * p["q"] / p["lambda"], p["q"] * p["q"])),
     _sweep({"q": 0.5, "alpha": 0.5, "lambda": 0.35}),
 )
 def _recipe_q_watson(prm) -> CheckValues:
@@ -1694,25 +1401,9 @@ def _recipe_q_watson(prm) -> CheckValues:
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
 
-def _sample_verma_jain(rng) -> dict:
-    def build(rng):
-        return {
-            "n": int(rng.integers(0, 13)),
-            "q": _pick_q(rng),
-            "alpha": _u(rng, 0.1, 0.8),
-            "lambda": _u(rng, 0.1, 0.8),
-        }
-
-    def ok(prm):
-        q = prm["q"]
-        return _off_lattice(prm["alpha"] * q / prm["lambda"], q)
-
-    return _rejection(rng, build, ok)
-
-
 @_identity(
-    "verma_jain_4phi3", "Verma-Jain quadratic-base terminating 4phi3 summation",
-    ("n", "q", "alpha", "lambda"), 1e-10, _sample_verma_jain,
+    "verma_jain_4phi3", "Verma-Jain quadratic-base terminating 4phi3 summation", 1e-10,
+    _draw(_N_ALPHA_LAMBDA, ok=lambda p: _off_lattice(p["alpha"] * p["q"] / p["lambda"], p["q"])),
     _sweep({"q": 0.5, "alpha": 0.4, "lambda": 0.55}),
 )
 def _recipe_verma_jain(prm) -> CheckValues:
@@ -1758,19 +1449,10 @@ def _recipe_jackson_consistency(prm) -> CheckValues:
     return CheckValues(lhs, rhs, {"terms": n})
 
 
-def _sample_liu_expansion(rng) -> dict:
-    return {
-        "q": _pick_q(rng),
-        "beta": _u(rng, 0.1, 0.5),
-        "a": _u(rng, 0.05, 0.3),
-        "alpha": _u(rng, 0.1, 0.5),
-    }
-
-
 @_identity(
     "liu_expansion",
-    "Analytic expansion in the Pochhammer kernel: reconstruction matches the function",
-    ("q", "beta", "a", "alpha"), 1e-9, _sample_liu_expansion,
+    "Analytic expansion in the Pochhammer kernel: reconstruction matches the function", 1e-9,
+    _draw({"q": _Q_CHOICES, "beta": (0.1, 0.5), "a": (0.05, 0.3), "alpha": (0.1, 0.5)}),
     [PinnedCase("poch_factor", {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3}, threshold=1e-10),
      PinnedCase("inverse_poch_factor", {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3},
                 threshold=1e-9, recipe=_recipe_liu_expansion_inverse)]
@@ -1802,22 +1484,11 @@ def _recipe_liu_double_nonseparable(prm) -> CheckValues:
     return CheckValues(lhs, complex(rhs), {"terms": _DOUBLE_ORDER})
 
 
-def _sample_liu_double(rng) -> dict:
-    return {
-        "q": _pick_q(rng, (0.5, 0.7)),
-        "beta1": _u(rng, 0.1, 0.5),
-        "beta2": _u(rng, 0.1, 0.5),
-        "a": _u(rng, 0.05, 0.3),
-        "b": _u(rng, 0.05, 0.3),
-        "alpha": _u(rng, 0.1, 0.5),
-        "beta": _u(rng, 0.1, 0.5),
-    }
-
-
 @_identity(
     "liu_double_expansion",
-    "Two-variable analytic expansion: double reconstruction matches the function",
-    ("q", "beta1", "beta2", "a", "b", "alpha", "beta"), 1e-8, _sample_liu_double,
+    "Two-variable analytic expansion: double reconstruction matches the function", 1e-8,
+    _draw({"q": [0.5, 0.7], **dict.fromkeys(("beta1", "beta2"), (0.1, 0.5)),
+           **dict.fromkeys("ab", (0.05, 0.3)), **dict.fromkeys(("alpha", "beta"), (0.1, 0.5))}),
     [PinnedCase("separable", {"q": 0.5, "beta1": 0.3, "beta2": 0.2, "a": 0.2, "b": 0.15,
                               "alpha": 0.3, "beta": 0.25}, threshold=1e-9),
      PinnedCase("nonseparable", {"q": 0.5, "beta1": 0.3, "beta2": 0.2, "beta3": 0.45,

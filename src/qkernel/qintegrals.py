@@ -186,7 +186,8 @@ def askey_wilson_rhs(a, b, c, d, q) -> complex:
 
 
 def askey_wilson_lhs(a, b, c, d, q) -> complex:
-    w = WeightSpec(base=Base(complex(base_value(q))), denominator_h=(a, b, c, d), cos2_numerator=True)
+    w = WeightSpec(base=Base(complex(base_value(q))), denominator_h=(a, b, c, d),
+                   cos2_numerator=True)
     return trig_integral(w)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -10,8 +11,15 @@ from mpmath import mp, mpf
 
 from qkernel import identities, qcalculus
 from qkernel.errors import TruncationExceeded, UnknownIdentity
-from qkernel.polyfamilies import BigQJacobiParams, QHahnParams, big_qjacobi_poly, qhahn_poly
-from qkernel.qcore import Base
+from qkernel.polyfamilies import (
+    BigQJacobiParams,
+    QHahnParams,
+    big_qjacobi_poly,
+    qhahn_L,
+    qhahn_L0,
+    qhahn_poly,
+)
+from qkernel.qcore import Base, poch_finite
 from qkernel.qintegrals import periodic_trapezoid
 from qkernel.identities import (
     REGISTRY,
@@ -77,7 +85,7 @@ def test_duplicate_registration_raises():
 
     entry = REGISTRY["q_gauss"]
     with pytest.raises(ValueError, match="q_gauss"):
-        _identity("q_gauss", "again", entry.param_names, 1e-9, entry.sampler)(entry.recipe)
+        _identity("q_gauss", "again", 1e-9, entry.sampler)(entry.recipe)
     assert REGISTRY["q_gauss"] is entry
 
 
@@ -262,6 +270,7 @@ class TestMomentRegrouping:
 _WEIGHTS = {
     "pinned": identities._QHAHN_FIXED,
     "q0.9": {**sample_params("qhahn_orthogonality", 1), "q": 0.9},
+    "q0.95": {**sample_params("qhahn_orthogonality", 1), "q": 0.95},
     "negative_q": {"a": 0.5, "b": 0.05, "c": 0.3, "d": 0.55, "rho": 1.3, "q": -0.7},
     "complex_c": {**identities._QHAHN_FIXED, "c": 0.3 - 0.2j},
 }
@@ -332,6 +341,78 @@ class TestQHahnNodeLayer:
                     exact = mp.fsum(K * z**k for K, z in nodes)
                     bound = 6 * N * (k + 1) * mpf(2) ** -W * top + mpf(2) ** -prec * abs(exact)
                     assert abs(moments[k] - exact) <= bound
+
+
+def _askey_roy_pair(n, m, a, b, c, d, q) -> complex:
+    """<H_n, H_m> / L_0 with no quadrature, at 40 + 3 (n + m) digits.
+
+    H_n's 3phi2 gives H_n = sum_k A_nk (az; q)_k with
+    A_nk = (ac, ad; q)_n a^-n (q^-n, abcd q^(n-1); q)_k q^k / (q, ac, ad; q)_k,
+    and H_m, symmetric in a and b, expands in (bz; q)_l with a and b swapped.
+    a and b enter the weight only through 1 / (a e^{it}, b e^{it}; q)_inf, so
+    (a e^{it}; q)_k (b e^{it}; q)_l K shifts a to a q^k and b to b q^l, and the
+    Askey-Roy integral gives its mean L_0 (ac, ad; q)_k (bc, bd; q)_l
+    / (abcd; q)_(k+l).  The factors (ac, ad; q)_k and (bc, bd; q)_l cancel.
+    """
+    with mp.workdps(40 + 3 * (n + m)):
+        a, b, c, d, q = (mp.mpmathify(x) for x in (a, b, c, d, q))
+        abcd = a * b * c * d
+
+        def coeffs(n, a):
+            lead = poch_finite(a * c, q, n) * poch_finite(a * d, q, n) / a**n
+            return [lead * poch_finite(q**-n, q, k) * poch_finite(abcd * q ** (n - 1), q, k)
+                    * q**k / poch_finite(q, q, k) for k in range(n + 1)]
+
+        return complex(mp.fsum(x * y / poch_finite(abcd, q, k + l)
+                               for k, x in enumerate(coeffs(n, a))
+                               for l, y in enumerate(coeffs(m, b))))
+
+
+class TestAskeyRoyOracle:
+    """The q-Hahn pairs against the Askey-Roy reduction (Gasper & Rahman
+    section 6; Koekoek, Lesky & Swarttouw section 14.5): a finite double sum
+    times L_0, sharing no code with the trapezoid or with L_n."""
+
+    @staticmethod
+    def _oracle(n, m, w):
+        p = QHahnParams(*(w[k] for k in ("a", "b", "c", "d", "rho")), Base(complex(w["q"])))
+        L0 = qhahn_L0(p)
+        value = L0 * _askey_roy_pair(n, m, *(w[k] for k in ("a", "b", "c", "d", "q")))
+        return value, p, L0
+
+    @settings(max_examples=20)
+    @given(
+        n=st.integers(0, 6),
+        m=st.integers(0, 6),
+        q=st.floats(0.2, 0.7),
+        a=st.floats(0.05, 0.55),
+        b=st.floats(0.05, 0.55),
+        c=st.floats(0.05, 0.55),
+        c_imag=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        d=st.floats(0.05, 0.55),
+        rho=st.floats(0.35, 1.3),
+    )
+    @example(n=2, m=2, q=0.5, a=0.3, b=0.2, c=0.3, c_imag=-0.2, d=0.1, rho=0.6)
+    def test_trapezoid_pair(self, n, m, q, a, b, c, c_imag, d, rho):
+        c = complex(c, c_imag) if c_imag else c
+        oracle, p, L0 = self._oracle(n, m, {"a": a, "b": b, "c": c, "d": d, "rho": rho, "q": q})
+        dps = identities._qhahn_dps(n, m, a, b, c, d, q, (rho,))
+        value = identities._qhahn_integral(n, m, a, b, c, d, rho, q, dps)
+        scale = abs(qhahn_L(n, p)) if n == m else abs(L0)
+        assert abs(value - oracle) <= 1e-12 * scale
+
+    def test_norm_at_q_near_one(self):
+        # q = 0.95: max |K| is about 1.8e53 and L_0 about -3.5e-39, and the
+        # trapezoid skips this weight with QuadratureNotConverged
+        w = _WEIGHTS["q0.95"]
+        for n in range(9):
+            for m in range(9):
+                oracle, p, L0 = self._oracle(n, m, w)
+                if n == m:
+                    L = qhahn_L(n, p)
+                    assert abs(oracle - L) <= 1e-12 * abs(L), n
+                else:
+                    assert abs(oracle) <= 1e-12 * abs(L0), (n, m)
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (9, 9)])
@@ -458,6 +539,16 @@ class TestSampling:
         for ident, entry in REGISTRY.items():
             prm = sample_params(ident, 3)
             assert set(prm) == set(entry.param_names), ident
+
+    def test_draw_stream_is_pinned(self):
+        # the benchmark's workloads and the suite are made of these draws, so
+        # a sampler change must update this digest deliberately
+        digest = hashlib.sha256()
+        for ident in identity_ids():
+            for seed in range(100):
+                digest.update(repr((ident, seed, list(sample_params(ident, seed).items()))).encode())
+        assert digest.hexdigest() == (
+            "ceca005350440269841ac1bd58b464d83c8c73a94d568b0f3be47b37ab4efd87")
 
 
 class TestCheckIdentity:
