@@ -17,6 +17,7 @@ from .qcore import (
     poch_finite,
     poch_infinite,
     poch_multi,
+    poch_ratio,
 )
 from .hyperseries import SeriesResult, SeriesSpec, eval_phi, eval_w, eval_wp_limit
 from .qcalculus import (

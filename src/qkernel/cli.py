@@ -366,6 +366,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise _ArgError(f"--tol must be finite and positive, not {tol}")
+        if getattr(args, "draws", 0) < 0:
+            raise _ArgError(f"--draws must be non-negative, not {args.draws}")
         if args.command == "list":
             if extra:
                 raise _ArgError(f"unexpected arguments {extra}")

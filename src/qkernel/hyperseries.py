@@ -370,10 +370,9 @@ def eval_phi(spec: SeriesSpec) -> SeriesResult:
         n = spec.terminating_order
         if n < 0:
             raise DomainError("terminating_order must be nonnegative")
-        target = complex(qv) ** (-n)
-        gap = min(
-            (abs(complex(a) - target) for a in spec.numerator), default=math.inf
-        ) / max(1.0, abs(target))
+        # |q^-n| >= 1, so |a - q^-n| / |q^-n| is |a q^n - 1|, which cannot overflow
+        qn = complex(qv) ** n
+        gap = min((abs(complex(a) * qn - 1) for a in spec.numerator), default=math.inf)
         if gap > _POLE_TOL:
             raise DomainError(
                 "terminating_order set but no numerator parameter equals q^-n"

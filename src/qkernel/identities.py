@@ -53,12 +53,13 @@ coefficient error, a q-Hahn pair on N nodes is within
 M_n M_m mean_j |K_j| u + e_K M_n M_m mean_j |K_j|
 + 6 (n + m + 1)(min(n, m) + 1)(kmax + 1) M_n M_m 2^-W max_j |K_j|
 of the per-node trapezoid sum of K H_n H_m on the same nodes evaluated at
-dps.  e_K, a few u, is the relative error of such a node (eight q-products
-and their quotient); the cached nodes, at max(dps, ``NODE_DPS``) digits, are
-at least as accurate.  Each nu_k stops after three terms below t |nu_k| or
-below the rounding noise 10^-dps A_k of its sum, A_k the sum of the moduli of
-its terms, which leaves a tail of order t A_k / (1 - |q|).  Since
-A_k <= R^k A_0, a big q-Jacobi pair is thus within
+dps.  e_K, a few u, is the relative error of such a node, one ``poch_ratio``
+of four q-products over four: eight truncations at 10^-(dps+2), then two
+roundings and one division; the cached nodes, at max(dps, ``NODE_DPS``)
+digits, are at least as accurate.  Each nu_k stops after three terms below
+t |nu_k| or below the rounding noise 10^-dps A_k of its sum, A_k the sum of
+the moduli of its terms, which leaves a tail of order t A_k / (1 - |q|).
+Since A_k <= R^k A_0, a big q-Jacobi pair is thus within
 (n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of the per-node Jackson
 sum of w P_n P_m.  These come out of the margin that ``_qhahn_dps`` and
 ``_bqj_dps`` keep below the quadratures' stops: 28 digits under the
@@ -111,7 +112,7 @@ from .qcore import (
     mp_scalar,
     poch_finite,
     poch_infinite,
-    poch_multi,
+    poch_ratio,
 )
 from .hyperseries import (
     SeriesSpec,
@@ -482,10 +483,7 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
 @lru_cache(maxsize=None)
 def _bqj_weight_node(x, a, b, c, q, dps: int):
     with mp.workdps(dps):
-        qm = mp_scalar(q)
-        num = poch_multi([x / a, x / c], qm)
-        den = poch_multi([x, b * x / c], qm)
-        return num / den
+        return poch_ratio([x / a, x / c], [x, b * x / c], mp_scalar(q))
 
 
 @lru_cache(maxsize=None)
@@ -500,11 +498,8 @@ def _bqj_coeffs(n: int, a, b, c, q, dps: int) -> tuple:
 def _bqj_rhs(n: int, a, b, c, q) -> complex:
     # Prefactor carries (c/a, qa/c; q)_inf: the Al-Salam--Verma specialisation
     # of the n = 0 integral fixes this orientation of the theta-pair.
-    pref = (
-        a * q * (1 - q)
-        * poch_multi([q, a * b * q * q, c / a, q * a / c], q)
-        / poch_multi([a * q, b * q, c * q, a * b * q / c], q)
-    )
+    pref = a * q * (1 - q) * poch_ratio([q, a * b * q * q, c / a, q * a / c],
+                                        [a * q, b * q, c * q, a * b * q / c], q)
     num = (1 - a * b * q) * poch_finite(q, q, n) * poch_finite(q * b, q, n) * poch_finite(
         a * b * q / c, q, n
     )
@@ -592,11 +587,10 @@ def _make_liu_master(m: int):
         q, al, a, b = prm["q"], prm["alpha"], prm["a"], prm["b"]
         bs = [prm[f"b{j}"] for j in range(1, m + 1)]
         cs = [prm[f"c{j}"] for j in range(1, m + 1)]
-        lhs = poch_multi([al * q, al * a * b / q], q) / poch_multi([al * a, al * b], q)
-        for bj, cj in zip(bs, cs):
-            lhs *= poch_multi([al * a * bj / q, al * cj], q) / poch_multi(
-                [al * a * cj / q, al * bj], q
-            )
+        lhs = poch_ratio(
+            [al * q, al * a * b / q, *(al * a * bj / q for bj in bs), *(al * cj for cj in cs)],
+            [al * a, al * b, *(al * a * cj / q for cj in cs), *(al * bj for bj in bs)], q,
+        )
 
         def build():
             qm = mp_scalar(q)
@@ -646,9 +640,8 @@ def _recipe_rogers(prm) -> CheckValues:
     q, al, a, b, c = prm["q"], prm["alpha"], prm["a"], prm["b"], prm["c"]
     z = al * a * b * c / q**2
     res = eval_w(al, [q / a, q / b, q / c], q, z)
-    rhs = poch_multi(
-        [al * q, al * a * b / q, al * a * c / q, al * b * c / q], q
-    ) / poch_multi([al * a, al * b, al * c, z], q)
+    rhs = poch_ratio([al * q, al * a * b / q, al * a * c / q, al * b * c / q],
+                     [al * a, al * b, al * c, z], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -674,9 +667,8 @@ def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
         lambda n, T: T * qhahn_A(n, a_role, b_role, p),
         lambda n: (s - q**n) / (1 - abcd * s * q**n),
     ), "generating function series")
-    rhs = poch_multi([abcd, a_role * c * s, a_role * d * s, a_role * z], q) / poch_multi(
-        [abcd * s, a_role * c, a_role * d, a_role * s * z], q
-    )
+    rhs = poch_ratio([abcd, a_role * c * s, a_role * d * s, a_role * z],
+                     [abcd * s, a_role * c, a_role * d, a_role * s * z], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -693,7 +685,7 @@ _identity(
 def _recipe_q_dougall_c0(prm) -> CheckValues:
     q, al, s, r = prm["q"], prm["alpha"], prm["s"], prm["r"]
     series = eval_wp_limit(al, (al, 1 / s, 1 / r), (q * al * s, q * al * r), q, -al * r * s, +1)
-    rhs = poch_multi([q * al, q * al * r * s], q) / poch_multi([q * al * s, q * al * r], q)
+    rhs = poch_ratio([q * al, q * al * r * s], [q * al * s, q * al * r], q)
     return CheckValues(series.value, rhs, {"terms": series.terms_used})
 
 
@@ -779,27 +771,12 @@ def _bww_admissible(prm) -> bool:
 def _recipe_bww_transform(prm) -> CheckValues:
     q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
     lam = q * al * al / (b * c * d)
-    lhs = eval_phi(
-        SeriesSpec(
-            numerator=(c, d, al * q / (a * b)),
-            denominator=(al * q / a, al * q / b),
-            base=Base(complex(q)),
-            argument=q * al / (c * d),
-        ),
-    ).value
-    series = eval_wp_limit(
-        lam,
-        (lam, a, lam * b / al, lam * c / al, lam * d / al),
-        (q * lam / a, q * al / b, q * al / c, q * al / d),
-        q,
-        -q * al / a,
-        -1,
-    )
-    rhs = (
-        poch_multi([q * al / c, q * al / d, q * lam / a], q)
-        / poch_multi([al * q / a, q * al / (c * d), q * lam], q)
-        * series.value
-    )
+    lhs = eval_phi(SeriesSpec((c, d, al * q / (a * b)), (al * q / a, al * q / b),
+                              Base(complex(q)), q * al / (c * d))).value
+    series = eval_wp_limit(lam, (lam, a, lam * b / al, lam * c / al, lam * d / al),
+                           (q * lam / a, q * al / b, q * al / c, q * al / d), q, -q * al / a, -1)
+    rhs = poch_ratio([q * al / c, q * al / d, q * lam / a],
+                     [al * q / a, q * al / (c * d), q * lam], q) * series.value
     return CheckValues(lhs, rhs, {"terms": series.terms_used})
 
 
@@ -873,9 +850,8 @@ def _recipe_bqj_genfun(prm) -> CheckValues:
             (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
         ),
     ), "generating function series")
-    rhs = poch_multi([q * a * b, q * a * t, q * c * t, x], q) / poch_multi(
-        [q * q * a * b * t, q * a, q * c, t * x], q
-    )
+    rhs = poch_ratio([q * a * b, q * a * t, q * c * t, x],
+                     [q * q * a * b * t, q * a, q * c, t * x], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -937,9 +913,8 @@ def _recipe_aw_genfun(prm) -> CheckValues:
         ),
     ), "generating function series")
     e = cmath.exp(1j * theta)
-    rhs = poch_multi(
-        [abcd, a * b * s, a * c * s, a * d * s, a * e, a / e], q
-    ) / poch_multi([abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q)
+    rhs = poch_ratio([abcd, a * b * s, a * c * s, a * d * s, a * e, a / e],
+                     [abcd * s, a * b, a * c, a * d, s * a * e, s * a / e], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -1070,11 +1045,8 @@ def _recipe_qbailey_bridge(prm) -> CheckValues:
     a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
     lhs = qi.qbailey_lhs(a, b, c, d, s, r, q)
     trig = qi.nr_trig_lhs(a, b, c, d, s, r, q)
-    pref = (
-        (1 - q)
-        * s
-        * poch_multi([q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], q)
-        / (2 * math.pi * poch_multi([r / d, r / s], q))
+    pref = (1 - q) * s / (2 * math.pi) * poch_ratio(
+        [q, q, a * b, a * c, b * c, d / s, q * s / d, d * s], [r / d, r / s], q
     )
     return CheckValues(lhs, pref * trig, {})
 
@@ -1113,13 +1085,8 @@ def _recipe_q_dougall_6w5(prm) -> CheckValues:
     e = cmath.exp(1j * theta)
     alpha = a * b * c * d * s * s / q
     res = eval_w(alpha, [a * b * c * d * s / r, s * e, s / e], q, r / s)
-    habcds = poch_multi([a * b * c * d * s * e, a * b * c * d * s / e], q)
-    hr = poch_multi([r * e, r / e], q)
-    rhs = (
-        poch_multi([a * b * c * d * s * s, a * b * c * d], q)
-        * hr
-        / (poch_multi([r * s, r / s], q) * habcds)
-    )
+    rhs = poch_ratio([a * b * c * d * s * s, a * b * c * d, r * e, r / e],
+                     [r * s, r / s, a * b * c * d * s * e, a * b * c * d * s / e], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -1131,22 +1098,11 @@ def _recipe_q_dougall_6w5(prm) -> CheckValues:
 )
 def _recipe_liu_3phi2(prm) -> CheckValues:
     q, al, x, y, u, v = (prm[k] for k in ("q", "alpha", "x", "y", "u", "v"))
-    lhs = poch_multi([al * q, al * x * y / q], q) / poch_multi([al * x, al * y], q) * eval_phi(
-        SeriesSpec(
-            numerator=(q / x, q / y, al * u * v / q),
-            denominator=(al * u, al * v),
-            base=Base(complex(q)),
-            argument=al * x * y / q,
-        ),
-    ).value
-    series = eval_wp_limit(
-        al,
-        (al, q / x, q / y, q / u, q / v),
-        (al * x, al * y, al * u, al * v),
-        q,
-        -al * al * x * y * u * v / q**2,
-        -1,
-    )
+    lhs = poch_ratio([al * q, al * x * y / q], [al * x, al * y], q) * eval_phi(SeriesSpec(
+        (q / x, q / y, al * u * v / q), (al * u, al * v), Base(complex(q)), al * x * y / q
+    )).value
+    series = eval_wp_limit(al, (al, q / x, q / y, q / u, q / v), (al * x, al * y, al * u, al * v),
+                           q, -al * al * x * y * u * v / q**2, -1)
     return CheckValues(lhs, series.value, {"terms": series.terms_used})
 
 
@@ -1188,7 +1144,7 @@ def _recipe_liu_qbeta_u_eq_q(prm) -> CheckValues:
     a, b, c, d, s, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "v", "q"))
     alpha = a * a * b * c * d * s / q
     lhs = qi.liu_qbeta_lhs(a, b, c, d, s, q, v, q)
-    rhs = qi.nr_product_rhs(a, b, c, d, s, q) / poch_multi([q * alpha, b * c * d * s], q)
+    rhs = qi.nr_product_rhs(a, b, c, d, s, q) * poch_ratio((), [q * alpha, b * c * d * s], q)
     return CheckValues(lhs, rhs)
 
 
@@ -1204,18 +1160,15 @@ def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
     alpha = a * a * b * c * d * s / q
     r_eff = alpha * u / a
     lhs = qi.nr_trig_lhs(a, b, c, d, s, r_eff, q)
-    num = poch_multi(
+    ratio = poch_ratio(
         [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, alpha * u,
          alpha * u / (a * a)],
-        q,
-    )
-    den = poch_multi(
         [q, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          q * alpha],
         q,
     )
     w8 = eval_w(alpha, [q / u, a * b, a * c, a * d, a * s], q, alpha * u / (a * a)).value
-    rhs = 2 * math.pi * num / den * w8
+    rhs = 2 * math.pi * ratio * w8
     return CheckValues(lhs, rhs)
 
 
@@ -1227,15 +1180,8 @@ def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
 )
 def _recipe_q_gauss(prm) -> CheckValues:
     a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
-    res = eval_phi(
-        SeriesSpec(
-            numerator=(q / a, q / b),
-            denominator=(c,),
-            base=Base(complex(q)),
-            argument=a * b * c / q**2,
-        ),
-    )
-    rhs = poch_multi([c * a / q, c * b / q], q) / poch_multi([c, a * b * c / q**2], q)
+    res = eval_phi(SeriesSpec((q / a, q / b), (c,), Base(complex(q)), a * b * c / q**2))
+    rhs = poch_ratio([c * a / q, c * b / q], [c, a * b * c / q**2], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 

@@ -27,7 +27,7 @@ from .qcore import (
     base_value,
     mp_scalar,
     poch_finite,
-    poch_multi,
+    poch_ratio,
 )
 from .hyperseries import nearest_pole_distance, phi_terminating_core
 from .qintegrals import askey_roy_rhs
@@ -201,9 +201,8 @@ def qhahn_K(theta, p: QHahnParams):
     else:
         qv, a, b, c, d, rho = (mp_scalar(x) for x in (qv, a, b, c, d, rho))
         e, em = mp.expj(theta), mp.expj(-theta)
-    num = poch_multi([rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)], qv)
-    den = poch_multi([a * e, b * e, c * em, d * em], qv)
-    return _finish(num / den, theta)
+    return _finish(poch_ratio([rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)],
+                              [a * e, b * e, c * em, d * em], qv), theta)
 
 
 def big_qjacobi_poly(n, p: BigQJacobiParams, x):

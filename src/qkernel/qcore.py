@@ -1,10 +1,12 @@
 """Complex q-shifted factorials and trigonometric weight factors.
 
-``poch_infinite`` and ``poch_multi`` (a product over several first arguments)
-are the single scalar q-product kernel; ``qintegrals.poch_infinite_vec`` is
-their numpy-array twin.  All of them first count the factors a truncated
-product needs: the product over ``k >= N`` of ``(1 - a q^k)`` differs from 1
-by at most roughly ``|a| |q|^N / (1 - |q|)``.  The arithmetic of the
+``poch_ratio(nums, dens, q)``, a ratio of two products of infinite
+q-products, is the single scalar q-product kernel: ``poch_infinite`` is its
+one-argument case and ``poch_multi`` its case without a denominator;
+``qintegrals.poch_infinite_vec`` is their numpy-array twin.  All of them
+first count the factors a truncated product needs: the product over
+``k >= N`` of ``(1 - a q^k)`` differs from 1 by at most roughly
+``|a| |q|^N / (1 - |q|)``.  The arithmetic of the
 arguments sets the tolerance: 1e-14 when ``a`` and ``q`` are Python numbers,
 10^-(dps + 2) at the working precision when either is an mpmath value.  That
 count is checked against the cap ``MAX_FACTORS`` and decides whether the
@@ -25,9 +27,8 @@ least count that puts it below the same tolerance.
 
 Both stages run on Python integers at a fixed binary scale 2^W, as mpmath's
 own ``libelefun`` sums its series: a complex value is a pair (re, im) of
-integers, ``a`` and ``q`` are converted once with ``to_fixed``, and the result
-goes back through ``from_man_exp``, rounded once to the caller's precision.
-W is ``mp.prec`` plus guard bits, and the coefficients are computed in mpf at
+integers, and ``a`` and ``q`` are converted once with ``to_fixed``.  W is
+``mp.prec`` plus guard bits, and the coefficients are computed in mpf at
 precision W and truncated once to the scale.  Every product is followed by
 one right shift by W, which truncates by less than one unit 2^-W per
 component, so a complex Horner step adds at most 2 units per component: one
@@ -42,6 +43,16 @@ factors' product is a pair times a power of two that keeps W significant
 bits, so a factor near zero keeps its relative accuracy: each factor costs
 under 2 units relative to the product, and each update of ``y = a q^j`` under
 one unit per component, as mpf arithmetic at precision W would.
+
+``poch_ratio`` keeps each such value unrounded and multiplies those of the
+numerator into one running product, those of the denominator into another.
+After every multiply a running product is cut to P = ``mp.prec`` +
+``PRODUCT_GUARD_BITS`` bits: its larger component keeps P bits, so the cut's
+truncation, under one unit per component, is under 2^(1.5 - P) relative,
+and k factors add under 3k 2^-P, 3k / 65536 of a unit in the last place.
+Each product is then rounded once to ``mp.prec`` (``from_man_exp``) and the
+two are divided once in mpmath, where k factors rounded one by one took k
+roundings and k - 1 mpmath products or quotients.
 """
 
 from __future__ import annotations
@@ -65,6 +76,11 @@ FLOAT_TOL_LOG10 = -14.0
 #: Most factors one infinite q-product may take.
 MAX_FACTORS = 200_000
 
+#: Bits kept past ``mp.prec`` in the running products of ``poch_ratio``.
+PRODUCT_GUARD_BITS = 16
+
+_PYTHON = (int, float, complex)
+
 
 @dataclass(frozen=True)
 class Base:
@@ -76,7 +92,7 @@ class Base:
         qc = complex(self.q)
         if not (cmath.isfinite(qc)):
             raise DomainError("base q must be finite")
-        _validate_base_magnitude(abs(qc))
+        _base_magnitude(qc)
 
 
 def base_value(q):
@@ -98,25 +114,23 @@ def mp_scalar(x):
     return mpmathify(x)
 
 
-def _one_like(a):
-    """Exact 1 in the arithmetic of ``a``: complex for Python numbers, mpmath
-    otherwise, so an empty mpmath product does not promote mpf to mpc."""
-    return 1 + 0j if isinstance(a, (int, float, complex)) else mp.one
-
-
 def _magnitude(x) -> float:
     """|x|; for an mpmath value a float bound above it, so factor counts stay bounds."""
-    if isinstance(x, (int, float, complex)) or x == 0:
+    if isinstance(x, _PYTHON) or x == 0:
         return float(abs(x))
     # each part as a double is within 2^-53 relative, or 2^-1075 if subnormal
     return abs(complex(x)) * (1 + 2.0**-50) + 2.0**-1072
 
 
-def _validate_base_magnitude(qmag: float) -> None:
+def _base_magnitude(qv) -> float:
+    """|q| as the nearest double (not rounded up: it is compared with
+    1 - DEFAULT_EPS_BASE), checked to be nonzero and at most that."""
+    qmag = float(abs(qv))
     if not math.isfinite(qmag) or qmag > 1 - DEFAULT_EPS_BASE:
         raise DomainError(f"|q| = {qmag:.6g} must not exceed {1 - DEFAULT_EPS_BASE:.6g}")
     if qmag == 0:
         raise DomainError("base q must be nonzero")
+    return qmag
 
 
 def tail_count(a_mag: float, q_mag: float, tol_log10: float) -> int:
@@ -138,8 +152,8 @@ def poch_finite(a, q, n: int):
     """
     if n < 0:
         raise DomainError("poch_finite requires n >= 0")
-    if n == 0:
-        return _one_like(a)
+    if n == 0:  # mp.one keeps an empty mpmath product mpf
+        return 1 + 0j if isinstance(a, _PYTHON) else mp.one
     qv = base_value(q)
     acc = 1
     zk = a
@@ -151,32 +165,35 @@ def poch_finite(a, q, n: int):
     return acc + 0j if isinstance(acc, int) else acc
 
 
+def _factor_count(a, qmag: float, tol_log10: float) -> tuple[float, int]:
+    """|a| (for an mpmath value a float bound above it) and the factor count
+    that truncates (a; q)_inf at 10**tol_log10, checked against the cap."""
+    amag = _magnitude(a)
+    if not math.isfinite(amag):
+        raise DomainError("poch_infinite requires finite a")
+    n = tail_count(amag, qmag, tol_log10)
+    if n > MAX_FACTORS:
+        raise TruncationExceeded(f"(a; q)_infty needs {n} factors, cap is {MAX_FACTORS}")
+    return amag, n
+
+
 def poch_infinite(a, q):
     """Infinite q-shifted factorial (a; q)_infty, truncated at the geometric
     tail bound |a| |q|^N / (1 - |q|) < tol: 1e-14 for Python numbers,
     10^-(mp.dps + 2) when ``a`` or ``q`` is an mpmath value.
 
-    mpmath arguments are evaluated by Euler's series to the same tolerance
-    (see the module docstring).  Raises TruncationExceeded when the bound
-    needs more than ``MAX_FACTORS`` factors, and DomainError when a
-    float/complex result overflows (mpmath results may legitimately exceed
-    the float range).
+    mpmath arguments are the one-argument case of ``poch_ratio``: Euler's
+    series to the same tolerance (see the module docstring).  Raises
+    TruncationExceeded when the bound needs more than ``MAX_FACTORS``
+    factors, and DomainError when a float/complex result overflows (mpmath
+    results may legitimately exceed the float range).
     """
     qv = base_value(q)
-    qmag = float(abs(qv))  # nearest, not rounded up: |q| is compared with 1 - eps
-    _validate_base_magnitude(qmag)
-    amag = _magnitude(a)
-    if not math.isfinite(amag):
-        raise DomainError("poch_infinite requires finite a")
-    python = isinstance(a, (int, float, complex)) and isinstance(qv, (int, float, complex))
-    tol_log10 = FLOAT_TOL_LOG10 if python else -float(mp.dps + 2)
-    n = tail_count(amag, qmag, tol_log10)
-    if n > MAX_FACTORS:
-        raise TruncationExceeded(f"(a; q)_infty needs {n} factors, cap is {MAX_FACTORS}")
+    if not (isinstance(a, _PYTHON) and isinstance(qv, _PYTHON)):
+        return poch_ratio((a,), (), qv)
+    _, n = _factor_count(a, _base_magnitude(qv), FLOAT_TOL_LOG10)
     if n == 0:
-        return _one_like(a)
-    if not python:
-        return _poch_euler(a, amag, qv, qmag, -tol_log10)
+        return 1 + 0j
     acc = 1
     zk = a
     for _ in range(n):
@@ -241,7 +258,8 @@ def _euler_data(qv, qmag: float, digits: float):
 
 def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
     """(a; q)_inf on integers scaled by 2^W: explicit factors while
-    |a q^j| > |q|, then Euler's series at y = a q^m by Horner's rule."""
+    |a q^j| > |q|, then Euler's series at y = a q^m by Horner's rule.
+    Returns the unrounded (re, im, exp, is_complex) for ``from_fixed``."""
     W, (qr, qi), q_complex, cr, ci = _euler_data(qv, qmag, digits)
     one = 1 << W
     yr, yi = fixed_parts(a, W)
@@ -263,19 +281,55 @@ def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
         for c in cr[1:]:
             sr = ((sr * yr) >> W) + c
     is_complex = q_complex or isinstance(a, (complex, mpc))
-    return from_fixed(pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex)
+    return pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex
+
+
+def _mp_product(params: Sequence, qv, qmag: float, digits: float):
+    """prod (a; q)_inf over ``params`` by Euler's series, rounded once to
+    ``mp.prec``: the running product of the unrounded factors is cut to
+    ``mp.prec`` + ``PRODUCT_GUARD_BITS`` bits after each multiply."""
+    acc, keep = None, mp.prec + PRODUCT_GUARD_BITS
+    for a in params:
+        amag, n = _factor_count(a, qmag, -digits)
+        if n == 0:
+            continue
+        f = _poch_euler(a, amag, qv, qmag, digits)
+        if acc is not None:
+            re, im = acc[0] * f[0] - acc[1] * f[1], acc[0] * f[1] + acc[1] * f[0]
+            drop = max(0, max(abs(re).bit_length(), abs(im).bit_length()) - keep)
+            f = re >> drop, im >> drop, acc[2] + f[2] + drop, acc[3] or f[3]
+        acc = f
+    return from_fixed(*acc) if acc else mp.one
+
+
+def poch_ratio(nums: Sequence, dens: Sequence, q):
+    """prod_i (a_i; q)_inf / prod_j (b_j; q)_inf; either list may be empty.
+
+    Python numbers give the quotient of two complex products of
+    ``poch_infinite`` values.  If q or any argument is an mpmath value, both
+    products take Euler's series and are rounded once each (see the module
+    docstring); the result is then ``mpf`` when q and every argument are real.
+    """
+    qv = base_value(q)
+    if isinstance(qv, _PYTHON) and all(isinstance(a, _PYTHON) for a in (*nums, *dens)):
+        num, den = (math.prod((poch_infinite(a, qv) for a in p), start=1 + 0j)
+                    for p in (nums, dens))
+    else:
+        qmag, digits = _base_magnitude(qv), float(mp.dps + 2)
+        num, den = (_mp_product(p, qv, qmag, digits) for p in (nums, dens))
+    return num / den if dens else num
 
 
 def poch_multi(params: Sequence, q):
-    """Product of infinite q-shifted factorials over several first arguments.
+    """Product of infinite q-shifted factorials over several first arguments:
+    ``poch_ratio(params, (), q)``.
 
     A product of Python numbers is complex even when every factor is real; a
     product of mpmath reals stays ``mpf``.
     """
     if len(params) == 0:
         raise DomainError("poch_multi requires at least one parameter")
-    factors = [poch_infinite(a, q) for a in params]
-    return math.prod(factors, start=1 + 0j if isinstance(factors[0], (float, complex)) else 1)
+    return poch_ratio(params, (), q)
 
 
 def h_weight(theta: float, params: Sequence, q):
@@ -283,11 +337,9 @@ def h_weight(theta: float, params: Sequence, q):
     h(cos theta; a) = (a e^{i theta}, a e^{-i theta}; q)_infty,
     equivalently prod_k (1 - 2 q^k a cos theta + q^{2k} a^2).
     """
-    if len(params) == 0:
-        return 1 + 0j
     eip = cmath.exp(1j * theta)
     eim = cmath.exp(-1j * theta)
-    acc = poch_multi([x for a in params for x in (a * eip, a * eim)], q)
+    acc = poch_ratio([x for a in params for x in (a * eip, a * eim)], (), q)
     if isinstance(acc, complex) and not cmath.isfinite(acc):
         raise DomainError("h_weight produced a non-finite value")
     return acc

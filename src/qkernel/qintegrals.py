@@ -28,8 +28,7 @@ from .qcore import (
     FLOAT_TOL_LOG10,
     Base,
     base_value,
-    poch_infinite,
-    poch_multi,
+    poch_ratio,
     tail_count,
 )
 from .hyperseries import (SeriesSpec, eval_phi, eval_w, eval_wp_limit, phi_terms,
@@ -180,9 +179,8 @@ def trig_integral(w: WeightSpec, diagnostics: dict | None = None) -> complex:
 def askey_wilson_rhs(a, b, c, d, q) -> complex:
     """2 pi (abcd; q)_inf / (q, ab, ac, ad, bc, bd, cd; q)_inf."""
     qv = base_value(q)
-    num = poch_infinite(a * b * c * d, qv)
-    den = poch_multi([qv, a * b, a * c, a * d, b * c, b * d, c * d], qv)
-    return 2.0 * math.pi * num / den
+    return 2.0 * math.pi * poch_ratio([a * b * c * d],
+                                      [qv, a * b, a * c, a * d, b * c, b * d, c * d], qv)
 
 
 def askey_wilson_lhs(a, b, c, d, q) -> complex:
@@ -197,22 +195,18 @@ def askey_roy_rhs(a, b, c, d, rho, q) -> complex:
     if c * d * rho == 0:
         raise DomainError("askey_roy_rhs requires c d rho != 0")
     qv = base_value(q)
-    num = poch_multi([a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)], qv)
-    den = poch_multi([qv, a * c, a * d, b * c, b * d], qv)
-    return num / den
+    return poch_ratio([a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)],
+                      [qv, a * c, a * d, b * c, b * d], qv)
 
 
 def nr_product_rhs(a, b, c, d, s, q) -> complex:
     """2 pi (abcd, abcs, abds, acds, bcds; q)_inf
     / (q, ab, ac, ad, as, bc, bd, bs, cd, cs, ds; q)_inf."""
     qv = base_value(q)
-    num = poch_multi(
-        [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, b * c * d * s], qv
+    return 2.0 * math.pi * poch_ratio(
+        [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, b * c * d * s],
+        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s], qv,
     )
-    den = poch_multi(
-        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s], qv
-    )
-    return 2.0 * math.pi * num / den
 
 
 def nr_trig_lhs(a, b, c, d, s, r, q) -> complex:
@@ -235,8 +229,8 @@ def nassrallah_rahman_rhs(a, b, c, d, s, r, q) -> complex:
     if abs(r / s) >= 1:
         raise DomainError("nassrallah_rahman_rhs requires |r/s| < 1")
     qv = base_value(q)
-    num = poch_multi([r / s, r * s, a * b * c * s, b * c * d * s, a * c * d * s, a * b * d * s], qv)
-    den = poch_multi(
+    ratio = poch_ratio(
+        [r / s, r * s, a * b * c * s, b * c * d * s, a * c * d * s, a * b * d * s],
         [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          a * b * c * d * s * s],
         qv,
@@ -246,7 +240,7 @@ def nassrallah_rahman_rhs(a, b, c, d, s, r, q) -> complex:
         [a * s, b * s, c * s, d * s, a * b * c * d * s / r],
         qv, r / s,
     ).value
-    return 2.0 * math.pi * num / den * w8
+    return 2.0 * math.pi * ratio * w8
 
 
 def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
@@ -255,8 +249,8 @@ def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
     if r == 0 or d == 0:
         raise DomainError("intermediate form requires r != 0 and d != 0")
     qv = base_value(q)
-    num = poch_multi([a * b * c * d, a * b * c * s, r * a, r * b, r * c], qv)
-    den = poch_multi(
+    ratio = poch_ratio(
+        [a * b * c * d, a * b * c * s, r * a, r * b, r * c],
         [qv, a * b, a * c, a * d, b * c, b * d, c * d, r * a * b * c, a * s, b * s, c * s],
         qv,
     )
@@ -265,23 +259,17 @@ def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
         [r / s, a * b, a * c, b * c, r / d],
         qv, d * s,
     ).value
-    return 2.0 * math.pi * num / den * w8
+    return 2.0 * math.pi * ratio * w8
 
 
 def liu_r0_rhs(a, b, c, d, s, q) -> complex:
     """r = 0 form: products times 3phi2(ab, ac, bc; abcd, abcs; q, ds)."""
     qv = base_value(q)
-    num = poch_multi([a * b * c * d, a * b * c * s], qv)
-    den = poch_multi([qv, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], qv)
-    phi = eval_phi(
-        SeriesSpec(
-            numerator=(a * b, a * c, b * c),
-            denominator=(a * b * c * d, a * b * c * s),
-            base=Base(complex(base_value(q))),
-            argument=d * s,
-        )
-    ).value
-    return 2.0 * math.pi * num / den * phi
+    ratio = poch_ratio([a * b * c * d, a * b * c * s],
+                       [qv, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], qv)
+    phi = eval_phi(SeriesSpec((a * b, a * c, b * c), (a * b * c * d, a * b * c * s),
+                              Base(complex(qv)), d * s)).value
+    return 2.0 * math.pi * ratio * phi
 
 
 def liu_qbeta_rhs(a, b, c, d, s, u, v, q) -> complex:
@@ -290,8 +278,8 @@ def liu_qbeta_rhs(a, b, c, d, s, u, v, q) -> complex:
     q^{n(n-1)/2}, with alpha = a^2 b c d s / q."""
     qv = base_value(q)
     alpha = a * a * b * c * d * s / qv
-    num = poch_multi([a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s], qv)
-    den = poch_multi(
+    ratio = poch_ratio(
+        [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s],
         [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          qv * alpha],
         qv,
@@ -305,7 +293,7 @@ def liu_qbeta_rhs(a, b, c, d, s, u, v, q) -> complex:
         w=-alpha * alpha * u * v / (a * a),
         shift=-1,
     ).value
-    return 2.0 * math.pi * num / den * series
+    return 2.0 * math.pi * ratio * series
 
 
 def liu_qbeta_lhs(a, b, c, d, s, u, v, q) -> complex:
@@ -333,9 +321,10 @@ def alsalam_verma_rhs(a, b, c, d, s, q) -> complex:
     """(1-q) s (q, d/s, qs/d, abds, acds, bcds; q)_inf
     / (ad, as, bd, bs, cd, cs; q)_inf."""
     qv = base_value(q)
-    num = poch_multi([qv, d / s, qv * s / d, a * b * d * s, a * c * d * s, b * c * d * s], qv)
-    den = poch_multi([a * d, a * s, b * d, b * s, c * d, c * s], qv)
-    return (1 - qv) * s * num / den
+    return (1 - qv) * s * poch_ratio(
+        [qv, d / s, qv * s / d, a * b * d * s, a * c * d * s, b * c * d * s],
+        [a * d, a * s, b * d, b * s, c * d, c * s], qv,
+    )
 
 
 def alsalam_verma_lhs(a, b, c, d, s, q) -> complex:
@@ -345,9 +334,7 @@ def alsalam_verma_lhs(a, b, c, d, s, q) -> complex:
     abcds = a * b * c * d * s
 
     def f(x):
-        num = poch_multi([qv * x / d, qv * x / s, abcds * x], qv)
-        den = poch_multi([a * x, b * x, c * x], qv)
-        return num / den
+        return poch_ratio([qv * x / d, qv * x / s, abcds * x], [a * x, b * x, c * x], qv)
 
     return qcalculus.q_integral(f, d, s, qv)
 
@@ -358,9 +345,10 @@ def lbww_rhs(u, v, h, r, s, t, q) -> complex:
     series with lambda = r h u v / q in (-stuv)^n q^{n(n-1)/2}."""
     qv = base_value(q)
     lam = r * h * u * v / qv
-    num = poch_multi([qv, u / v, qv * v / u, h * u, h * v, r * s * u * v, r * t * u * v], qv)
-    den = poch_multi([lam * qv, r * u, r * v, s * u, s * v, t * u, t * v], qv)
-    pref = (1 - qv) * v * num / den
+    pref = (1 - qv) * v * poch_ratio(
+        [qv, u / v, qv * v / u, h * u, h * v, r * s * u * v, r * t * u * v],
+        [lam * qv, r * u, r * v, s * u, s * v, t * u, t * v], qv,
+    )
     if t == 0:
         # t -> 0 limit of (h/t; q)_n (-stuv)^n q^{n(n-1)/2}: terms become
         # (lam, ru, rv, h/s; q)_n (hsuv)^n q^{n(n-1)} / (q, hu, hv, rsuv; q)_n,
@@ -385,9 +373,7 @@ def lbww_lhs(u, v, h, r, s, t, q) -> complex:
     qv = base_value(q)
 
     def f(x):
-        num = poch_multi([qv * x / u, qv * x / v, h * x], qv)
-        den = poch_multi([r * x, s * x, t * x], qv)
-        return num / den
+        return poch_ratio([qv * x / u, qv * x / v, h * x], [r * x, s * x, t * x], qv)
 
     return qcalculus.q_integral(f, u, v, qv)
 
@@ -399,18 +385,18 @@ def qbailey_rhs(a, b, c, d, s, r, q) -> complex:
     if abs(r / s) >= 1:
         raise DomainError("qbailey_rhs requires |r/s| < 1")
     qv = base_value(q)
-    num = poch_multi(
+    ratio = poch_ratio(
         [qv, d / s, qv * s / d, r * s, a * b * c * s, a * c * d * s, a * b * d * s,
          b * c * d * s],
+        [r / d, a * d, b * d, c * d, a * s, b * s, c * s, a * b * c * d * s * s],
         qv,
     )
-    den = poch_multi([r / d, a * d, b * d, c * d, a * s, b * s, c * s, a * b * c * d * s * s], qv)
     w8 = eval_w(
         a * b * c * d * s * s / qv,
         [a * s, b * s, c * s, d * s, a * b * c * d * s / r],
         qv, r / s,
     ).value
-    return (1 - qv) * s * num / den * w8
+    return (1 - qv) * s * ratio * w8
 
 
 def qbailey_lhs(a, b, c, d, s, r, q) -> complex:
@@ -419,8 +405,7 @@ def qbailey_lhs(a, b, c, d, s, r, q) -> complex:
     qv = base_value(q)
 
     def f(x):
-        num = poch_multi([a * b * c * x, qv * x / d, qv * x / s, r * x], qv)
-        den = poch_multi([a * x, b * x, c * x, r * x / (d * s)], qv)
-        return num / den
+        return poch_ratio([a * b * c * x, qv * x / d, qv * x / s, r * x],
+                          [a * x, b * x, c * x, r * x / (d * s)], qv)
 
     return qcalculus.q_integral(f, d, s, qv)

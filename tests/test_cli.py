@@ -56,6 +56,22 @@ def test_check_bad_value_exit2(capsys):
     assert main(["check", "q_gauss", "--a", "inf"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_meaningless_tolerance_exit2(tol, capsys):
+    # nan and -1 fail every check and inf passes any: neither is a threshold
+    assert main(["check", "q_gauss", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be finite and positive" in captured.err
+
+
+def test_suite_negative_draws_exit2(capsys):
+    assert main(["suite", "--ids", "q_gauss", "--draws", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--draws must be non-negative" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["qhahn_orthogonality", "--n", "1", "--m", "1", "--q", "-0.5", "--a", "0.3",
      "--b", "0.2", "--c", "0.4", "--d", "0.1", "--rho", "0.6"],
@@ -364,6 +380,16 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "TruncationExceeded" in captured.err
+
+    def test_terminating_phi_far_order_exit2(self, capsys):
+        # q^-n = 0.3^-700 is beyond the float range; the check that a
+        # numerator equals it must not overflow
+        rc = main(["eval", "phi", "--num", "1,0.5", "--den", "0.3", "--z", "0.5",
+                   "--q", "0.3", "--order", "700"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DomainError" in captured.err
 
     def test_zero_base_exit2(self, capsys):
         assert main(["eval", "poch", "--a", "0.3", "--q", "0"]) == 2

@@ -65,13 +65,17 @@ def test_tracer_sees_the_mpmath_kernels():
     metrics = _traced_check("qhahn_orthogonality", "--n", "1", "--m", "2", "--a", "0.3",
                             "--b", "0.2", "--c", "0.4", "--d", "0.1", "--rho", "0.6",
                             "--q", "0.5")
-    assert metrics["qcore.poch_infinite.mp_calls"] > 0
     assert metrics["hyperseries.phi_terminating_core.calls"] > 0
     assert metrics["hyperseries.phi_terminating_core.terms"] > 0
     # the node coefficients are sampled through the module binding
     assert metrics["polyfamilies.qhahn_poly.calls"] > 0
     # the pair's moment sums share the weight nodes
     assert metrics["identities.node_cache.hits"] > 0
+    # the q-Hahn weight is one poch_ratio per node, which the tracer books
+    # under its caller; the Liu expansion's memoised test function still
+    # calls poch_infinite on mpmath arguments, as mp_draws requires
+    metrics = _traced_check("liu_expansion")
+    assert metrics["qcore.poch_infinite.mp_calls"] > 0
 
 
 def test_tracer_sees_the_big_qjacobi_quadrature():

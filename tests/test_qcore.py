@@ -17,6 +17,7 @@ from qkernel.qcore import (
     poch_finite,
     poch_infinite,
     poch_multi,
+    poch_ratio,
 )
 
 # frozen oracles: direct truncated products computed independently
@@ -149,31 +150,42 @@ class TestMpmathOracle:
     """The one scalar kernel against mpmath.qp, an independently truncated
     product evaluated with guard digits."""
 
-    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs)
-    def test_float_path(self, params, q):
-        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+    @given(params=st.lists(_wide, min_size=1, max_size=3),
+           dens=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs)
+    def test_float_path(self, params, dens, q):
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in (*params, *dens)))
         with mp.workdps(30):
             ref = [complex(mpmath.qp(a, q)) for a in params]
+            ratio_ref = complex(mpmath.fprod(mpmath.qp(a, q) for a in params)
+                                / mpmath.fprod(mpmath.qp(b, q) for b in dens))
         for a, r in zip(params, ref):
             assert abs(poch_infinite(a, q) - r) <= 1e-12 * abs(r)
         prod = math.prod(ref)
         assert abs(poch_multi(params, q) - prod) <= 1e-12 * abs(prod)
+        ratio = poch_ratio(params, dens, q)
+        # Python numbers: the quotient of the two products, bit for bit
+        assert ratio == poch_multi(params, q) / poch_multi(dens, q)
+        assert abs(ratio - ratio_ref) <= 1e-12 * abs(ratio_ref)
 
-    @given(params=st.lists(_wide, min_size=1, max_size=3), q=_signed_qs,
-           dps=st.integers(min_value=40, max_value=110))
+    @given(params=st.lists(_wide, min_size=1, max_size=3), dens=st.lists(_wide, max_size=3),
+           q=_signed_qs, dps=st.integers(min_value=40, max_value=110))
     # y = q = 0.9 puts the most cancellation into Euler's series and the
     # slowest-decaying tail behind its cut
-    @example(params=[0.9], q=0.9, dps=40)
-    @example(params=[0.9j, -0.9], q=-0.9, dps=110)
-    def test_mp_path(self, params, q, dps):
+    @example(params=[0.9], dens=[], q=0.9, dps=40)
+    @example(params=[0.9j, -0.9], dens=[0.9, -25.0], q=-0.9, dps=110)
+    def test_mp_path(self, params, dens, q, dps):
         # Euler's series against qp's plain product at twice the precision
-        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in (*params, *dens)))
         args = [mp_scalar(a) for a in params]
+        dargs = [mp_scalar(b) for b in dens]
         with mp.workdps(dps):
             got = [poch_infinite(a, mpf(q)) for a in args]
             multi = poch_multi(args, mpf(q))
+            ratio = poch_ratio(args, dargs, mpf(q))
         if all(isinstance(a, mpf) for a in args):
             assert isinstance(multi, mpf)
+            if all(isinstance(b, mpf) for b in dargs):
+                assert isinstance(ratio, mpf)
         with mp.workdps(2 * dps):
             tol = mpf(10) ** -dps
             ref = [mpmath.qp(a, mpf(q)) for a in args]
@@ -181,25 +193,32 @@ class TestMpmathOracle:
                 assert abs(g - r) <= tol * abs(r)
             prod = mpmath.fprod(ref)
             assert abs(multi - prod) <= len(args) * tol * abs(prod)
+            r = prod / mpmath.fprod(mpmath.qp(b, mpf(q)) for b in dargs)
+            assert abs(ratio - r) <= (len(args) + len(dargs) + 2) * tol * abs(r)
 
-    @given(params=st.lists(_wide, min_size=1, max_size=3),
+    @given(params=st.lists(_wide, min_size=1, max_size=3), dens=st.lists(_wide, max_size=3),
            q=st.builds(cmath.rect, st.floats(min_value=0.1, max_value=0.9),
                        st.floats(min_value=-math.pi, max_value=math.pi)),
            dps=st.integers(min_value=40, max_value=110))
-    @example(params=[0.9j, -0.9], q=cmath.rect(0.9, 2.5), dps=110)
-    def test_mp_path_complex_base(self, params, q, dps):
+    @example(params=[0.9j, -0.9], dens=[0.5, 20j], q=cmath.rect(0.9, 2.5), dps=110)
+    def test_mp_path_complex_base(self, params, dens, q, dps):
         # a complex q makes the cached Euler coefficients complex, a branch of
         # the Horner loop that no real base reaches
-        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in params))
+        assume(all(nearest_pole_distance(a, q) >= 0.05 for a in (*params, *dens)))
         args = [mp_scalar(a) for a in params]
+        dargs = [mp_scalar(b) for b in dens]
         with mp.workdps(dps):
             qm = mpc(q)
             got = [poch_infinite(a, qm) for a in args]
+            ratio = poch_ratio(args, dargs, qm)
         with mp.workdps(2 * dps):
             tol = mpf(10) ** -dps
             for a, g in zip(args, got):
                 r = mpmath.qp(a, qm)
                 assert abs(g - r) <= tol * abs(r)
+            r = mpmath.fprod(mpmath.qp(a, qm) for a in args) / mpmath.fprod(
+                mpmath.qp(b, qm) for b in dargs)
+            assert abs(ratio - r) <= (len(args) + len(dargs) + 2) * tol * abs(r)
 
     def test_mpf_argument_gives_mpf(self):
         with mp.workdps(40):
