@@ -3,14 +3,14 @@
 ``poch_ratio(nums, dens, q)``, a ratio of two products of infinite
 q-products, is the single scalar q-product kernel: ``poch_infinite`` is its
 one-argument case and ``poch_multi`` its case without a denominator;
-``qintegrals.poch_infinite_vec`` is their numpy-array twin.  All of them
-first count the factors a truncated product needs: the product over
-``k >= N`` of ``(1 - a q^k)`` differs from 1 by at most roughly
-``|a| |q|^N / (1 - |q|)``.  The arithmetic of the
-arguments sets the tolerance: 1e-14 when ``a`` and ``q`` are Python numbers,
-10^-(dps + 2) at the working precision when either is an mpmath value.  That
-count is checked against the cap ``MAX_FACTORS`` and decides whether the
-product is exactly 1.
+``qintegrals.poch_infinite_vec`` is their numpy-array twin, one product per
+row of an array, all rows in one loop over the factors.  All of them first
+count the factors a truncated product needs: the product over ``k >= N`` of
+``(1 - a q^k)`` differs from 1 by at most roughly ``|a| |q|^N / (1 - |q|)``.
+The arithmetic of the arguments sets the tolerance: 1e-14 when ``a`` and
+``q`` are Python numbers, 10^-(dps + 2) at the working precision when either
+is an mpmath value.  That count is checked against the cap ``MAX_FACTORS``
+and decides whether the product is exactly 1.
 
 Python ``float``/``complex`` arguments are then multiplied out factor by
 factor.  mpmath arguments take Euler's identity (Gasper & Rahman §1.3)

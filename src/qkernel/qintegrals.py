@@ -7,7 +7,9 @@ one node-doubling loop, in numpy (``trig_integral``, vectorised over [0, pi],
 stopping at 1e-11) or mpmath (the q-Hahn orthogonality, full period, with a
 stop at its working precision); each doubling evaluates only the new
 odd-numbered nodes.  Every q-product here is truncated at the tolerance its
-arguments' arithmetic sets (see ``qcore``).
+arguments' arithmetic sets (see ``qcore``).  The products of all h factors
+of a weight are the rows of one ``poch_infinite_vec`` call, which truncates
+each row on its own and multiplies the rows still running in one loop.
 
 Every non-terminating series here (the 8W7 and 3phi2 closed forms, the
 well-poised limit sums of ``liu_qbeta_rhs`` and ``lbww_rhs``, and the 3phi2
@@ -22,15 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from mpmath import mp
 
-from .errors import DomainError, QuadratureNotConverged
-from .qcore import (
-    FLOAT_TOL_LOG10,
-    Base,
-    base_value,
-    poch_ratio,
-    tail_count,
-)
+from .errors import DomainError, QuadratureNotConverged, TruncationExceeded
+from .qcore import FLOAT_TOL_LOG10, Base, base_value, poch_ratio, tail_count
 from .hyperseries import (SeriesSpec, eval_phi, eval_w, eval_wp_limit, phi_terms,
                           sum_until_converged, wp_limit_terms)
 from . import qcalculus
@@ -63,35 +60,42 @@ class WeightSpec:
 
 
 def poch_infinite_vec(z: np.ndarray, q: complex) -> np.ndarray:
-    """(z; q)_infty over an array of first arguments, truncated as
-    ``qcore.poch_infinite`` truncates a product of Python numbers."""
-    zmax = float(np.max(np.abs(z))) if z.size else 0.0
-    n = tail_count(zmax, abs(q), FLOAT_TOL_LOG10)
-    out = np.ones_like(z)
-    zk = z.copy()
-    for _ in range(n):
-        out *= 1.0 - zk
-        zk *= q
-    return out
-
-
-def _h_vec(theta: np.ndarray, a: complex, q: complex) -> np.ndarray:
-    if a == 0:
-        return np.ones(theta.shape, dtype=complex)
-    eip = np.exp(1j * theta)
-    return poch_infinite_vec(a * eip, q) * poch_infinite_vec(a / eip, q)
+    """(z_i; q)_infty for each row z_i of an (m, N) array, each row truncated
+    as ``qcore.poch_infinite`` truncates an argument of the row's largest
+    modulus.  Sorted by their counts, the rows still running at factor k are
+    a prefix, and one loop over the factors multiplies only that prefix."""
+    counts = [tail_count(float(m), abs(q), FLOAT_TOL_LOG10)
+              for m in np.max(np.abs(z), axis=1, initial=0.0)]
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    zk = z[order]
+    out = np.ones_like(zk)
+    done = 0
+    for live in range(len(order), 0, -1):
+        n = counts[order[live - 1]]
+        for _ in range(done, n):
+            out[:live] *= 1.0 - zk[:live]
+            zk[:live] *= q
+        done = n
+    zk[order] = out
+    return zk
 
 
 def weight_values(w: WeightSpec, theta: np.ndarray) -> np.ndarray:
-    """Evaluate the WeightSpec integrand over an array of angles."""
-    q = complex(base_value(w.base))
+    """Evaluate the WeightSpec integrand over an array of angles: the
+    products (a e^{i theta}, a e^{-i theta}; q)_inf of every h factor are
+    rows of one ``poch_infinite_vec`` call."""
+    eip = np.exp(1j * theta)
+    pairs = [(1.0 + 0j, np.exp(1j * (2.0 * theta)))] if w.cos2_numerator else []
+    pairs += [(complex(a), eip) for a in (*w.numerator_h, *w.denominator_h)]
+    z = np.array([a * e for a, e in pairs] + [a / e for a, e in pairs])
+    m = len(pairs)
+    p = poch_infinite_vec(z.reshape(2 * m, theta.size), complex(base_value(w.base)))
+    h = p[:m] * p[m:]
     vals = np.ones(theta.shape, dtype=complex)
-    if w.cos2_numerator:
-        vals *= _h_vec(2.0 * theta, 1.0 + 0j, q)
-    for a in w.numerator_h:
-        vals *= _h_vec(theta, complex(a), q)
-    for a in w.denominator_h:
-        vals /= _h_vec(theta, complex(a), q)
+    for row in h[:m - len(w.denominator_h)]:
+        vals *= row
+    for row in h[m - len(w.denominator_h):]:
+        vals /= row
     if w.extra_factor is not None:
         vals = vals * np.asarray(w.extra_factor(theta))
     return vals
@@ -132,19 +136,23 @@ def periodic_trapezoid(node_values, tol, half=False, scale=1):
     are asked for.  Stops when two successive estimates (``scale`` times the
     trapezoid mean) differ by less than ``tol * max(1, |estimate|)``, and
     raises QuadratureNotConverged after ``MAX_DOUBLINGS`` doublings; returns
-    the estimate and n."""
+    the estimate and n.  An estimate that is not finite (an overflowed
+    integrand) raises TruncationExceeded at once."""
     n = INITIAL_NODES
     if half:
         f = node_values(range(n + 1), n)
         total = (f[0] + f[n]) / 2 + sum(f[1:n])
     else:
         total = sum(node_values(range(n), n))
-    prev = total / n * scale
-    for _ in range(MAX_DOUBLINGS):
-        n *= 2
-        total += sum(node_values(range(1, n, 2), n))
+    prev = None
+    for level in range(MAX_DOUBLINGS + 1):
+        if level:
+            n *= 2
+            total += sum(node_values(range(1, n, 2), n))
         cur = total / n * scale
-        if abs(cur - prev) < tol * max(1, abs(cur)):
+        if not mp.isfinite(cur):
+            raise TruncationExceeded(f"trapezoid estimate at {n} nodes is not finite")
+        if prev is not None and abs(cur - prev) < tol * max(1, abs(cur)):
             return cur, n
         prev = cur
     raise QuadratureNotConverged(
@@ -160,12 +168,14 @@ def trig_integral(w: WeightSpec, diagnostics: dict | None = None) -> complex:
     smooth periodic integrand, whose error falls geometrically with each
     doubling.  A jump can repeat its error from one level to the next: on
     the full period, 1 for t < 1 and 2 beyond, meets the stop at 512 nodes
-    with an error of 1e-3."""
+    with an error of 1e-3.  An overflow is reported once, as the trapezoid's
+    TruncationExceeded on a non-finite estimate, so numpy warns nothing."""
 
     def node_values(js, n):
         return weight_values(w, math.pi * np.asarray(js) / n)
 
-    estimate, n = periodic_trapezoid(node_values, TRIG_TOL, half=True, scale=math.pi)
+    with np.errstate(all="ignore"):
+        estimate, n = periodic_trapezoid(node_values, TRIG_TOL, half=True, scale=math.pi)
     if diagnostics is not None:
         diagnostics["nodes"] = n
     return complex(estimate)

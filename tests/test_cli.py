@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,23 @@ def test_check_non_finite_side_skipped(argv, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["status"] == "skipped"
     assert doc["reason"] == "TruncationExceeded: lhs is not finite"
+
+
+def test_check_overflowing_trapezoid_skipped_quietly():
+    # the weight's products overflow: skipped at the first level, with no
+    # numpy warning on stderr, instead of ten doublings on nan estimates
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkernel.cli", "check", "nassrallah_rahman", "--r", "1e200",
+         "--format", "json", "--deterministic"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "skipped"
+    assert doc["reason"] == "TruncationExceeded: trapezoid estimate at 64 nodes is not finite"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -15,7 +17,7 @@ from qkernel.errors import (
 )
 from qkernel import qintegrals
 from qkernel.hyperseries import SeriesSpec, eval_phi
-from qkernel.qcore import Base, poch_infinite
+from qkernel.qcore import FLOAT_TOL_LOG10, Base, poch_infinite, tail_count
 from qkernel.qintegrals import (
     WeightSpec,
     alsalam_verma_lhs,
@@ -34,9 +36,11 @@ from qkernel.qintegrals import (
     nr_product_rhs,
     nr_trig_lhs,
     periodic_trapezoid,
+    poch_infinite_vec,
     qbailey_lhs,
     qbailey_rhs,
     trig_integral,
+    weight_values,
 )
 
 Q = Base(0.5 + 0j)
@@ -103,6 +107,44 @@ class TestTrapezoid:
         with pytest.raises(QuadratureNotConverged):
             periodic_trapezoid(node_values, 1e-11)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, mp.inf, mp.nan])
+    def test_engine_non_finite_estimate(self, value):
+        with pytest.raises(TruncationExceeded, match="64 nodes is not finite"):
+            periodic_trapezoid(lambda js, n: [value] * len(js), 1e-11)
+
+    def test_engine_mpf_beyond_the_float_range_is_finite(self):
+        # finiteness is tested in the estimate's own arithmetic: as a float
+        # this estimate would read inf
+        big = mpf(10) ** 400
+        value, _ = periodic_trapezoid(lambda js, n: [big] * len(js), mpf(10) ** -30)
+        assert value == big
+
+    def test_overflowing_weight_raises_at_the_first_level(self, monkeypatch):
+        # the products overflow to inf and nan: one level is evaluated, and
+        # numpy warns nothing
+        calls = []
+        weight_values = qintegrals.weight_values
+
+        def counted(w, theta):
+            calls.append(len(theta))
+            return weight_values(w, theta)
+
+        monkeypatch.setattr(qintegrals, "weight_values", counted)
+        w = WeightSpec(base=Base(0.5), numerator_h=(1e100,) * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationExceeded, match="not finite"):
+                trig_integral(w)
+        assert calls == [65]
+
+    def test_overflowing_node_sum_raises(self):
+        # each value is finite, their sum is not
+        w = WeightSpec(base=Q, extra_factor=lambda theta: np.full(theta.shape, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationExceeded, match="not finite"):
+                trig_integral(w)
+
     def test_trig_integral_evaluates_each_node_once(self, monkeypatch):
         # weight_values is called through its module binding, with new
         # angles only
@@ -136,6 +178,94 @@ class TestTrapezoid:
         w = WeightSpec(base=Q, denominator_h=(0.3,), cos2_numerator=True)
         trig_integral(w, diagnostics=diag)
         assert diag["nodes"] >= 64
+
+
+def _poch_row(z, q):
+    """One row's (z; q)_infty by the one-dimensional loop: truncated at the
+    count of the row's largest modulus, one factor at a time."""
+    n = tail_count(float(np.max(np.abs(z))), abs(q), FLOAT_TOL_LOG10)
+    out = np.ones_like(z)
+    zk = z.copy()
+    for _ in range(n):
+        out *= 1.0 - zk
+        zk *= q
+    return out
+
+
+def _weight_by_factor(w, theta):
+    """The WeightSpec integrand with each h factor evaluated on its own."""
+    q = complex(w.base.q)
+
+    def h(t, a):
+        if a == 0:
+            return np.ones(t.shape, dtype=complex)
+        eip = np.exp(1j * t)
+        return _poch_row(a * eip, q) * _poch_row(a / eip, q)
+
+    vals = np.ones(theta.shape, dtype=complex)
+    if w.cos2_numerator:
+        vals *= h(2.0 * theta, 1.0 + 0j)
+    for a in w.numerator_h:
+        vals *= h(theta, complex(a))
+    for a in w.denominator_h:
+        vals /= h(theta, complex(a))
+    return vals
+
+
+#: Row moduli of the stacked products, out of count order so that the rows
+#: are permuted and restored; and one real and one complex base.
+STACK_MODULI = (0.3, 0.0, 0.95, 1e-20)
+STACK_BASES = (0.5, 0.6 * cmath.exp(0.4j))
+
+
+def _stacked_arguments(n):
+    phase = 2 * math.pi * np.arange(n) / n
+    return np.array([r * np.exp(1j * (phase + k)) for k, r in enumerate(STACK_MODULI)])
+
+
+class TestStackedProducts:
+    @pytest.mark.parametrize("q", STACK_BASES)
+    @pytest.mark.parametrize("n", [2, 65, 128])
+    def test_rows_equal_the_one_row_loop(self, q, n):
+        z = _stacked_arguments(n)
+        expected = np.array([_poch_row(row, q) for row in z])
+        assert np.array_equal(poch_infinite_vec(z, q), expected)
+
+    @pytest.mark.parametrize("q", STACK_BASES)
+    def test_one_node_rows_equal_the_one_row_loop_to_rounding(self, q):
+        # numpy multiplies a one-element array in place by its scalar loop,
+        # and a longer one by its SIMD loop, which may fuse the complex
+        # product's multiply-adds: with one node, the one-row loop rounds
+        # differently from a stack of rows in the last bits
+        z = _stacked_arguments(1)
+        expected = np.array([_poch_row(row, q) for row in z])
+        assert np.allclose(poch_infinite_vec(z, q), expected, rtol=1e-14, atol=0)
+
+    def test_argument_array_is_not_modified(self):
+        z = _stacked_arguments(65)
+        kept = z.copy()
+        poch_infinite_vec(z, 0.5)
+        assert np.array_equal(z, kept)
+
+    def test_no_rows(self):
+        assert poch_infinite_vec(np.zeros((0, 65), dtype=complex), 0.5).shape == (0, 65)
+
+    @pytest.mark.parametrize("q", STACK_BASES)
+    def test_rows_against_mpmath(self, q):
+        z = _stacked_arguments(65)
+        got = poch_infinite_vec(z, q)
+        with mp.workdps(30):
+            for row, values in zip(z, got):
+                for x, v in zip(row, values):
+                    exact = mpmath.qp(complex(x), q)
+                    assert abs(v - exact) <= 1e-13 * abs(exact)
+
+    def test_weight_equals_the_per_factor_product(self):
+        # the cos 2 theta factor, a zero parameter, numerators and denominators
+        w = WeightSpec(base=Base(0.55 + 0.1j), numerator_h=(0.4 - 0.2j, 0.0, 0.9),
+                       denominator_h=(0.3, 0.0, -0.5 + 0.1j, 0.7j), cos2_numerator=True)
+        for theta in (math.pi * np.arange(65) / 64, math.pi * np.arange(1, 128, 2) / 128):
+            assert np.array_equal(weight_values(w, theta), _weight_by_factor(w, theta))
 
 
 class TestAskeyWilson:
