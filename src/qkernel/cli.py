@@ -110,6 +110,7 @@ def _report_dict(r: IdentityReport) -> dict:
         "rhs": {"re": r.rhs.real, "im": r.rhs.imag},
         "abs_err": r.abs_err,
         "rel_err": r.rel_err,
+        "scale": r.scale,
         "metric": r.metric,
         "threshold": r.threshold,
         "status": r.status,

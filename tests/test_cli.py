@@ -45,6 +45,20 @@ def test_check_json_schema_and_exit(tmp_path):
     assert "timestamp" not in doc
 
 
+def test_check_json_abs_scaled_shows_why_it_passed(tmp_path):
+    # an off-diagonal pair has rhs 0, so rel_err reads 1; its status is
+    # decided on abs_err / scale, which the JSON report alone must give
+    out = tmp_path / "report.json"
+    assert main(["check", "bigqjacobi_orthogonality", "--seed", "1", "--n", "1", "--m", "2",
+                 "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["metric"] == "abs_scaled"
+    assert doc["status"] == "pass"
+    assert doc["rel_err"] == 1.0
+    assert doc["scale"] > 0
+    assert doc["abs_err"] / doc["scale"] <= doc["threshold"]
+
+
 def test_check_unknown_identity_exit2(capsys):
     assert main(["check", "not_a_thing"]) == 2
 
