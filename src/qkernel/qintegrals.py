@@ -76,7 +76,7 @@ def poch_infinite_vec(z: np.ndarray, q: complex) -> np.ndarray:
             out[:live] *= 1.0 - zk[:live]
             zk[:live] *= q
         done = n
-    zk[order] = out
+    zk[order] = out  # the rows back in their order, in the arguments' buffer
     return zk
 
 
