@@ -61,15 +61,22 @@ t |nu_k| or below the rounding noise 10^-dps A_k of its sum, A_k the sum of
 the moduli of its terms, which leaves a tail of order t A_k / (1 - |q|).
 Since A_k <= R^k A_0, a big q-Jacobi pair is thus within
 (n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of the per-node Jackson
-sum of w P_n P_m.  These come out of the margin that ``_qhahn_dps`` and
-``_bqj_dps`` keep below the quadratures' stops: 28 digits under the
-trapezoid's 10^-(dps-28), 12 under the Jackson sum's 10^-(dps-12).  Of the
-28, the growth factors above take at most 8 for n, m <= 6 and N <= 2^16; the
-other ``QHAHN_CANCEL_HEADROOM`` = 20 absorb a weight whose nodes exceed the
-integral.  ``_qhahn_dps`` adds the digits by which log10(max |K| / |L_0|),
-taken in doubles on the trapezoid's first level, exceeds them: at q = 0.9 the
-weight can reach 45 digits above L_0, while every sampled draw stays within
-16.
+sum of w P_n P_m.  ``_bqj_weights`` takes w at a chain's first node x_0 from
+one ``poch_ratio``, then w(xq) = w(x) a (1 - x)(c - bx) / ((a - x)(c - x)).
+Let G bound |x w'/w| on the chain: the sum of |t q^k / (1 - t q^k)| over the
+four products, t = x/a, x/c, x, bx/c, largest at x_0 when each t < 1.  A step
+rounds 10 times (5u), c - bx magnifies the rounding of bx by G u / 2, and x_j
+is x_{j-1} q to 1.5u (1.5 G u in w): w_j is within (j + 1)(12 + 3G) u of
+w(x_j), e_K included, so under t for all 2 10^5 nodes the loop allows while
+G < 10^6 (u <= 10^-dps); the samplers keep G < 150 at q <= 0.95.  These come
+out of the margin that ``_qhahn_dps`` and ``_bqj_dps`` keep below the
+quadratures' stops: 28 digits under the trapezoid's 10^-(dps-28), 12 under
+the Jackson sum's 10^-(dps-12).  Of the 28, the growth factors above take at
+most 8 for n, m <= 6 and N <= 2^16; the other ``QHAHN_CANCEL_HEADROOM`` = 20
+absorb a weight whose nodes exceed the integral.  ``_qhahn_dps`` adds the
+digits by which log10(max |K| / |L_0|), taken in doubles on the trapezoid's
+first level, exceeds them: at q = 0.9 the weight can reach 45 digits above
+L_0, while every sampled draw stays within 16.
 
 To add an identity, write its recipe and put the ``@_identity(...)``
 registration on it; a recipe shared with another entry, or built by a
@@ -481,9 +488,31 @@ def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _bqj_weight_node(x, a, b, c, q, dps: int):
-    with mp.workdps(dps):
-        return poch_ratio([x / a, x / c], [x, b * x / c], mp_scalar(q))
+def _bqj_weights(a, b, c, q, dps: int):
+    """w(x) = (x/a, x/c; q)_inf / (x, bx/c; q)_inf at the Jackson nodes of cq and aq
+    at dps, by the module docstring's recurrence; other points raise KeyError."""
+    qm, am, bm, cm = map(mp_scalar, (q, a, b, c))
+
+    def chain(e):  # runs at w's precision, so e * qm rounds as in ``_bqj_moment``
+        nodes = qcalculus.jackson_nodes([e * qm], qm)
+        _, (x,) = next(nodes)
+        v = poch_ratio([x / a, x / c], [x, b * x / c], qm)
+        for _, (y,) in nodes:
+            yield x, v
+            v *= (1 - x) * (cm - bm * x) * am / ((am - x) * (cm - x))
+            x = y
+
+    chains, table, tips = [chain(c), chain(a)], {}, [mp.inf]
+
+    def w(x):
+        while x not in table:
+            if not max(tips) >= abs(x) > 0:  # each chain's later nodes are smaller
+                raise KeyError(f"{x} is not a Jackson node of this weight")
+            with mp.workdps(dps):
+                tips[:] = [abs(y) for y, table[y] in map(next, chains)]
+        return table[x]
+
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -501,14 +530,9 @@ def _bqj_rhs(n: int, a, b, c, q) -> complex:
     pref = a * q * (1 - q) * poch_ratio([q, a * b * q * q, c / a, q * a / c],
                                         [a * q, b * q, c * q, a * b * q / c], q)
     num = (1 - a * b * q) * poch_finite(q, q, n) * poch_finite(q * b, q, n) * poch_finite(
-        a * b * q / c, q, n
-    )
-    den = (
-        (1 - a * b * q ** (2 * n + 1))
-        * poch_finite(a * q, q, n)
-        * poch_finite(a * b * q, q, n)
-        * poch_finite(c * q, q, n)
-    )
+        a * b * q / c, q, n)
+    den = ((1 - a * b * q ** (2 * n + 1)) * poch_finite(a * q, q, n)
+           * poch_finite(a * b * q, q, n) * poch_finite(c * q, q, n))
     return complex(pref * num / den * (-a * c * q * q) ** n * q ** (n * (n - 1) // 2))
 
 
@@ -528,11 +552,8 @@ def _bqj_dps(n: int, m: int, a, b, c, q) -> int:
 def _bqj_moment(k: int, a, b, c, q, dps: int):
     """nu_k = Jackson integral of x^k w(x) from cq to aq."""
     with mp.workdps(dps):
-        qm = mp_scalar(q)
-        return qcalculus.q_integral(
-            lambda x: x**k * _bqj_weight_node(x, a, b, c, q, dps), c * qm, a * qm, qm,
-            10.0 ** -(dps - 12),
-        )
+        qm, w = mp_scalar(q), _bqj_weights(a, b, c, q, dps)
+        return qcalculus.q_integral(lambda x: x**k * w(x), c * qm, a * qm, qm, 10.0 ** -(dps - 12))
 
 
 def _bqj_integral(n, m, a, b, c, q, dps: int) -> complex:
@@ -546,13 +567,9 @@ def clear_caches() -> None:
     """Drop memoised quadrature nodes and the mpmath q-product coefficients
     (mainly for tests and cold-cache runs)."""
     qcore._EULER_CACHE.clear()
-    _qhahn_K_node.cache_clear()
-    _qhahn_moments.cache_clear()
-    _qhahn_H_coeffs.cache_clear()
-    _qhahn_cancellation.cache_clear()
-    _bqj_weight_node.cache_clear()
-    _bqj_moment.cache_clear()
-    _bqj_coeffs.cache_clear()
+    for cache in (_qhahn_K_node, _qhahn_moments, _qhahn_H_coeffs, _qhahn_cancellation,
+                  _bqj_weights, _bqj_moment, _bqj_coeffs):
+        cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -873,14 +890,8 @@ def _recipe_bqj_orthogonality(prm) -> CheckValues:
     dps = _bqj_dps(n, m, a, b, c, q)
     lhs = _bqj_integral(n, m, a, b, c, q, dps)
     rhs = _bqj_rhs(n, a, b, c, q) if n == m else 0j
-    scale = abs(_bqj_rhs(0, a, b, c, q))
-    return CheckValues(
-        lhs,
-        rhs,
-        {"dps": dps},
-        scale=scale,
-        metric="rel" if n == m else "abs_scaled",
-    )
+    return CheckValues(lhs, rhs, {"dps": dps}, scale=abs(_bqj_rhs(0, a, b, c, q)),
+                       metric="rel" if n == m else "abs_scaled")
 
 
 @_identity(

@@ -79,6 +79,14 @@ def q_derivative_n(f: AnalyticFn, x, q, n: int):
     return complex(value)
 
 
+def jackson_nodes(ends, q):
+    """q^n and ``q_integral``'s nodes e q^n of each end e, n >= 0; q^n by repeated products."""
+    qn = 1
+    while True:
+        yield qn, [e * qn for e in ends]
+        qn = qn * q
+
+
 def q_integral(f: AnalyticFn, a, b, q, tol=None):
     """Jackson q-integral of f from a to b (Gasper & Rahman, section 1.11):
 
@@ -96,14 +104,10 @@ def q_integral(f: AnalyticFn, a, b, q, tol=None):
     if not abs(qv) < 1:
         raise DomainError("q-integral requires |q| < 1")
 
-    def terms():
-        qn = 1
-        while True:
-            yield ((b * f(b * qn) if b != 0 else 0) - (a * f(a * qn) if a != 0 else 0)) * qn
-            qn = qn * qv
-
+    terms = (((b * f(xb) if b != 0 else 0) - (a * f(xa) if a != 0 else 0)) * qn
+             for qn, (xb, xa) in jackson_nodes((b, a), qv))
     try:
-        total = sum_until_converged(terms(), "q-integral", tol).value
+        total = sum_until_converged(terms, "q-integral", tol).value
     except OverflowError as exc:
         raise TruncationExceeded(f"q-integral overflowed: {exc}") from exc
     return (1 - qv) * total

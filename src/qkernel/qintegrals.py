@@ -52,11 +52,11 @@ class WeightSpec:
     extra_factor: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
+        if not np.isfinite(np.array((*self.numerator_h, *self.denominator_h), complex)).all():
+            raise DomainError("h-parameters must be finite")
         for a in self.denominator_h:
             if abs(complex(a)) >= 1:
-                raise DomainError(
-                    "denominator h-parameters need modulus < 1 (integrand poles)"
-                )
+                raise DomainError("denominator h-parameters need modulus < 1 (integrand poles)")
 
 
 def poch_infinite_vec(z: np.ndarray, q: complex) -> np.ndarray:

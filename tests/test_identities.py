@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -19,7 +20,7 @@ from qkernel.polyfamilies import (
     qhahn_L0,
     qhahn_poly,
 )
-from qkernel.qcore import Base, poch_finite
+from qkernel.qcore import Base, poch_finite, poch_ratio
 from qkernel.qintegrals import periodic_trapezoid
 from qkernel.identities import (
     REGISTRY,
@@ -245,10 +246,11 @@ class TestMomentRegrouping:
             p = BigQJacobiParams(a, b, c, Base(complex(q)))
             Pn, Pm = partial(big_qjacobi_poly, n, p), partial(big_qjacobi_poly, m, p)
 
-            def f(x):
-                return identities._bqj_weight_node(x, a, b, c, q, dps) * Pn(x) * Pm(x)
-
             qm = mpf(q)
+
+            def f(x):  # the weight by its own products at every node
+                return poch_ratio([x / a, x / c], [x, b * x / c], qm) * Pn(x) * Pm(x)
+
             direct = qcalculus.q_integral(f, c * qm, a * qm, qm, tol)
             bound = ((n + m + 2) * (min(n, m) + 1) * _max_on_circle(Pn, n, radius)
                      * _max_on_circle(Pm, m, radius) * tol / (1 - q))
@@ -263,6 +265,85 @@ class TestMomentRegrouping:
         identities.clear_caches()
         assert check_identity("qhahn_orthogonality", params).status == "pass"
         assert counts == [128]
+
+
+def _float_log_derivative_bound(x, a, b, c, q) -> float:
+    """G: the sum of |t q^k / (1 - t q^k)| over the four products of the big
+    q-Jacobi weight at x, t = x/a, x/c, x, bx/c (the module docstring's)."""
+    total = 0.0
+    for t in (x / a, x / c, x, b * x / c):
+        while abs(t) > 1e-20:
+            total += abs(t) / abs(1 - t)
+            t *= q
+    return total
+
+
+class TestBqjWeightTable:
+    """``_bqj_weights``: one ``poch_ratio`` per chain, then the recurrence."""
+
+    @settings(max_examples=30)
+    @given(
+        q=st.sampled_from([0.3, 0.5, 0.7, 0.9, 0.95]),
+        a=st.floats(0.1, 0.6),
+        b=st.floats(0.1, 0.6),
+        c=st.floats(-0.6, -0.1),
+        dps=st.integers(40, 110),
+        upper=st.booleans(),
+        j=st.integers(0, 399),
+    )
+    @example(q=0.95, a=0.6, b=0.6, c=-0.1, dps=110, upper=True, j=399)
+    @example(q=0.95, a=0.1, b=0.6, c=-0.6, dps=40, upper=False, j=399)
+    def test_recurrence_against_per_node_products(self, q, a, b, c, dps, upper, j):
+        # w_j within (j + 1)(12 + 3G) u of w at the same node, e_K included
+        end = a if upper else c
+        w = identities._bqj_weights(a, b, c, q, dps)
+        with mp.workdps(dps):
+            u = mpf(2) ** (1 - mp.prec)
+            qm = mpf(q)
+            chain = qcalculus.jackson_nodes([end * qm], qm)
+            nodes = [x for _, (x,) in itertools.islice(chain, 400)]
+        values = [w(x) for x in nodes]  # in order, and at the table's own precision
+        G = _float_log_derivative_bound(end * q, a, b, c, q)
+        for i in sorted({0, j, 399}):
+            x = nodes[i]
+            with mp.workdps(dps + 20):
+                exact = poch_ratio([x / a, x / c], [x, b * x / c], qm)
+                assert abs(values[i] - exact) <= (i + 1) * (12 + 3 * G) * u * abs(exact)
+
+    @pytest.mark.parametrize("point", ["between", "zero", "nan", "above"])
+    def test_point_off_both_chains_raises(self, point):
+        a, b, c, q = 0.3, 0.4, -0.2, 0.5
+        w = identities._bqj_weights(a, b, c, q, 40)
+        with mp.workdps(40):
+            x = {"between": a * mpf(q) ** 30 * (1 + mpf(10) ** -30), "zero": mpf(0),
+                 "nan": mp.nan, "above": mpf(2)}[point]
+            with pytest.raises(KeyError, match="not a Jackson node"):
+                w(x)
+            x = a * mpf(q)  # a miss leaves the table usable
+            assert w(x) == poch_ratio([x / a, x / c], [x, b * x / c], mpf(q))
+
+    def test_two_products_per_parameter_set_and_dps(self, monkeypatch):
+        a, b, c, q = 0.3, 0.4, -0.2, 0.95
+        dps = identities._bqj_dps(6, 6, a, b, c, q)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return poch_ratio(*args)
+
+        identities.clear_caches()
+        monkeypatch.setattr(identities, "poch_ratio", counted)
+        identities._bqj_integral(6, 6, a, b, c, q, dps)
+        identities._bqj_integral(2, 5, a, b, c, q, dps)
+        assert len(calls) == 2
+        identities._bqj_integral(1, 1, a, b, c, q, dps + 10)
+        assert len(calls) == 4
+
+    def test_q095_pair_passes(self):
+        # ``qkernel check bigqjacobi_orthogonality --seed 1 --n 6 --m 6 --q 0.95``
+        params = {**sample_params("bigqjacobi_orthogonality", 1), "n": 6, "m": 6, "q": 0.95}
+        r = check_identity("bigqjacobi_orthogonality", params)
+        assert r.status == "pass" and r.rel_err < 1e-13
 
 
 # "q0.9" is the weight of ``check qhahn_orthogonality --seed 1 --q 0.9``:

@@ -173,6 +173,13 @@ class TestTrapezoid:
         with pytest.raises(DomainError):
             WeightSpec(base=Q, denominator_h=(1.0,))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(0.1, math.inf)])
+    @pytest.mark.parametrize("side", ["numerator_h", "denominator_h"])
+    def test_non_finite_h_parameter_raises(self, side, value):
+        # no raw OverflowError or ValueError from qcore.tail_count may escape
+        with pytest.raises(DomainError, match="finite"):
+            trig_integral(WeightSpec(base=Q, **{side: (0.3, value)}))
+
     def test_node_diagnostics(self):
         diag = {}
         w = WeightSpec(base=Q, denominator_h=(0.3,), cos2_numerator=True)
