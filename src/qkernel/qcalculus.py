@@ -12,14 +12,15 @@ amplification factor, and the evaluation maps ``f`` passed in must accept
 mpmath arguments (plain arithmetic on the argument, as with the qcore
 factorials, is enough).  Results come back as ordinary complex numbers.
 
-The expansion partial sums are not formed coefficient by coefficient: with
-c_n = sum_k v[n][k] f(alpha q^{k+1}), sum_n K_n(a) c_n = sum_k U[k] f(alpha
-q^{k+1}) for the separable weights U[k] = sum_{n>=k} K_n(a) v[n][k], and the
-double sum is sum_k U[k] sum_l V[l] F[k][l]: O(N^2) operations, not O(N^3).
-Both orders add the same products K_n v[n][k] K_m v[m][l] F[k][l], so the
-rounding error of either is at most eps times the sum of their moduli and the
-precision of ``_coeff_work_digits`` covers both; each dot product is summed
-exactly and rounded once (``mp.fdot``).
+The expansion partial sums are not formed coefficient by coefficient: the
+order-N partial sum sum_n K_n(a) c_n interpolates f at the N + 1 Jackson
+nodes x_k = alpha q^{k+1}, so it is sum_k U[k] f(x_k) with q-Lagrange weights
+U[k] in closed form (``_reconstruction_weights``, O(N) operations), and the
+double sum is sum_k U[k] sum_l V[l] F[k][l].  Each U[k] is a product of O(N)
+factors with no sum, so its relative error is O(N eps).  The dot product
+against f(x_k) cancels over the same sum of |U[k] f(x_k)| as the sum over the
+coefficients did, which the precision of ``_coeff_work_digits`` covers; each
+dot product is summed exactly and rounded once (``mp.fdot``).
 """
 
 from __future__ import annotations
@@ -148,27 +149,31 @@ def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     return complex(value)
 
 
-def _kernel_factors(order: int, a, alpha, qm) -> list:
-    """Kernel values K_0..K_order with K_0 = 1 and, for n >= 1,
-    K_n = (1 - alpha q^{2n}) (alpha q/a; q)_n a^n / ((q, a; q)_n)."""
-    am, alm = mp_scalar(a), mp_scalar(alpha)
-    ratio = alm * qm / am
-    kernels, R = [mp.one], mp.one
-    for n in range(1, order + 1):
-        da = 1 - am * qm ** (n - 1)
-        if abs(da) < 1e-290:
-            raise PoleInDenominator("(a; q)_n vanishes: a lies on the q^-j lattice")
-        R *= (1 - ratio * qm ** (n - 1)) * am / ((1 - qm**n) * da)
-        kernels.append((1 - alm * qm ** (2 * n)) * R)
-    return kernels
-
-
 def _reconstruction_weights(order: int, a, alpha, qm) -> list:
-    """U[k] = sum_{n=k}^{order} K_n(a) v[n][k], so that the partial sum
-    sum_n K_n(a) c_n of the expansion is sum_k U[k] f(alpha q^{k+1})."""
-    kernels = _kernel_factors(order, a, alpha, qm)
-    rows = _jackson_vectors(order, alpha, qm)
-    return [mp.fdot(kernels[k:], [row[k] for row in rows[k:]]) for k in range(order + 1)]
+    """U with sum_{n<=N} K_n(a) c_n = sum_k U[k] f(x_k), x_k = alpha q^{k+1}, N = order.
+    (alpha q/a; q)_n a^n in K_n vanishes at x_k for n > k, so (a; q)_N times the
+    sum is the degree-N interpolant of (x_k; q)_N f(x_k): U[k] = (x_k; q)_N l(a) /
+    ((a; q)_N (a - x_k) D_k), l(a) = prod_j (a - x_j), D_k = prod_{j != k} (x_k - x_j),
+    and (x_k; q)_N / D_k follows k by one-factor updates.  At a node U is e_k."""
+    am, alq = mp_scalar(a), mp_scalar(alpha) * qm
+    qpow = [mp.one]
+    for _ in range(2 * order):
+        qpow.append(qpow[-1] * qm)
+    a_factors = [1 - am * t for t in qpow[:order]]
+    if any(abs(d) < 1e-290 for d in a_factors):
+        raise PoleInDenominator("(a; q)_n vanishes: a lies on the q^-j lattice")
+    diffs = [am - alq * t for t in qpow[:order + 1]]
+    if 0 in diffs:
+        return [mp.one if d == 0 else mp.zero for d in diffs]
+    D = alq**order * mp.fprod(1 - t for t in qpow[1:order + 1])
+    x_poch = mp.fprod(1 - alq * t for t in qpow[:order])
+    ratio = mp.fprod(diffs) / mp.fprod(a_factors) * x_poch / D  # l(a) (x_k; q)_N / ((a; q)_N D_k)
+    weights = [ratio / diffs[0]]
+    for k in range(order):
+        ratio *= (1 - alq * qpow[k + order]) * (1 - qpow[order - k]) / (
+            -qpow[order - k - 1] * (1 - qpow[k + 1]) * (1 - alq * qpow[k]))
+        weights.append(ratio / diffs[k + 1])
+    return weights
 
 
 def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
@@ -187,9 +192,10 @@ def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
 
 
 def _jackson_rows(order: int, alpha, qm):
-    """row(n), n <= order: row n of ``_jackson_vectors``, built from tables of
-    q^j (by repeated multiplication), 1 - q^-j and 1 - alpha q^j shared by all
-    rows; each entry is the one before times
+    """row(n), n <= order: v[n][k] = (q alpha)^{-n} (q^{-n}; q)_k q^k (q^{k+1} alpha; q)_{n-1}
+    / (q; q)_k, k <= n, so that c_n = sum_k v[n][k] f(alpha q^{k+1}).  Tables of q^j
+    (repeated products), 1 - q^-j and 1 - alpha q^j are shared by all rows; each
+    entry is the one before times
     (1 - q^{k-n}) (1 - alpha q^{n+k}) q / ((1 - q^{k+1}) (1 - alpha q^{k+1}))."""
     am = mp_scalar(alpha)
     qpow = [mp.one]
@@ -210,14 +216,6 @@ def _jackson_rows(order: int, alpha, qm):
         return entries
 
     return row
-
-
-def _jackson_vectors(order: int, alpha, qm) -> list[list]:
-    """v[n][k] = (q alpha)^{-n} w_k (q^{k+1} alpha; q)_{n-1} for k <= n, with
-    w_k = (q^{-n}; q)_k q^k / (q; q)_k the Jackson weight: the one-variable
-    coefficient weights with the prefactor folded in, so that
-    c_n = sum_k v[n][k] f(alpha q^{k+1})."""
-    return list(map(_jackson_rows(order, alpha, qm), range(order + 1)))
 
 
 def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):

@@ -52,11 +52,11 @@ class WeightSpec:
     extra_factor: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
-        if not np.isfinite(np.array((*self.numerator_h, *self.denominator_h), complex)).all():
-            raise DomainError("h-parameters must be finite")
-        for a in self.denominator_h:
-            if abs(complex(a)) >= 1:
-                raise DomainError("denominator h-parameters need modulus < 1 (integrand poles)")
+        mods = np.abs(np.array((*self.numerator_h, *self.denominator_h), complex))
+        if not np.isfinite(mods).all():
+            raise DomainError("h-parameters must have a finite modulus")
+        if (mods[len(self.numerator_h):] >= 1).any():
+            raise DomainError("denominator h-parameters need modulus < 1 (integrand poles)")
 
 
 def poch_infinite_vec(z: np.ndarray, q: complex) -> np.ndarray:
@@ -64,8 +64,10 @@ def poch_infinite_vec(z: np.ndarray, q: complex) -> np.ndarray:
     as ``qcore.poch_infinite`` truncates an argument of the row's largest
     modulus.  Sorted by their counts, the rows still running at factor k are
     a prefix, and one loop over the factors multiplies only that prefix."""
-    counts = [tail_count(float(m), abs(q), FLOAT_TOL_LOG10)
-              for m in np.max(np.abs(z), axis=1, initial=0.0)]
+    mags = np.max(np.abs(z), axis=1, initial=0.0)
+    if not np.isfinite(mags).all():
+        raise DomainError("poch_infinite_vec requires finite arguments")
+    counts = [tail_count(float(m), abs(q), FLOAT_TOL_LOG10) for m in mags]
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     zk = z[order]
     out = np.ones_like(zk)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qkernel import hyperseries
-from qkernel.errors import DomainError, TruncationExceeded
+from qkernel.errors import DomainError, PoleInDenominator, TruncationExceeded
 from qkernel.qcore import Base, mp_scalar, poch_finite, poch_infinite
 from qkernel.qcalculus import (
-    _jackson_vectors,
+    _jackson_rows,
+    _reconstruction_weights,
     liu_coefficient,
     liu_double_coefficient,
     liu_double_reconstruct,
@@ -289,7 +291,7 @@ class TestSeparableWeights:
         order = 9
         with mp.workdps(60):
             qm, am = mpf(q), mpf("0.35")
-            rows = _jackson_vectors(order, am, qm)
+            rows = list(map(_jackson_rows(order, am, qm), range(order + 1)))
             assert len(rows) == order + 1
             assert rows[0] == [1]
             for n in range(1, order + 1):
@@ -330,3 +332,66 @@ class TestSeparableWeights:
             for m in range(oy + 1)
         )
         assert abs(v - oracle) <= 1e-13 * abs(oracle)
+
+
+def _kernel_factors(order, a, alpha, qm):
+    """K_0..K_order, K_0 = 1 and K_n = (1 - alpha q^{2n}) (alpha q/a; q)_n a^n
+    / ((q, a; q)_n) for n >= 1, by the running product over n."""
+    am, alm = mp_scalar(a), mp_scalar(alpha)
+    ratio = alm * qm / am
+    kernels, R = [mp.one], mp.one
+    for n in range(1, order + 1):
+        R *= (1 - ratio * qm ** (n - 1)) * am / ((1 - qm**n) * (1 - am * qm ** (n - 1)))
+        kernels.append((1 - alm * qm ** (2 * n)) * R)
+    return kernels
+
+
+def _folded_weights(order, a, alpha, qm):
+    """U[k] = sum_{n=k}^{order} K_n(a) v[n][k]: the kernels folded into the
+    Jackson rows, O(order^2) terms."""
+    kernels = _kernel_factors(order, a, alpha, qm)
+    rows = list(map(_jackson_rows(order, alpha, qm), range(order + 1)))
+    return [mp.fdot(kernels[k:], [row[k] for row in rows[k:]]) for k in range(order + 1)]
+
+
+class TestClosedFormWeights:
+    """The q-Lagrange weights against the kernel fold K_n(a) v[n][k]."""
+
+    @pytest.mark.parametrize(
+        "order, a, alpha, q",
+        [
+            (40, 0.25, 0.3, 0.5),
+            (30, 0.2 + 0.1j, -0.3, 0.5),
+            (30, 0.15, 0.4, 0.6),
+            (12, 0.1, 0.45, 0.7),
+            (12, 0.2 - 0.05j, 0.3, cmath.rect(0.6, 0.7)),
+            (0, 0.3, 0.2, 0.5),
+        ],
+    )
+    def test_matches_kernel_fold(self, order, a, alpha, q):
+        with mp.workdps(120):
+            qm = mp_scalar(q)
+            got = _reconstruction_weights(order, a, alpha, qm)
+            ref = _folded_weights(order, a, alpha, qm)
+            assert len(got) == order + 1
+            scale = max(abs(u) for u in ref)
+            assert max(abs(u - v) for u, v in zip(got, ref)) <= 32 * mp.eps * scale
+
+    def test_node_gives_unit_vector(self):
+        # a = alpha q = 0.25 exactly in binary: the first node
+        f = lambda x: 1 / (1 - 0.7 * x) + x**3
+        with mp.workdps(60):
+            U = _reconstruction_weights(40, 0.25, 0.5, mpf(0.5))
+            target = complex(f(mpf(0.25)))
+        assert U == [1] + [0] * 40
+        assert liu_reconstruct(f, 0.25, 0.5, 0.5, 40) == target
+        g = lambda x, y: x * y + 1
+        assert liu_double_reconstruct(g, 0.25, 0.125, 0.5, 0.5, 0.5, 12, 12) == 0.25 * 0.125 + 1
+
+    @pytest.mark.parametrize("a, order", [(1.0, 3), (2.0, 5), (4.0 + 0j, 3)])
+    def test_pole_raises(self, a, order):
+        # 1 - a q^j = 0 for j = 0, 1, 2 at q = 0.5
+        with pytest.raises(PoleInDenominator, match=r"\(a; q\)_n vanishes"):
+            liu_reconstruct(lambda x: x, a, 0.3, 0.5, order)
+        with pytest.raises(PoleInDenominator, match=r"\(a; q\)_n vanishes"):
+            liu_double_reconstruct(lambda x, y: x * y, 0.2, a, 0.3, 0.3, 0.5, 2, order)

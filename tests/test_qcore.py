@@ -213,11 +213,10 @@ class TestMpmathOracle:
             ratio = poch_ratio(args, dargs, qm)
         with mp.workdps(2 * dps):
             tol = mpf(10) ** -dps
-            for a, g in zip(args, got):
-                r = mpmath.qp(a, qm)
+            ref = [mpmath.qp(a, qm) for a in args]
+            for g, r in zip(got, ref):
                 assert abs(g - r) <= tol * abs(r)
-            r = mpmath.fprod(mpmath.qp(a, qm) for a in args) / mpmath.fprod(
-                mpmath.qp(b, qm) for b in dargs)
+            r = mpmath.fprod(ref) / mpmath.fprod(mpmath.qp(b, qm) for b in dargs)
             assert abs(ratio - r) <= (len(args) + len(dargs) + 2) * tol * abs(r)
 
     def test_mpf_argument_gives_mpf(self):

@@ -173,12 +173,19 @@ class TestTrapezoid:
         with pytest.raises(DomainError):
             WeightSpec(base=Q, denominator_h=(1.0,))
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(0.1, math.inf)])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(0.1, math.inf),
+                                       1.5e308 + 1.5e308j])
     @pytest.mark.parametrize("side", ["numerator_h", "denominator_h"])
     def test_non_finite_h_parameter_raises(self, side, value):
-        # no raw OverflowError or ValueError from qcore.tail_count may escape
+        # no raw OverflowError or ValueError from qcore.tail_count may escape;
+        # the last value has finite parts and a modulus past the float range
         with pytest.raises(DomainError, match="finite"):
             trig_integral(WeightSpec(base=Q, **{side: (0.3, value)}))
+
+    def test_node_overflowing_h_parameter_raises(self):
+        # |h| = 1.4e308 is finite, but h / e^{i theta} overflows at some nodes
+        with pytest.raises(DomainError, match="finite arguments"):
+            trig_integral(WeightSpec(base=Base(0.5), numerator_h=(1e308 + 1e308j,)))
 
     def test_node_diagnostics(self):
         diag = {}
