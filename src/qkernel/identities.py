@@ -80,7 +80,9 @@ L_0, while every sampled draw stays within 16.
 
 To add an identity, write its recipe and put the ``@_identity(...)``
 registration on it; a recipe shared with another entry, or built by a
-factory, is registered with a plain call instead.  The registration's sampler
+factory, is registered with a plain call instead.  An entry whose sides are
+two functions of its parameters, by name, registers ``_sides(lhs, rhs)``
+(``partial`` fixes a side's other arguments).  The registration's sampler
 is ``_draw(spec)``: an ordered mapping of each parameter to its distribution
 (a list of values, a ``range``, an interval, or a function of the earlier
 draws), with an optional rejection predicate ``ok``.  The entry's parameter
@@ -216,6 +218,11 @@ def _identity(ident: str, description: str, threshold: float, sampler: Callable,
         return recipe
 
     return register
+
+
+def _sides(lhs: Callable, rhs: Callable) -> Callable:
+    """The recipe of an entry whose two sides are functions of its parameters, by name."""
+    return lambda prm: CheckValues(lhs(**prm), rhs(**prm))
 
 
 def _sweep(params: dict) -> tuple:
@@ -838,18 +845,13 @@ def _recipe_watson_whipple(prm) -> CheckValues:
     return CheckValues(complex(lhs), ratio * complex(phi43), {"terms": n})
 
 
-@_identity(
+_identity(
     "lbww_qintegral", "Jackson q-integral of a triple Pochhammer ratio in well-poised form", 1e-8,
     _draw({"q": _Q_CHOICES, **dict.fromkeys("uv", (0.2, 0.6)),
            **dict.fromkeys("hrst", (0.05, 0.6))}, ok=lambda p: abs(p["u"] - p["v"]) >= 0.08),
     [PinnedCase("t_zero", {"q": 0.5, "u": 0.3, "v": 0.5, "h": 0.35, "r": 0.2, "s": 0.25,
                            "t": 0.0})],
-)
-def _recipe_lbww(prm) -> CheckValues:
-    u, v, h, r, s, t, q = (prm[k] for k in ("u", "v", "h", "r", "s", "t", "q"))
-    lhs = qi.lbww_lhs(u, v, h, r, s, t, q)
-    rhs = qi.lbww_rhs(u, v, h, r, s, t, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.lbww_lhs, qi.lbww_rhs))
 
 
 @_identity(
@@ -894,16 +896,11 @@ def _recipe_bqj_orthogonality(prm) -> CheckValues:
                        metric="rel" if n == m else "abs_scaled")
 
 
-@_identity(
+_identity(
     "aw_integral", "Askey-Wilson trigonometric beta integral", 1e-10, _draw(_ABCD),
     [PinnedCase("all_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}),
      PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1})],
-)
-def _recipe_aw_integral(prm) -> CheckValues:
-    a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
-    lhs = qi.askey_wilson_lhs(a, b, c, d, q)
-    rhs = qi.askey_wilson_rhs(a, b, c, d, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.askey_wilson_lhs, qi.askey_wilson_rhs))
 
 
 @_identity(
@@ -944,46 +941,31 @@ _NR = {"s": (0.15, 0.55), "q": _Q_CHOICES, **dict.fromkeys("abcd", (0.1, 0.55)),
 _NR_ORDER = ("q", "a", "b", "c", "d", "s", "r")
 
 
-@_identity(
+_identity(
     "nassrallah_rahman", "Nassrallah-Rahman q-beta integral (8W7 closed form)", 1e-8,
     _draw(_NR, order=_NR_ORDER),
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "r": 0.35}),
      PinnedCase("reduction_r_abcds", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5},
                 threshold=1e-9, recipe=_recipe_nr_reduction_product)],
-)
-def _recipe_nr(prm) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q)
-    rhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.nr_trig_lhs, qi.nassrallah_rahman_rhs))
 
 
-@_identity(
+_identity(
     "nr_intermediate", "Equality of the two 8W7 closed forms of the Nassrallah-Rahman integral",
     1e-9, _draw(_NR, order=_NR_ORDER),
-)
-def _recipe_nr_intermediate(prm) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q)
-    rhs = qi.nr_intermediate_rhs(a, b, c, d, s, r, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.nassrallah_rahman_rhs, qi.nr_intermediate_rhs))
 
 
 #: q and five parameters in (0.1, 0.55): the Nassrallah-Rahman draw without r.
 _ABCDS = {"q": _Q_CHOICES, **dict.fromkeys("abcds", (0.1, 0.55))}
 
 
-@_identity(
+_identity(
     "nr_r0_3phi2",
     "Five-parameter trigonometric integral in 3phi2 form (vanishing numerator parameter)",
     1e-8, _draw(_ABCDS),
-)
-def _recipe_nr_r0(prm) -> CheckValues:
-    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    lhs = qi.nr_trig_lhs(a, b, c, d, s, 0.0, q)
-    rhs = qi.liu_r0_rhs(a, b, c, d, s, q)
-    return CheckValues(lhs, rhs)
+)(_sides(partial(qi.nr_trig_lhs, r=0.0), qi.liu_r0_rhs))
 
 
 @_identity(
@@ -1018,18 +1000,13 @@ def _d_apart_from_s(prm) -> bool:
     return abs(prm["d"] - prm["s"]) >= 0.05
 
 
-@_identity(
+_identity(
     "alsalam_verma", "Al-Salam--Verma q-integral evaluation", 1e-8,
     _draw({"q": _Q_CHOICES, **dict.fromkeys("abc", (0.05, 0.5)),
            **dict.fromkeys("ds", (0.15, 0.6))}, ok=_d_apart_from_s),
     [PinnedCase("abc_zero", {"q": 0.5, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.2, "s": 0.55},
                 threshold=1e-9)],
-)
-def _recipe_alsalam_verma(prm) -> CheckValues:
-    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
-    lhs = qi.alsalam_verma_lhs(a, b, c, d, s, q)
-    rhs = qi.alsalam_verma_rhs(a, b, c, d, s, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.alsalam_verma_lhs, qi.alsalam_verma_rhs))
 
 
 #: The Bailey-type draw: d and s first, and r in (0.05, 0.8 min(d, s)).
@@ -1037,15 +1014,10 @@ _QBAILEY = {**dict.fromkeys("ds", (0.2, 0.6)), "q": _Q_CHOICES, **dict.fromkeys(
             "r": lambda rng, p: _u(rng, 0.05, 0.8 * min(p["d"], p["s"]))}
 
 
-@_identity(
+_identity(
     "qbailey_8w7", "q-integral with 8W7 closed form (Bailey-type evaluation)", 1e-8,
     _draw(_QBAILEY, ok=_d_apart_from_s, order=_NR_ORDER),
-)
-def _recipe_qbailey(prm) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
-    lhs = qi.qbailey_lhs(a, b, c, d, s, r, q)
-    rhs = qi.qbailey_rhs(a, b, c, d, s, r, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.qbailey_lhs, qi.qbailey_rhs))
 
 
 @_identity(
@@ -1062,18 +1034,11 @@ def _recipe_qbailey_bridge(prm) -> CheckValues:
     return CheckValues(lhs, pref * trig, {})
 
 
-def _recipe_nr_product_s0(prm) -> CheckValues:
-    a, b, c, d = (prm[k] for k in ("a", "b", "c", "d"))
-    q = prm["q"]
-    lhs = qi.nr_product_rhs(a, b, c, d, 0.0, q)
-    rhs = qi.askey_wilson_rhs(a, b, c, d, q)
-    return CheckValues(lhs, rhs)
-
-
 @_identity(
     "nr_product", "Product-form five-parameter trigonometric integral", 1e-8, _draw(_ABCDS),
     [PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1},
-                threshold=1e-9, recipe=_recipe_nr_product_s0)],
+                threshold=1e-9,
+                recipe=_sides(partial(qi.nr_product_rhs, s=0.0), qi.askey_wilson_rhs))],
 )
 def _recipe_nr_product(prm) -> CheckValues:
     a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
@@ -1129,19 +1094,14 @@ def _recipe_liu_qbeta_s0(prm) -> CheckValues:
 _LIU_QBETA = {**_ABCDS, **dict.fromkeys("uv", (0.3, 1.3))}
 
 
-@_identity(
+_identity(
     "liu_qbeta", "Extended q-beta integral with 3phi2 integrand factor", 1e-8,
     _draw(_LIU_QBETA),
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "u": 0.8, "v": 1.1}),
      PinnedCase("reduction_s0", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "u": 0.8,
                                  "v": 1.1}, threshold=1e-9, recipe=_recipe_liu_qbeta_s0)],
-)
-def _recipe_liu_qbeta(prm) -> CheckValues:
-    a, b, c, d, s, u, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "u", "v", "q"))
-    lhs = qi.liu_qbeta_lhs(a, b, c, d, s, u, v, q)
-    rhs = qi.liu_qbeta_rhs(a, b, c, d, s, u, v, q)
-    return CheckValues(lhs, rhs)
+)(_sides(qi.liu_qbeta_lhs, qi.liu_qbeta_rhs))
 
 
 @_identity(

@@ -5,12 +5,14 @@ The n-th q-derivative is the exact finite sum
 
     D_{q,x}^n f = x^{-n} sum_{k=0}^n (q^{-n};q)_k / (q;q)_k * q^k f(q^k x),
 
-whose weights alternate with magnitudes up to ~ q^{-n(n-1)/2}; the same
-cancellation appears in the expansion coefficients below.  All of these sums
-are therefore computed in mpmath at a working precision sized from the
-amplification factor, and the evaluation maps ``f`` passed in must accept
-mpmath arguments (plain arithmetic on the argument, as with the qcore
-factorials, is enough).  Results come back as ordinary complex numbers.
+whose weights alternate with magnitudes up to ~ q^{-n(n-1)/2}.  The expansion
+coefficient c_n is this q-difference of f(x) (x; q)_{n-1} at x = alpha q, with
+(x; q)_{-1} read as 1, and c_{n,m} is the y-difference of the unrounded
+x-differences.  All of these sums are therefore computed in mpmath at a working
+precision sized from the amplification factor, and the evaluation maps ``f``
+passed in must accept mpmath arguments (plain arithmetic on the argument, as
+with the qcore factorials, is enough).  Results come back as ordinary complex
+numbers.
 
 The expansion partial sums are not formed coefficient by coefficient: the
 order-N partial sum sum_n K_n(a) c_n interpolates f at the N + 1 Jackson
@@ -20,7 +22,8 @@ double sum is sum_k U[k] sum_l V[l] F[k][l].  Each U[k] is a product of O(N)
 factors with no sum, so its relative error is O(N eps).  The dot product
 against f(x_k) cancels over the same sum of |U[k] f(x_k)| as the sum over the
 coefficients did, which the precision of ``_coeff_work_digits`` covers; each
-dot product is summed exactly and rounded once (``mp.fdot``).
+dot product is summed exactly and rounded once (``mp.fdot``).  A node
+alpha q^j = 1, j <= N, raises DomainError: the weights divide by 1 - alpha q^j.
 """
 
 from __future__ import annotations
@@ -68,16 +71,20 @@ def q_derivative_n(f: AnalyticFn, x, q, n: int):
     qmag = float(abs(qv))
     work = 20 + _amplification_digits(n, qmag, float(abs(x))) + 20
     with mp.workdps(work):
-        qm = mp_scalar(qv)
-        xm = mp_scalar(x)
-        w = mp.one
-        total = mp.zero
-        for k in range(n + 1):
-            total += w * f(qm**k * xm)
-            if k < n:
-                w *= (1 - qm ** (k - n)) / (1 - qm ** (k + 1)) * qm
-        value = xm ** (-n) * total
+        value = _jackson_difference(f, x, mp_scalar(qv), n)
     return complex(value)
+
+
+def _jackson_difference(f: AnalyticFn, x, qm, n: int):
+    """D_{q,x}^n f by the Jackson sum, unrounded at the working precision."""
+    xm = mp_scalar(x)
+    w = mp.one
+    total = mp.zero
+    for k in range(n + 1):
+        total += w * f(qm**k * xm)
+        if k < n:
+            w *= (1 - qm ** (k - n)) / (1 - qm ** (k + 1)) * qm
+    return xm ** (-n) * total
 
 
 def jackson_nodes(ends, q):
@@ -126,12 +133,6 @@ def _nodes(alpha, qm, count: int) -> list:
     return [am * qm ** (k + 1) for k in range(count)]
 
 
-def _double_sum(f: AnalyticFn, U: list, V: list, alpha, beta, qm):
-    """sum_k U[k] sum_l V[l] f(alpha q^{k+1}, beta q^{l+1})."""
-    ys = _nodes(beta, qm, len(V))
-    return mp.fdot(U, [mp.fdot(V, [f(x, y) for y in ys]) for x in _nodes(alpha, qm, len(U))])
-
-
 def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     """n-th expansion coefficient [D_{q,x}^n {f(x)(x;q)_{n-1}}]_{x=alpha q}.
 
@@ -144,9 +145,13 @@ def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     work = _coeff_work_digits(n, float(abs(qv)), float(abs(alpha)), 0.0)
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        row = _jackson_rows(n, alpha, qm)(n)
-        value = mp.fdot(row, map(f, _nodes(alpha, qm, n + 1)))
+        value = _jackson_difference(_times_poch(f, qm, n), mp_scalar(alpha) * qm, qm, n)
     return complex(value)
+
+
+def _times_poch(f: AnalyticFn, qm, n: int):
+    """x -> f(x) (x; q)_{n-1}, with (x; q)_{-1} read as 1 so that c_0 = f(alpha q)."""
+    return lambda x: f(x) * mp.fprod(1 - x * qm**j for j in range(n - 1))
 
 
 def _reconstruction_weights(order: int, a, alpha, qm) -> list:
@@ -165,13 +170,16 @@ def _reconstruction_weights(order: int, a, alpha, qm) -> list:
     diffs = [am - alq * t for t in qpow[:order + 1]]
     if 0 in diffs:
         return [mp.one if d == 0 else mp.zero for d in diffs]
+    x_factors = [1 - alq * t for t in qpow[:order]]
+    if 0 in x_factors:
+        raise DomainError("a Jackson node alpha q^j, j <= order, equals 1")
     D = alq**order * mp.fprod(1 - t for t in qpow[1:order + 1])
-    x_poch = mp.fprod(1 - alq * t for t in qpow[:order])
+    x_poch = mp.fprod(x_factors)
     ratio = mp.fprod(diffs) / mp.fprod(a_factors) * x_poch / D  # l(a) (x_k; q)_N / ((a; q)_N D_k)
     weights = [ratio / diffs[0]]
     for k in range(order):
         ratio *= (1 - alq * qpow[k + order]) * (1 - qpow[order - k]) / (
-            -qpow[order - k - 1] * (1 - qpow[k + 1]) * (1 - alq * qpow[k]))
+            -qpow[order - k - 1] * (1 - qpow[k + 1]) * x_factors[k])
         weights.append(ratio / diffs[k + 1])
     return weights
 
@@ -189,33 +197,6 @@ def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
         U = _reconstruction_weights(order, a, alpha, qm)
         total = mp.fdot(U, map(f, _nodes(alpha, qm, order + 1)))
     return complex(total)
-
-
-def _jackson_rows(order: int, alpha, qm):
-    """row(n), n <= order: v[n][k] = (q alpha)^{-n} (q^{-n}; q)_k q^k (q^{k+1} alpha; q)_{n-1}
-    / (q; q)_k, k <= n, so that c_n = sum_k v[n][k] f(alpha q^{k+1}).  Tables of q^j
-    (repeated products), 1 - q^-j and 1 - alpha q^j are shared by all rows; each
-    entry is the one before times
-    (1 - q^{k-n}) (1 - alpha q^{n+k}) q / ((1 - q^{k+1}) (1 - alpha q^{k+1}))."""
-    am = mp_scalar(alpha)
-    qpow = [mp.one]
-    for _ in range(2 * order):
-        qpow.append(qpow[-1] * qm)
-    one_qinv = [1 - 1 / t for t in qpow]
-    one_aq = [1 - am * t for t in qpow]
-    den = [qm / ((1 - qpow[k + 1]) * one_aq[k + 1]) for k in range(order)]
-
-    def row(n: int) -> list:
-        w = (qm * am) ** (-n)
-        for j in range(1, n):
-            w *= one_aq[j]
-        entries = [w]
-        for k in range(n):
-            w *= one_qinv[n - k] * one_aq[n + k] * den[k]
-            entries.append(w)
-        return entries
-
-    return row
 
 
 def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
@@ -236,9 +217,12 @@ def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
     )
     with mp.workdps(work):
         qm = mp_scalar(qv)
-        vx = _jackson_rows(n, alpha, qm)(n)
-        vy = _jackson_rows(m, beta, qm)(m)
-        total = _double_sum(f, vx, vy, alpha, beta, qm)
+
+        def inner(y):  # the x-difference at each y node, unrounded
+            return _jackson_difference(_times_poch(lambda x: f(x, y), qm, n),
+                                       mp_scalar(alpha) * qm, qm, n)
+
+        total = _jackson_difference(_times_poch(inner, qm, m), mp_scalar(beta) * qm, qm, m)
     return complex(total)
 
 
@@ -258,5 +242,6 @@ def liu_double_reconstruct(f: AnalyticFn, a, b, alpha, beta, q, order_x: int, or
         qm = mp_scalar(qv)
         U = _reconstruction_weights(order_x, a, alpha, qm)
         V = _reconstruction_weights(order_y, b, beta, qm)
-        total = _double_sum(f, U, V, alpha, beta, qm)
+        xs, ys = _nodes(alpha, qm, order_x + 1), _nodes(beta, qm, order_y + 1)
+        total = mp.fdot(U, [mp.fdot(V, [f(x, y) for y in ys]) for x in xs])
     return complex(total)

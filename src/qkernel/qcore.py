@@ -154,15 +154,21 @@ def poch_finite(a, q, n: int):
         raise DomainError("poch_finite requires n >= 0")
     if n == 0:  # mp.one keeps an empty mpmath product mpf
         return 1 + 0j if isinstance(a, _PYTHON) else mp.one
-    qv = base_value(q)
+    acc = _factors(a, base_value(q), n, "poch_finite")
+    return acc + 0j if isinstance(acc, int) else acc
+
+
+def _factors(a, qv, n: int, name: str):
+    """prod_{k<n} (1 - a q^k), factor by factor; DomainError, naming ``name``,
+    when a float/complex result overflows."""
     acc = 1
     zk = a
     for _ in range(n):
         acc = acc * (1 - zk)
         zk = zk * qv
     if isinstance(acc, (float, complex)) and not cmath.isfinite(acc):
-        raise DomainError("poch_finite overflowed the float range")
-    return acc + 0j if isinstance(acc, int) else acc
+        raise DomainError(f"{name} overflowed the float range")
+    return acc
 
 
 def _factor_count(a, qmag: float, tol_log10: float) -> tuple[float, int]:
@@ -194,14 +200,7 @@ def poch_infinite(a, q):
     _, n = _factor_count(a, _base_magnitude(qv), FLOAT_TOL_LOG10)
     if n == 0:
         return 1 + 0j
-    acc = 1
-    zk = a
-    for _ in range(n):
-        acc = acc * (1 - zk)
-        zk = zk * qv
-    if isinstance(acc, (float, complex)) and not cmath.isfinite(acc):
-        raise DomainError("poch_infinite overflowed the float range")
-    return acc
+    return _factors(a, qv, n, "poch_infinite")
 
 
 #: Euler-series data keyed by (q, mp.prec, digits): the scale W, q as an

@@ -233,6 +233,16 @@ def nr_trig_lhs(a, b, c, d, s, r, q) -> complex:
     return trig_integral(w)
 
 
+def _bailey_8w7(a, b, c, d, s, r, qv):
+    """8W7(abcds^2/q; as, bs, cs, ds, abcds/r; q, r/s), shared by
+    ``nassrallah_rahman_rhs`` and ``qbailey_rhs``."""
+    return eval_w(
+        a * b * c * d * s * s / qv,
+        [a * s, b * s, c * s, d * s, a * b * c * d * s / r],
+        qv, r / s,
+    ).value
+
+
 def nassrallah_rahman_rhs(a, b, c, d, s, r, q) -> complex:
     """Closed form with the very-well-poised 8W7(abcds^2/q; as, bs, cs, ds,
     abcds/r; q, r/s); requires 0 < |r/s| < 1."""
@@ -247,12 +257,7 @@ def nassrallah_rahman_rhs(a, b, c, d, s, r, q) -> complex:
          a * b * c * d * s * s],
         qv,
     )
-    w8 = eval_w(
-        a * b * c * d * s * s / qv,
-        [a * s, b * s, c * s, d * s, a * b * c * d * s / r],
-        qv, r / s,
-    ).value
-    return 2.0 * math.pi * ratio * w8
+    return 2.0 * math.pi * ratio * _bailey_8w7(a, b, c, d, s, r, qv)
 
 
 def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
@@ -403,12 +408,7 @@ def qbailey_rhs(a, b, c, d, s, r, q) -> complex:
         [r / d, a * d, b * d, c * d, a * s, b * s, c * s, a * b * c * d * s * s],
         qv,
     )
-    w8 = eval_w(
-        a * b * c * d * s * s / qv,
-        [a * s, b * s, c * s, d * s, a * b * c * d * s / r],
-        qv, r / s,
-    ).value
-    return (1 - qv) * s * ratio * w8
+    return (1 - qv) * s * ratio * _bailey_8w7(a, b, c, d, s, r, qv)
 
 
 def qbailey_lhs(a, b, c, d, s, r, q) -> complex:

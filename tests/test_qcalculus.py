@@ -11,7 +11,6 @@ from qkernel import hyperseries
 from qkernel.errors import DomainError, PoleInDenominator, TruncationExceeded
 from qkernel.qcore import Base, mp_scalar, poch_finite, poch_infinite
 from qkernel.qcalculus import (
-    _jackson_rows,
     _reconstruction_weights,
     liu_coefficient,
     liu_double_coefficient,
@@ -167,6 +166,11 @@ class TestExpansionCoefficients:
         c1 = liu_coefficient(lambda x: x, 1, 0.2, 0.5)
         assert abs(c1 - 0.5) < 1e-13
 
+    def test_node_at_one(self):
+        # alpha q = 1: c_3 of f = x is D_q^3 {x (x; q)_2} at 1 = (q; q)_3 q
+        c3 = liu_coefficient(lambda x: x, 3, 2.0, 0.5)
+        assert abs(c3 - 0.5 * 0.75 * 0.875 * 0.5) <= 1e-15
+
     def test_reconstruction_constant(self):
         for order in (0, 5, 40):
             v = liu_reconstruct(lambda x: 1.0, 0.25, 0.3, 0.5, order)
@@ -286,21 +290,6 @@ _shift = st.floats(0.1, 0.5)
 class TestSeparableWeights:
     """The separable sums against the coefficient functions they replace."""
 
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
-    def test_jackson_vectors_defining_formula(self, q):
-        order = 9
-        with mp.workdps(60):
-            qm, am = mpf(q), mpf("0.35")
-            rows = list(map(_jackson_rows(order, am, qm), range(order + 1)))
-            assert len(rows) == order + 1
-            assert rows[0] == [1]
-            for n in range(1, order + 1):
-                assert len(rows[n]) == n + 1
-                for k in range(n + 1):
-                    w = poch_finite(qm**-n, qm, k) * qm**k / poch_finite(qm, qm, k)
-                    v = (qm * am) ** -n * w * poch_finite(qm ** (k + 1) * am, qm, n - 1)
-                    assert abs(rows[n][k] - v) <= mpf("1e-50") * abs(v)
-
     @given(order=st.integers(0, 12), q=_q, a=_point, alpha=_shift, beta=_shift)
     @example(order=5, q=0.7, a=0.3, alpha=0.1, beta=0.45)
     def test_reconstruct_is_kernel_sum_of_coefficients(self, order, q, a, alpha, beta):
@@ -346,11 +335,23 @@ def _kernel_factors(order, a, alpha, qm):
     return kernels
 
 
+def _jackson_row(n, alpha, qm):
+    """v[n][k] = (q alpha)^{-n} (q^{-n}; q)_k q^k (q^{k+1} alpha; q)_{n-1} / (q; q)_k,
+    k <= n, from its definition, so that c_n = sum_k v[n][k] f(alpha q^{k+1});
+    v[0] = [1], reading (x; q)_{-1} as 1."""
+    if n == 0:
+        return [mp.one]
+    am = mp_scalar(alpha)
+    return [(qm * am) ** -n * poch_finite(qm**-n, qm, k) * qm**k
+            * poch_finite(qm ** (k + 1) * am, qm, n - 1) / poch_finite(qm, qm, k)
+            for k in range(n + 1)]
+
+
 def _folded_weights(order, a, alpha, qm):
     """U[k] = sum_{n=k}^{order} K_n(a) v[n][k]: the kernels folded into the
     Jackson rows, O(order^2) terms."""
     kernels = _kernel_factors(order, a, alpha, qm)
-    rows = list(map(_jackson_rows(order, alpha, qm), range(order + 1)))
+    rows = [_jackson_row(n, alpha, qm) for n in range(order + 1)]
     return [mp.fdot(kernels[k:], [row[k] for row in rows[k:]]) for k in range(order + 1)]
 
 
@@ -387,6 +388,13 @@ class TestClosedFormWeights:
         assert liu_reconstruct(f, 0.25, 0.5, 0.5, 40) == target
         g = lambda x, y: x * y + 1
         assert liu_double_reconstruct(g, 0.25, 0.125, 0.5, 0.5, 0.5, 12, 12) == 0.25 * 0.125 + 1
+
+    def test_node_at_one_raises(self):
+        # alpha q = 1 at alpha = 2, q = 0.5: the first node is 1
+        with pytest.raises(DomainError, match="equals 1"):
+            liu_reconstruct(lambda x: x, 0.3, 2.0, 0.5, 5)
+        with pytest.raises(DomainError, match="equals 1"):
+            liu_double_reconstruct(lambda x, y: x * y, 0.2, 0.3, 0.3, 2.0, 0.5, 2, 5)
 
     @pytest.mark.parametrize("a, order", [(1.0, 3), (2.0, 5), (4.0 + 0j, 3)])
     def test_pole_raises(self, a, order):

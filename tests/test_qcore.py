@@ -71,7 +71,7 @@ class TestPochFinite:
             poch_finite(0.5, 0.5, -1)
 
     def test_float_overflow_rejected(self):
-        with pytest.raises(DomainError, match="float range"):
+        with pytest.raises(DomainError, match="poch_finite overflowed the float range"):
             poch_finite(1e200, 0.5, 3)
 
     @given(re=_small, im=_small, q=_qs, n=st.integers(min_value=0, max_value=50))
@@ -114,7 +114,7 @@ class TestPochInfinite:
         assert abs(whole - split) <= 1e-11 * max(1.0, abs(whole))
 
     def test_float_overflow_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="poch_infinite overflowed the float range"):
             poch_infinite(1e300, 0.5)
 
     def test_mp_result_may_exceed_float_range(self):
