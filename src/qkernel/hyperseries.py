@@ -18,16 +18,19 @@ abcd q^(n-1) is (abcd/q, +1)) and the others are fixed.  The block shares the
 tables of u_k = (fixed nums; q)_k z^k ((-1)^k q^(k(k-1)/2))^e' / (q, dens; q)_k,
 e' = 1 + s - r, one division per k, and of the moving factors 1 - x q^m; term
 k of degree n is u_k times the running product of its moving factors, a few
-integer multiplications.  Every entry, q^k and z among them, is a pair times
-a power of two with W significant bits, accurate relative to itself to a few
-units 2^-W as in floating point, and each term, a product of such entries, is
-added at the scale 2^W.  So degree n is within ``(n + 2)^2 10^rise 2^-W``,
-where rise, the largest ``max_{j <= k} (log10 |t_k| - log10 |t_j|)`` over the
-block (t_0 = 1), bounds every term.  A float log-magnitude pre-pass over the
-same tables gives it, and W is ``ambient + 28 + rise + 2 log10(N + 2) + 3``
-digits: every sum is good to an absolute 10^-(ambient + 28), with three
-digits to spare for the entries' units.  ``build()`` runs once, allowing a
-rise of ``RISE_PER_SQUARED_DEGREE`` N^2 digits; a larger rise builds again at W.
+integer multiplications.  With no complex parameter, argument or base every
+imaginary part is exactly 0, so that loop runs on the real integers alone,
+with the same sums to the last bit.  Every entry, q^k and z among them, is a
+pair times a power of two with W significant bits, accurate relative to itself
+to a few units 2^-W as in floating point, and each term, a product of such
+entries, is added at the scale 2^W.  So degree n is within
+``(n + 2)^2 10^rise 2^-W``, where rise, the largest
+``max_{j <= k} (log10 |t_k| - log10 |t_j|)`` over the block (t_0 = 1), bounds
+every term.  A float log-magnitude pre-pass over the same tables gives it, and
+W is ``ambient + 28 + rise + 2 log10(N + 2) + 3`` digits: every sum is good to
+an absolute 10^-(ambient + 28), with three digits to spare for the entries'
+units.  ``build()`` runs once, allowing a rise of ``RISE_PER_SQUARED_DEGREE``
+N^2 digits; a larger rise builds again at W.
 
 Non-terminating series have geometrically decaying terms.  ``phi_terms`` is
 the one recurrence for them, t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^e /
@@ -248,19 +251,31 @@ def phi_terminating_core(
         factors.append(_one_minus_ladder(start, Q, m1 - m0, W))
 
     # Degree n: term k is u_k times the running product P of its moving
-    # factors, added at the scale 2^W.
+    # factors, added at the scale 2^W.  With no complex input every imaginary
+    # part above is exactly 0, and the real loop leaves them out.
     sums = []
     for n in degrees:
         re, im, pr, pi, ps = 1 << W, 0, 1, 0, 0
-        for (ur, ui, us), *fs in zip(u[1:n + 1], *columns(factors, n)):
-            for fr, fi, fsh in fs:
-                pr, pi, ps = pr * fr - pi * fi, pr * fi + pi * fr, ps + fsh
-                drop = max(pr.bit_length(), pi.bit_length()) - W
-                if drop > 0:
-                    pr, pi, ps = pr >> drop, pi >> drop, ps - drop
-            tr, ti, sh = ur * pr - ui * pi, ur * pi + ui * pr, us + ps - W
-            tr, ti = (tr >> sh, ti >> sh) if sh >= 0 else (tr << -sh, ti << -sh)
-            re, im = re + tr, im + ti
+        steps = zip(u[1:n + 1], *columns(factors, n))
+        if not is_complex:
+            for (ur, _, us), *fs in steps:
+                for fr, _, fsh in fs:
+                    pr, ps = pr * fr, ps + fsh
+                    drop = pr.bit_length() - W
+                    if drop > 0:
+                        pr, ps = pr >> drop, ps - drop
+                tr, sh = ur * pr, us + ps - W
+                re += tr >> sh if sh >= 0 else tr << -sh
+        else:
+            for (ur, ui, us), *fs in steps:
+                for fr, fi, fsh in fs:
+                    pr, pi, ps = pr * fr - pi * fi, pr * fi + pi * fr, ps + fsh
+                    drop = max(pr.bit_length(), pi.bit_length()) - W
+                    if drop > 0:
+                        pr, pi, ps = pr >> drop, pi >> drop, ps - drop
+                tr, ti, sh = ur * pr - ui * pi, ur * pi + ui * pr, us + ps - W
+                tr, ti = (tr >> sh, ti >> sh) if sh >= 0 else (tr << -sh, ti << -sh)
+                re, im = re + tr, im + ti
         sums.append(from_fixed(re, im, -W, is_complex))
     return (sums if first is not None else sums[0]), max_log
 

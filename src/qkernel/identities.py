@@ -6,6 +6,14 @@ form, series vs product, reconstruction vs direct evaluation) and a draw
 spec for admissible parameters.  ``run_suite`` executes pinned example
 cases plus seeded random draws and reports residuals.
 
+The generating functions and the outer series of the master formula are
+sums over degrees whose terms need a polynomial or an inner terminating
+series per degree.  ``_degree_terms`` asks for them a block of degrees at a
+time: 8 first, then each block up to where the geometric decay of the last
+four terms puts the stop of ``sum_until_converged``, at most doubling the
+degrees asked.  A block that ends short of the stop is followed by another,
+so the loop's stop rule is the only stop.
+
 Orthogonality integrals are the one place where plain double precision is
 insufficient: the diagonal norms decay like q^{n(n-1)/2} (cd)^n, far below the
 float64 noise floor of the oscillating integrand, so those quadratures run in
@@ -98,6 +106,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -124,6 +133,7 @@ from .qcore import (
     poch_ratio,
 )
 from .hyperseries import (
+    SERIES_TOL,
     SeriesSpec,
     eval_phi,
     eval_w,
@@ -322,25 +332,46 @@ def _quantize_dps(d: float) -> int:
     return max(40, 10 * int(math.ceil(d / 10.0)))
 
 
-#: Degrees that a sum over degrees asks of its terminating series at once.
-DEGREE_BLOCK = 12
+#: Degrees in the first block of a sum over degrees, and in a block after
+#: terms that do not decay.
+FIRST_DEGREE_BLOCK = 8
 
 
-def _degree_values(poly: Callable, limit: int):
-    """The values p_0, ..., p_{limit-1} that ``poly`` gives for a range of
-    degrees, asked for ``DEGREE_BLOCK`` degrees at a time."""
-    for lo in range(0, limit, DEGREE_BLOCK):
-        yield from poly(range(lo, min(lo + DEGREE_BLOCK, limit)))
-
-
-def _genfun_terms(poly: Callable, coeff: Callable, step: Callable):
-    """Terms ``coeff(n, w_n) * p_n``, n < 250, with w_0 = 1 and
+def _degree_terms(poly: Callable, coeff: Callable, step: Callable, limit: int):
+    """Terms ``coeff(n, w_n) * p_n``, n < ``limit``, with w_0 = 1 and
     w_{n+1} = w_n * step(n), where ``poly`` maps a range of degrees to their
-    values p_n."""
-    weight = 1 + 0j
-    for n, value in enumerate(_degree_values(poly, 250)):
-        yield coeff(n, weight) * value
-        weight *= step(n)
+    values p_n.
+
+    The first block asks ``poly`` for ``FIRST_DEGREE_BLOCK`` degrees.  Each
+    later block ends where the terms, decaying geometrically at the rate
+    r = (|t_-1| / |t_-4|)^(1/3) of the last four, would give the third
+    consecutive term below ``SERIES_TOL`` |S|, S the partial sum: the stop of
+    ``sum_until_converged``.  A block holds at most twice the degrees asked
+    before it, and none from ``limit`` on; after r >= 1 or a zero term
+    it holds ``FIRST_DEGREE_BLOCK``.  The stop stays the loop's: a block that
+    ends short of it is followed by another."""
+    weights = itertools.accumulate(map(step, itertools.count()), operator.mul, initial=1 + 0j)
+    n, total, mags = 0, 0, []
+    while n < limit:
+        size = FIRST_DEGREE_BLOCK
+        if len(mags) >= 4 and total and all(mags[-4:]):
+            log_r = (math.log(mags[-1]) - math.log(mags[-4])) / 3
+            if log_r < 0:
+                below, done = SERIES_TOL * abs(total), 0  # done: small terms at the end
+                while done < 2 and mags[-1 - done] < below:
+                    done += 1
+                gap = (math.log(SERIES_TOL) + math.log(abs(total)) - math.log(mags[-1])) / log_r
+                size = min(max(1, math.floor(gap) + 1) + 2 - done, 2 * n)
+        for value in poly(range(n, min(n + size, limit))):
+            t = coeff(n, next(weights)) * value
+            total += t
+            mags.append(abs(t))
+            n += 1
+            yield t
+
+
+#: The terms of a generating function, at most 250 degrees.
+_genfun_terms = partial(_degree_terms, limit=250)
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +654,14 @@ def _make_liu_master(m: int):
             dens = [alm * mp_scalar(b)] + [alm * mp_scalar(bj) for bj in bs]
             return nums, dens, qm, qm
 
-        def terms():
-            R = 1 + 0j
-            inner = _degree_values(lambda d: phi_terminating_core(build, d[-1], d[0])[0], 300)
-            for n, value in enumerate(inner):
-                yield (1 - al * q ** (2 * n)) / (1 - al) * R * complex(value)
-                R *= (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
-                    (1 - q ** (n + 1)) * (1 - al * a * q**n)
-                )
-
-        res = sum_until_converged(terms(), "master summation outer series")
+        terms = _degree_terms(
+            lambda d: map(complex, phi_terminating_core(build, d[-1], d[0])[0]),
+            lambda n, R: (1 - al * q ** (2 * n)) / (1 - al) * R,
+            lambda n: (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
+                (1 - q ** (n + 1)) * (1 - al * a * q**n)),
+            limit=300,
+        )
+        res = sum_until_converged(terms, "master summation outer series")
         return CheckValues(lhs, res.value, {"terms": res.terms_used})
 
     return recipe

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
@@ -102,16 +102,19 @@ def _finish(value, point):
     return value
 
 
-def _family(n, build, point, q, a=1, others=()):
+def _family(n, build, point, q, a=1, others=(), real=False):
     """The series of ``build`` at degree n, or a list over a range ``n``, each
     times (a x_1, ..., a x_j; q)_k a^-k for degree k, x_i in ``others``:
-    ``poch_finite`` at the first degree, one factor per later degree."""
+    ``poch_finite`` at the first degree, one factor per later degree.  With
+    ``real`` only the real part of the series is kept."""
     degrees = n if isinstance(n, range) else range(n, n + 1)
     if degrees.step != 1 or (degrees and degrees[0] < 0):
         raise DomainError("degrees must be nonnegative and consecutive")
     if not degrees:
         return []
     series, _ = phi_terminating_core(build, degrees[-1], degrees[0])
+    if real:
+        series = [s.real for s in series]
     qm, am = mp_scalar(base_value(q)), mp_scalar(a)
     xs = [am * mp_scalar(x) for x in others]
     pref = am ** -degrees[0] * mp.fprod(poch_finite(x, qm, degrees[0]) for x in xs)
@@ -223,10 +226,14 @@ def askey_wilson_poly(n, p: AWParams, theta):
     """Askey-Wilson polynomial
     (ab, ac, ad; q)_n a^{-n}
     4phi3(q^{-n}, abcd q^{n-1}, a e^{it}, a e^{-it}; ab, ac, ad; q, q),
-    or the list of them over a range ``n`` of degrees."""
+    or the list of them over a range ``n`` of degrees.  It is a polynomial
+    in x = cos theta, real when a, b, c, d, q and theta are: the value is
+    then real, with the rounding noise of the series' complex terms left out.
+    """
     if p.a == 0:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
     qv = base_value(p.q)
+    real = all(isinstance(mp_scalar(v), mpf) for v in (p.a, p.b, p.c, p.d, qv, theta))
 
     def build():
         qm = mp_scalar(qv)
@@ -235,4 +242,4 @@ def askey_wilson_poly(n, p: AWParams, theta):
         nums = [(1, -1), (am * bm * cm * dm / qm, 1), am * e, am / e]
         return nums, [am * bm, am * cm, am * dm], qm, qm
 
-    return _family(n, build, theta, qv, p.a, (p.b, p.c, p.d))
+    return _family(n, build, theta, qv, p.a, (p.b, p.c, p.d), real)

@@ -24,6 +24,8 @@ against f(x_k) cancels over the same sum of |U[k] f(x_k)| as the sum over the
 coefficients did, which the precision of ``_coeff_work_digits`` covers; each
 dot product is summed exactly and rounded once (``mp.fdot``).  A node
 alpha q^j = 1, j <= N, raises DomainError: the weights divide by 1 - alpha q^j.
+So does alpha = 0 (or beta = 0), which puts every node at 0, before any
+precision is sized.
 """
 
 from __future__ import annotations
@@ -127,6 +129,13 @@ def _coeff_work_digits(order: int, qmag: float, alpha_mag: float, a_mag: float) 
     return 40 + amp + int(math.ceil(kern))
 
 
+def _require_nonzero(**origins) -> None:
+    """DomainError for an origin alpha of 0: its Jackson nodes alpha q^(k+1) all collapse to 0."""
+    for name, value in origins.items():
+        if value == 0:
+            raise DomainError(f"{name} must be nonzero: its Jackson nodes {name} q^(k+1) are all 0")
+
+
 def _nodes(alpha, qm, count: int) -> list:
     """The Jackson nodes alpha q^{k+1}, k < count."""
     am = mp_scalar(alpha)
@@ -141,6 +150,7 @@ def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     digits: one of 1e-36 can be off by 2e-6 relative."""
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
+    _require_nonzero(alpha=alpha)
     qv = base_value(q)
     work = _coeff_work_digits(n, float(abs(qv)), float(abs(alpha)), 0.0)
     with mp.workdps(work):
@@ -190,6 +200,7 @@ def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
     """
     if a == 0:
         raise DomainError("reconstruction point a must be nonzero")
+    _require_nonzero(alpha=alpha)
     qv = base_value(q)
     work = _coeff_work_digits(order, float(abs(qv)), float(abs(alpha)), float(abs(a)))
     with mp.workdps(work):
@@ -210,6 +221,7 @@ def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
     """
     if n < 0 or m < 0:
         raise DomainError("coefficient indices must be nonnegative")
+    _require_nonzero(alpha=alpha, beta=beta)
     qv = base_value(q)
     qmag = float(abs(qv))
     work = 40 + _amplification_digits(n, qmag, qmag * float(abs(alpha))) + (
@@ -233,6 +245,7 @@ def liu_double_reconstruct(f: AnalyticFn, a, b, alpha, beta, q, order_x: int, or
     with the weights of ``_reconstruction_weights``."""
     if a == 0 or b == 0:
         raise DomainError("reconstruction points must be nonzero")
+    _require_nonzero(alpha=alpha, beta=beta)
     qv = base_value(q)
     qmag = float(abs(qv))
     work = _coeff_work_digits(order_x, qmag, float(abs(alpha)), float(abs(a))) + (

@@ -144,6 +144,18 @@ def test_check_division_by_zero_skipped(argv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ident", ["liu_expansion", "liu_double_expansion"])
+def test_check_zero_alpha_is_a_domain_skip(ident, tmp_path, capsys):
+    # every Jackson node alpha q^(k+1) collapses to 0
+    out = tmp_path / "r.json"
+    assert main(["check", ident, "--alpha", "0", "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"].startswith("DomainError")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["pfaff_saalschutz_instance", "--n", "12", "--a", "1e100", "--d", "1e100"],
     ["verma_jain_4phi3", "--n", "12", "--lambda", "1e100"],

@@ -20,7 +20,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qkernel.errors import DomainError
 from qkernel.hyperseries import phi_terminating_core
@@ -195,6 +195,30 @@ def test_pinned_degree_29_at_q_03_cancels_212_digits():
     p = AWParams(a, b, c, d, Base(q))
     single = askey_wilson_poly(n, p, theta)
     assert _close(askey_wilson_poly(range(n + 1), p, theta)[n], single, single)
+
+
+_real = st.floats(min_value=-0.6, max_value=0.6)
+
+
+@given(q=st.floats(min_value=0.2, max_value=0.8), x=_real, a=_real, b=_real, c=_real,
+       z=st.floats(min_value=0.1, max_value=1.5), top=st.integers(min_value=0, max_value=30),
+       middle=st.floats(0.0, 1.0))
+def test_real_loop_matches_the_complex_loop(q, x, a, b, c, z, top, middle):
+    # the same real series through the complex branch, forced by a z with a
+    # zero imaginary part: every imaginary part there is exactly 0, so the
+    # sums agree to the last bit
+    def build(arg):
+        return lambda: ([(1, -1), (mpf(x), 1), mpf(a)], [mpf(b), mpf(c)], arg(z), mpf(q))
+
+    first = int(middle * top)
+    real, real_log = phi_terminating_core(build(mpf), top, first)
+    cplx, cplx_log = phi_terminating_core(build(lambda v: mpc(v, 0)), top, first)
+    assert real_log == cplx_log
+    assert all(isinstance(v, mpf) for v in real)
+    assert [v.real for v in cplx] == real and all(v.imag == 0 for v in cplx)
+    one, _ = phi_terminating_core(build(mpf), top)
+    one_c, _ = phi_terminating_core(build(lambda v: mpc(v, 0)), top)
+    assert one_c.real == one and one_c.imag == 0
 
 
 def test_block_of_degrees_must_be_consecutive_and_nonnegative():

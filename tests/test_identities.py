@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from qkernel import identities, qcalculus
+from qkernel import identities, polyfamilies, qcalculus
 from qkernel.errors import TruncationExceeded, UnknownIdentity
+from qkernel.hyperseries import sum_until_converged
 from qkernel.polyfamilies import (
     BigQJacobiParams,
     QHahnParams,
@@ -586,7 +587,68 @@ class TestLiuMasterOuterSum:
         with pytest.raises(TruncationExceeded, match="non-finite"):
             REGISTRY["liu_master_m1"].recipe(self.PRM)
         assert calls == [0]
-        assert blocks == [range(identities.DEGREE_BLOCK)]
+        assert blocks == [range(identities.FIRST_DEGREE_BLOCK)]
+
+
+class TestDegreeTerms:
+    """Blocks of degrees sized from the decay of the terms."""
+
+    @staticmethod
+    def _sum(ratio, limit=250):
+        blocks = []
+
+        def poly(degrees):
+            blocks.append(degrees)
+            return [ratio**n for n in degrees]
+
+        res = sum_until_converged(identities._degree_terms(
+            poly, lambda n, w: w, lambda n: 1.0, limit), "test")
+        return res, blocks
+
+    @pytest.mark.parametrize("ratio", [0.1, -0.1])
+    def test_geometric_terms_are_asked_for_once(self, ratio):
+        # the decay of ratio^n predicts the stop exactly: the second block
+        # ends on the third term below 1e-14 |S|, S = 1 / (1 - ratio)
+        res, blocks = self._sum(ratio)
+        assert blocks == [range(8), range(8, res.terms_used)]
+        tol = 1e-14 / (1 - ratio)
+        assert abs(ratio) ** (res.terms_used - 3) < tol <= abs(ratio) ** (res.terms_used - 4)
+
+    def test_block_grows_at_most_twofold(self):
+        # 0.9^n meets the stop after 288 terms: each block is capped at twice
+        # the degrees before it, and the last one ends on the stop
+        res, blocks = self._sum(0.9, limit=1000)
+        assert [len(b) for b in blocks] == [8, 16, 48, 144, 72]
+        assert res.terms_used == 288
+
+    def test_growing_terms_ask_for_first_blocks_up_to_the_limit(self):
+        with pytest.raises(TruncationExceeded, match="within 20 terms"):
+            self._sum(1.1, limit=20)
+        blocks = []
+        terms = identities._degree_terms(
+            lambda d: blocks.append(d) or [1.1**n for n in d], lambda n, w: w, lambda n: 1.0, 20)
+        assert len(list(terms)) == 20
+        assert blocks == [range(8), range(8, 16), range(16, 20)]
+
+    def test_draws_ask_for_few_unused_degrees(self, monkeypatch):
+        # the seed-1 draws of every sum over degrees (20 each, as the float
+        # benchmark runs them): the blocks asked for hold at most 1.15 times
+        # the degrees the sums used (1.31 with blocks of 12)
+        asked = []
+        for module in (identities, polyfamilies):
+            kernel = module.phi_terminating_core
+
+            def counted(build, order, first=None, kernel=kernel):
+                asked.append(order + 1 - (order if first is None else first))
+                return kernel(build, order, first)
+
+            monkeypatch.setattr(module, "phi_terminating_core", counted)
+        ids = ["qhahn_genfun", "qhahn_genfun_swapped", "bigqjacobi_genfun", "aw_genfun",
+               "liu_master_m1", "liu_master_m2", "liu_master_m3"]
+        reports = run_suite(ids, 20, 1)
+        assert all(r.status == "pass" for r in reports)
+        used = sum(r.diagnostics["terms"] for r in reports)
+        assert used <= sum(asked) <= 1.15 * used
 
 
 def test_unknown_identity_raises():

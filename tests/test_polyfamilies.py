@@ -195,6 +195,14 @@ class TestAskeyWilson:
         v = askey_wilson_poly(5, AW, 0.7)
         assert abs(v.imag) <= 1e-12 * max(1.0, abs(v))
 
+    def test_real_inputs_give_an_exactly_real_value(self):
+        # a polynomial in cos theta with real coefficients: no rounding noise
+        # of the complex series terms a e^{it}, a e^{-it} is left in it
+        assert askey_wilson_poly(7, AW, 1.3).imag == 0
+        assert all(v.imag == 0 for v in askey_wilson_poly(range(12), AW, 1.3))
+        assert isinstance(askey_wilson_poly(7, AW, mpf(1.3)), mpf)
+        assert askey_wilson_poly(7, AW, 1.3 + 0.2j).imag != 0
+
 
 _FAMILIES = {
     "qhahn": lambda n, z: qhahn_poly(n, HAHN, z),

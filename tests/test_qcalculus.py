@@ -223,6 +223,21 @@ class TestExpansionCoefficients:
             assert abs(fitted[n] - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: liu_coefficient(lambda x: x, 2, 0.0, 0.5),
+    lambda: liu_reconstruct(lambda x: x, 0.3, 0.0, 0.5, 5),
+    lambda: liu_double_coefficient(lambda x, y: x * y, 1, 2, 0.0, 0.25, 0.5),
+    lambda: liu_double_coefficient(lambda x, y: x * y, 1, 2, 0.3, 0.0, 0.5),
+    lambda: liu_double_reconstruct(lambda x, y: x * y, 0.2, 0.15, 0.0, 0.25, 0.5, 3, 3),
+    lambda: liu_double_reconstruct(lambda x, y: x * y, 0.2, 0.15, 0.3, 0.0, 0.5, 3, 3),
+])
+def test_zero_origin_is_a_domain_error(call):
+    # alpha = 0 (or beta = 0) puts every Jackson node alpha q^(k+1) at 0, where
+    # the q-difference is not defined; precision sizing would divide by |alpha|
+    with pytest.raises(DomainError, match="nonzero"):
+        call()
+
+
 class TestDoubleExpansion:
     def test_unit_coefficient(self):
         c = liu_double_coefficient(lambda x, y: 1.0, 0, 0, 0.3, 0.25, 0.5)
