@@ -6,13 +6,10 @@ form, series vs product, reconstruction vs direct evaluation) and a draw
 spec for admissible parameters.  ``run_suite`` executes pinned example
 cases plus seeded random draws and reports residuals.
 
-The generating functions and the outer series of the master formula are
-sums over degrees whose terms need a polynomial or an inner terminating
-series per degree.  ``_degree_terms`` asks for them a block of degrees at a
-time: 8 first, then each block up to where the geometric decay of the last
-four terms puts the stop of ``sum_until_converged``, at most doubling the
-degrees asked.  A block that ends short of the stop is followed by another,
-so the loop's stop rule is the only stop.
+The generating functions and the master formula's outer series need a
+polynomial or an inner series per degree.  ``_degree_terms`` asks for blocks
+of degrees: 8, then up to where the decay of the last terms puts the stop of
+``sum_until_converged``, which stays the only stop.
 
 Orthogonality integrals are the one place where plain double precision is
 insufficient: the diagonal norms decay like q^{n(n-1)/2} (cd)^n, far below the
@@ -347,8 +344,8 @@ def _degree_terms(poly: Callable, coeff: Callable, step: Callable, limit: int):
     r = (|t_-1| / |t_-4|)^(1/3) of the last four, would give the third
     consecutive term below ``SERIES_TOL`` |S|, S the partial sum: the stop of
     ``sum_until_converged``.  A block holds at most twice the degrees asked
-    before it, and none from ``limit`` on; after r >= 1 or a zero term
-    it holds ``FIRST_DEGREE_BLOCK``.  The stop stays the loop's: a block that
+    before it, and none from ``limit`` on; after r >= 1, a zero term or a
+    zero sum it holds ``FIRST_DEGREE_BLOCK``.  The stop stays the loop's: a block that
     ends short of it is followed by another."""
     weights = itertools.accumulate(map(step, itertools.count()), operator.mul, initial=1 + 0j)
     n, total, mags = 0, 0, []
