@@ -94,7 +94,7 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
 
 
-def _report_dict(r: IdentityReport) -> dict:
+def _report_dict(r: IdentityReport, deterministic: bool) -> dict:
     params = {}
     for k, v in r.params.items():
         if isinstance(v, complex):
@@ -102,7 +102,7 @@ def _report_dict(r: IdentityReport) -> dict:
         else:
             params[k] = v
     diag = {"terms": None, "nodes": None, **r.diagnostics}
-    return {
+    doc = {
         "id": r.id,
         "draw": r.label,
         "params": params,
@@ -117,6 +117,7 @@ def _report_dict(r: IdentityReport) -> dict:
         "reason": r.reason,
         "diagnostics": diag,
     }
+    return doc if deterministic else {**doc, "elapsed_s": r.elapsed_s}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -140,7 +141,7 @@ def _render_reports(reports, fmt, deterministic, header_extra) -> str:
         if not deterministic:
             doc["timestamp"] = datetime.now(timezone.utc).isoformat()
         doc["summary"] = summarize(reports)
-        doc["reports"] = [_report_dict(r) for r in reports]
+        doc["reports"] = [_report_dict(r, deterministic) for r in reports]
         return json.dumps(doc, indent=2) + "\n"
     lines = []
     for r in reports:
@@ -216,7 +217,7 @@ def _cmd_check(args, extra_tokens) -> int:
     report = check_identity(ident, params, thresholds, label="check")
     header = {"seed": args.seed, "tolerance_override": args.tol}
     if args.format == "json":
-        doc = _report_dict(report)
+        doc = _report_dict(report, args.deterministic)
         if not args.deterministic:
             doc["timestamp"] = datetime.now(timezone.utc).isoformat()
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -318,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "json", "csv"), default="human")
         p.add_argument("--output", default=None, help="write the report to a file")
         p.add_argument("--deterministic", action="store_true",
-                       help="suppress the timestamp field")
+                       help="suppress the timestamp and elapsed_s fields")
 
     p_list = sub.add_parser("list", help="list registered identities", allow_abbrev=False)
     common(p_list)

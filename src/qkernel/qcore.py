@@ -60,7 +60,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mpmath import mp, mpc, mpmathify
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -283,13 +283,13 @@ def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
     return pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex
 
 
-def _mp_product(params: Sequence, qv, qmag: float, digits: float):
-    """prod (a; q)_inf over ``params`` by Euler's series, rounded once to
-    ``mp.prec``: the running product of the unrounded factors is cut to
-    ``mp.prec`` + ``PRODUCT_GUARD_BITS`` bits after each multiply."""
+def _mp_product(params: Iterable, qv, qmag: float, digits: float):
+    """prod (a; q)_inf over the pairs (a, ``_factor_count`` of a at
+    10^-digits) in ``params`` by Euler's series, rounded once to ``mp.prec``:
+    the running product of the unrounded factors is cut to ``mp.prec`` +
+    ``PRODUCT_GUARD_BITS`` bits after each multiply."""
     acc, keep = None, mp.prec + PRODUCT_GUARD_BITS
-    for a in params:
-        amag, n = _factor_count(a, qmag, -digits)
+    for a, (amag, n) in params:
         if n == 0:
             continue
         f = _poch_euler(a, amag, qv, qmag, digits)
@@ -315,7 +315,8 @@ def poch_ratio(nums: Sequence, dens: Sequence, q):
                     for p in (nums, dens))
     else:
         qmag, digits = _base_magnitude(qv), float(mp.dps + 2)
-        num, den = (_mp_product(p, qv, qmag, digits) for p in (nums, dens))
+        num, den = (_mp_product([(a, _factor_count(a, qmag, -digits)) for a in p],
+                                qv, qmag, digits) for p in (nums, dens))
     return num / den if dens else num
 
 

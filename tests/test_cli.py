@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -113,6 +114,47 @@ def test_check_big_qjacobi_complex_q(tmp_path):
                  "--q", "0.5+0.1i", "--format", "json", "--deterministic",
                  "--output", str(out)]) == 0
     assert json.loads(out.read_text())["status"] == "pass"
+
+
+@pytest.mark.parametrize("value, status, reason", [
+    # b = 0: the growth of the coefficients is that of a^-n alone
+    ("--b", "pass", ""),
+    ("--a", "skipped", "DomainError: a = 0 makes the a^{-n} prefactor singular"),
+])
+def test_check_qhahn_zero_parameter(value, status, reason, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["check", "qhahn_orthogonality", "--seed", "1", "--n", "1", "--m", "1",
+                 value, "0", "--format", "json", "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["reason"]) == (status, reason)
+
+
+#: sha256 of the orth_sweep certificate's report (``perfbench`` workload
+#: orth_sweep), run cold.  It is mpmath only, so numpy's choice of SIMD or
+#: scalar loops cannot move it.  A change that moves this digest lists the
+#: reports it moved in CHANGES.md.
+ORTH_SWEEP_SHA256 = "620e4760256aaa92fef55ddee4d8efaffc622e218f2731d68b06bbdcadab057c"
+
+
+def test_orth_sweep_report_is_pinned(capsys):
+    from qkernel.identities import clear_caches
+
+    clear_caches()
+    assert main(["suite", "--ids", "qhahn_orthogonality,bigqjacobi_orthogonality",
+                 "--draws", "0", "--format", "json", "--deterministic"]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == ORTH_SWEEP_SHA256
+
+
+def test_elapsed_s_only_without_deterministic(tmp_path):
+    out = tmp_path / "r.json"
+    for flags in ([], ["--deterministic"]):
+        assert main(["suite", "--ids", "q_gauss", "--draws", "1", "--format", "json",
+                     *flags, "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert all(("elapsed_s" in r) == (not flags) for r in reports)
+    assert main(["check", "q_gauss", "--format", "json", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["elapsed_s"] > 0
 
 
 @pytest.mark.parametrize("ident", ["rogers_6phi5", "liu_3phi2_transform"])

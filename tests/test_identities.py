@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import json
@@ -6,17 +7,18 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from qkernel import identities, polyfamilies, qcalculus
-from qkernel.errors import TruncationExceeded, UnknownIdentity
+from qkernel import identities, polyfamilies, qcalculus, qcore
+from qkernel.errors import DomainError, TruncationExceeded, UnknownIdentity
 from qkernel.hyperseries import sum_until_converged
 from qkernel.polyfamilies import (
     BigQJacobiParams,
     QHahnParams,
     big_qjacobi_poly,
+    qhahn_K,
     qhahn_L,
     qhahn_L0,
     qhahn_poly,
@@ -425,6 +427,114 @@ class TestQHahnNodeLayer:
                     assert abs(moments[k] - exact) <= bound
 
 
+def _explicit_factors(amag: float, qmag: float) -> int:
+    """The factors (1 - t q^j) ``qcore._poch_euler`` multiplies out for a bound |t| <= amag."""
+    count = 0
+    while amag > qmag:
+        amag, count = amag * qmag, count + 1
+    return count
+
+
+class TestQHahnPlan:
+    """``_qhahn_plan`` does per parameter set what ``qhahn_K`` does per angle;
+    the planned node must be ``qhahn_K`` to the bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a=st.floats(0.05, 0.55),
+        b=st.floats(0.05, 0.55),
+        c=st.floats(0.05, 0.55),
+        c_imag=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        d=st.floats(0.05, 0.55),
+        rho=st.floats(0.35, 1.3),
+        q=st.one_of(st.sampled_from(identities._Q_CHOICES), st.floats(0.2, 0.7)),
+        q_angle=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+        jd=st.sampled_from([8, 16, 64, 65, 128, 256]),
+        j=st.integers(0, 255),
+        dps=st.integers(40, 110),
+    )
+    @example(a=0.3, b=0.2, c=0.3, c_imag=-0.2, d=0.1, rho=0.6, q=0.5, q_angle=0.0, jd=64, j=5,
+             dps=40)
+    # the boundary |t| = |q| of the explicit factors
+    @example(a=0.5, b=0.2, c=0.4, c_imag=0.0, d=0.1, rho=0.6, q=0.5, q_angle=0.0, jd=64, j=7,
+             dps=80)
+    def test_node_equals_qhahn_K(self, a, b, c, c_imag, d, rho, q, q_angle, jd, j, dps):
+        c = complex(c, c_imag) if c_imag else c
+        q = q * cmath.exp(1j * q_angle) if q_angle else q
+        try:
+            p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+        except DomainError:
+            assume(False)
+        j %= jd
+        K, z = identities._qhahn_K_node(j, jd, a, b, c, d, rho, q, dps)
+        with mp.workdps(dps):
+            theta = -mp.pi + 2 * mp.pi * mpf(j) / jd
+            assert K._mpc_ == qhahn_K(theta, p)._mpc_
+            assert z._mpc_ == mp.expj(theta)._mpc_
+            # the per-set counts are those of this node's own arguments
+            args, qm, qmag, digits, counts = identities._qhahn_plan(a, b, c, d, rho, q)
+            for ts, side in zip(args(z, mp.conj(z)), counts):
+                for t, (amag, n) in zip(ts, side):
+                    t_mag, t_n = qcore._factor_count(t, qmag, -digits)
+                    assert n == t_n
+                    assert amag >= abs(t)
+                    assert _explicit_factors(amag, qmag) == _explicit_factors(t_mag, qmag)
+
+    def test_boundary_counts_one_explicit_factor(self):
+        # |a e^{i theta}| = |q| = 0.5: the bound above |a| keeps the factor
+        # 1 - a e^{i theta} explicit at every angle
+        with mp.workdps(80):
+            _, _, qmag, _, counts = identities._qhahn_plan(0.5, 0.2, 0.4, 0.1, 0.6, 0.5)
+        amag, n = counts[1][0]
+        assert amag > qmag == 0.5 and n > 0
+        assert _explicit_factors(amag, qmag) == 1
+
+    def test_zero_parameter_is_no_factor(self):
+        # b = 0: (b e^{i theta}; q)_inf = 1 is left out of the product
+        with mp.workdps(40):
+            _, _, _, _, counts = identities._qhahn_plan(0.3, 0.0, 0.4, 0.1, 0.6, 0.5)
+        assert counts[1][1] == (0.0, 0)
+
+    def test_clear_caches_drops_the_plans(self):
+        identities._qhahn_K_node(1, 8, *_weight("pinned"), 40)
+        assert identities._QHAHN_PLANS
+        identities.clear_caches()
+        assert not identities._QHAHN_PLANS
+
+
+class TestQHahnZeroParameter:
+    """b = 0 is a q-Hahn weight like any other; a = 0 has no H_n, n > 0."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (1, 2), (0, 3)])
+    def test_b_zero_pairs_pass(self, n, m):
+        params = {**identities._QHAHN_FIXED, "b": 0.0, "n": n, "m": m}
+        r = check_identity("qhahn_orthogonality", params)
+        assert r.status == "pass", r.reason
+
+    def test_b_zero_growth_is_that_of_a(self):
+        # (n + m) log10(1 / |a|) = 15.6 digits, more than one step of _quantize_dps
+        a, c, d, q, rho = 0.05, 0.4, 0.1, 0.5, 0.6
+        deficit = identities._qhahn_deficit(6, a, 0.0, c, d, q)
+        cancel = identities._qhahn_cancellation(a, 0.0, c, d, rho, q)
+        growth = 12 * math.log10(1 / a)
+        expected = identities._quantize_dps(
+            34 + deficit + growth + max(0.0, cancel - identities.QHAHN_CANCEL_HEADROOM))
+        assert identities._qhahn_dps(6, 6, a, 0.0, c, d, q, (rho,)) == expected
+
+    def test_a_zero_raises_domain_error(self):
+        with pytest.raises(DomainError, match="a = 0"):
+            identities._qhahn_dps(1, 0, 0.0, 0.2, 0.4, 0.1, 0.5, (0.6,))
+        r = check_identity("qhahn_orthogonality", {**identities._QHAHN_FIXED, "a": 0.0,
+                                                    "n": 1, "m": 1})
+        assert r.status == "skipped"
+        assert r.reason == "DomainError: a = 0 makes the a^{-n} prefactor singular"
+
+    def test_a_zero_n0_pair_still_passes(self):
+        r = check_identity("qhahn_orthogonality", {**identities._QHAHN_FIXED, "a": 0.0,
+                                                    "n": 0, "m": 0})
+        assert r.status == "pass", r.reason
+
+
 def _askey_roy_pair(n, m, a, b, c, d, q) -> complex:
     """<H_n, H_m> / L_0 with no quadrature, at 40 + 3 (n + m) digits.
 
@@ -509,7 +619,7 @@ def test_qhahn_report_does_not_depend_on_the_node_caches(n, m):
     assert (dps > identities.NODE_DPS) == (n == 9)
 
     def report():
-        return json.dumps(_report_dict(check_identity("qhahn_orthogonality", params)))
+        return json.dumps(_report_dict(check_identity("qhahn_orthogonality", params), True))
 
     identities.clear_caches()
     cold = report()
@@ -726,6 +836,15 @@ class TestCheckIdentity:
         r = check_identity("q_gauss", sample_params("q_gauss", 7))
         assert r.status == "skipped"
         assert r.reason == f"TruncationExceeded: {side} is not finite"
+
+
+    def test_elapsed_s_is_the_wall_time_and_not_compared(self):
+        prm = sample_params("q_gauss", 7)
+        a, b = check_identity("q_gauss", prm), check_identity("q_gauss", prm)
+        assert a.elapsed_s > 0 and b.elapsed_s > 0
+        assert a == replace(b, elapsed_s=b.elapsed_s + 1.0)
+        skipped = check_identity("q_gauss", {**prm, "q": 2.0})
+        assert skipped.status == "skipped" and skipped.elapsed_s > 0
 
 
 class TestRunSuite:
