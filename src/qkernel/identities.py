@@ -36,7 +36,8 @@ M_n M_m.  For q-Hahn a trapezoid level's sum of K H_n H_m is
 sum_k c_k S_k, where S_k sums K(theta_j) e^{ik theta_j} over the nodes that
 ``periodic_trapezoid`` asks for on that level; each pair keeps its own stop
 and node count.  The weight nodes are cached once per angle, keyed on the
-reduced fraction jn/jd and the parameters, at max(dps, ``NODE_DPS``) digits,
+trapezoid's (j, jd) (a level after the first asks for odd j only, so no two
+levels share a node) and the parameters, at max(dps, ``NODE_DPS``) digits,
 so the pairs at dps 40-70 share them.  For real parameters and q,
 K(-theta) = conj K(theta), and node jd - j of a level is the conjugate of
 node j, looked up through the same cache.  ``_qhahn_moments`` forms
@@ -58,36 +59,48 @@ coefficient error, a q-Hahn pair on N nodes is within
 M_n M_m mean_j |K_j| u + e_K M_n M_m mean_j |K_j|
 + 6 (n + m + 1)(min(n, m) + 1)(kmax + 1) M_n M_m 2^-W max_j |K_j|
 of the per-node trapezoid sum of K H_n H_m on the same nodes evaluated at
-dps.  e_K is the relative error of such a node K(z), z its rounded e^{i theta}
-(rounding theta moves the node, z with it): four q-products over four take
-eight truncations at 10^-(dps+2), two roundings and a division, and each
-argument t takes r_t <= 3 roundings, magnified by G_t, the sum of
-|t q^k / (1 - t q^k)|.  So e_K <= (4 + sum_t r_t G_t) u; against nodes at
-dps + 30 (1800 nodes, dps 40-110, q <= 0.95) it stayed under 0.4 of that
-bound.  Measured, sum_t r_t G_t is below 650 at the samplers' q <= 0.7 and
-8700 at q = 0.95, far below the growth factors above; the cached nodes, at
-max(dps, ``NODE_DPS``) digits, are at least as accurate.  Each nu_k stops
-after three terms below t |nu_k| or below the rounding noise 10^-dps A_k of
-its sum, A_k the sum of the moduli of its terms, which leaves a tail of order
-t A_k / (1 - |q|).
-Since A_k <= R^k A_0, a big q-Jacobi pair is thus within
-(n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of the per-node Jackson
-sum of w P_n P_m.  ``_bqj_weights`` takes w at a chain's first node x_0 from
-one ``poch_ratio``, then w(xq) = w(x) a (1 - x)(c - bx) / ((a - x)(c - x)).
-Let G bound |x w'/w| on the chain: the sum of |t q^k / (1 - t q^k)| over the
-four products, t = x/a, x/c, x, bx/c, largest at x_0 when each t < 1.  A step
-rounds 10 times (5u), c - bx magnifies the rounding of bx by G u / 2, and x_j
-is x_{j-1} q to 1.5u (1.5 G u in w): w_j is within (j + 1)(12 + 3G) u of
-w(x_j), e_K included, so under t for all 2 10^5 nodes the loop allows while
-G < 10^6 (u <= 10^-dps); the samplers keep G < 150 at q <= 0.95.  These come
-out of the margin that ``_qhahn_dps`` and ``_bqj_dps`` keep below the
-quadratures' stops: 28 digits under the trapezoid's 10^-(dps-28), 12 under
-the Jackson sum's 10^-(dps-12).  Of the 28, the growth factors above take at
-most 8 for n, m <= 6 and N <= 2^16; the other ``QHAHN_CANCEL_HEADROOM`` = 20
-absorb a weight whose nodes exceed the integral.  ``_qhahn_dps`` adds the
-digits by which log10(max |K| / |L_0|), taken in doubles on the trapezoid's
-first level, exceeds them: at q = 0.9 the weight can reach 45 digits above
-L_0, while every sampled draw stays within 16.
+dps.  e_K is the relative error of such a node K(z), z its rounded e^{i theta}:
+four q-products over four take eight truncations at 10^-(dps+2), two
+roundings and a division, and each argument t takes r_t <= 3 roundings,
+magnified by G_t, the sum of |t q^k / (1 - t q^k)|.  So e_K <= (4 + sum_t
+r_t G_t) u; against nodes at dps + 30 (1800 nodes, dps 40-110, q <= 0.95) it
+stayed under 0.4 of that bound.  Measured, sum_t r_t G_t is below 650 at the
+samplers' q <= 0.7 and 8700 at q = 0.95, far below the growth factors above;
+the cached nodes, at max(dps, ``NODE_DPS``) digits, are at least as accurate.
+Rounding theta_j = -pi + 2 pi j / N at dps moves a node, z with it, off the
+equispaced grid: against the node at the exact angle (at dps + 30) K moves by
+up to 183 u at q = 0.9 and 17.5 u at q <= 0.7, inside the 28-digit margin.
+
+Each nu_k stops after three terms below t |nu_k| or below the rounding noise
+10^-dps A_k of its sum, A_k the sum of the moduli of its terms, which leaves
+a tail of order t A_k / (1 - |q|).  Since A_k <= R^k A_0, a big q-Jacobi
+pair is thus within (n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of
+the per-node Jackson sum of w P_n P_m.  ``_bqj_weights`` takes w at a chain's
+first node x_0 from one ``poch_ratio``, then w(xq) = w(x) a (1 - x)(c - bx) /
+((a - x)(c - x)).  Let G bound |x w'/w| on the chain: the sum of
+|t q^k / (1 - t q^k)| over the four products, t = x/a, x/c, x, bx/c, largest
+at x_0 when each t < 1.  A step rounds 10 times (5u), c - bx magnifies the
+rounding of bx by G u / 2, and x_j is x_{j-1} q to 1.5u (1.5 G u in w): w_j
+is within (j + 1)(12 + 3G) u of w(x_j), e_K included, so under t for all
+2 10^5 nodes the loop allows while G < 10^6 (u <= 10^-dps); the samplers keep
+G < 150 at q <= 0.95.
+
+Both engines take their working digits from one rule, ``_pair_dps``: the pair
+(n, m) runs at 34 + lost / 2 + extra digits, rounded up to a multiple of 10
+and at least 40.  lost sums max(0, -log10 |N_k / N_0|) over k in (n, m),
+k > 0, with N_k the norm that the pair certifies: ``_qhahn_norm_ratio``, the
+L_k / L_0 factor of ``qhahn_L``, and the ratio of ``_bqj_rhs``.  The extra is
+n + m for big q-Jacobi; for q-Hahn it is the coefficients' growth
+(n + m) log10(1 / min(|a|, |b|)) (|a| alone at b = 0) and the cancellation
+excess below.  The growth factors of the error bounds above come out of the
+margin that ``_qhahn_dps`` and ``_bqj_dps`` keep below the quadratures'
+stops: 28 digits under the trapezoid's 10^-(dps-28), 12 under the Jackson
+sum's 10^-(dps-12).  Of the 28, the growth factors take at most 8 for
+n, m <= 6 and N <= 2^16; the other ``QHAHN_CANCEL_HEADROOM`` = 20 absorb a
+weight whose nodes exceed the integral.  ``_qhahn_dps`` adds the digits by
+which log10(max |K| / |L_0|), taken in doubles on the trapezoid's first
+level, exceeds them: at q = 0.9 the weight can reach 45 digits above L_0,
+while every sampled draw stays within 16.
 
 To add an identity, write its recipe and put the ``@_identity(...)``
 registration on it; a recipe shared with another entry, or built by a
@@ -112,7 +125,7 @@ import math
 import operator
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -129,6 +142,7 @@ from .errors import (
 )
 from .qcore import (
     Base,
+    base_value,
     fixed_parts,
     from_fixed,
     mp_scalar,
@@ -158,6 +172,7 @@ from .polyfamilies import (
     qhahn_L,
     qhahn_L0,
     qhahn_poly,
+    _qhahn_norm_ratio,
 )
 from . import qintegrals as qi
 from .qintegrals import periodic_trapezoid
@@ -337,6 +352,13 @@ def _quantize_dps(d: float) -> int:
     return max(40, 10 * int(math.ceil(d / 10.0)))
 
 
+def _pair_dps(norm_ratio: Callable, n: int, m: int, extra: float) -> int:
+    """Digits of the orthogonality pair (n, m) by the module docstring's rule,
+    from ``norm_ratio(k)`` = N_k / N_0 and the engine's ``extra`` digits."""
+    lost = sum(max(0.0, -math.log10(abs(norm_ratio(k)))) for k in (n, m) if k)
+    return _quantize_dps(34 + lost / 2 + extra)
+
+
 #: Degrees in the first block of a sum over degrees, and in a block after
 #: terms that do not decay.
 FIRST_DEGREE_BLOCK = 8
@@ -438,7 +460,7 @@ def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
 
 def _qhahn_level_nodes(js: range, jd: int, a, b, c, d, rho, q, dps: int) -> list:
     """K and z at the nodes ``js`` of the jd-interval level, each from the
-    cache at max(dps, NODE_DPS) under its angle's reduced fraction.  With
+    cache at max(dps, NODE_DPS) under (j, jd), as the trapezoid asks.  With
     real parameters K(-theta) = conj K(theta), and node jd - j lies on the
     same level as node j, so a node past theta = 0 is its mirror's conjugate."""
     node_dps = max(dps, NODE_DPS)
@@ -447,8 +469,7 @@ def _qhahn_level_nodes(js: range, jd: int, a, b, c, d, rho, q, dps: int) -> list
     for j in js:
         mirror = mirrored and 2 * j > jd
         jn = jd - j if mirror else j
-        g = math.gcd(jn, jd)
-        K, z = _qhahn_K_node(jn // g, jd // g, a, b, c, d, rho, q, node_dps)
+        K, z = _qhahn_K_node(jn, jd, a, b, c, d, rho, q, node_dps)
         if mirror:
             with mp.workdps(node_dps):  # exact: no digits to round
                 K, z = mp.conj(K), mp.conj(z)
@@ -503,21 +524,6 @@ def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
         return _poly_coeffs(partial(qhahn_poly, n, p), n, 1.0, (a, b, c, d, q))
 
 
-def _qhahn_deficit(k: int, a, b, c, d, q) -> float:
-    """-log10 |L_k / L_0| (digits lost on the diagonal), taken with the
-    q-power q^{k(k-1)} where L_k has q^{k(k-1)/2}: it keeps
-    k(k-1)/2 log10(1/|q|) spare digits."""
-    if k == 0:
-        return 0.0
-    v = math.log10(abs(1 - a * b * c * d / q))
-    for x in (q, a * c, a * d, b * c, b * d):
-        v += math.log10(abs(complex(poch_finite(x, q, k))))
-    v += k * (k - 1) * math.log10(abs(q)) + k * math.log10(abs(c * d))
-    v -= math.log10(abs(1 - a * b * c * d * q ** (2 * k - 1)))
-    v -= math.log10(abs(complex(poch_finite(a * b * c * d / q, q, k))))
-    return max(0.0, -v)
-
-
 @lru_cache(maxsize=None)
 def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
     """log10(max |K| / |L_0|): the digits by which the weight's nodes exceed
@@ -530,13 +536,14 @@ def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
 
 def _qhahn_dps(n: int, m: int, a, b, c, d, q, rhos: tuple) -> int:
     """Working digits of the pair (n, m) at every weight parameter in ``rhos``."""
-    deficit = 0.5 * (_qhahn_deficit(n, a, b, c, d, q) + _qhahn_deficit(m, a, b, c, d, q))
     # H_0 = 1 has no coefficients to grow, so a or b = 0 is fine for n = m = 0
     if n + m and a == 0:  # b = 0 leaves the a^-n growth alone; a = 0 has no H_n
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
+    p = QHahnParams(a, b, c, d, rhos[0], Base(complex(q)))
     growth = (n + m) and (n + m) * math.log10(1.0 / min(abs(a), abs(b) or abs(a)))
     cancel = max(_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos)
-    return _quantize_dps(34 + deficit + growth + max(0.0, cancel - QHAHN_CANCEL_HEADROOM))
+    return _pair_dps(partial(_qhahn_norm_ratio, p=p), n, m,
+                     growth + max(0.0, cancel - QHAHN_CANCEL_HEADROOM))
 
 
 def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
@@ -609,16 +616,10 @@ def _bqj_rhs(n: int, a, b, c, q) -> complex:
     return complex(pref * num / den * (-a * c * q * q) ** n * q ** (n * (n - 1) // 2))
 
 
-def _bqj_deficit(k: int, a, b, c, q) -> float:
-    if k == 0:
-        return 0.0
-    ratio = _bqj_rhs(k, a, b, c, q) / _bqj_rhs(0, a, b, c, q)
-    return max(0.0, -math.log10(abs(ratio)))
-
-
 def _bqj_dps(n: int, m: int, a, b, c, q) -> int:
-    deficit = 0.5 * (_bqj_deficit(n, a, b, c, q) + _bqj_deficit(m, a, b, c, q))
-    return _quantize_dps(34 + deficit + n + m)
+    if a * c == 0:  # the weight and the norm divide by both
+        raise DomainError("big q-Jacobi parameters require a c != 0")
+    return _pair_dps(lambda k: _bqj_rhs(k, a, b, c, q) / _bqj_rhs(0, a, b, c, q), n, m, n + m)
 
 
 @lru_cache(maxsize=None)
@@ -1577,30 +1578,22 @@ def check_identity(
     return report
 
 
-def check_orthogonality_qhahn(
-    n: int,
-    m: int,
-    p: QHahnParams,
-) -> IdentityReport:
+def _check_pair(ident: str, n: int, m: int, p) -> IdentityReport:
+    """The pair (n, m) of ``ident`` at the fields of ``p``, q a Base or a number."""
+    q = base_value(p.q)
+    params = {"n": n, "m": m, **{f.name: getattr(p, f.name) for f in fields(p)},
+              "q": complex(q).real if complex(q).imag == 0 else q}
+    return check_identity(ident, params, label=f"pair:{n},{m}")
+
+
+def check_orthogonality_qhahn(n: int, m: int, p: QHahnParams) -> IdentityReport:
     """Quadrature of the q-Hahn orthogonality pair (n, m) against L_n delta."""
-    params = {
-        "n": n, "m": m, "a": p.a, "b": p.b, "c": p.c, "d": p.d, "rho": p.rho,
-        "q": complex(p.q.q).real if complex(p.q.q).imag == 0 else p.q.q,
-    }
-    return check_identity("qhahn_orthogonality", params, label=f"pair:{n},{m}")
+    return _check_pair("qhahn_orthogonality", n, m, p)
 
 
-def check_orthogonality_big_qjacobi(
-    n: int,
-    m: int,
-    p: BigQJacobiParams,
-) -> IdentityReport:
+def check_orthogonality_big_qjacobi(n: int, m: int, p: BigQJacobiParams) -> IdentityReport:
     """Jackson integral of the big q-Jacobi pair (n, m) against its norm."""
-    params = {
-        "n": n, "m": m, "a": p.a, "b": p.b, "c": p.c,
-        "q": complex(p.q.q).real if complex(p.q.q).imag == 0 else p.q.q,
-    }
-    return check_identity("bigqjacobi_orthogonality", params, label=f"pair:{n},{m}")
+    return _check_pair("bigqjacobi_orthogonality", n, m, p)
 
 
 def run_suite(

@@ -176,6 +176,11 @@ def qhahn_L(n: int, p: QHahnParams) -> complex:
     The q-power is n(n-1)/2: that exponent is forced both by re-deriving the
     norm through coefficient equating and by direct quadrature of the weight.
     """
+    return complex(_qhahn_norm_ratio(n, p) * qhahn_L0(p))
+
+
+def _qhahn_norm_ratio(n: int, p: QHahnParams):
+    """L_n / L_0, the factor of ``qhahn_L`` before L_0."""
     if n < 0:
         raise DomainError("index must be nonnegative")
     qv = base_value(p.q)
@@ -187,7 +192,7 @@ def qhahn_L(n: int, p: QHahnParams) -> complex:
     den = (1 - abcd * qv ** (2 * n - 1)) * poch_finite(abcd / qv, qv, n)
     if den == 0:
         raise PoleInDenominator("vanishing factor in L_n denominator")
-    return complex(num / den * qhahn_L0(p))
+    return num / den
 
 
 def qhahn_K(theta, p: QHahnParams):

@@ -129,11 +129,27 @@ def test_check_qhahn_zero_parameter(value, status, reason, tmp_path):
     assert (doc["status"], doc["reason"]) == (status, reason)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--m", "1", "--a", "0"],
+    ["--n", "1", "--m", "1", "--c", "0"],
+    ["--n", "0", "--m", "0", "--a", "0"],
+    ["--n", "0", "--m", "0", "--c", "0"],
+])
+def test_check_big_qjacobi_zero_parameter_is_a_domain_skip(argv, tmp_path):
+    # the weight and the norm divide by a and c
+    out = tmp_path / "r.json"
+    assert main(["check", "bigqjacobi_orthogonality", "--seed", "1", *argv, "--format", "json",
+                 "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["reason"]) == (
+        "skipped", "DomainError: big q-Jacobi parameters require a c != 0")
+
+
 #: sha256 of the orth_sweep certificate's report (``perfbench`` workload
 #: orth_sweep), run cold.  It is mpmath only, so numpy's choice of SIMD or
 #: scalar loops cannot move it.  A change that moves this digest lists the
 #: reports it moved in CHANGES.md.
-ORTH_SWEEP_SHA256 = "620e4760256aaa92fef55ddee4d8efaffc622e218f2731d68b06bbdcadab057c"
+ORTH_SWEEP_SHA256 = "ed7204b21e4a1ebc904a82dc384f4617c4d20e3ae519c53f4edadece25706d43"
 
 
 def test_orth_sweep_report_is_pinned(capsys):

@@ -514,11 +514,12 @@ class TestQHahnZeroParameter:
     def test_b_zero_growth_is_that_of_a(self):
         # (n + m) log10(1 / |a|) = 15.6 digits, more than one step of _quantize_dps
         a, c, d, q, rho = 0.05, 0.4, 0.1, 0.5, 0.6
-        deficit = identities._qhahn_deficit(6, a, 0.0, c, d, q)
+        ratio = polyfamilies._qhahn_norm_ratio(6, QHahnParams(a, 0.0, c, d, rho, Base(q)))
+        lost = 2 * max(0.0, -math.log10(abs(ratio)))  # k = 6 twice
         cancel = identities._qhahn_cancellation(a, 0.0, c, d, rho, q)
         growth = 12 * math.log10(1 / a)
         expected = identities._quantize_dps(
-            34 + deficit + growth + max(0.0, cancel - identities.QHAHN_CANCEL_HEADROOM))
+            34 + lost / 2 + growth + max(0.0, cancel - identities.QHAHN_CANCEL_HEADROOM))
         assert identities._qhahn_dps(6, 6, a, 0.0, c, d, q, (rho,)) == expected
 
     def test_a_zero_raises_domain_error(self):
@@ -558,6 +559,59 @@ def _askey_roy_pair(n, m, a, b, c, d, q) -> complex:
         return complex(mp.fsum(x * y / poch_finite(abcd, q, k + l)
                                for k, x in enumerate(coeffs(n, a))
                                for l, y in enumerate(coeffs(m, b))))
+
+
+class TestPairDigits:
+    """One digits rule for both orthogonality pairs: 34 digits, half of those
+    the norms N_n and N_m lose against N_0, and each engine's extra."""
+
+    def test_lost_digits_are_those_of_the_qhahn_norm(self):
+        # the digits L_k loses against L_0, its q^{k(k-1)/2} included
+        p = QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, Base(0.5))
+        for k, lost in ((1, 1.812), (3, 5.776), (6, 13.654)):
+            digits = -math.log10(abs(polyfamilies._qhahn_norm_ratio(k, p)))
+            assert round(digits, 3) == lost
+            assert digits == pytest.approx(-math.log10(abs(qhahn_L(k, p) / qhahn_L0(p))),
+                                           abs=1e-12)
+
+    def test_pair_dps_reads_the_norm_ratio(self):
+        lost = {0: None, 1: 5.0, 2: -3.0, 6: 13.654}  # N_2 above N_0 loses nothing
+
+        def ratio(k):
+            assert k, "N_0 / N_0 is not read"
+            return 10.0 ** -lost[k]
+
+        assert identities._pair_dps(ratio, 0, 0, 0.0) == 40
+        assert identities._pair_dps(ratio, 6, 6, 0.0) == 50
+        assert identities._pair_dps(ratio, 6, 6, 3.0) == 60
+        assert identities._pair_dps(ratio, 1, 6, 30.0) == 80  # 34 + 9.327 + 30
+        assert identities._pair_dps(ratio, 2, 0, 6.0) == 40
+
+    def test_qhahn_dps_at_the_pinned_weight(self):
+        w = identities._QHAHN_FIXED
+        args = tuple(w[k] for k in ("a", "b", "c", "d", "q"))
+        for (n, m), dps in {(2, 6): 50, (4, 5): 50, (5, 4): 50, (6, 2): 50, (6, 6): 60}.items():
+            assert identities._qhahn_dps(n, m, *args, (w["rho"],)) == dps, (n, m)
+
+    def test_bqj_dps_at_the_pinned_weight(self):
+        # row n, column m: the dps of each pinned pair before the one rule
+        table = ["4445555", "4455555", "4555556", "5555566", "5555666", "5556666",
+                 "5566667"]
+        w = identities._BQJ_FIXED
+        for n, row in enumerate(table):
+            for m, digit in enumerate(row):
+                assert identities._bqj_dps(n, m, w["a"], w["b"], w["c"], w["q"]) == 10 * int(digit)
+
+    def test_qhahn_L_is_unchanged(self):
+        # sha256 of repr of L_0..L_8 at four weights, recorded before L_n
+        # was split into L_n / L_0 times L_0
+        values = []
+        for name in ("pinned", "complex_c", "negative_q", "q0.9"):
+            a, b, c, d, rho, q = _weight(name)
+            p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+            values += [qhahn_L(n, p) for n in range(9)]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "16d6e2dbb1e7254b04f1be4e8d88481acab13117421652138b58558cca20cc91")
 
 
 class TestAskeyRoyOracle:
@@ -607,16 +661,16 @@ class TestAskeyRoyOracle:
                     assert abs(oracle) <= 1e-12 * abs(L0), (n, m)
 
 
-@pytest.mark.parametrize("n, m", [(1, 2), (9, 9)])
+@pytest.mark.parametrize("n, m", [(1, 2), (11, 11)])
 def test_qhahn_report_does_not_depend_on_the_node_caches(n, m):
     # a pair's report is the same cold and after the pinned sweep has filled
-    # the caches; (9, 9) works above NODE_DPS, so its nodes are its own
+    # the caches; (11, 11) works above NODE_DPS, so its nodes are its own
     from qkernel.cli import _report_dict
 
     params = {**identities._QHAHN_FIXED, "n": n, "m": m}
     dps = identities._qhahn_dps(n, m, *(params[k] for k in ("a", "b", "c", "d", "q")),
                                 (params["rho"],))
-    assert (dps > identities.NODE_DPS) == (n == 9)
+    assert (dps > identities.NODE_DPS) == (n == 11)
 
     def report():
         return json.dumps(_report_dict(check_identity("qhahn_orthogonality", params), True))
@@ -799,6 +853,20 @@ class TestSampling:
         assert digest.hexdigest() == (
             "ceca005350440269841ac1bd58b464d83c8c73a94d568b0f3be47b37ab4efd87")
 
+    def test_seeded_orthogonality_reports_are_pinned(self):
+        # sha256 of the --deterministic report dicts of fresh parameter sets,
+        # where the orth_sweep pin sees one weight per family; a change that
+        # moves it lists the moved reports in CHANGES.md
+        from qkernel.cli import _report_dict
+
+        identities.clear_caches()
+        docs = [_report_dict(check_identity(ident, sample_params(ident, seed)), True)
+                for ident in ("qhahn_orthogonality", "bigqjacobi_orthogonality", "askey_roy")
+                for seed in range(1, 5)]
+        assert all(doc["status"] == "pass" for doc in docs)
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
+            "2d7f010878d06edcdf09cda1988e547c8719107c913143b1e822be823540e6cd")
+
 
 class TestCheckIdentity:
     def test_report_invariant(self):
@@ -916,6 +984,33 @@ class TestOrthogonalityChecks:
         pj = BigQJacobiParams(0.3, 0.4, -0.2, Base(0.5 + 0j))
         r = check_orthogonality_big_qjacobi(0, 2, pj)
         assert r.status == "pass" and r.metric == "abs_scaled"
+
+    @pytest.mark.parametrize("q", [0.5, 0.5 + 0j, 0.5 + 0.1j])
+    def test_public_pairs_take_a_plain_q(self, q):
+        from qkernel.identities import check_orthogonality_big_qjacobi, check_orthogonality_qhahn
+
+        for check, family, params in (
+                (check_orthogonality_qhahn, QHahnParams, (0.3, 0.2, 0.4, 0.1, 0.6)),
+                (check_orthogonality_big_qjacobi, BigQJacobiParams, (0.3, 0.4, -0.2))):
+            r = check(1, 1, family(*params, q))
+            assert r == check(1, 1, family(*params, Base(q)))
+            assert r.status == "pass" and r.params["q"] == (q.real if q.imag == 0 else q)
+
+    def test_public_pairs_with_a_base_q_are_pinned(self):
+        # sha256 of the --deterministic report dicts, recorded when the pair
+        # checkers read q.q
+        from qkernel.cli import _report_dict
+        from qkernel.identities import check_orthogonality_big_qjacobi, check_orthogonality_qhahn
+
+        bqj = partial(BigQJacobiParams, 0.3, 0.4, -0.2)
+        reports = [
+            check_orthogonality_qhahn(1, 1, QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, Base(0.5 + 0j))),
+            check_orthogonality_big_qjacobi(0, 2, bqj(Base(0.5 + 0j))),
+            check_orthogonality_big_qjacobi(1, 1, bqj(Base(0.5 + 0.1j))),
+        ]
+        digest = hashlib.sha256(json.dumps([_report_dict(r, True) for r in reports]).encode())
+        assert digest.hexdigest() == (
+            "620bcc8d840d0aa7e813fc5153eb8a83c9505af995a62d32427959d93bfbd9db")
 
     def test_qhahn_offdiagonal(self):
         from qkernel.identities import _QHAHN_FIXED
