@@ -110,11 +110,13 @@ two functions of its parameters, by name, registers ``_sides(lhs, rhs)``
 is ``_draw(spec)``: an ordered mapping of each parameter to its distribution
 (a list of values, a ``range``, an interval, or a function of the earlier
 draws), with an optional rejection predicate ``ok``.  The entry's parameter
-names come from the spec, so they are stated once.  A recipe takes only the
-parameter dict and returns ``CheckValues``; its kernels take their
-tolerances from the arithmetic of their arguments (1e-14 for Python numbers,
-the working precision for mpmath values), so a recipe sets none.  The
-registry keeps file order, which is the order of ``list`` and of the suite.
+names come from the spec, so they are stated once.  A recipe takes those
+parameters by name and returns ``CheckValues``; ``check_identity`` checks the
+names and passes each degree (a parameter the spec draws from a ``range``) as
+an int, so a recipe does neither.  Its kernels take their tolerances from the
+arithmetic of their arguments (1e-14 for Python numbers, the working
+precision for mpmath values), so a recipe sets none.  The registry keeps file
+order, which is the order of ``list`` and of the suite.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ def _identity(ident: str, description: str, threshold: float, sampler: Callable,
 
 def _sides(lhs: Callable, rhs: Callable) -> Callable:
     """The recipe of an entry whose two sides are functions of its parameters, by name."""
-    return lambda prm: CheckValues(lhs(**prm), rhs(**prm))
+    return lambda **prm: CheckValues(lhs(**prm), rhs(**prm))
 
 
 def _sweep(params: dict) -> tuple:
@@ -315,7 +317,8 @@ def _draw(spec: dict, ok: Callable | None = None, order: tuple | None = None) ->
     ``_rejection``.  ``order`` lists the returned parameters where the spec's
     order cannot: where a parameter is drawn before it is listed, and where a
     value is drawn and then dropped.  The sampler's ``names``, ``order`` or
-    else the spec's keys, are the entry's parameter names.
+    else the spec's keys, are the entry's parameter names, and its
+    ``integers``, those drawn from a ``range``, are the entry's degrees.
     """
 
     def build(rng) -> dict:
@@ -336,6 +339,7 @@ def _draw(spec: dict, ok: Callable | None = None, order: tuple | None = None) ->
         return build(rng) if ok is None else _rejection(rng, build, ok)
 
     sample.names = tuple(order or spec)
+    sample.integers = tuple(name for name, dist in spec.items() if isinstance(dist, range))
     return sample
 
 
@@ -422,24 +426,22 @@ MOMENT_GUARD_BITS = 20
 QHAHN_CANCEL_HEADROOM = 20.0
 
 
-#: ``_qhahn_plan`` per parameter set and dps; ``clear_caches`` empties it.
-_QHAHN_PLANS: dict = {}
-
-
-def _qhahn_plan(a, b, c, d, rho, q) -> tuple:
-    """What ``qhahn_K`` redoes at every angle, done once: the parameters in
-    mpmath, |q|, the truncation's digits and each argument's
+@lru_cache(maxsize=None)
+def _qhahn_plan(a, b, c, d, rho, q, dps: int) -> tuple:
+    """What ``qhahn_K`` redoes at every angle, done once at dps: the parameters
+    in mpmath, |q|, the truncation's digits and each argument's
     ``_factor_count``, taken at theta = 0 since |t e^{+-i theta}| = |t|."""
-    QHahnParams(a, b, c, d, rho, Base(complex(q)))  # validates the set
-    qm, am, bm, cm, dm, rm = map(mp_scalar, (complex(q), a, b, c, d, rho))
+    with mp.workdps(dps):
+        QHahnParams(a, b, c, d, rho, Base(complex(q)))  # validates the set
+        qm, am, bm, cm, dm, rm = map(mp_scalar, (complex(q), a, b, c, d, rho))
 
-    def args(e, em):  # qhahn_K's numerator and denominator arguments, in its order
-        return ((rm * e / dm, qm * dm * em / rm, rm * cm * em, qm * e / (cm * rm)),
-                (am * e, bm * e, cm * em, dm * em))
+        def args(e, em):  # qhahn_K's numerator and denominator arguments, in its order
+            return ((rm * e / dm, qm * dm * em / rm, rm * cm * em, qm * e / (cm * rm)),
+                    (am * e, bm * e, cm * em, dm * em))
 
-    qmag, digits = qcore._base_magnitude(qm), float(mp.dps + 2)
-    counts = [[qcore._factor_count(t, qmag, -digits) for t in side] for side in args(1, 1)]
-    return args, qm, qmag, digits, counts
+        qmag, digits = qcore._base_magnitude(qm), float(mp.dps + 2)
+        counts = [[qcore._factor_count(t, qmag, -digits) for t in side] for side in args(1, 1)]
+        return args, qm, qmag, digits, counts
 
 
 @lru_cache(maxsize=None)
@@ -448,10 +450,7 @@ def _qhahn_K_node(jn: int, jd: int, a, b, c, d, rho, q, dps: int):
     products of ``qhahn_K`` from one e^{i theta}, whose conjugate is
     e^{-i theta} to the bit, and the ``_qhahn_plan`` of the set."""
     with mp.workdps(dps):
-        key = (a, b, c, d, rho, q, dps)
-        if key not in _QHAHN_PLANS:
-            _QHAHN_PLANS[key] = _qhahn_plan(a, b, c, d, rho, q)
-        args, qm, qmag, digits, counts = _QHAHN_PLANS[key]
+        args, qm, qmag, digits, counts = _qhahn_plan(a, b, c, d, rho, q, dps)
         e = mp.expj(-mp.pi + 2 * mp.pi * mpf(jn) / jd)
         num, den = (qcore._mp_product(zip(t, n), qm, qmag, digits)
                     for t, n in zip(args(e, mp.conj(e)), counts))
@@ -641,9 +640,8 @@ def clear_caches() -> None:
     """Drop memoised quadrature nodes and the mpmath q-product coefficients
     (mainly for tests and cold-cache runs)."""
     qcore._EULER_CACHE.clear()
-    _QHAHN_PLANS.clear()
-    for cache in (_qhahn_K_node, _qhahn_moments, _qhahn_H_coeffs, _qhahn_cancellation,
-                  _bqj_weights, _bqj_moment, _bqj_coeffs):
+    for cache in (_qhahn_plan, _qhahn_K_node, _qhahn_moments, _qhahn_H_coeffs,
+                  _qhahn_cancellation, _bqj_weights, _bqj_moment, _bqj_coeffs):
         cache.cache_clear()
 
 
@@ -674,34 +672,32 @@ def _memo_poch_factor(beta, q, inverse: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _make_liu_master(m: int):
-    def recipe(prm: dict) -> CheckValues:
-        q, al, a, b = prm["q"], prm["alpha"], prm["a"], prm["b"]
-        bs = [prm[f"b{j}"] for j in range(1, m + 1)]
-        cs = [prm[f"c{j}"] for j in range(1, m + 1)]
-        lhs = poch_ratio(
-            [al * q, al * a * b / q, *(al * a * bj / q for bj in bs), *(al * cj for cj in cs)],
-            [al * a, al * b, *(al * a * cj / q for cj in cs), *(al * bj for bj in bs)], q,
-        )
+def _recipe_liu_master(q, alpha, a, b, b1, c1, b2=None, c2=None, b3=None, c3=None):
+    """The master formula with the m <= 3 factor pairs (b1, c1)..(bm, cm) given."""
+    bs = [bj for bj in (b1, b2, b3) if bj is not None]
+    cs = [cj for cj in (c1, c2, c3) if cj is not None]
+    lhs = poch_ratio(
+        [alpha * q, alpha * a * b / q, *(alpha * a * bj / q for bj in bs),
+         *(alpha * cj for cj in cs)],
+        [alpha * a, alpha * b, *(alpha * a * cj / q for cj in cs), *(alpha * bj for bj in bs)], q,
+    )
 
-        def build():
-            qm = mp_scalar(q)
-            alm = mp_scalar(al)
-            nums = [(1, -1), (alm, 1)] + [alm * mp_scalar(cj) for cj in cs]
-            dens = [alm * mp_scalar(b)] + [alm * mp_scalar(bj) for bj in bs]
-            return nums, dens, qm, qm
+    def build():
+        qm = mp_scalar(q)
+        alm = mp_scalar(alpha)
+        nums = [(1, -1), (alm, 1)] + [alm * mp_scalar(cj) for cj in cs]
+        dens = [alm * mp_scalar(b)] + [alm * mp_scalar(bj) for bj in bs]
+        return nums, dens, qm, qm
 
-        terms = _degree_terms(
-            lambda d: map(complex, phi_terminating_core(build, d[-1], d[0])[0]),
-            lambda n, R: (1 - al * q ** (2 * n)) / (1 - al) * R,
-            lambda n: (1 - al * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
-                (1 - q ** (n + 1)) * (1 - al * a * q**n)),
-            limit=300,
-        )
-        res = sum_until_converged(terms, "master summation outer series")
-        return CheckValues(lhs, res.value, {"terms": res.terms_used})
-
-    return recipe
+    terms = _degree_terms(
+        lambda d: map(complex, phi_terminating_core(build, d[-1], d[0])[0]),
+        lambda n, R: (1 - alpha * q ** (2 * n)) / (1 - alpha) * R,
+        lambda n: (1 - alpha * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
+            (1 - q ** (n + 1)) * (1 - alpha * a * q**n)),
+        limit=300,
+    )
+    res = sum_until_converged(terms, "master summation outer series")
+    return CheckValues(lhs, res.value, {"terms": res.terms_used})
 
 
 for _m in (1, 2, 3):
@@ -716,7 +712,7 @@ for _m in (1, 2, 3):
             k: v for j in range(1, _m + 1)
             for k, v in ((f"b{j}", 0.25 + 0.1 * j), (f"c{j}", 0.4 - 0.05 * j))
         }})],
-    )(_make_liu_master(_m))
+    )(_recipe_liu_master)
 
 
 @_identity(
@@ -726,12 +722,11 @@ for _m in (1, 2, 3):
           and all(abs(p["alpha"] * p[k]) <= 0.85 for k in "abc")),
     [PinnedCase("example", {"alpha": 0.3, "a": 0.7, "b": 0.9, "c": 1.1, "q": 0.5})],
 )
-def _recipe_rogers(prm) -> CheckValues:
-    q, al, a, b, c = prm["q"], prm["alpha"], prm["a"], prm["b"], prm["c"]
-    z = al * a * b * c / q**2
-    res = eval_w(al, [q / a, q / b, q / c], q, z)
-    rhs = poch_ratio([al * q, al * a * b / q, al * a * c / q, al * b * c / q],
-                     [al * a, al * b, al * c, z], q)
+def _recipe_rogers(q, alpha, a, b, c) -> CheckValues:
+    z = alpha * a * b * c / q**2
+    res = eval_w(alpha, [q / a, q / b, q / c], q, z)
+    rhs = poch_ratio([alpha * q, alpha * a * b / q, alpha * a * c / q, alpha * b * c / q],
+                     [alpha * a, alpha * b, alpha * c, z], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
@@ -745,10 +740,8 @@ _ABCD = {"q": _Q_CHOICES, **dict.fromkeys("abcd", (0.05, 0.6))}
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "s": 0.45,
                             "theta": 1.1})],
 )
-def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
-    q, a, b, c, d = (prm[k] for k in ("q", "a", "b", "c", "d"))
-    s = prm["r"] if swapped else prm["s"]
-    z = cmath.exp(1j * prm["theta"])
+def _recipe_qhahn_genfun(q, a, b, c, d, s, theta, swapped: bool = False) -> CheckValues:
+    z = cmath.exp(1j * theta)
     p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
     a_role, b_role = (b, a) if swapped else (a, b)
     abcd = a * b * c * d
@@ -765,17 +758,17 @@ def _recipe_qhahn_genfun(prm, swapped: bool = False) -> CheckValues:
 _identity(
     "qhahn_genfun_swapped", "q-Hahn generating function with the symmetric roles swapped",
     1e-10, _draw({**_ABCD, "r": (0.1, 0.6), "theta": (0.3, 2.8)}),
-)(partial(_recipe_qhahn_genfun, swapped=True))
+)(lambda r, **prm: _recipe_qhahn_genfun(s=r, **prm, swapped=True))
 
 
 @_identity(
     "q_dougall_c0", "q-Dougall sum specialised at vanishing third parameter", 1e-10,
     _draw({"q": _Q_CHOICES, **dict.fromkeys(("alpha", "s", "r"), (0.05, 0.6))}),
 )
-def _recipe_q_dougall_c0(prm) -> CheckValues:
-    q, al, s, r = prm["q"], prm["alpha"], prm["s"], prm["r"]
-    series = eval_wp_limit(al, (al, 1 / s, 1 / r), (q * al * s, q * al * r), q, -al * r * s, +1)
-    rhs = poch_ratio([q * al, q * al * r * s], [q * al * s, q * al * r], q)
+def _recipe_q_dougall_c0(q, alpha, s, r) -> CheckValues:
+    series = eval_wp_limit(alpha, (alpha, 1 / s, 1 / r), (q * alpha * s, q * alpha * r), q,
+                           -alpha * r * s, +1)
+    rhs = poch_ratio([q * alpha, q * alpha * r * s], [q * alpha * s, q * alpha * r], q)
     return CheckValues(series.value, rhs, {"terms": series.terms_used})
 
 
@@ -787,28 +780,25 @@ _QHAHN_FIXED = {"a": 0.3, "b": 0.2, "c": 0.4, "d": 0.1, "rho": 0.6, "q": 0.5}
     _draw({**_ABCD, "rho": (0.3, 1.4)}),
     [PinnedCase("example", dict(_QHAHN_FIXED))],
 )
-def _recipe_askey_roy(prm) -> CheckValues:
-    a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
+def _recipe_askey_roy(a, b, c, d, rho, q) -> CheckValues:
     rhs = qi.askey_roy_rhs(a, b, c, d, rho, q)  # validates c d rho != 0 before the weight divides
     dps = _qhahn_dps(0, 0, a, b, c, d, q, (rho,))
     lhs = _qhahn_integral(0, 0, a, b, c, d, rho, q, dps)
     return CheckValues(lhs, rhs, {"dps": dps})
 
 
-def _recipe_qhahn_rho_agreement(prm) -> CheckValues:
+def _recipe_qhahn_rho_agreement(n, m, a, b, c, d, rho, rho2, q) -> CheckValues:
     # The raw integral carries the auxiliary rho only through the L_0 factor,
     # so the rho-free statement is agreement of I(rho) / L_0(rho).
-    n, m = int(prm["n"]), int(prm["m"])
-    a, b, c, d, q = (prm[k] for k in ("a", "b", "c", "d", "q"))
-    dps = _qhahn_dps(n, m, a, b, c, d, q, (prm["rho"], prm["rho2"]))
+    dps = _qhahn_dps(n, m, a, b, c, d, q, (rho, rho2))
 
     def normalised(rho):
         I = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
         p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
         return I / qhahn_L0(p)
 
-    lhs = normalised(prm["rho"])
-    rhs = normalised(prm["rho2"])
+    lhs = normalised(rho)
+    rhs = normalised(rho2)
     return CheckValues(
         lhs, rhs, {"dps": dps},
         metric="rel" if n == m else "abs_scaled",
@@ -826,9 +816,7 @@ def _recipe_qhahn_rho_agreement(prm) -> CheckValues:
         for label, m in (("rho_diag", 2), ("rho_offdiag", 5))
     ),
 )
-def _recipe_qhahn_orthogonality(prm) -> CheckValues:
-    n, m = int(prm["n"]), int(prm["m"])
-    a, b, c, d, rho, q = (prm[k] for k in ("a", "b", "c", "d", "rho", "q"))
+def _recipe_qhahn_orthogonality(n, m, a, b, c, d, rho, q) -> CheckValues:
     p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
     dps = _qhahn_dps(n, m, a, b, c, d, q, (rho,))
     lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
@@ -858,15 +846,15 @@ def _bww_admissible(prm) -> bool:
     _draw({"q": [0.3, 0.5], "alpha": (0.05, 0.3), "a": (0.1, 0.6), "b": (0.1, 0.6),
            "c": (0.35, 0.7), "d": (0.35, 0.7)}, ok=_bww_admissible),
 )
-def _recipe_bww_transform(prm) -> CheckValues:
-    q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
-    lam = q * al * al / (b * c * d)
-    lhs = eval_phi(SeriesSpec((c, d, al * q / (a * b)), (al * q / a, al * q / b),
-                              Base(complex(q)), q * al / (c * d))).value
-    series = eval_wp_limit(lam, (lam, a, lam * b / al, lam * c / al, lam * d / al),
-                           (q * lam / a, q * al / b, q * al / c, q * al / d), q, -q * al / a, -1)
-    rhs = poch_ratio([q * al / c, q * al / d, q * lam / a],
-                     [al * q / a, q * al / (c * d), q * lam], q) * series.value
+def _recipe_bww_transform(q, alpha, a, b, c, d) -> CheckValues:
+    lam = q * alpha * alpha / (b * c * d)
+    lhs = eval_phi(SeriesSpec((c, d, alpha * q / (a * b)), (alpha * q / a, alpha * q / b),
+                              Base(complex(q)), q * alpha / (c * d))).value
+    series = eval_wp_limit(lam, (lam, a, lam * b / alpha, lam * c / alpha, lam * d / alpha),
+                           (q * lam / a, q * alpha / b, q * alpha / c, q * alpha / d), q,
+                           -q * alpha / a, -1)
+    rhs = poch_ratio([q * alpha / c, q * alpha / d, q * lam / a],
+                     [alpha * q / a, q * alpha / (c * d), q * lam], q) * series.value
     return CheckValues(lhs, rhs, {"terms": series.terms_used})
 
 
@@ -879,12 +867,9 @@ def _recipe_bww_transform(prm) -> CheckValues:
               p["c"] * p["d"] * p["q"] ** (-p["n"]) / p["alpha"]))),
     _sweep({"q": 0.5, "alpha": 0.4, "a": 0.3, "b": 0.5, "c": 0.45, "d": 0.25}),
 )
-def _recipe_watson_whipple(prm) -> CheckValues:
-    n = int(prm["n"])
-    q, al, a, b, c, d = (prm[k] for k in ("q", "alpha", "a", "b", "c", "d"))
-
+def _recipe_watson_whipple(n, q, alpha, a, b, c, d) -> CheckValues:
     def build_87():
-        qm, alm = mp_scalar(q), mp_scalar(al)
+        qm, alm = mp_scalar(q), mp_scalar(alpha)
         am, bm, cm, dm = (mp_scalar(x) for x in (a, b, c, d))
         rt = mp.sqrt(alm)
         nums = [alm, qm * rt, -qm * rt, am, bm, cm, dm, qm ** (-n)]
@@ -896,7 +881,7 @@ def _recipe_watson_whipple(prm) -> CheckValues:
     lhs, _ = phi_terminating_core(build_87, n)
 
     def build_43():
-        qm, alm = mp_scalar(q), mp_scalar(al)
+        qm, alm = mp_scalar(q), mp_scalar(alpha)
         am, bm, cm, dm = (mp_scalar(x) for x in (a, b, c, d))
         nums = [qm ** (-n), cm, dm, qm * alm / (am * bm)]
         dens = [qm * alm / am, qm * alm / bm, cm * dm * qm ** (-n) / alm]
@@ -904,9 +889,9 @@ def _recipe_watson_whipple(prm) -> CheckValues:
 
     phi43, _ = phi_terminating_core(build_43, n)
     ratio = (
-        poch_finite(q * al, q, n)
-        * poch_finite(q * al / (c * d), q, n)
-        / (poch_finite(q * al / c, q, n) * poch_finite(q * al / d, q, n))
+        poch_finite(q * alpha, q, n)
+        * poch_finite(q * alpha / (c * d), q, n)
+        / (poch_finite(q * alpha / c, q, n) * poch_finite(q * alpha / d, q, n))
     )
     return CheckValues(complex(lhs), ratio * complex(phi43), {"terms": n})
 
@@ -925,8 +910,7 @@ _identity(
     _draw({"q": _Q_CHOICES, "a": (0.05, 0.6), "b": (0.05, 0.6), "c": (-0.6, -0.05),
            "t": (0.1, 0.6), "x": (0.05, 0.6)}),
 )
-def _recipe_bqj_genfun(prm) -> CheckValues:
-    a, b, c, t, x, q = (prm[k] for k in ("a", "b", "c", "t", "x", "q"))
+def _recipe_bqj_genfun(a, b, c, t, x, q) -> CheckValues:
     p = BigQJacobiParams(a, b, c, Base(complex(q)))
     res = sum_until_converged(_genfun_terms(
         lambda degrees: big_qjacobi_poly(degrees, p, x),
@@ -952,9 +936,7 @@ _BQJ_FIXED = {"a": 0.3, "b": 0.4, "c": -0.2, "q": 0.5}
           and abs(p["a"] * p["b"] * p["q"] / p["c"]) < 3.0),
     _pairs(_BQJ_FIXED),
 )
-def _recipe_bqj_orthogonality(prm) -> CheckValues:
-    n, m = int(prm["n"]), int(prm["m"])
-    a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
+def _recipe_bqj_orthogonality(n, m, a, b, c, q) -> CheckValues:
     dps = _bqj_dps(n, m, a, b, c, q)
     lhs = _bqj_integral(n, m, a, b, c, q, dps)
     rhs = _bqj_rhs(n, a, b, c, q) if n == m else 0j
@@ -973,8 +955,7 @@ _identity(
     "aw_genfun", "Generating function of the Askey-Wilson polynomials", 1e-10,
     _draw({**_ABCD, "s": (0.1, 0.6), "theta": (0.3, 2.8)}),
 )
-def _recipe_aw_genfun(prm) -> CheckValues:
-    a, b, c, d, s, q, theta = (prm[k] for k in ("a", "b", "c", "d", "s", "q", "theta"))
+def _recipe_aw_genfun(a, b, c, d, s, q, theta) -> CheckValues:
     p = AWParams(a, b, c, d, Base(complex(q)))
     abcd = a * b * c * d
     lead = 1 - abcd / q
@@ -992,9 +973,7 @@ def _recipe_aw_genfun(prm) -> CheckValues:
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
 
-def _recipe_nr_reduction_product(prm) -> CheckValues:
-    a, b, c, d, s = (prm[k] for k in ("a", "b", "c", "d", "s"))
-    q = prm["q"]
+def _recipe_nr_reduction_product(a, b, c, d, s, q) -> CheckValues:
     r = a * b * c * d * s
     lhs = qi.nassrallah_rahman_rhs(a, b, c, d, s, r, q)
     rhs = qi.nr_product_rhs(a, b, c, d, s, q)
@@ -1041,10 +1020,7 @@ _identity(
           ok=lambda p: _off_lattice(p["r"] / p["a"], p["q"])),
     _sweep({"q": 0.5, "a": 0.3, "b": 0.25, "c": 0.4, "d": 0.2, "r": 0.35}),
 )
-def _recipe_pfaff(prm) -> CheckValues:
-    n = int(prm["n"])
-    a, b, c, d, r, q = (prm[k] for k in ("a", "b", "c", "d", "r", "q"))
-
+def _recipe_pfaff(n, a, b, c, d, r, q) -> CheckValues:
     def build():
         qm = mp_scalar(q)
         am, bm, cm, dm, rm = (mp_scalar(x) for x in (a, b, c, d, r))
@@ -1090,8 +1066,7 @@ _identity(
     "qbailey_bridge", "Bridge between the Bailey q-integral and the trigonometric integral",
     1e-8, _draw(_QBAILEY, ok=_d_apart_from_s, order=_NR_ORDER),
 )
-def _recipe_qbailey_bridge(prm) -> CheckValues:
-    a, b, c, d, s, r, q = (prm[k] for k in ("a", "b", "c", "d", "s", "r", "q"))
+def _recipe_qbailey_bridge(a, b, c, d, s, r, q) -> CheckValues:
     lhs = qi.qbailey_lhs(a, b, c, d, s, r, q)
     trig = qi.nr_trig_lhs(a, b, c, d, s, r, q)
     pref = (1 - q) * s / (2 * math.pi) * poch_ratio(
@@ -1106,8 +1081,7 @@ def _recipe_qbailey_bridge(prm) -> CheckValues:
                 threshold=1e-9,
                 recipe=_sides(partial(qi.nr_product_rhs, s=0.0), qi.askey_wilson_rhs))],
 )
-def _recipe_nr_product(prm) -> CheckValues:
-    a, b, c, d, s, q = (prm[k] for k in ("a", "b", "c", "d", "s", "q"))
+def _recipe_nr_product(a, b, c, d, s, q) -> CheckValues:
     r = a * b * c * d * s
     lhs = qi.nr_trig_lhs(a, b, c, d, s, r, q)
     rhs = qi.nr_product_rhs(a, b, c, d, s, q)
@@ -1120,10 +1094,7 @@ def _recipe_nr_product(prm) -> CheckValues:
     [PinnedCase("example", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.25, "s": 0.5,
                             "r": 0.35, "theta": 1.0})],
 )
-def _recipe_q_dougall_6w5(prm) -> CheckValues:
-    a, b, c, d, s, r, q, theta = (
-        prm[k] for k in ("a", "b", "c", "d", "s", "r", "q", "theta")
-    )
+def _recipe_q_dougall_6w5(a, b, c, d, s, r, q, theta) -> CheckValues:
     e = cmath.exp(1j * theta)
     alpha = a * b * c * d * s * s / q
     res = eval_w(alpha, [a * b * c * d * s / r, s * e, s / e], q, r / s)
@@ -1138,19 +1109,17 @@ def _recipe_q_dougall_6w5(prm) -> CheckValues:
           ok=lambda p: abs(p["alpha"] * p["x"] * p["y"] / p["q"]) <= 0.75
           and all(abs(p["alpha"] * p[k]) <= 0.85 for k in "xyuv")),
 )
-def _recipe_liu_3phi2(prm) -> CheckValues:
-    q, al, x, y, u, v = (prm[k] for k in ("q", "alpha", "x", "y", "u", "v"))
-    lhs = poch_ratio([al * q, al * x * y / q], [al * x, al * y], q) * eval_phi(SeriesSpec(
-        (q / x, q / y, al * u * v / q), (al * u, al * v), Base(complex(q)), al * x * y / q
-    )).value
-    series = eval_wp_limit(al, (al, q / x, q / y, q / u, q / v), (al * x, al * y, al * u, al * v),
-                           q, -al * al * x * y * u * v / q**2, -1)
+def _recipe_liu_3phi2(q, alpha, x, y, u, v) -> CheckValues:
+    lhs = poch_ratio([alpha * q, alpha * x * y / q], [alpha * x, alpha * y], q) * eval_phi(
+        SeriesSpec((q / x, q / y, alpha * u * v / q), (alpha * u, alpha * v), Base(complex(q)),
+                   alpha * x * y / q)).value
+    series = eval_wp_limit(alpha, (alpha, q / x, q / y, q / u, q / v),
+                           (alpha * x, alpha * y, alpha * u, alpha * v),
+                           q, -alpha * alpha * x * y * u * v / q**2, -1)
     return CheckValues(lhs, series.value, {"terms": series.terms_used})
 
 
-def _recipe_liu_qbeta_s0(prm) -> CheckValues:
-    a, b, c, d = (prm[k] for k in ("a", "b", "c", "d"))
-    q, u, v = prm["q"], prm["u"], prm["v"]
+def _recipe_liu_qbeta_s0(a, b, c, d, u, v, q) -> CheckValues:
     lhs = qi.liu_qbeta_rhs(a, b, c, d, 0.0, u, v, q)
     rhs = qi.askey_wilson_rhs(a, b, c, d, q)
     return CheckValues(lhs, rhs)
@@ -1174,11 +1143,10 @@ _identity(
     "liu_qbeta_u_eq_q", "Reduction of the extended q-beta integral at u = q to the product form",
     1e-9, _draw(_LIU_QBETA, order=(*_ABCDS, "v")),
 )
-def _recipe_liu_qbeta_u_eq_q(prm) -> CheckValues:
+def _recipe_liu_qbeta_u_eq_q(a, b, c, d, s, v, q) -> CheckValues:
     # At u = q the integrand's 3phi2 factor is Gauss-summable, so the
     # quadrature must match the product-form value divided by the
     # absorbed (q alpha, bcds; q)_inf factors.
-    a, b, c, d, s, v, q = (prm[k] for k in ("a", "b", "c", "d", "s", "v", "q"))
     alpha = a * a * b * c * d * s / q
     lhs = qi.liu_qbeta_lhs(a, b, c, d, s, q, v, q)
     rhs = qi.nr_product_rhs(a, b, c, d, s, q) * poch_ratio((), [q * alpha, b * c * d * s], q)
@@ -1189,11 +1157,10 @@ def _recipe_liu_qbeta_u_eq_q(prm) -> CheckValues:
     "liu_qbeta_v_limit", "Confluent limit of the extended q-beta integral against the 8W7 form",
     1e-9, _draw(_LIU_QBETA, order=(*_ABCDS, "u")),
 )
-def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
+def _recipe_liu_qbeta_v_limit(a, b, c, d, s, u, q) -> CheckValues:
     # Confluent limit of the extended q-beta integral: the extra series
     # factor collapses to a single h(cos t; alpha u / a) weight, evaluated
     # here by quadrature against the alpha-based 8W7 closed form.
-    a, b, c, d, s, u, q = (prm[k] for k in ("a", "b", "c", "d", "s", "u", "q"))
     alpha = a * a * b * c * d * s / q
     r_eff = alpha * u / a
     lhs = qi.nr_trig_lhs(a, b, c, d, s, r_eff, q)
@@ -1215,8 +1182,7 @@ def _recipe_liu_qbeta_v_limit(prm) -> CheckValues:
           ok=lambda p: abs(p["a"] * p["b"] * p["c"] / p["q"] ** 2) <= 0.8),
     [PinnedCase("example", {"a": 0.2, "b": 0.3, "c": 0.71, "q": 0.5})],
 )
-def _recipe_q_gauss(prm) -> CheckValues:
-    a, b, c, q = (prm[k] for k in ("a", "b", "c", "q"))
+def _recipe_q_gauss(a, b, c, q) -> CheckValues:
     res = eval_phi(SeriesSpec((q / a, q / b), (c,), Base(complex(q)), a * b * c / q**2))
     rhs = poch_ratio([c * a / q, c * b / q], [c, a * b * c / q**2], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
@@ -1227,10 +1193,7 @@ def _recipe_q_gauss(prm) -> CheckValues:
     _draw({"n": range(13), "p": lambda rng, _: _pick_q(rng) ** (1.0 / 3.0), "beta": (0.3, 0.85)}),
     _sweep({"p": 0.5 ** (1.0 / 3.0), "beta": 0.6}),
 )
-def _recipe_andrews_cube(prm) -> CheckValues:
-    beta, p = prm["beta"], prm["p"]
-    n = int(prm["n"])
-
+def _recipe_andrews_cube(n, p, beta) -> CheckValues:
     def build():
         pm, bm = mp_scalar(p), mp_scalar(beta)
         qm = pm**3
@@ -1267,8 +1230,7 @@ def _recipe_andrews_cube(prm) -> CheckValues:
     _draw({"p": lambda rng, _: _pick_q(rng) ** (1.0 / 3.0), "beta": (0.3, 0.85), "a": (0.1, 0.6)},
           ok=lambda p: abs(p["beta"] * p["a"] / p["p"] ** 2) <= 0.72),
 )
-def _recipe_cube_product(prm) -> CheckValues:
-    beta, p, a = prm["beta"], prm["p"], prm["a"]
+def _recipe_cube_product(p, beta, a) -> CheckValues:
     q = p**3
     alpha = beta**3
     lhs = (
@@ -1293,8 +1255,7 @@ def _recipe_cube_product(prm) -> CheckValues:
     [PinnedCase("q005", {"q": 0.05}), PinnedCase("q01", {"q": 0.1}),
      PinnedCase("q02", {"q": 0.2})],
 )
-def _recipe_theta_product(prm) -> CheckValues:
-    q = prm["q"]
+def _recipe_theta_product(q) -> CheckValues:
     q3 = q**3
     lhs = (
         poch_infinite(q, q)
@@ -1316,13 +1277,9 @@ def _recipe_theta_product(prm) -> CheckValues:
     _draw({"n": range(13), "q": _Q_CHOICES, "alpha": (0.1, 0.8)}),
     _sweep({"q": 0.5, "alpha": 0.45}),
 )
-def _recipe_andrews_mod3(prm) -> CheckValues:
-    al = prm["alpha"]
-    q = prm["q"]
-    n = int(prm["n"])
-
+def _recipe_andrews_mod3(n, q, alpha) -> CheckValues:
     def build():
-        qm, alm = mp_scalar(q), mp_scalar(al)
+        qm, alm = mp_scalar(q), mp_scalar(alpha)
         third = mp.cbrt(alm)
         omega = mp.expjpi(mpf(2) / 3)
         rt = mp.sqrt(alm)
@@ -1338,10 +1295,10 @@ def _recipe_andrews_mod3(prm) -> CheckValues:
     l = n // 3
     q3 = q**3
     rhs = (
-        poch_finite(al, q3, l)
+        poch_finite(alpha, q3, l)
         * poch_finite(q, q, 3 * l)
-        * al**l
-        / (poch_finite(al, q, 3 * l) * poch_finite(q3, q3, l))
+        * alpha**l
+        / (poch_finite(alpha, q, 3 * l) * poch_finite(q3, q3, l))
     )
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
@@ -1357,12 +1314,11 @@ _N_ALPHA_LAMBDA = {"n": range(13), "q": _Q_CHOICES,
           ok=lambda p: _off_lattice(p["alpha"] * p["q"] / p["lambda"], p["q"] * p["q"])),
     _sweep({"q": 0.5, "alpha": 0.5, "lambda": 0.35}),
 )
-def _recipe_q_watson(prm) -> CheckValues:
-    al, lam, q = prm["alpha"], prm["lambda"], prm["q"]
-    n = int(prm["n"])
+def _recipe_q_watson(n, q, alpha, **kw) -> CheckValues:
+    lam = kw["lambda"]  # a Python keyword, so not a parameter name
 
     def build():
-        qm, alm, lm = mp_scalar(q), mp_scalar(al), mp_scalar(lam)
+        qm, alm, lm = mp_scalar(q), mp_scalar(alpha), mp_scalar(lam)
         rt_l = mp.sqrt(lm)
         rt_qa = mp.sqrt(qm * alm)
         nums = [qm ** (-n), alm * qm**n, rt_l, -rt_l]
@@ -1377,9 +1333,9 @@ def _recipe_q_watson(prm) -> CheckValues:
     q2 = q**2
     rhs = (
         poch_finite(q, q2, half)
-        * poch_finite(al * q / lam, q2, half)
+        * poch_finite(alpha * q / lam, q2, half)
         * lam**half
-        / (poch_finite(q * al, q2, half) * poch_finite(q * lam, q2, half))
+        / (poch_finite(q * alpha, q2, half) * poch_finite(q * lam, q2, half))
     )
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
@@ -1389,12 +1345,11 @@ def _recipe_q_watson(prm) -> CheckValues:
     _draw(_N_ALPHA_LAMBDA, ok=lambda p: _off_lattice(p["alpha"] * p["q"] / p["lambda"], p["q"])),
     _sweep({"q": 0.5, "alpha": 0.4, "lambda": 0.55}),
 )
-def _recipe_verma_jain(prm) -> CheckValues:
-    al, lam, q = prm["alpha"], prm["lambda"], prm["q"]
-    n = int(prm["n"])
+def _recipe_verma_jain(n, q, alpha, **kw) -> CheckValues:
+    lam = kw["lambda"]  # a Python keyword, so not a parameter name
 
     def build():
-        qm, alm, lm = mp_scalar(q), mp_scalar(al), mp_scalar(lam)
+        qm, alm, lm = mp_scalar(q), mp_scalar(alpha), mp_scalar(lam)
         Q = qm * qm
         nums = [Q ** (-n), alm * alm * qm ** (2 * n), lm, qm * lm]
         dens = [qm * alm, qm * qm * alm, lm * lm]
@@ -1404,9 +1359,9 @@ def _recipe_verma_jain(prm) -> CheckValues:
     rhs = (
         lam**n
         * poch_finite(-q, q, n)
-        * poch_finite(q * al / lam, q, n)
-        * (1 - al)
-        / (poch_finite(al, q, n) * poch_finite(-lam, q, n) * (1 - al * q ** (2 * n)))
+        * poch_finite(q * alpha / lam, q, n)
+        * (1 - alpha)
+        / (poch_finite(alpha, q, n) * poch_finite(-lam, q, n) * (1 - alpha * q ** (2 * n)))
     )
     return CheckValues(complex(lhs), rhs, {"terms": n})
 
@@ -1414,13 +1369,7 @@ def _recipe_verma_jain(prm) -> CheckValues:
 _EXPANSION_ORDER = 40
 
 
-def _recipe_liu_expansion_inverse(prm) -> CheckValues:
-    return _recipe_liu_expansion(prm, inverse=True)
-
-
-def _recipe_jackson_consistency(prm) -> CheckValues:
-    n = int(prm["n"])
-    x, q, beta = prm["x"], prm["q"], prm["beta"]
+def _recipe_jackson_consistency(n, x, q, beta) -> CheckValues:
     f = _memo_poch_factor(beta, q)
     lhs = qcalculus.q_derivative_n(f, x, q, n)
     g = f
@@ -1438,14 +1387,14 @@ def _recipe_jackson_consistency(prm) -> CheckValues:
     _draw({"q": _Q_CHOICES, "beta": (0.1, 0.5), "a": (0.05, 0.3), "alpha": (0.1, 0.5)}),
     [PinnedCase("poch_factor", {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3}, threshold=1e-10),
      PinnedCase("inverse_poch_factor", {"q": 0.5, "beta": 0.4, "a": 0.25, "alpha": 0.3},
-                threshold=1e-9, recipe=_recipe_liu_expansion_inverse)]
+                threshold=1e-9,
+                recipe=lambda **prm: _recipe_liu_expansion(**prm, inverse=True))]
     + [PinnedCase(f"jackson_n{k}", {"q": 0.5, "beta": 0.4, "x": 0.4, "n": k}, threshold=1e-11,
                   recipe=_recipe_jackson_consistency) for k in range(1, 7)],
 )
-def _recipe_liu_expansion(prm, inverse: bool = False) -> CheckValues:
-    beta, a, al, q = prm["beta"], prm["a"], prm["alpha"], prm["q"]
+def _recipe_liu_expansion(q, beta, a, alpha, inverse: bool = False) -> CheckValues:
     f = _memo_poch_factor(beta, q, inverse=inverse)
-    lhs = qcalculus.liu_reconstruct(f, a, al, q, _EXPANSION_ORDER)
+    lhs = qcalculus.liu_reconstruct(f, a, alpha, q, _EXPANSION_ORDER)
     target = poch_infinite(beta * a, q)
     rhs = 1 / target if inverse else target
     return CheckValues(lhs, complex(rhs), {"terms": _EXPANSION_ORDER})
@@ -1454,15 +1403,14 @@ def _recipe_liu_expansion(prm, inverse: bool = False) -> CheckValues:
 _DOUBLE_ORDER = 30
 
 
-def _recipe_liu_double_nonseparable(prm) -> CheckValues:
-    b1, b2, b3, b4 = prm["beta1"], prm["beta2"], prm["beta3"], prm["beta4"]
-    a, b, al, be, q = prm["a"], prm["b"], prm["alpha"], prm["beta"], prm["q"]
-    gs = [_memo_poch_factor(x, q) for x in (b1, b2, b3, b4)]
+def _recipe_liu_double_nonseparable(q, beta1, beta2, beta3, beta4, a, b, alpha,
+                                    beta) -> CheckValues:
+    gs = [_memo_poch_factor(x, q) for x in (beta1, beta2, beta3, beta4)]
     f = lambda x, y: gs[0](x) * gs[1](y) + gs[2](x) * gs[3](y) / 2
-    lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
+    lhs = qcalculus.liu_double_reconstruct(f, a, b, alpha, beta, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
     rhs = (
-        poch_infinite(b1 * a, q) * poch_infinite(b2 * b, q)
-        + poch_infinite(b3 * a, q) * poch_infinite(b4 * b, q) / 2
+        poch_infinite(beta1 * a, q) * poch_infinite(beta2 * b, q)
+        + poch_infinite(beta3 * a, q) * poch_infinite(beta4 * b, q) / 2
     )
     return CheckValues(lhs, complex(rhs), {"terms": _DOUBLE_ORDER})
 
@@ -1478,14 +1426,12 @@ def _recipe_liu_double_nonseparable(prm) -> CheckValues:
                                  "beta4": 0.35, "a": 0.2, "b": 0.15, "alpha": 0.3, "beta": 0.25},
                 threshold=1e-8, recipe=_recipe_liu_double_nonseparable)],
 )
-def _recipe_liu_double(prm) -> CheckValues:
-    b1, b2 = prm["beta1"], prm["beta2"]
-    a, b, al, be, q = prm["a"], prm["b"], prm["alpha"], prm["beta"], prm["q"]
-    g1 = _memo_poch_factor(b1, q)
-    g2 = _memo_poch_factor(b2, q)
+def _recipe_liu_double(q, beta1, beta2, a, b, alpha, beta) -> CheckValues:
+    g1 = _memo_poch_factor(beta1, q)
+    g2 = _memo_poch_factor(beta2, q)
     f = lambda x, y: g1(x) * g2(y)
-    lhs = qcalculus.liu_double_reconstruct(f, a, b, al, be, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
-    rhs = poch_infinite(b1 * a, q) * poch_infinite(b2 * b, q)
+    lhs = qcalculus.liu_double_reconstruct(f, a, b, alpha, beta, q, _DOUBLE_ORDER, _DOUBLE_ORDER)
+    rhs = poch_infinite(beta1 * a, q) * poch_infinite(beta2 * b, q)
     return CheckValues(lhs, complex(rhs), {"terms": _DOUBLE_ORDER})
 
 
@@ -1533,6 +1479,20 @@ def _skip_report(ident, label, params, reason, threshold) -> IdentityReport:
                           threshold=threshold, scale=1.0, reason=reason)
 
 
+def _integer_degrees(params: dict, names: tuple) -> dict:
+    """``params`` with each degree in ``names`` as an int; DomainError for any other value."""
+    out = dict(params)
+    for name in names:
+        try:
+            integral = float(out[name]).is_integer() and out[name] >= 0
+        except (TypeError, ValueError):  # complex, or not a number
+            integral = False
+        if not integral:
+            raise DomainError(f"{name} = {out[name]!r} is not a non-negative integer")
+        out[name] = int(out[name])
+    return out
+
+
 def check_identity(
     ident: str,
     params: dict,
@@ -1542,9 +1502,15 @@ def check_identity(
 ) -> IdentityReport:
     """Evaluate both sides of one identity and report residuals.
 
-    Unknown ids raise; domain violations, a recipe's own division by zero or
-    float overflow among them, and an inf or nan side surface as
-    status="skipped" with a reason.
+    The recipe is called with ``params`` by name.  Unknown ids raise
+    ``UnknownIdentity``, and parameter names other than the entry's raise
+    ``DomainError`` naming both; a pinned case with its own recipe is checked
+    by its recipe alone.  Domain violations, a degree (a parameter the
+    entry's sampler draws from a ``range``) that is not a non-negative
+    integer, a recipe's own division by zero or float overflow among them,
+    and an inf or nan side surface as status="skipped" with a reason; an
+    integral degree such as 2.0 runs as 2, and the report keeps ``params`` as
+    given.
     The base (``q``, or ``p`` where q = p^3) is validated before the recipe
     runs, since recipes may divide by it first.
     """
@@ -1561,11 +1527,14 @@ def check_identity(
             threshold = _case.threshold
     if thresholds and ident in thresholds:
         threshold = thresholds[ident]
+    if recipe is entry.recipe and set(params) != set(entry.param_names):
+        raise DomainError(f"{ident} takes the parameters {list(entry.param_names)}, "
+                          f"not {list(params)}")
     try:
         for name in ("q", "p"):
             if name in params:
                 Base(params[name])
-        values = recipe(params)
+        values = recipe(**_integer_degrees(params, entry.sampler.integers))
         for side in ("lhs", "rhs"):
             if not cmath.isfinite(complex(getattr(values, side))):
                 raise TruncationExceeded(f"{side} is not finite")

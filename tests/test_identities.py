@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -472,7 +473,7 @@ class TestQHahnPlan:
             assert K._mpc_ == qhahn_K(theta, p)._mpc_
             assert z._mpc_ == mp.expj(theta)._mpc_
             # the per-set counts are those of this node's own arguments
-            args, qm, qmag, digits, counts = identities._qhahn_plan(a, b, c, d, rho, q)
+            args, qm, qmag, digits, counts = identities._qhahn_plan(a, b, c, d, rho, q, dps)
             for ts, side in zip(args(z, mp.conj(z)), counts):
                 for t, (amag, n) in zip(ts, side):
                     t_mag, t_n = qcore._factor_count(t, qmag, -digits)
@@ -483,23 +484,21 @@ class TestQHahnPlan:
     def test_boundary_counts_one_explicit_factor(self):
         # |a e^{i theta}| = |q| = 0.5: the bound above |a| keeps the factor
         # 1 - a e^{i theta} explicit at every angle
-        with mp.workdps(80):
-            _, _, qmag, _, counts = identities._qhahn_plan(0.5, 0.2, 0.4, 0.1, 0.6, 0.5)
+        _, _, qmag, _, counts = identities._qhahn_plan(0.5, 0.2, 0.4, 0.1, 0.6, 0.5, 80)
         amag, n = counts[1][0]
         assert amag > qmag == 0.5 and n > 0
         assert _explicit_factors(amag, qmag) == 1
 
     def test_zero_parameter_is_no_factor(self):
         # b = 0: (b e^{i theta}; q)_inf = 1 is left out of the product
-        with mp.workdps(40):
-            _, _, _, _, counts = identities._qhahn_plan(0.3, 0.0, 0.4, 0.1, 0.6, 0.5)
+        _, _, _, _, counts = identities._qhahn_plan(0.3, 0.0, 0.4, 0.1, 0.6, 0.5, 40)
         assert counts[1][1] == (0.0, 0)
 
     def test_clear_caches_drops_the_plans(self):
         identities._qhahn_K_node(1, 8, *_weight("pinned"), 40)
-        assert identities._QHAHN_PLANS
+        assert identities._qhahn_plan.cache_info().currsize
         identities.clear_caches()
-        assert not identities._QHAHN_PLANS
+        assert not identities._qhahn_plan.cache_info().currsize
 
 
 class TestQHahnZeroParameter:
@@ -742,14 +741,14 @@ class TestLiuMasterOuterSum:
         # with unit inner sums the outer terms grow like (a/q)^n = 1.2^n
         calls, blocks = self._patch_inner(monkeypatch, 1)
         with pytest.raises(TruncationExceeded, match="within 300 terms"):
-            REGISTRY["liu_master_m1"].recipe(self.PRM)
+            REGISTRY["liu_master_m1"].recipe(**self.PRM)
         assert calls == list(range(300))
         assert [n for block in blocks for n in block] == calls
 
     def test_non_finite_raises(self, monkeypatch):
         calls, blocks = self._patch_inner(monkeypatch, "inf")
         with pytest.raises(TruncationExceeded, match="non-finite"):
-            REGISTRY["liu_master_m1"].recipe(self.PRM)
+            REGISTRY["liu_master_m1"].recipe(**self.PRM)
         assert calls == [0]
         assert blocks == [range(identities.FIRST_DEGREE_BLOCK)]
 
@@ -843,6 +842,17 @@ class TestSampling:
             prm = sample_params(ident, 3)
             assert set(prm) == set(entry.param_names), ident
 
+    def test_recipes_bind_their_parameters(self):
+        # every recipe takes the draws and the pinned cases by name; a
+        # ``_sides`` recipe takes any name, so each of its two sides binds too
+        for ident, entry in REGISTRY.items():
+            cases = [(entry.recipe, sample_params(ident, 3))]
+            cases += [(case.recipe or entry.recipe, case.params) for case in entry.pinned]
+            for recipe, params in cases:
+                sides = [cell.cell_contents for cell in recipe.__closure__ or ()]
+                for f in [recipe, *(f for f in sides if callable(f))]:
+                    inspect.signature(f).bind(**params)
+
     def test_draw_stream_is_pinned(self):
         # the benchmark's workloads and the suite are made of these draws, so
         # a sampler change must update this digest deliberately
@@ -900,11 +910,41 @@ class TestCheckIdentity:
         entry = REGISTRY["q_gauss"]
         values = {"lhs": 1.0, "rhs": 1.0, side: value}
         monkeypatch.setitem(REGISTRY, "q_gauss", replace(
-            entry, recipe=lambda prm: identities.CheckValues(values["lhs"], values["rhs"])))
+            entry, recipe=lambda **prm: identities.CheckValues(values["lhs"], values["rhs"])))
         r = check_identity("q_gauss", sample_params("q_gauss", 7))
         assert r.status == "skipped"
         assert r.reason == f"TruncationExceeded: {side} is not finite"
 
+
+    @pytest.mark.parametrize("ident, params, given", [
+        # a decorated recipe: alpha, a, b and c missing
+        ("rogers_6phi5", {"q": 0.5}, "['q']"),
+        # a ``_sides`` entry: s is not one of its parameters
+        ("aw_integral", {"q": 0.5, "a": 0.3, "b": 0.4, "c": 0.2, "d": 0.1, "s": 0.5},
+         "['q', 'a', 'b', 'c', 'd', 's']"),
+    ])
+    def test_wrong_parameter_names_raise(self, ident, params, given, monkeypatch):
+        def never(**prm):
+            raise AssertionError("the recipe ran")
+
+        monkeypatch.setitem(REGISTRY, ident, replace(REGISTRY[ident], recipe=never))
+        expected = list(REGISTRY[ident].param_names)
+        with pytest.raises(DomainError) as info:
+            check_identity(ident, params)
+        assert str(info.value) == f"{ident} takes the parameters {expected}, not {given}"
+
+    def test_non_integer_degree_is_skipped(self):
+        prm = {"q": 0.5, "alpha": 0.4, "a": 0.3, "b": 0.5, "c": 0.45, "d": 0.25}
+        r = check_identity("watson_q_whipple", {**prm, "n": 2.5})
+        assert r.status == "skipped"
+        assert r.reason == "DomainError: n = 2.5 is not a non-negative integer"
+        for n in (-3, 1j, math.nan, "two"):
+            assert check_identity("watson_q_whipple", {**prm, "n": n}).reason.startswith(
+                "DomainError: n = ")
+        # an integral float runs as that int; the report keeps it as given
+        two, two_float = (check_identity("watson_q_whipple", {**prm, "n": n}) for n in (2, 2.0))
+        assert two_float.params["n"] == 2.0 and type(two_float.params["n"]) is float
+        assert two_float == replace(two, params=two_float.params)
 
     def test_elapsed_s_is_the_wall_time_and_not_compared(self):
         prm = sample_params("q_gauss", 7)
