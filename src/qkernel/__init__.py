@@ -16,7 +16,6 @@ from .qcore import (
     h_weight,
     poch_finite,
     poch_infinite,
-    poch_multi,
     poch_ratio,
 )
 from .hyperseries import SeriesResult, SeriesSpec, eval_phi, eval_w, eval_wp_limit

@@ -210,9 +210,8 @@ def _cmd_check(args, extra_tokens) -> int:
         )
     params = sample_params(ident, args.seed)
     params.update(given)
-    for name in ("n", "m"):
-        if name in entry.param_names:
-            params[name] = _int_param(name, params[name])
+    for name in entry.sampler.integers:
+        params[name] = _int_param(name, params[name])
     thresholds = {ident: args.tol} if args.tol is not None else None
     report = check_identity(ident, params, thresholds, label="check")
     header = {"seed": args.seed, "tolerance_override": args.tol}

@@ -37,16 +37,17 @@ the one recurrence for them, t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^e /
 (prod(1 - b q^k) (1 - q^{k+1})) in complex arithmetic, with a free exponent
 e.  It serves ``eval_phi`` (e = 1 + s - r: the 8W7 and 3phi2 closed forms),
 ``wp_limit_terms`` (the well-poised limit sums, e = 1, and the t = 0 lbww
-series, e = 2) and ``qintegrals.circle_phi_factor`` (e = 0, with numpy
-arrays of node values as numerator parameters).
+series, e = 2), ``qintegrals.circle_phi_factor`` (e = 0, with numpy arrays
+of node values as numerator parameters) and the series of each end of
+``qintegrals.jackson_ratio`` (e = 0).
 
 ``sum_until_converged`` is the one series loop of the library, with one stop
 rule.  It sums the series of ``phi_terms`` and ``wp_limit_terms``, the
-Jackson sums of ``qcalculus.q_integral`` (in floats, and in mpmath for the
-big q-Jacobi moments), and in ``identities`` the generating functions, the
-outer series of the master formula and the theta series.  It stops after
-three consecutive terms with |t| < tol |S|, S the partial sum, or
-|t| <= u sum |t_k|, the rounding noise of the sum (Higham, *Accuracy and
+Jackson sums of ``qcalculus.q_integral`` (in mpmath for the big q-Jacobi
+moments; no identity sums a float one), and in ``identities`` the generating
+functions, the outer series of the master formula and the theta series.  It
+stops after three consecutive terms with |t| < tol |S|, S the partial sum,
+or |t| <= u sum |t_k|, the rounding noise of the sum (Higham, *Accuracy and
 Stability of Numerical Algorithms*, section 4.2): u is 2^-52 and tol
 ``SERIES_TOL`` = 1e-14 for Python numbers and numpy arrays (every modulus
 the largest over the nodes), u is ``mp.eps`` and tol 10^-(dps + 2) for

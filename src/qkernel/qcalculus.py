@@ -102,6 +102,9 @@ def q_integral(f: AnalyticFn, a, b, q, tol=None):
 
         (1 - q) sum_{n>=0} [b f(b q^n) - a f(a q^n)] q^n.
 
+    The entry point for an arbitrary f, evaluated at every node; a ratio of
+    q-products is one series per end in ``qintegrals.jackson_ratio``.
+
     The terms go to ``hyperseries.sum_until_converged`` and its one stop
     rule: three consecutive terms below ``tol`` times the partial sum, or
     at the rounding noise of the sum.  ``tol`` follows the arithmetic of the

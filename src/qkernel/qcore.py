@@ -1,16 +1,15 @@
 """Complex q-shifted factorials and trigonometric weight factors.
 
 ``poch_ratio(nums, dens, q)``, a ratio of two products of infinite
-q-products, is the single scalar q-product kernel: ``poch_infinite`` is its
-one-argument case and ``poch_multi`` its case without a denominator;
-``qintegrals.poch_infinite_vec`` is their numpy-array twin, one product per
-row of an array, all rows in one loop over the factors.  All of them first
-count the factors a truncated product needs: the product over ``k >= N`` of
-``(1 - a q^k)`` differs from 1 by at most roughly ``|a| |q|^N / (1 - |q|)``.
-The arithmetic of the arguments sets the tolerance: 1e-14 when ``a`` and
-``q`` are Python numbers, 10^-(dps + 2) at the working precision when either
-is an mpmath value.  That count is checked against the cap ``MAX_FACTORS``
-and decides whether the product is exactly 1.
+q-products, is the single scalar q-product kernel, and ``poch_infinite`` its
+one-argument case; ``qintegrals.poch_infinite_vec`` is its numpy-array twin,
+one product per row of an array, all rows in one loop over the factors.  All
+of them first count the factors a truncated product needs: the product over
+``k >= N`` of ``(1 - a q^k)`` differs from 1 by at most roughly
+``|a| |q|^N / (1 - |q|)``.  The arithmetic of the arguments sets the
+tolerance: 1e-14 when ``a`` and ``q`` are Python numbers, 10^-(dps + 2) at the
+working precision when either is an mpmath value.  That count is checked
+against the cap ``MAX_FACTORS`` and decides whether the product is exactly 1.
 
 Python ``float``/``complex`` arguments are then multiplied out factor by
 factor.  mpmath arguments take Euler's identity (Gasper & Rahman §1.3)
@@ -318,18 +317,6 @@ def poch_ratio(nums: Sequence, dens: Sequence, q):
         num, den = (_mp_product([(a, _factor_count(a, qmag, -digits)) for a in p],
                                 qv, qmag, digits) for p in (nums, dens))
     return num / den if dens else num
-
-
-def poch_multi(params: Sequence, q):
-    """Product of infinite q-shifted factorials over several first arguments:
-    ``poch_ratio(params, (), q)``.
-
-    A product of Python numbers is complex even when every factor is real; a
-    product of mpmath reals stays ``mpf``.
-    """
-    if len(params) == 0:
-        raise DomainError("poch_multi requires at least one parameter")
-    return poch_ratio(params, (), q)
 
 
 def h_weight(theta: float, params: Sequence, q):

@@ -12,9 +12,12 @@ of a weight are the rows of one ``poch_infinite_vec`` call, which truncates
 each row on its own and multiplies the rows still running in one loop.
 
 Every non-terminating series here (the 8W7 and 3phi2 closed forms, the
-well-poised limit sums of ``liu_qbeta_rhs`` and ``lbww_rhs``, and the 3phi2
-factor of ``circle_phi_factor``, at every node at once) takes its terms from
-``hyperseries.phi_terms`` and is summed by ``sum_until_converged``.
+well-poised limit sums of ``liu_qbeta_rhs`` and ``lbww_rhs``, the 3phi2
+factor of ``circle_phi_factor``, at every node at once, and the series of
+each end of a ``jackson_ratio``) takes its terms from
+``hyperseries.phi_terms`` and is summed by ``sum_until_converged``.  So the
+Jackson integrals of the identities take their q-products at the two ends
+alone, not at every node through ``qcalculus.q_integral``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from mpmath import mp
 
 from .errors import DomainError, QuadratureNotConverged, TruncationExceeded
 from .qcore import FLOAT_TOL_LOG10, Base, base_value, poch_ratio, tail_count
-from .hyperseries import (SeriesSpec, eval_phi, eval_w, eval_wp_limit, phi_terms,
-                          sum_until_converged, wp_limit_terms)
-from . import qcalculus
+from .hyperseries import (SeriesSpec, _check_denominator_poles, eval_phi, eval_w,
+                          eval_wp_limit, phi_terms, sum_until_converged, wp_limit_terms)
 
 #: Nodes of the trapezoid's first level, and how often it may double them.
 INITIAL_NODES = 64
@@ -334,6 +336,22 @@ def liu_qbeta_lhs(a, b, c, d, s, u, v, q) -> complex:
     return trig_integral(w)
 
 
+def jackson_ratio(nums: Sequence, dens: Sequence, lo, hi, q) -> complex:
+    """Jackson q-integral over [lo, hi] of f(x) = (A x; q)_inf / (B x; q)_inf, A = ``nums``
+    and B = ``dens``.  As f(e q^n) = f(e) (B e; q)_n / (A e; q)_n, each end e is one series
+    (Gasper & Rahman, section 1.11), (1 - q) e f(e) sum_n (B e, q; q)_n / (q, A e; q)_n q^n,
+    0 at e = 0.  An A e on the lattice q^-j raises PoleInDenominator, as in ``eval_phi``."""
+    qv = base_value(q)
+
+    def end(e):
+        ae, be = [a * e for a in nums], [b * e for b in dens]
+        _check_denominator_poles(ae, qv)
+        series = sum_until_converged(phi_terms([*be, qv], ae, qv, qv, 0), "Jackson series")
+        return e * poch_ratio(ae, be, qv) * series.value
+
+    return (1 - qv) * (end(hi) - end(lo))
+
+
 def alsalam_verma_rhs(a, b, c, d, s, q) -> complex:
     """(1-q) s (q, d/s, qs/d, abds, acds, bcds; q)_inf
     / (ad, as, bd, bs, cd, cs; q)_inf."""
@@ -348,12 +366,7 @@ def alsalam_verma_lhs(a, b, c, d, s, q) -> complex:
     """Jackson q-integral over [d, s] of
     (qx/d, qx/s, abcds x; q)_inf / (ax, bx, cx; q)_inf."""
     qv = base_value(q)
-    abcds = a * b * c * d * s
-
-    def f(x):
-        return poch_ratio([qv * x / d, qv * x / s, abcds * x], [a * x, b * x, c * x], qv)
-
-    return qcalculus.q_integral(f, d, s, qv)
+    return jackson_ratio([qv / d, qv / s, a * b * c * d * s], [a, b, c], d, s, qv)
 
 
 def lbww_rhs(u, v, h, r, s, t, q) -> complex:
@@ -388,11 +401,7 @@ def lbww_lhs(u, v, h, r, s, t, q) -> complex:
     """Jackson q-integral over [u, v] of
     (qx/u, qx/v, hx; q)_inf / (rx, sx, tx; q)_inf."""
     qv = base_value(q)
-
-    def f(x):
-        return poch_ratio([qv * x / u, qv * x / v, h * x], [r * x, s * x, t * x], qv)
-
-    return qcalculus.q_integral(f, u, v, qv)
+    return jackson_ratio([qv / u, qv / v, h], [r, s, t], u, v, qv)
 
 
 def qbailey_rhs(a, b, c, d, s, r, q) -> complex:
@@ -415,9 +424,4 @@ def qbailey_lhs(a, b, c, d, s, r, q) -> complex:
     """Jackson q-integral over [d, s] of
     (abcx, qx/d, qx/s, rx; q)_inf / (ax, bx, cx, rx/(ds); q)_inf."""
     qv = base_value(q)
-
-    def f(x):
-        return poch_ratio([a * b * c * x, qv * x / d, qv * x / s, r * x],
-                          [a * x, b * x, c * x, r * x / (d * s)], qv)
-
-    return qcalculus.q_integral(f, d, s, qv)
+    return jackson_ratio([a * b * c, qv / d, qv / s, r], [a, b, c, r / (d * s)], d, s, qv)

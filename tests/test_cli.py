@@ -367,6 +367,28 @@ def test_check_lbww_t_zero_pole_skipped(tmp_path):
         assert doc["reason"].startswith("PoleInDenominator")
 
 
+@pytest.mark.parametrize("argv", [
+    ["alsalam_verma", "--a", "0.2", "--b", "0.3", "--c", "0.1", "--d", "0.5", "--s", "0.25"],
+    # (q / s) d rounds to 0.9999999999999999 here, not to 1
+    ["alsalam_verma", "--a", "0.2", "--b", "0.3", "--c", "0.1", "--d", "0.3", "--s", "0.21",
+     "--q", "0.7"],
+    ["lbww_qintegral", "--u", "0.5", "--v", "0.25", "--h", "0.3", "--r", "0.2", "--s", "0.25",
+     "--t", "0.1"],
+    *([ident, "--a", "0.2", "--b", "0.3", "--c", "0.1", "--d", "0.5", "--s", "0.25",
+       "--r", "0.1"] for ident in ("qbailey_8w7", "qbailey_bridge")),
+])
+def test_check_jackson_end_on_the_lattice_skipped(argv, tmp_path):
+    # d / s = q^-1 (u / v for lbww): a factor (q^-1; q)_inf makes both sides
+    # 0, and the Jackson series of that end would divide by 1 - 1
+    out = tmp_path / "r.json"
+    argv = argv if "--q" in argv else [*argv, "--q", "0.5"]
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "skipped"
+    assert doc["reason"].startswith("PoleInDenominator")
+
+
 @pytest.mark.parametrize("argv, name", [
     # truncating 2.5 or 1+2i would certify another degree; -3 is a false failure
     (["q_watson_4phi3", "--n", "2.5"], "n"),

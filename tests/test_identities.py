@@ -714,6 +714,15 @@ def test_draws_mended_by_the_one_stop_rule(ident, seed, draw):
     assert report.status == "pass", (report.rel_err, report.reason)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_jackson_draw_passes(seed):
+    # the slow sweep's draws of the four Jackson ids, each end one series
+    ids = ["alsalam_verma", "lbww_qintegral", "qbailey_8w7", "qbailey_bridge"]
+    bad = [(r.id, r.label, r.status, r.rel_err, r.reason)
+           for r in run_suite(ids, 60, seed) if r.status != "pass"]
+    assert not bad
+
+
 class TestLiuMasterOuterSum:
     PRM = {"q": 0.5, "alpha": 0.3, "a": 0.6, "b": 0.35, "b1": 0.35, "c1": 0.35}
 

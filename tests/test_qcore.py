@@ -16,7 +16,6 @@ from qkernel.qcore import (
     mp_scalar,
     poch_finite,
     poch_infinite,
-    poch_multi,
     poch_ratio,
 )
 
@@ -132,18 +131,14 @@ class TestPochInfinite:
 
 class TestPochMulti:
     def test_singleton(self):
-        assert poch_multi([0.3], 0.5) == poch_infinite(0.3, 0.5)
+        assert poch_ratio([0.3], (), 0.5) == poch_infinite(0.3, 0.5)
 
     def test_hand_pair(self):
         # (a; q^2)_inf (a q; q^2)_inf = (a; q)_inf
-        assert poch_multi([0.5, 0.25], 0.25) == pytest.approx(POCH_HALF, rel=1e-14)
+        assert poch_ratio([0.5, 0.25], (), 0.25) == pytest.approx(POCH_HALF, rel=1e-14)
 
     def test_all_zero_infinite(self):
-        assert poch_multi([0.0, 0.0, 0.0], 0.5) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            poch_multi([], 0.5)
+        assert poch_ratio([0.0, 0.0, 0.0], (), 0.5) == 1
 
 
 class TestMpmathOracle:
@@ -161,10 +156,10 @@ class TestMpmathOracle:
         for a, r in zip(params, ref):
             assert abs(poch_infinite(a, q) - r) <= 1e-12 * abs(r)
         prod = math.prod(ref)
-        assert abs(poch_multi(params, q) - prod) <= 1e-12 * abs(prod)
+        assert abs(poch_ratio(params, (), q) - prod) <= 1e-12 * abs(prod)
         ratio = poch_ratio(params, dens, q)
         # Python numbers: the quotient of the two products, bit for bit
-        assert ratio == poch_multi(params, q) / poch_multi(dens, q)
+        assert ratio == poch_ratio(params, (), q) / poch_ratio(dens, (), q)
         assert abs(ratio - ratio_ref) <= 1e-12 * abs(ratio_ref)
 
     @given(params=st.lists(_wide, min_size=1, max_size=3), dens=st.lists(_wide, max_size=3),
@@ -180,7 +175,7 @@ class TestMpmathOracle:
         dargs = [mp_scalar(b) for b in dens]
         with mp.workdps(dps):
             got = [poch_infinite(a, mpf(q)) for a in args]
-            multi = poch_multi(args, mpf(q))
+            multi = poch_ratio(args, (), mpf(q))
             ratio = poch_ratio(args, dargs, mpf(q))
         if all(isinstance(a, mpf) for a in args):
             assert isinstance(multi, mpf)

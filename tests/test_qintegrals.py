@@ -15,9 +15,10 @@ from qkernel.errors import (
     QuadratureNotConverged,
     TruncationExceeded,
 )
-from qkernel import qintegrals
+from qkernel import identities, qintegrals
 from qkernel.hyperseries import SeriesSpec, eval_phi
-from qkernel.qcore import FLOAT_TOL_LOG10, Base, poch_infinite, tail_count
+from qkernel.qcalculus import q_integral
+from qkernel.qcore import FLOAT_TOL_LOG10, Base, poch_infinite, poch_ratio, tail_count
 from qkernel.qintegrals import (
     WeightSpec,
     alsalam_verma_lhs,
@@ -26,6 +27,7 @@ from qkernel.qintegrals import (
     askey_wilson_lhs,
     askey_wilson_rhs,
     circle_phi_factor,
+    jackson_ratio,
     lbww_lhs,
     lbww_rhs,
     liu_qbeta_lhs,
@@ -448,3 +450,71 @@ class TestJacksonIntegralFormulas:
         assert lbww_lhs(u, v, h0, r, s, 0.1, q) == pytest.approx(
             lbww_rhs(u, v, h0, r, s, 0.1, q), rel=1e-9
         )
+
+
+# The per-node integrands the Jackson series replaced, with their ends.
+def _alsalam_verma_f(a, b, c, d, s, q):
+    return (lambda x: poch_ratio([q * x / d, q * x / s, a * b * c * d * s * x],
+                                 [a * x, b * x, c * x], q)), d, s
+
+
+def _lbww_f(u, v, h, r, s, t, q):
+    return (lambda x: poch_ratio([q * x / u, q * x / v, h * x], [r * x, s * x, t * x], q)), u, v
+
+
+def _qbailey_f(a, b, c, d, s, r, q):
+    return (lambda x: poch_ratio([a * b * c * x, q * x / d, q * x / s, r * x],
+                                 [a * x, b * x, c * x, r * x / (d * s)], q)), d, s
+
+
+_JACKSON = {"alsalam_verma": (alsalam_verma_lhs, _alsalam_verma_f),
+            "lbww_qintegral": (lbww_lhs, _lbww_f),
+            "qbailey_8w7": (qbailey_lhs, _qbailey_f),
+            "qbailey_bridge": (qbailey_lhs, _qbailey_f)}
+
+
+def _jackson_cases():
+    """Each Jackson id's pinned cases (abc_zero, t_zero) and seed-42 draws."""
+    for ident in _JACKSON:
+        entry = identities.REGISTRY[ident]
+        for case in entry.pinned:
+            yield pytest.param(ident, case.params, id=f"{ident}-{case.label}")
+        for k in range(5):
+            yield pytest.param(ident, entry.sampler(identities._rng(42, ident, k)),
+                               id=f"{ident}-draw{k}")
+
+
+def _ends_scale(f, lo, hi, q):
+    """|lo end| + |hi end| of the Jackson sum: the size the two ends cancel from."""
+    return abs(q_integral(f, 0, hi, q)) + abs(q_integral(f, 0, lo, q))
+
+
+class TestJacksonRatio:
+    """``jackson_ratio``, one series per end, against ``q_integral`` summing
+    the integrand node by node.  The two differ in rounding alone, within
+    1e-13 of the ends' moduli (at most 2.9e-15 over these cases and the
+    seeds 1-3 draws); relative to the integral itself the ends can cancel
+    by more than three digits."""
+
+    @pytest.mark.parametrize("ident, params", _jackson_cases())
+    def test_matches_the_node_by_node_sum(self, ident, params):
+        lhs, integrand = _JACKSON[ident]
+        f, lo, hi = integrand(**params)
+        ref = q_integral(f, lo, hi, params["q"])
+        assert abs(lhs(**params) - ref) <= 1e-13 * _ends_scale(f, lo, hi, params["q"])
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.6), (0.6, 0.0)])
+    def test_an_end_at_zero_gives_zero(self, lo, hi):
+        nums, dens, q = [0.5, 0.3], [0.2, -0.4], 0.6
+        got = jackson_ratio(nums, dens, lo, hi, q)
+
+        def f(x):
+            return poch_ratio([a * x for a in nums], [b * x for b in dens], q)
+
+        assert abs(got - q_integral(f, lo, hi, q)) <= 1e-13 * abs(got)
+        assert jackson_ratio(nums, dens, 0.0, 0.0, q) == 0
+
+    def test_numerator_on_the_lattice_raises(self):
+        # A lo = 1: f(lo) is 0, and the series of the end lo would divide by 1 - 1
+        with pytest.raises(PoleInDenominator):
+            jackson_ratio([2.0], [0.3], 0.5, 0.25, 0.5)
