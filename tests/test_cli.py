@@ -145,11 +145,24 @@ def test_check_big_qjacobi_zero_parameter_is_a_domain_skip(argv, tmp_path):
         "skipped", "DomainError: big q-Jacobi parameters require a c != 0")
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)])
+def test_check_big_qjacobi_abq_on_the_lattice_is_a_domain_skip(n, m, tmp_path):
+    # abq = q^-1: the norms and the moment recurrence divide by 1 - abq q^j,
+    # so the lattice check comes first at every degree
+    out = tmp_path / "r.json"
+    assert main(["check", "bigqjacobi_orthogonality", "--a", "3", "--b", "1.3333333333333333",
+                 "--c", "-0.2", "--q", "0.5", "--n", str(n), "--m", str(m), "--format", "json",
+                 "--deterministic", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["reason"]) == (
+        "skipped", "DomainError: abq sits on the q^-j pole lattice")
+
+
 #: sha256 of the orth_sweep certificate's report (``perfbench`` workload
 #: orth_sweep), run cold.  It is mpmath only, so numpy's choice of SIMD or
 #: scalar loops cannot move it.  A change that moves this digest lists the
 #: reports it moved in CHANGES.md.
-ORTH_SWEEP_SHA256 = "ed7204b21e4a1ebc904a82dc384f4617c4d20e3ae519c53f4edadece25706d43"
+ORTH_SWEEP_SHA256 = "205c0c6564c3f13447d117165300ba4de22516c3a22bd5c698587af49333144b"
 
 
 def test_orth_sweep_report_is_pinned(capsys):

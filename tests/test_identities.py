@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -348,6 +349,76 @@ class TestBqjWeightTable:
         params = {**sample_params("bigqjacobi_orthogonality", 1), "n": 6, "m": 6, "q": 0.95}
         r = check_identity("bigqjacobi_orthogonality", params)
         assert r.status == "pass" and r.rel_err < 1e-13
+
+
+def _bqj_per_k_moments(a, b, c, q, dps: int, kmax: int) -> list:
+    """nu_0..nu_kmax, each its own Jackson integral of x^k w(x) on the weight table."""
+    with mp.workdps(dps):
+        qm, w = qcore.mp_scalar(q), identities._bqj_weights(a, b, c, q, dps)
+        return [qcalculus.q_integral(lambda x: x**k * w(x), c * qm, a * qm, qm, 10.0 ** -(dps - 12))
+                for k in range(kmax + 1)]
+
+
+class TestBqjMomentRecurrence:
+    """``_bqj_moments``: nu_0 by one Jackson integral, the rest by the weight's
+    q-Pearson recurrence."""
+
+    @pytest.mark.parametrize("a, b, c, q, dps", [
+        (0.3, 0.4, -0.2, 0.5, 40),  # _BQJ_FIXED
+        (0.3, 0.4, -0.2, 0.5, 70),
+        (0.3, 0.4, -0.2, 0.3, 40),
+        (0.3, 0.4, -0.2, 0.7, 40),
+        (0.3, 0.4, -0.2, 0.95, 40),
+        (0.3, 0.4, -0.2, -0.7, 40),
+        (0.3, 0.4, -0.2 + 0.1j, 0.5, 40),  # complex c
+        (0.3, 0.4, 0.2, 0.7, 40),  # c > 0: the two chains' sums cancel
+        (0.3, 0.4, 0.2, 0.95, 40),
+    ])
+    def test_against_the_per_k_jackson_integrals(self, a, b, c, q, dps):
+        # the per-k integrals at dps + 40 are the reference: each nu_k errs
+        # by at most twice nu_0's own relative error e_0, plus its rounding
+        kmax = 12
+        identities.clear_caches()
+        with mp.workdps(dps):
+            nus = identities._bqj_moments(kmax, a, b, c, q, dps)
+        per_k = _bqj_per_k_moments(a, b, c, q, dps, kmax)
+        ref = _bqj_per_k_moments(a, b, c, q, dps + 40, kmax)
+        assert len(nus) == kmax + 1 and nus[0] == per_k[0]  # nu_0 is the same sum
+        with mp.workdps(dps + 40):
+            e0 = abs(nus[0] - ref[0]) / abs(ref[0])
+            for k in range(kmax + 1):
+                allowed = 2 * e0 + 100 * (k + 1) * mpf(10) ** -dps
+                assert abs(nus[k] - ref[k]) <= allowed * abs(ref[k]), k
+                # and the per-k integrals err by as much as nu_0 does
+                assert abs(per_k[k] - ref[k]) <= allowed * abs(ref[k]), k
+
+    def test_a_loop_at_any_degree(self):
+        # no recursion: more moments than the interpreter's recursion limit,
+        # whose ratio tends to aq, the top node of the dominant chain
+        a, b, c, q, dps = 0.3, 0.4, -0.2, 0.5, 40
+        kmax = sys.getrecursionlimit() + 10
+        with mp.workdps(dps):
+            nus = identities._bqj_moments(kmax, a, b, c, q, dps)
+            assert len(nus) == kmax + 1
+            assert abs(nus[-1] / nus[-2] - a * mpf(q)) < mpf(10) ** -30
+
+    def test_one_jackson_integral_per_parameter_set_and_dps(self, monkeypatch):
+        a, b, c, q = 0.3, 0.4, -0.2, 0.95
+        dps = identities._bqj_dps(6, 6, a, b, c, q)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return q_integral(*args)
+
+        q_integral = qcalculus.q_integral
+        identities.clear_caches()
+        monkeypatch.setattr(qcalculus, "q_integral", counted)
+        identities._bqj_integral(6, 6, a, b, c, q, dps)
+        identities._bqj_integral(2, 5, a, b, c, q, dps)
+        assert len(calls) == 1
+        identities._bqj_integral(1, 1, a, b, c, q, dps + 10)
+        assert len(calls) == 2
 
 
 # "q0.9" is the weight of ``check qhahn_orthogonality --seed 1 --q 0.9``:
@@ -884,7 +955,7 @@ class TestSampling:
                 for seed in range(1, 5)]
         assert all(doc["status"] == "pass" for doc in docs)
         assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
-            "2d7f010878d06edcdf09cda1988e547c8719107c913143b1e822be823540e6cd")
+            "33635760394651bb9036e2c66674490ab10bbd35f63e5c104ddc8fdd8a0b370a")
 
 
 class TestCheckIdentity:
@@ -1059,7 +1130,7 @@ class TestOrthogonalityChecks:
         ]
         digest = hashlib.sha256(json.dumps([_report_dict(r, True) for r in reports]).encode())
         assert digest.hexdigest() == (
-            "620bcc8d840d0aa7e813fc5153eb8a83c9505af995a62d32427959d93bfbd9db")
+            "6be98973103c79c556a13c7a31e3367bbdcafee54692c646fc952ac16087b887")
 
     def test_qhahn_offdiagonal(self):
         from qkernel.identities import _QHAHN_FIXED
