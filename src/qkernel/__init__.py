@@ -12,7 +12,6 @@ from .errors import (
     UnknownIdentity,
 )
 from .qcore import (
-    Base,
     h_weight,
     poch_finite,
     poch_infinite,

@@ -22,7 +22,7 @@ import sys
 from datetime import datetime, timezone
 
 from .errors import QKernelError, UnknownIdentity
-from .qcore import Base, h_weight, poch_finite, poch_infinite
+from .qcore import base_magnitude, h_weight, poch_finite, poch_infinite
 from .hyperseries import SeriesSpec, eval_phi, eval_w
 from .qcalculus import q_integral
 from .polyfamilies import (
@@ -258,41 +258,43 @@ def _eval_value(args, extra_tokens):
             raise _ArgError(f"eval {args.target} requires --{', --'.join(missing)}")
         return [prm[n] for n in names]
 
+    if "q" in prm:  # the base of every target, checked once
+        base_magnitude(prm["q"])
     target = args.target
     if target == "poch":
         a, q = need("a", "q")
         if "n" in prm:
-            return poch_finite(a, Base(complex(q)), prm["n"])
-        return poch_infinite(a, Base(complex(q)))
+            return poch_finite(a, complex(q), prm["n"])
+        return poch_infinite(a, complex(q))
     if target == "phi":
         q, z = need("q", "z")
         nums = _parse_scalar_list(str(args.num or ""))
         dens = _parse_scalar_list(str(args.den or ""))
-        spec = SeriesSpec(tuple(nums), tuple(dens), Base(complex(q)), z, prm.get("order"))
+        spec = SeriesSpec(tuple(nums), tuple(dens), complex(q), z, prm.get("order"))
         return eval_phi(spec).value
     if target == "w":
         a1, q, z = need("a1", "q", "z")
         tail = _parse_scalar_list(str(args.tail or ""))
-        return eval_w(a1, tail, Base(complex(q)), z, terminating_order=prm.get("order")).value
+        return eval_w(a1, tail, complex(q), z, terminating_order=prm.get("order")).value
     if target == "hweight":
         theta, q = need("theta", "q")
         params = _parse_scalar_list(str(args.params or ""))
-        return h_weight(_real_param("theta", theta), params, Base(complex(q)))
+        return h_weight(_real_param("theta", theta), params, complex(q))
     if target == "qint":
         a, b, q = need("a", "b", "q")
         k = prm.get("power", 1)
-        return q_integral(lambda x: x**k, a, b, Base(complex(q)))
+        return q_integral(lambda x: x**k, a, b, complex(q))
     if target == "qhahn":
         n, a, b, c, d, z, q = need("n", "a", "b", "c", "d", "z", "q")
-        p = QHahnParams(a, b, c, d, prm.get("rho", 1.0), Base(complex(q)))
+        p = QHahnParams(a, b, c, d, prm.get("rho", 1.0), complex(q))
         return qhahn_poly(n, p, z)
     if target == "bigqjacobi":
         n, a, b, c, x, q = need("n", "a", "b", "c", "x", "q")
-        p = BigQJacobiParams(a, b, c, Base(complex(q)))
+        p = BigQJacobiParams(a, b, c, complex(q))
         return big_qjacobi_poly(n, p, x)
     if target == "aw":
         n, a, b, c, d, theta, q = need("n", "a", "b", "c", "d", "theta", "q")
-        p = AWParams(a, b, c, d, Base(complex(q)))
+        p = AWParams(a, b, c, d, complex(q))
         return askey_wilson_poly(n, p, _real_param("theta", theta))
     raise _ArgError(f"unknown eval target {target!r}")
 

@@ -73,8 +73,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
-    Base,
-    base_value,
+    base_magnitude,
     fixed_parts,
     from_fixed,
     mp_scalar,
@@ -89,9 +88,12 @@ class SeriesSpec:
 
     numerator: tuple
     denominator: tuple
-    base: Base
+    base: complex
     argument: complex
     terminating_order: int | None = None
+
+    def __post_init__(self):
+        base_magnitude(self.base)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class SeriesResult:
 
 def nearest_pole_distance(b, q) -> float:
     """Scaled distance from b to the pole lattice {q^{-j}, j >= 0}."""
-    qv = complex(base_value(q))
+    q = complex(q)
     bv = complex(b)
     best = math.inf
     p = 1 + 0j
@@ -111,7 +113,7 @@ def nearest_pole_distance(b, q) -> float:
         best = min(best, abs(bv - p) / max(1.0, abs(p)))
         if abs(p) > abs(bv) + 1:
             break
-        p = p / qv
+        p = p / q
     return best
 
 
@@ -282,14 +284,12 @@ def phi_terminating_core(
 
 
 def _eval_terminating(spec: SeriesSpec, n: int) -> SeriesResult:
-    qv = base_value(spec.base)
-
     def build():
         return (
             [mp_scalar(a) for a in spec.numerator],
             [mp_scalar(b) for b in spec.denominator],
             mp_scalar(spec.argument),
-            mp_scalar(qv),
+            mp_scalar(spec.base),
         )
 
     value, _ = phi_terminating_core(build, n)
@@ -379,15 +379,15 @@ def eval_phi(spec: SeriesSpec) -> SeriesResult:
     Terminating specs are summed over exactly ``terminating_order + 1`` terms;
     otherwise ``phi_terms`` by ``sum_until_converged``.
     """
-    qv = base_value(spec.base)
-    _check_denominator_poles(spec.denominator, qv)
+    q = complex(spec.base)
+    _check_denominator_poles(spec.denominator, q)
 
     if spec.terminating_order is not None:
         n = spec.terminating_order
         if n < 0:
             raise DomainError("terminating_order must be nonnegative")
         # |q^-n| >= 1, so |a - q^-n| / |q^-n| is |a q^n - 1|, which cannot overflow
-        qn = complex(qv) ** n
+        qn = q ** n
         gap = min((abs(complex(a) * qn - 1) for a in spec.numerator), default=math.inf)
         if gap > _POLE_TOL:
             raise DomainError(
@@ -397,7 +397,7 @@ def eval_phi(spec: SeriesSpec) -> SeriesResult:
 
     nums = [complex(a) for a in spec.numerator]
     dens = [complex(b) for b in spec.denominator]
-    terms = phi_terms(nums, dens, complex(qv), complex(spec.argument), 1 + len(dens) - len(nums))
+    terms = phi_terms(nums, dens, q, complex(spec.argument), 1 + len(dens) - len(nums))
     return sum_until_converged(terms, "series")
 
 
@@ -415,9 +415,9 @@ def eval_wp_limit(alpha, numerator: Sequence, denominator: Sequence, q, w,
     """
     if shift not in (-1, 1):
         raise DomainError("shift must be -1 or +1")
-    qv = complex(base_value(q))
-    z = -complex(w) if shift == -1 else -complex(w) * qv
-    terms = wp_limit_terms(alpha, numerator, denominator, qv, z, 1)
+    q = complex(q)
+    z = -complex(w) if shift == -1 else -complex(w) * q
+    terms = wp_limit_terms(alpha, numerator, denominator, q, z, 1)
     return sum_until_converged(terms, "well-poised limit sum")
 
 
@@ -451,19 +451,18 @@ def w_spec(a1, tail: Sequence, q, z, terminating_order: int | None = None) -> Se
     """
     if a1 == 0:
         raise DomainError("very-well-poised series requires a1 != 0")
-    base = q if isinstance(q, Base) else Base(complex(q))
-    qv = base.q
+    q = complex(q)
     sq = cmath.sqrt(complex(a1))
-    nums = (complex(a1), qv * sq, -qv * sq) + tuple(complex(t) for t in tail)
+    nums = (complex(a1), q * sq, -q * sq) + tuple(complex(t) for t in tail)
     dens: list[complex] = [sq, -sq]
     for t in tail:
         if t == 0:
             raise DomainError("very-well-poised tail parameters must be nonzero")
-        dens.append(qv * complex(a1) / complex(t))
+        dens.append(q * complex(a1) / complex(t))
     return SeriesSpec(
         numerator=nums,
         denominator=tuple(dens),
-        base=base,
+        base=q,
         argument=complex(z),
         terminating_order=terminating_order,
     )

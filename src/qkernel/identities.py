@@ -89,10 +89,10 @@ rounding of 11 operations a step, which grows no faster than the moments:
 the characteristic roots aq and cq are the growth rates of the two chains'
 sums.  Against per-k Jackson integrals at dps + 40 (k <= 12, q from 0.3 to
 0.95 and -0.7, complex c, c > 0), each nu_k erred by at most
-(1 + 3 10^-11) e_0.  Since |nu_k| <= A_k <= R^k A_0, and A_0 = |nu_0| when
-w > 0 on both chains (c < 0, as sampled), a big q-Jacobi pair is within
-(n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of the per-node Jackson
-sum of w P_n P_m.
+(1 + 3 10^-11) e_0.  Since |nu_k| <= A_k <= R^k A_0, a big q-Jacobi pair is
+within (n + m + 2)(min(n, m) + 1) M_n M_m t A_0 / (1 - |q|) of the per-node
+Jackson sum of w P_n P_m; A_0 = |nu_0| when w > 0 on both chains (c < 0 < q,
+as sampled).
 
 ``_bqj_weights`` takes w at a chain's first node x_0 from one
 ``poch_ratio``, then w(xq) = w(x) a (1 - x)(c - bx) / ((a - x)(c - x)), the
@@ -110,16 +110,19 @@ and at least 40.  lost sums max(0, -log10 |N_k / N_0|) over k in (n, m),
 k > 0, with N_k the norm that the pair certifies: ``_qhahn_norm_ratio``, the
 L_k / L_0 factor of ``qhahn_L``, and the ratio of ``_bqj_rhs``.  The extra is
 n + m for big q-Jacobi; for q-Hahn it is the coefficients' growth
-(n + m) log10(1 / min(|a|, |b|)) (|a| alone at b = 0) and the cancellation
-excess below.  The growth factors of the error bounds above come out of the
-margin that ``_qhahn_dps`` and ``_bqj_dps`` keep below the quadratures'
-stops: 28 digits under the trapezoid's 10^-(dps-28), 12 under the Jackson
-sum's 10^-(dps-12).  Of the 28, the growth factors take at most 8 for
-n, m <= 6 and N <= 2^16; the other ``QHAHN_CANCEL_HEADROOM`` = 20 absorb a
-weight whose nodes exceed the integral.  ``_qhahn_dps`` adds the digits by
+(n + m) log10(1 / min(|a|, |b|)) (|a| alone at b = 0); each adds the
+cancellation excess below.  The growth factors of the error bounds above come
+out of the margin that ``_qhahn_dps`` and ``_bqj_dps`` keep below the
+quadratures' stops: 28 digits under the trapezoid's 10^-(dps-28), 12 under
+the Jackson sum's 10^-(dps-12).  Of the 28, the growth factors take at most 8
+for n, m <= 6 and N <= 2^16; the other ``QHAHN_CANCEL_HEADROOM`` = 20 absorb
+a weight whose nodes exceed the integral.  ``_qhahn_dps`` adds the digits by
 which log10(max |K| / |L_0|), taken in doubles on the trapezoid's first
 level, exceeds them: at q = 0.9 the weight can reach 45 digits above L_0,
-while every sampled draw stays within 16.
+while every sampled draw stays within 16.  Of the 12, the growth factors take
+at most 4 for n, m <= 6 and |q| <= 0.95; ``_bqj_dps`` adds the digits by which
+log10(A_0 / |N_0|), in doubles, exceeds a headroom of 1: 0 at c < 0 < q, 26 at
+a = 0.3, b = 0.4, c = 0.2, q = 0.95.
 
 To add an identity, write its recipe and put the ``@_identity(...)``
 registration on it; a recipe shared with another entry, or built by a
@@ -162,8 +165,6 @@ from .errors import (
     UnknownIdentity,
 )
 from .qcore import (
-    Base,
-    base_value,
     fixed_parts,
     from_fixed,
     mp_scalar,
@@ -193,6 +194,7 @@ from .polyfamilies import (
     qhahn_L,
     qhahn_L0,
     qhahn_poly,
+    _qhahn_K_args,
     _qhahn_norm_ratio,
 )
 from . import qintegrals as qi
@@ -451,14 +453,10 @@ def _qhahn_plan(a, b, c, d, rho, q, dps: int) -> tuple:
     in mpmath, |q|, the truncation's digits and each argument's
     ``_factor_count``, taken at theta = 0 since |t e^{+-i theta}| = |t|."""
     with mp.workdps(dps):
-        QHahnParams(a, b, c, d, rho, Base(complex(q)))  # validates the set
+        QHahnParams(a, b, c, d, rho, complex(q))  # validates the set
         qm, am, bm, cm, dm, rm = map(mp_scalar, (complex(q), a, b, c, d, rho))
-
-        def args(e, em):  # qhahn_K's numerator and denominator arguments, in its order
-            return ((rm * e / dm, qm * dm * em / rm, rm * cm * em, qm * e / (cm * rm)),
-                    (am * e, bm * e, cm * em, dm * em))
-
-        qmag, digits = qcore._base_magnitude(qm), float(mp.dps + 2)
+        args = partial(_qhahn_K_args, qm, am, bm, cm, dm, rm)
+        qmag, digits = qcore.base_magnitude(qm), float(mp.dps + 2)
         counts = [[qcore._factor_count(t, qmag, -digits) for t in side] for side in args(1, 1)]
         return args, qm, qmag, digits, counts
 
@@ -538,7 +536,7 @@ def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
     if n == 0:  # H_0 = 1, also at a = 0 where qhahn_poly's a^-n guard refuses
         return (mpf(1),)
     with mp.workdps(dps):
-        p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
+        p = QHahnParams(a, b, c, d, 1.0, complex(q))
         return _poly_coeffs(partial(qhahn_poly, n, p), n, 1.0, (a, b, c, d, q))
 
 
@@ -546,7 +544,7 @@ def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
 def _qhahn_cancellation(a, b, c, d, rho, q) -> float:
     """log10(max |K| / |L_0|): the digits by which the weight's nodes exceed
     the integral, with K taken in doubles on the trapezoid's first level."""
-    p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+    p = QHahnParams(a, b, c, d, rho, complex(q))
     n = qi.INITIAL_NODES
     top = max(abs(qhahn_K(-math.pi + 2 * math.pi * j / n, p)) for j in range(n))
     return math.log10(top / abs(qhahn_L0(p)))
@@ -557,7 +555,7 @@ def _qhahn_dps(n: int, m: int, a, b, c, d, q, rhos: tuple) -> int:
     # H_0 = 1 has no coefficients to grow, so a or b = 0 is fine for n = m = 0
     if n + m and a == 0:  # b = 0 leaves the a^-n growth alone; a = 0 has no H_n
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
-    p = QHahnParams(a, b, c, d, rhos[0], Base(complex(q)))
+    p = QHahnParams(a, b, c, d, rhos[0], complex(q))
     growth = (n + m) and (n + m) * math.log10(1.0 / min(abs(a), abs(b) or abs(a)))
     cancel = max(_qhahn_cancellation(a, b, c, d, rho, q) for rho in rhos)
     return _pair_dps(partial(_qhahn_norm_ratio, p=p), n, m,
@@ -615,7 +613,7 @@ def _bqj_weights(a, b, c, q, dps: int):
 @lru_cache(maxsize=None)
 def _bqj_coeffs(n: int, a, b, c, q, dps: int) -> tuple:
     with mp.workdps(dps):
-        p = BigQJacobiParams(a, b, c, Base(complex(q)))
+        p = BigQJacobiParams(a, b, c, complex(q))
         # every Jackson node a q^(k+1), c q^(k+1) lies in |x| <= radius
         radius = max(1.0, abs(a * q), abs(c * q))
         return _poly_coeffs(partial(big_qjacobi_poly, n, p), n, radius, (a, b, c, q))
@@ -634,12 +632,29 @@ def _bqj_rhs(n: int, a, b, c, q) -> complex:
     return complex(pref * num / den * (-a * c * q * q) ** n * q ** (n * (n - 1) // 2))
 
 
+@lru_cache(maxsize=None)
+def _bqj_cancellation(a, b, c, q) -> float:
+    """log10(A_0 / |N_0|) in doubles, w by ``_bqj_weights``'s recurrence: a chain stops
+    once |x| < min(|a|, |c|) / 2, where w is near 1, and a term is <= 10^-17 (1 - |q|) sum."""
+    total = 0.0
+    for x in (a * q, c * q):
+        v = poch_ratio([x / a, x / c], [x, b * x / c], q)
+        while True:
+            total += abs(x * v)
+            if 2 * abs(x) < min(abs(a), abs(c)) and not abs(x * v) > 1e-17 * (1 - abs(q)) * total:
+                break
+            v *= (1 - x) * (c - b * x) * a / ((a - x) * (c - x))
+            x *= q
+    return math.log10(abs(1 - q) * total / abs(_bqj_rhs(0, a, b, c, q)))
+
+
 def _bqj_dps(n: int, m: int, a, b, c, q) -> int:
     if a * c == 0:  # the weight and the norm divide by both
         raise DomainError("big q-Jacobi parameters require a c != 0")
     # the qa, qc and abq lattice checks, before the norms and the moments divide
-    BigQJacobiParams(a, b, c, Base(complex(q)))
-    return _pair_dps(lambda k: _bqj_rhs(k, a, b, c, q) / _bqj_rhs(0, a, b, c, q), n, m, n + m)
+    BigQJacobiParams(a, b, c, complex(q))
+    return _pair_dps(lambda k: _bqj_rhs(k, a, b, c, q) / _bqj_rhs(0, a, b, c, q), n, m,
+                     n + m + max(0.0, _bqj_cancellation(a, b, c, q) - 1))  # 1 digit of headroom
 
 
 @lru_cache(maxsize=None)
@@ -682,7 +697,7 @@ def clear_caches() -> None:
     (mainly for tests and cold-cache runs)."""
     qcore._EULER_CACHE.clear()
     for cache in (_qhahn_plan, _qhahn_K_node, _qhahn_moments, _qhahn_H_coeffs,
-                  _qhahn_cancellation, _bqj_nu0, _bqj_coeffs, _bqj_rhs):
+                  _qhahn_cancellation, _bqj_cancellation, _bqj_nu0, _bqj_coeffs, _bqj_rhs):
         cache.cache_clear()
 
 
@@ -783,7 +798,7 @@ _ABCD = {"q": _Q_CHOICES, **dict.fromkeys("abcd", (0.05, 0.6))}
 )
 def _recipe_qhahn_genfun(q, a, b, c, d, s, theta, swapped: bool = False) -> CheckValues:
     z = cmath.exp(1j * theta)
-    p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
+    p = QHahnParams(a, b, c, d, 1.0, complex(q))
     a_role, b_role = (b, a) if swapped else (a, b)
     abcd = a * b * c * d
     res = sum_until_converged(_genfun_terms(
@@ -835,7 +850,7 @@ def _recipe_qhahn_rho_agreement(n, m, a, b, c, d, rho, rho2, q) -> CheckValues:
 
     def normalised(rho):
         I = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
-        p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+        p = QHahnParams(a, b, c, d, rho, complex(q))
         return I / qhahn_L0(p)
 
     lhs = normalised(rho)
@@ -858,7 +873,7 @@ def _recipe_qhahn_rho_agreement(n, m, a, b, c, d, rho, rho2, q) -> CheckValues:
     ),
 )
 def _recipe_qhahn_orthogonality(n, m, a, b, c, d, rho, q) -> CheckValues:
-    p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+    p = QHahnParams(a, b, c, d, rho, complex(q))
     dps = _qhahn_dps(n, m, a, b, c, d, q, (rho,))
     lhs = _qhahn_integral(n, m, a, b, c, d, rho, q, dps)
     L0 = qhahn_L0(p)
@@ -890,7 +905,7 @@ def _bww_admissible(prm) -> bool:
 def _recipe_bww_transform(q, alpha, a, b, c, d) -> CheckValues:
     lam = q * alpha * alpha / (b * c * d)
     lhs = eval_phi(SeriesSpec((c, d, alpha * q / (a * b)), (alpha * q / a, alpha * q / b),
-                              Base(complex(q)), q * alpha / (c * d))).value
+                              complex(q), q * alpha / (c * d))).value
     series = eval_wp_limit(lam, (lam, a, lam * b / alpha, lam * c / alpha, lam * d / alpha),
                            (q * lam / a, q * alpha / b, q * alpha / c, q * alpha / d), q,
                            -q * alpha / a, -1)
@@ -952,7 +967,7 @@ _identity(
            "t": (0.1, 0.6), "x": (0.05, 0.6)}),
 )
 def _recipe_bqj_genfun(a, b, c, t, x, q) -> CheckValues:
-    p = BigQJacobiParams(a, b, c, Base(complex(q)))
+    p = BigQJacobiParams(a, b, c, complex(q))
     res = sum_until_converged(_genfun_terms(
         lambda degrees: big_qjacobi_poly(degrees, p, x),
         lambda n, B: (1 - a * b * q ** (2 * n + 1)) * B,
@@ -997,7 +1012,7 @@ _identity(
     _draw({**_ABCD, "s": (0.1, 0.6), "theta": (0.3, 2.8)}),
 )
 def _recipe_aw_genfun(a, b, c, d, s, q, theta) -> CheckValues:
-    p = AWParams(a, b, c, d, Base(complex(q)))
+    p = AWParams(a, b, c, d, complex(q))
     abcd = a * b * c * d
     lead = 1 - abcd / q
     res = sum_until_converged(_genfun_terms(
@@ -1152,7 +1167,7 @@ def _recipe_q_dougall_6w5(a, b, c, d, s, r, q, theta) -> CheckValues:
 )
 def _recipe_liu_3phi2(q, alpha, x, y, u, v) -> CheckValues:
     lhs = poch_ratio([alpha * q, alpha * x * y / q], [alpha * x, alpha * y], q) * eval_phi(
-        SeriesSpec((q / x, q / y, alpha * u * v / q), (alpha * u, alpha * v), Base(complex(q)),
+        SeriesSpec((q / x, q / y, alpha * u * v / q), (alpha * u, alpha * v), complex(q),
                    alpha * x * y / q)).value
     series = eval_wp_limit(alpha, (alpha, q / x, q / y, q / u, q / v),
                            (alpha * x, alpha * y, alpha * u, alpha * v),
@@ -1224,7 +1239,7 @@ def _recipe_liu_qbeta_v_limit(a, b, c, d, s, u, q) -> CheckValues:
     [PinnedCase("example", {"a": 0.2, "b": 0.3, "c": 0.71, "q": 0.5})],
 )
 def _recipe_q_gauss(a, b, c, q) -> CheckValues:
-    res = eval_phi(SeriesSpec((q / a, q / b), (c,), Base(complex(q)), a * b * c / q**2))
+    res = eval_phi(SeriesSpec((q / a, q / b), (c,), complex(q), a * b * c / q**2))
     rhs = poch_ratio([c * a / q, c * b / q], [c, a * b * c / q**2], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
@@ -1574,7 +1589,7 @@ def check_identity(
     try:
         for name in ("q", "p"):
             if name in params:
-                Base(params[name])
+                qcore.base_magnitude(params[name])
         values = recipe(**_integer_degrees(params, entry.sampler.integers))
         for side in ("lhs", "rhs"):
             if not cmath.isfinite(complex(getattr(values, side))):
@@ -1589,10 +1604,9 @@ def check_identity(
 
 
 def _check_pair(ident: str, n: int, m: int, p) -> IdentityReport:
-    """The pair (n, m) of ``ident`` at the fields of ``p``, q a Base or a number."""
-    q = base_value(p.q)
+    """The pair (n, m) of ``ident`` at the fields of ``p``."""
     params = {"n": n, "m": m, **{f.name: getattr(p, f.name) for f in fields(p)},
-              "q": complex(q).real if complex(q).imag == 0 else q}
+              "q": complex(p.q).real if complex(p.q).imag == 0 else p.q}
     return check_identity(ident, params, label=f"pair:{n},{m}")
 
 

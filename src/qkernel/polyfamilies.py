@@ -23,8 +23,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
-    Base,
-    base_value,
+    base_magnitude,
     mp_scalar,
     poch_finite,
     poch_ratio,
@@ -47,17 +46,17 @@ class QHahnParams:
     c: complex
     d: complex
     rho: complex
-    q: Base
+    q: complex
 
     def __post_init__(self):
+        base_magnitude(self.q)
         if self.c * self.d * self.rho == 0:
             raise DomainError("q-Hahn parameters require c d rho != 0")
         for name in ("a", "b", "c", "d"):
             if abs(complex(getattr(self, name))) >= 1:
                 raise DomainError(f"|{name}| must be < 1")
-        qv = base_value(self.q)
         # guard (abcd q^{-1}; q)_n denominators and the 1 - abcd q^{2n-1} factors
-        _require_off_lattice(self.a * self.b * self.c * self.d / qv, qv, "abcd/q")
+        _require_off_lattice(self.a * self.b * self.c * self.d / self.q, self.q, "abcd/q")
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,13 @@ class BigQJacobiParams:
     a: complex
     b: complex
     c: complex
-    q: Base
+    q: complex
 
     def __post_init__(self):
-        qv = base_value(self.q)
-        _require_off_lattice(qv * self.a, qv, "qa")
-        _require_off_lattice(qv * self.c, qv, "qc")
-        _require_off_lattice(self.a * self.b * qv, qv, "abq")
+        base_magnitude(self.q)
+        _require_off_lattice(self.q * self.a, self.q, "qa")
+        _require_off_lattice(self.q * self.c, self.q, "qc")
+        _require_off_lattice(self.a * self.b * self.q, self.q, "abq")
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,14 @@ class AWParams:
     b: complex
     c: complex
     d: complex
-    q: Base
+    q: complex
 
     def __post_init__(self):
+        base_magnitude(self.q)
         for name in ("a", "b", "c", "d"):
             if abs(complex(getattr(self, name))) >= 1:
                 raise DomainError(f"|{name}| must be < 1")
-        qv = base_value(self.q)
-        _require_off_lattice(self.a * self.b * self.c * self.d / qv, qv, "abcd/q")
+        _require_off_lattice(self.a * self.b * self.c * self.d / self.q, self.q, "abcd/q")
 
 
 def _finish(value, point):
@@ -115,7 +114,7 @@ def _family(n, build, point, q, a=1, others=(), real=False):
     series, _ = phi_terminating_core(build, degrees[-1], degrees[0])
     if real:
         series = [s.real for s in series]
-    qm, am = mp_scalar(base_value(q)), mp_scalar(a)
+    qm, am = mp_scalar(q), mp_scalar(a)
     xs = [am * mp_scalar(x) for x in others]
     pref = am ** -degrees[0] * mp.fprod(poch_finite(x, qm, degrees[0]) for x in xs)
     qk = qm ** degrees[0]
@@ -133,15 +132,14 @@ def qhahn_poly(n, p: QHahnParams, z):
     or the list of them over a range ``n`` of degrees."""
     if p.a == 0:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
-    qv = base_value(p.q)
 
     def build():
-        qm = mp_scalar(qv)
+        qm = mp_scalar(p.q)
         am, bm, cm, dm = (mp_scalar(x) for x in (p.a, p.b, p.c, p.d))
         nums = [(1, -1), (am * bm * cm * dm / qm, 1), am * mp_scalar(z)]
         return nums, [am * cm, am * dm], qm, qm
 
-    return _family(n, build, z, qv, p.a, (p.c, p.d))
+    return _family(n, build, z, p.q, p.a, (p.c, p.d))
 
 
 def qhahn_A(n: int, a, b, p: QHahnParams) -> complex:
@@ -150,13 +148,13 @@ def qhahn_A(n: int, a, b, p: QHahnParams) -> complex:
     with the roles of the first two parameters given explicitly."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    qv = base_value(p.q)
+    q = p.q
     abcd = a * b * p.c * p.d
-    lead = 1 - abcd / qv
+    lead = 1 - abcd / q
     if abs(lead) < _GUARD:
         raise PoleInDenominator("1 - abcd/q vanishes")
-    num = (1 - abcd * qv ** (2 * n - 1)) * poch_finite(abcd / qv, qv, n) * a**n
-    den = lead * poch_finite(qv, qv, n) * poch_finite(a * p.c, qv, n) * poch_finite(a * p.d, qv, n)
+    num = (1 - abcd * q ** (2 * n - 1)) * poch_finite(abcd / q, q, n) * a**n
+    den = lead * poch_finite(q, q, n) * poch_finite(a * p.c, q, n) * poch_finite(a * p.d, q, n)
     if den == 0:
         raise PoleInDenominator("vanishing factor in A_n denominator")
     return complex(num / den)
@@ -165,7 +163,7 @@ def qhahn_A(n: int, a, b, p: QHahnParams) -> complex:
 def qhahn_L0(p: QHahnParams) -> complex:
     """Normalisation L_0, the Askey-Roy integral
     (abcd, rho, q/rho, c rho/d, qd/(c rho); q)_inf / (q, ac, ad, bc, bd; q)_inf."""
-    return complex(askey_roy_rhs(p.a, p.b, p.c, p.d, p.rho, base_value(p.q)))
+    return complex(askey_roy_rhs(p.a, p.b, p.c, p.d, p.rho, p.q))
 
 
 def qhahn_L(n: int, p: QHahnParams) -> complex:
@@ -183,16 +181,21 @@ def _qhahn_norm_ratio(n: int, p: QHahnParams):
     """L_n / L_0, the factor of ``qhahn_L`` before L_0."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    qv = base_value(p.q)
-    a, b, c, d = p.a, p.b, p.c, p.d
+    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
     abcd = a * b * c * d
-    num = (1 - abcd / qv) * qv ** (n * (n - 1) // 2) * (-c * d) ** n
-    for x in (qv, a * c, a * d, b * c, b * d):
-        num *= poch_finite(x, qv, n)
-    den = (1 - abcd * qv ** (2 * n - 1)) * poch_finite(abcd / qv, qv, n)
+    num = (1 - abcd / q) * q ** (n * (n - 1) // 2) * (-c * d) ** n
+    for x in (q, a * c, a * d, b * c, b * d):
+        num *= poch_finite(x, q, n)
+    den = (1 - abcd * q ** (2 * n - 1)) * poch_finite(abcd / q, q, n)
     if den == 0:
         raise PoleInDenominator("vanishing factor in L_n denominator")
     return num / den
+
+
+def _qhahn_K_args(q, a, b, c, d, rho, e, em) -> tuple:
+    """The numerator and denominator arguments of ``qhahn_K`` at e = e^{it}, em = e^{-it}."""
+    return ((rho * e / d, q * d * em / rho, rho * c * em, q * e / (c * rho)),
+            (a * e, b * e, c * em, d * em))
 
 
 def qhahn_K(theta, p: QHahnParams):
@@ -203,28 +206,26 @@ def qhahn_K(theta, p: QHahnParams):
     For an mpmath angle every argument is formed in mpmath (a float product
     such as q d would round the weight to double precision) and the mpmath
     value is returned; otherwise a complex number."""
-    qv, a, b, c, d, rho = base_value(p.q), p.a, p.b, p.c, p.d, p.rho
+    q, a, b, c, d, rho = p.q, p.a, p.b, p.c, p.d, p.rho
     if isinstance(theta, (int, float, complex)):
         e, em = cmath.exp(1j * theta), cmath.exp(-1j * theta)
     else:
-        qv, a, b, c, d, rho = (mp_scalar(x) for x in (qv, a, b, c, d, rho))
+        q, a, b, c, d, rho = (mp_scalar(x) for x in (q, a, b, c, d, rho))
         e, em = mp.expj(theta), mp.expj(-theta)
-    return _finish(poch_ratio([rho * e / d, qv * d * em / rho, rho * c * em, qv * e / (c * rho)],
-                              [a * e, b * e, c * em, d * em], qv), theta)
+    return _finish(poch_ratio(*_qhahn_K_args(q, a, b, c, d, rho, e, em), q), theta)
 
 
 def big_qjacobi_poly(n, p: BigQJacobiParams, x):
     """Big q-Jacobi polynomial 3phi2(q^{-n}, ab q^{n+1}, x; qa, qc; q, q),
     or the list of them over a range ``n`` of degrees."""
-    qv = base_value(p.q)
 
     def build():
-        qm = mp_scalar(qv)
+        qm = mp_scalar(p.q)
         am, bm, cm = (mp_scalar(v) for v in (p.a, p.b, p.c))
         nums = [(1, -1), (am * bm * qm, 1), mp_scalar(x)]
         return nums, [qm * am, qm * cm], qm, qm
 
-    return _family(n, build, x, qv)
+    return _family(n, build, x, p.q)
 
 
 def askey_wilson_poly(n, p: AWParams, theta):
@@ -237,14 +238,13 @@ def askey_wilson_poly(n, p: AWParams, theta):
     """
     if p.a == 0:
         raise DomainError("a = 0 makes the a^{-n} prefactor singular")
-    qv = base_value(p.q)
-    real = all(isinstance(mp_scalar(v), mpf) for v in (p.a, p.b, p.c, p.d, qv, theta))
+    real = all(isinstance(mp_scalar(v), mpf) for v in (p.a, p.b, p.c, p.d, p.q, theta))
 
     def build():
-        qm = mp_scalar(qv)
+        qm = mp_scalar(p.q)
         am, bm, cm, dm = (mp_scalar(v) for v in (p.a, p.b, p.c, p.d))
         e = mp.expj(mp_scalar(theta))
         nums = [(1, -1), (am * bm * cm * dm / qm, 1), am * e, am / e]
         return nums, [am * bm, am * cm, am * dm], qm, qm
 
-    return _family(n, build, theta, qv, p.a, (p.b, p.c, p.d), real)
+    return _family(n, build, theta, p.q, p.a, (p.b, p.c, p.d), real)

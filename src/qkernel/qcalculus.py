@@ -37,7 +37,7 @@ from mpmath import mp
 
 from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .hyperseries import sum_until_converged
-from .qcore import base_value, mp_scalar
+from .qcore import base_magnitude, mp_scalar
 
 AnalyticFn = Callable
 
@@ -46,8 +46,7 @@ def q_derivative(f: AnalyticFn, x, q):
     """First q-derivative (f(x) - f(qx)) / x."""
     if x == 0:
         raise DomainError("q-derivative is not defined at x = 0")
-    qv = base_value(q)
-    return (f(x) - f(qv * x)) / x
+    return (f(x) - f(q * x)) / x
 
 
 def _amplification_digits(n: int, qmag: float, point_mag: float) -> int:
@@ -69,11 +68,10 @@ def q_derivative_n(f: AnalyticFn, x, q, n: int):
         raise DomainError("q-derivative is not defined at x = 0")
     if n == 0:
         return f(x)
-    qv = base_value(q)
-    qmag = float(abs(qv))
+    qmag = base_magnitude(q)
     work = 20 + _amplification_digits(n, qmag, float(abs(x))) + 20
     with mp.workdps(work):
-        value = _jackson_difference(f, x, mp_scalar(qv), n)
+        value = _jackson_difference(f, x, mp_scalar(q), n)
     return complex(value)
 
 
@@ -113,17 +111,15 @@ def q_integral(f: AnalyticFn, a, b, q, tol=None):
     TruncationExceeded when f overflows, a term or the sum is not finite or
     the loop's term cap is reached.
     """
-    qv = base_value(q)
-    if not abs(qv) < 1:
-        raise DomainError("q-integral requires |q| < 1")
+    base_magnitude(q)
 
     terms = (((b * f(xb) if b != 0 else 0) - (a * f(xa) if a != 0 else 0)) * qn
-             for qn, (xb, xa) in jackson_nodes((b, a), qv))
+             for qn, (xb, xa) in jackson_nodes((b, a), q))
     try:
         total = sum_until_converged(terms, "q-integral", tol).value
     except OverflowError as exc:
         raise TruncationExceeded(f"q-integral overflowed: {exc}") from exc
-    return (1 - qv) * total
+    return (1 - q) * total
 
 
 def _coeff_work_digits(order: int, qmag: float, alpha_mag: float, a_mag: float) -> int:
@@ -154,10 +150,9 @@ def liu_coefficient(f: AnalyticFn, n: int, alpha, q):
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
     _require_nonzero(alpha=alpha)
-    qv = base_value(q)
-    work = _coeff_work_digits(n, float(abs(qv)), float(abs(alpha)), 0.0)
+    work = _coeff_work_digits(n, base_magnitude(q), float(abs(alpha)), 0.0)
     with mp.workdps(work):
-        qm = mp_scalar(qv)
+        qm = mp_scalar(q)
         value = _jackson_difference(_times_poch(f, qm, n), mp_scalar(alpha) * qm, qm, n)
     return complex(value)
 
@@ -204,10 +199,9 @@ def liu_reconstruct(f: AnalyticFn, a, alpha, q, order: int):
     if a == 0:
         raise DomainError("reconstruction point a must be nonzero")
     _require_nonzero(alpha=alpha)
-    qv = base_value(q)
-    work = _coeff_work_digits(order, float(abs(qv)), float(abs(alpha)), float(abs(a)))
+    work = _coeff_work_digits(order, base_magnitude(q), float(abs(alpha)), float(abs(a)))
     with mp.workdps(work):
-        qm = mp_scalar(qv)
+        qm = mp_scalar(q)
         U = _reconstruction_weights(order, a, alpha, qm)
         total = mp.fdot(U, map(f, _nodes(alpha, qm, order + 1)))
     return complex(total)
@@ -225,13 +219,12 @@ def liu_double_coefficient(f: AnalyticFn, n: int, m: int, alpha, beta, q):
     if n < 0 or m < 0:
         raise DomainError("coefficient indices must be nonnegative")
     _require_nonzero(alpha=alpha, beta=beta)
-    qv = base_value(q)
-    qmag = float(abs(qv))
+    qmag = base_magnitude(q)
     work = 40 + _amplification_digits(n, qmag, qmag * float(abs(alpha))) + (
         _amplification_digits(m, qmag, qmag * float(abs(beta)))
     )
     with mp.workdps(work):
-        qm = mp_scalar(qv)
+        qm = mp_scalar(q)
 
         def inner(y):  # the x-difference at each y node, unrounded
             return _jackson_difference(_times_poch(lambda x: f(x, y), qm, n),
@@ -249,13 +242,12 @@ def liu_double_reconstruct(f: AnalyticFn, a, b, alpha, beta, q, order_x: int, or
     if a == 0 or b == 0:
         raise DomainError("reconstruction points must be nonzero")
     _require_nonzero(alpha=alpha, beta=beta)
-    qv = base_value(q)
-    qmag = float(abs(qv))
+    qmag = base_magnitude(q)
     work = _coeff_work_digits(order_x, qmag, float(abs(alpha)), float(abs(a))) + (
         _coeff_work_digits(order_y, qmag, float(abs(beta)), float(abs(b)))
     )
     with mp.workdps(work):
-        qm = mp_scalar(qv)
+        qm = mp_scalar(q)
         U = _reconstruction_weights(order_x, a, alpha, qm)
         V = _reconstruction_weights(order_y, b, beta, qm)
         xs, ys = _nodes(alpha, qm, order_x + 1), _nodes(beta, qm, order_y + 1)

@@ -1,5 +1,8 @@
 """Complex q-shifted factorials and trigonometric weight factors.
 
+The base q is a plain Python or mpmath number; ``base_magnitude`` is its one
+check, run by every q-product and by each entry point that takes q.
+
 ``poch_ratio(nums, dens, q)``, a ratio of two products of infinite
 q-products, is the single scalar q-product kernel, and ``poch_infinite`` its
 one-argument case; ``qintegrals.poch_infinite_vec`` is its numpy-array twin,
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from mpmath import mp, mpc, mpmathify
@@ -81,30 +83,6 @@ PRODUCT_GUARD_BITS = 16
 _PYTHON = (int, float, complex)
 
 
-@dataclass(frozen=True)
-class Base:
-    """The series base q, constrained to 0 < |q| <= 1 - DEFAULT_EPS_BASE."""
-
-    q: complex
-
-    def __post_init__(self):
-        qc = complex(self.q)
-        if not (cmath.isfinite(qc)):
-            raise DomainError("base q must be finite")
-        _base_magnitude(qc)
-
-
-def base_value(q):
-    """The numeric base behind ``q`` without converting its type.
-
-    Accepts a Base, a Python number, or an mpmath value; mpmath values are
-    passed through untouched so extended-precision callers keep their digits.
-    """
-    if isinstance(q, Base):
-        return q.q
-    return q
-
-
 def mp_scalar(x):
     """Convert to an mpmath scalar, mapping real-valued complex inputs to mpf
     (mpf arithmetic is markedly cheaper than mpc)."""
@@ -121,10 +99,10 @@ def _magnitude(x) -> float:
     return abs(complex(x)) * (1 + 2.0**-50) + 2.0**-1072
 
 
-def _base_magnitude(qv) -> float:
+def base_magnitude(q) -> float:
     """|q| as the nearest double (not rounded up: it is compared with
-    1 - DEFAULT_EPS_BASE), checked to be nonzero and at most that."""
-    qmag = float(abs(qv))
+    1 - DEFAULT_EPS_BASE), checked to be finite, nonzero and at most that."""
+    qmag = float(abs(q))
     if not math.isfinite(qmag) or qmag > 1 - DEFAULT_EPS_BASE:
         raise DomainError(f"|q| = {qmag:.6g} must not exceed {1 - DEFAULT_EPS_BASE:.6g}")
     if qmag == 0:
@@ -153,18 +131,18 @@ def poch_finite(a, q, n: int):
         raise DomainError("poch_finite requires n >= 0")
     if n == 0:  # mp.one keeps an empty mpmath product mpf
         return 1 + 0j if isinstance(a, _PYTHON) else mp.one
-    acc = _factors(a, base_value(q), n, "poch_finite")
+    acc = _factors(a, q, n, "poch_finite")
     return acc + 0j if isinstance(acc, int) else acc
 
 
-def _factors(a, qv, n: int, name: str):
+def _factors(a, q, n: int, name: str):
     """prod_{k<n} (1 - a q^k), factor by factor; DomainError, naming ``name``,
     when a float/complex result overflows."""
     acc = 1
     zk = a
     for _ in range(n):
         acc = acc * (1 - zk)
-        zk = zk * qv
+        zk = zk * q
     if isinstance(acc, (float, complex)) and not cmath.isfinite(acc):
         raise DomainError(f"{name} overflowed the float range")
     return acc
@@ -193,13 +171,12 @@ def poch_infinite(a, q):
     factors, and DomainError when a float/complex result overflows (mpmath
     results may legitimately exceed the float range).
     """
-    qv = base_value(q)
-    if not (isinstance(a, _PYTHON) and isinstance(qv, _PYTHON)):
-        return poch_ratio((a,), (), qv)
-    _, n = _factor_count(a, _base_magnitude(qv), FLOAT_TOL_LOG10)
+    if not (isinstance(a, _PYTHON) and isinstance(q, _PYTHON)):
+        return poch_ratio((a,), (), q)
+    _, n = _factor_count(a, base_magnitude(q), FLOAT_TOL_LOG10)
     if n == 0:
         return 1 + 0j
-    return _factors(a, qv, n, "poch_infinite")
+    return _factors(a, q, n, "poch_infinite")
 
 
 #: Euler-series data keyed by (q, mp.prec, digits): the scale W, q as an
@@ -226,8 +203,8 @@ def from_fixed(re: int, im: int, exp: int, is_complex: bool):
     return mp.make_mpf(value)
 
 
-def _euler_data(qv, qmag: float, digits: float):
-    key = (qv, mp.prec, digits)
+def _euler_data(q, qmag: float, digits: float):
+    key = (q, mp.prec, digits)
     data = _EULER_CACHE.get(key)
     if data is not None:
         return data
@@ -243,7 +220,7 @@ def _euler_data(qv, qmag: float, digits: float):
         K += 1
     W = mp.prec + math.ceil(math.log2(8 * K) + (log_plus - log_minus) / math.log10(2)) + 7
     with mp.workprec(W):
-        qm = mp_scalar(qv)
+        qm = mp_scalar(q)
         coeffs = [mp.one]
         qk = mp.one
         for _ in range(1, K):
@@ -254,11 +231,11 @@ def _euler_data(qv, qmag: float, digits: float):
     return data
 
 
-def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
+def _poch_euler(a, amag: float, q, qmag: float, digits: float):
     """(a; q)_inf on integers scaled by 2^W: explicit factors while
     |a q^j| > |q|, then Euler's series at y = a q^m by Horner's rule.
     Returns the unrounded (re, im, exp, is_complex) for ``from_fixed``."""
-    W, (qr, qi), q_complex, cr, ci = _euler_data(qv, qmag, digits)
+    W, (qr, qi), q_complex, cr, ci = _euler_data(q, qmag, digits)
     one = 1 << W
     yr, yi = fixed_parts(a, W)
     # the product of the explicit factors is (pr + i pi) 2^e with W bits kept
@@ -282,7 +259,7 @@ def _poch_euler(a, amag: float, qv, qmag: float, digits: float):
     return pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex
 
 
-def _mp_product(params: Iterable, qv, qmag: float, digits: float):
+def _mp_product(params: Iterable, q, qmag: float, digits: float):
     """prod (a; q)_inf over the pairs (a, ``_factor_count`` of a at
     10^-digits) in ``params`` by Euler's series, rounded once to ``mp.prec``:
     the running product of the unrounded factors is cut to ``mp.prec`` +
@@ -291,7 +268,7 @@ def _mp_product(params: Iterable, qv, qmag: float, digits: float):
     for a, (amag, n) in params:
         if n == 0:
             continue
-        f = _poch_euler(a, amag, qv, qmag, digits)
+        f = _poch_euler(a, amag, q, qmag, digits)
         if acc is not None:
             re, im = acc[0] * f[0] - acc[1] * f[1], acc[0] * f[1] + acc[1] * f[0]
             drop = max(0, max(abs(re).bit_length(), abs(im).bit_length()) - keep)
@@ -308,14 +285,13 @@ def poch_ratio(nums: Sequence, dens: Sequence, q):
     products take Euler's series and are rounded once each (see the module
     docstring); the result is then ``mpf`` when q and every argument are real.
     """
-    qv = base_value(q)
-    if isinstance(qv, _PYTHON) and all(isinstance(a, _PYTHON) for a in (*nums, *dens)):
-        num, den = (math.prod((poch_infinite(a, qv) for a in p), start=1 + 0j)
+    if isinstance(q, _PYTHON) and all(isinstance(a, _PYTHON) for a in (*nums, *dens)):
+        num, den = (math.prod((poch_infinite(a, q) for a in p), start=1 + 0j)
                     for p in (nums, dens))
     else:
-        qmag, digits = _base_magnitude(qv), float(mp.dps + 2)
+        qmag, digits = base_magnitude(q), float(mp.dps + 2)
         num, den = (_mp_product([(a, _factor_count(a, qmag, -digits)) for a in p],
-                                qv, qmag, digits) for p in (nums, dens))
+                                q, qmag, digits) for p in (nums, dens))
     return num / den if dens else num
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, QuadratureNotConverged, TruncationExceeded
-from .qcore import FLOAT_TOL_LOG10, Base, base_value, poch_ratio, tail_count
+from .qcore import FLOAT_TOL_LOG10, base_magnitude, poch_ratio, tail_count
 from .hyperseries import (SeriesSpec, _check_denominator_poles, eval_phi, eval_w,
                           eval_wp_limit, phi_terms, sum_until_converged, wp_limit_terms)
 
@@ -47,13 +47,14 @@ class WeightSpec:
     """Trigonometric integrand: optional h(cos 2 theta; 1) factor, h factors
     in numerator and denominator, and an arbitrary vectorised extra factor."""
 
-    base: Base
+    base: complex
     numerator_h: tuple = ()
     denominator_h: tuple = ()
     cos2_numerator: bool = False
     extra_factor: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
+        base_magnitude(self.base)
         mods = np.abs(np.array((*self.numerator_h, *self.denominator_h), complex))
         if not np.isfinite(mods).all():
             raise DomainError("h-parameters must have a finite modulus")
@@ -93,7 +94,7 @@ def weight_values(w: WeightSpec, theta: np.ndarray) -> np.ndarray:
     pairs += [(complex(a), eip) for a in (*w.numerator_h, *w.denominator_h)]
     z = np.array([a * e for a, e in pairs] + [a / e for a, e in pairs])
     m = len(pairs)
-    p = poch_infinite_vec(z.reshape(2 * m, theta.size), complex(base_value(w.base)))
+    p = poch_infinite_vec(z.reshape(2 * m, theta.size), complex(w.base))
     h = p[:m] * p[m:]
     vals = np.ones(theta.shape, dtype=complex)
     for row in h[:m - len(w.denominator_h)]:
@@ -114,13 +115,13 @@ def circle_phi_factor(
 
     with the balanced r = s + 1 convention (no compensating power of q): the
     terms of ``phi_terms`` at every node, summed by ``sum_until_converged``."""
-    qv = complex(base_value(q))
+    q = complex(q)
     ups = [complex(x) for x in extra_upper]
     lows = [complex(x) for x in lower]
 
     def factor(theta: np.ndarray) -> np.ndarray:
         eip = np.exp(1j * theta)
-        terms = phi_terms([a * eip, a * np.conj(eip), *ups], lows, qv, z, 0)
+        terms = phi_terms([a * eip, a * np.conj(eip), *ups], lows, q, z, 0)
         # an overflow is reported once, as the loop's TruncationExceeded
         with np.errstate(all="ignore"):
             return sum_until_converged(terms, "series factor on the node set").value
@@ -192,13 +193,12 @@ def trig_integral(w: WeightSpec, diagnostics: dict | None = None) -> complex:
 
 def askey_wilson_rhs(a, b, c, d, q) -> complex:
     """2 pi (abcd; q)_inf / (q, ab, ac, ad, bc, bd, cd; q)_inf."""
-    qv = base_value(q)
     return 2.0 * math.pi * poch_ratio([a * b * c * d],
-                                      [qv, a * b, a * c, a * d, b * c, b * d, c * d], qv)
+                                      [q, a * b, a * c, a * d, b * c, b * d, c * d], q)
 
 
 def askey_wilson_lhs(a, b, c, d, q) -> complex:
-    w = WeightSpec(base=Base(complex(base_value(q))), denominator_h=(a, b, c, d),
+    w = WeightSpec(base=complex(q), denominator_h=(a, b, c, d),
                    cos2_numerator=True)
     return trig_integral(w)
 
@@ -208,18 +208,16 @@ def askey_roy_rhs(a, b, c, d, rho, q) -> complex:
     / (q, ac, ad, bc, bd; q)_inf."""
     if c * d * rho == 0:
         raise DomainError("askey_roy_rhs requires c d rho != 0")
-    qv = base_value(q)
-    return poch_ratio([a * b * c * d, rho, qv / rho, c * rho / d, qv * d / (c * rho)],
-                      [qv, a * c, a * d, b * c, b * d], qv)
+    return poch_ratio([a * b * c * d, rho, q / rho, c * rho / d, q * d / (c * rho)],
+                      [q, a * c, a * d, b * c, b * d], q)
 
 
 def nr_product_rhs(a, b, c, d, s, q) -> complex:
     """2 pi (abcd, abcs, abds, acds, bcds; q)_inf
     / (q, ab, ac, ad, as, bc, bd, bs, cd, cs, ds; q)_inf."""
-    qv = base_value(q)
     return 2.0 * math.pi * poch_ratio(
         [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s, b * c * d * s],
-        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s], qv,
+        [q, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s], q,
     )
 
 
@@ -227,7 +225,7 @@ def nr_trig_lhs(a, b, c, d, s, r, q) -> complex:
     """integral over [0, pi] of h(cos 2t; 1) h(cos t; r) / h(cos t; a,b,c,d,s)."""
     num = (r,) if r != 0 else ()
     w = WeightSpec(
-        base=Base(complex(base_value(q))),
+        base=complex(q),
         numerator_h=num,
         denominator_h=(a, b, c, d, s),
         cos2_numerator=True,
@@ -235,13 +233,13 @@ def nr_trig_lhs(a, b, c, d, s, r, q) -> complex:
     return trig_integral(w)
 
 
-def _bailey_8w7(a, b, c, d, s, r, qv):
+def _bailey_8w7(a, b, c, d, s, r, q):
     """8W7(abcds^2/q; as, bs, cs, ds, abcds/r; q, r/s), shared by
     ``nassrallah_rahman_rhs`` and ``qbailey_rhs``."""
     return eval_w(
-        a * b * c * d * s * s / qv,
+        a * b * c * d * s * s / q,
         [a * s, b * s, c * s, d * s, a * b * c * d * s / r],
-        qv, r / s,
+        q, r / s,
     ).value
 
 
@@ -252,14 +250,13 @@ def nassrallah_rahman_rhs(a, b, c, d, s, r, q) -> complex:
         raise DomainError("use liu_r0_rhs for the r = 0 case")
     if abs(r / s) >= 1:
         raise DomainError("nassrallah_rahman_rhs requires |r/s| < 1")
-    qv = base_value(q)
     ratio = poch_ratio(
         [r / s, r * s, a * b * c * s, b * c * d * s, a * c * d * s, a * b * d * s],
-        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
+        [q, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
          a * b * c * d * s * s],
-        qv,
+        q,
     )
-    return 2.0 * math.pi * ratio * _bailey_8w7(a, b, c, d, s, r, qv)
+    return 2.0 * math.pi * ratio * _bailey_8w7(a, b, c, d, s, r, q)
 
 
 def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
@@ -267,27 +264,25 @@ def nr_intermediate_rhs(a, b, c, d, s, r, q) -> complex:
     8W7(rabc/q; r/s, ab, ac, bc, r/d; q, ds)."""
     if r == 0 or d == 0:
         raise DomainError("intermediate form requires r != 0 and d != 0")
-    qv = base_value(q)
     ratio = poch_ratio(
         [a * b * c * d, a * b * c * s, r * a, r * b, r * c],
-        [qv, a * b, a * c, a * d, b * c, b * d, c * d, r * a * b * c, a * s, b * s, c * s],
-        qv,
+        [q, a * b, a * c, a * d, b * c, b * d, c * d, r * a * b * c, a * s, b * s, c * s],
+        q,
     )
     w8 = eval_w(
-        r * a * b * c / qv,
+        r * a * b * c / q,
         [r / s, a * b, a * c, b * c, r / d],
-        qv, d * s,
+        q, d * s,
     ).value
     return 2.0 * math.pi * ratio * w8
 
 
 def liu_r0_rhs(a, b, c, d, s, q) -> complex:
     """r = 0 form: products times 3phi2(ab, ac, bc; abcd, abcs; q, ds)."""
-    qv = base_value(q)
     ratio = poch_ratio([a * b * c * d, a * b * c * s],
-                       [qv, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], qv)
+                       [q, a * b, a * c, a * d, b * c, b * d, c * d, a * s, b * s, c * s], q)
     phi = eval_phi(SeriesSpec((a * b, a * c, b * c), (a * b * c * d, a * b * c * s),
-                              Base(complex(qv)), d * s)).value
+                              complex(q), d * s)).value
     return 2.0 * math.pi * ratio * phi
 
 
@@ -295,20 +290,19 @@ def liu_qbeta_rhs(a, b, c, d, s, u, v, q) -> complex:
     """Prefactor 2 pi (abcd, abcs, abds, acds; q)_inf / (q, ab, ..., q alpha;
     q)_inf times the well-poised limit series in (-alpha^2 u v / a^2)^n
     q^{n(n-1)/2}, with alpha = a^2 b c d s / q."""
-    qv = base_value(q)
-    alpha = a * a * b * c * d * s / qv
+    alpha = a * a * b * c * d * s / q
     ratio = poch_ratio(
         [a * b * c * d, a * b * c * s, a * b * d * s, a * c * d * s],
-        [qv, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
-         qv * alpha],
-        qv,
+        [q, a * b, a * c, a * d, a * s, b * c, b * d, b * s, c * d, c * s, d * s,
+         q * alpha],
+        q,
     )
     series = eval_wp_limit(
         alpha,
-        numerator=(alpha, qv / u, qv / v, a * b, a * c, a * d, a * s),
+        numerator=(alpha, q / u, q / v, a * b, a * c, a * d, a * s),
         denominator=(alpha * u, alpha * v, a * b * c * d, a * b * c * s,
                      a * b * d * s, a * c * d * s),
-        q=qv,
+        q=q,
         w=-alpha * alpha * u * v / (a * a),
         shift=-1,
     ).value
@@ -318,17 +312,17 @@ def liu_qbeta_rhs(a, b, c, d, s, u, v, q) -> complex:
 def liu_qbeta_lhs(a, b, c, d, s, u, v, q) -> complex:
     """Quadrature side: h(cos 2t; 1)/h(cos t; a..s) times the 3phi2 factor
     phi(a e^{it}, a e^{-it}, alpha u v/q; alpha u, alpha v; q, bcds)."""
-    qv = complex(base_value(q))
-    alpha = a * a * b * c * d * s / qv
+    q = complex(q)
+    alpha = a * a * b * c * d * s / q
     factor = circle_phi_factor(
         a,
-        extra_upper=[alpha * u * v / qv],
+        extra_upper=[alpha * u * v / q],
         lower=[alpha * u, alpha * v],
-        q=qv,
+        q=q,
         z=b * c * d * s,
     )
     w = WeightSpec(
-        base=Base(qv),
+        base=q,
         denominator_h=(a, b, c, d, s),
         cos2_numerator=True,
         extra_factor=factor,
@@ -341,56 +335,52 @@ def jackson_ratio(nums: Sequence, dens: Sequence, lo, hi, q) -> complex:
     and B = ``dens``.  As f(e q^n) = f(e) (B e; q)_n / (A e; q)_n, each end e is one series
     (Gasper & Rahman, section 1.11), (1 - q) e f(e) sum_n (B e, q; q)_n / (q, A e; q)_n q^n,
     0 at e = 0.  An A e on the lattice q^-j raises PoleInDenominator, as in ``eval_phi``."""
-    qv = base_value(q)
 
     def end(e):
         ae, be = [a * e for a in nums], [b * e for b in dens]
-        _check_denominator_poles(ae, qv)
-        series = sum_until_converged(phi_terms([*be, qv], ae, qv, qv, 0), "Jackson series")
-        return e * poch_ratio(ae, be, qv) * series.value
+        _check_denominator_poles(ae, q)
+        series = sum_until_converged(phi_terms([*be, q], ae, q, q, 0), "Jackson series")
+        return e * poch_ratio(ae, be, q) * series.value
 
-    return (1 - qv) * (end(hi) - end(lo))
+    return (1 - q) * (end(hi) - end(lo))
 
 
 def alsalam_verma_rhs(a, b, c, d, s, q) -> complex:
     """(1-q) s (q, d/s, qs/d, abds, acds, bcds; q)_inf
     / (ad, as, bd, bs, cd, cs; q)_inf."""
-    qv = base_value(q)
-    return (1 - qv) * s * poch_ratio(
-        [qv, d / s, qv * s / d, a * b * d * s, a * c * d * s, b * c * d * s],
-        [a * d, a * s, b * d, b * s, c * d, c * s], qv,
+    return (1 - q) * s * poch_ratio(
+        [q, d / s, q * s / d, a * b * d * s, a * c * d * s, b * c * d * s],
+        [a * d, a * s, b * d, b * s, c * d, c * s], q,
     )
 
 
 def alsalam_verma_lhs(a, b, c, d, s, q) -> complex:
     """Jackson q-integral over [d, s] of
     (qx/d, qx/s, abcds x; q)_inf / (ax, bx, cx; q)_inf."""
-    qv = base_value(q)
-    return jackson_ratio([qv / d, qv / s, a * b * c * d * s], [a, b, c], d, s, qv)
+    return jackson_ratio([q / d, q / s, a * b * c * d * s], [a, b, c], d, s, q)
 
 
 def lbww_rhs(u, v, h, r, s, t, q) -> complex:
     """(1-q) v (q, u/v, qv/u, hu, hv, rsuv, rtuv; q)_inf
     / (rhuv, ru, rv, su, sv, tu, tv; q)_inf times the well-poised limit
     series with lambda = r h u v / q in (-stuv)^n q^{n(n-1)/2}."""
-    qv = base_value(q)
-    lam = r * h * u * v / qv
-    pref = (1 - qv) * v * poch_ratio(
-        [qv, u / v, qv * v / u, h * u, h * v, r * s * u * v, r * t * u * v],
-        [lam * qv, r * u, r * v, s * u, s * v, t * u, t * v], qv,
+    lam = r * h * u * v / q
+    pref = (1 - q) * v * poch_ratio(
+        [q, u / v, q * v / u, h * u, h * v, r * s * u * v, r * t * u * v],
+        [lam * q, r * u, r * v, s * u, s * v, t * u, t * v], q,
     )
     if t == 0:
         # t -> 0 limit of (h/t; q)_n (-stuv)^n q^{n(n-1)/2}: terms become
         # (lam, ru, rv, h/s; q)_n (hsuv)^n q^{n(n-1)} / (q, hu, hv, rsuv; q)_n,
         # the d_exp = 2 form of the phi_terms recurrence.
         terms = wp_limit_terms(lam, (lam, r * u, r * v, h / s), (h * u, h * v, r * s * u * v),
-                               complex(qv), h * s * u * v, 2)
+                               complex(q), h * s * u * v, 2)
         return pref * sum_until_converged(terms, "lbww t = 0 series").value
     series = eval_wp_limit(
         lam,
         numerator=(lam, r * u, r * v, h / s, h / t),
         denominator=(h * u, h * v, r * s * u * v, r * t * u * v),
-        q=qv,
+        q=q,
         w=-s * t * u * v,
         shift=-1,
     ).value
@@ -400,8 +390,7 @@ def lbww_rhs(u, v, h, r, s, t, q) -> complex:
 def lbww_lhs(u, v, h, r, s, t, q) -> complex:
     """Jackson q-integral over [u, v] of
     (qx/u, qx/v, hx; q)_inf / (rx, sx, tx; q)_inf."""
-    qv = base_value(q)
-    return jackson_ratio([qv / u, qv / v, h], [r, s, t], u, v, qv)
+    return jackson_ratio([q / u, q / v, h], [r, s, t], u, v, q)
 
 
 def qbailey_rhs(a, b, c, d, s, r, q) -> complex:
@@ -410,18 +399,16 @@ def qbailey_rhs(a, b, c, d, s, r, q) -> complex:
     times 8W7(abcds^2/q; as, bs, cs, ds, abcds/r; q, r/s)."""
     if abs(r / s) >= 1:
         raise DomainError("qbailey_rhs requires |r/s| < 1")
-    qv = base_value(q)
     ratio = poch_ratio(
-        [qv, d / s, qv * s / d, r * s, a * b * c * s, a * c * d * s, a * b * d * s,
+        [q, d / s, q * s / d, r * s, a * b * c * s, a * c * d * s, a * b * d * s,
          b * c * d * s],
         [r / d, a * d, b * d, c * d, a * s, b * s, c * s, a * b * c * d * s * s],
-        qv,
+        q,
     )
-    return (1 - qv) * s * ratio * _bailey_8w7(a, b, c, d, s, r, qv)
+    return (1 - q) * s * ratio * _bailey_8w7(a, b, c, d, s, r, q)
 
 
 def qbailey_lhs(a, b, c, d, s, r, q) -> complex:
     """Jackson q-integral over [d, s] of
     (abcx, qx/d, qx/s, rx; q)_inf / (ax, bx, cx, rx/(ds); q)_inf."""
-    qv = base_value(q)
-    return jackson_ratio([a * b * c, qv / d, qv / s, r], [a, b, c, r / (d * s)], d, s, qv)
+    return jackson_ratio([a * b * c, q / d, q / s, r], [a, b, c, r / (d * s)], d, s, q)

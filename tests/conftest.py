@@ -13,6 +13,4 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def q_half():
-    from qkernel.qcore import Base
-
-    return Base(0.5 + 0j)
+    return 0.5 + 0j

@@ -32,7 +32,6 @@ from qkernel.polyfamilies import (
     big_qjacobi_poly,
     qhahn_poly,
 )
-from qkernel.qcore import Base
 
 
 def _phi(nums, dens, q, z, n):
@@ -47,7 +46,7 @@ def _phi(nums, dens, q, z, n):
 
 def _qhahn(q, prm, real, angle):
     a, b, c, d = prm
-    p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
+    p = QHahnParams(a, b, c, d, 1.0, complex(q))
     z = math.cos(angle) if real else cmath.exp(1j * angle)
 
     def series(n):
@@ -64,7 +63,7 @@ def _qhahn(q, prm, real, angle):
 
 def _big_qjacobi(q, prm, real, angle):
     a, b, c, _ = prm
-    p = BigQJacobiParams(a, b, -c, Base(complex(q)))
+    p = BigQJacobiParams(a, b, -c, complex(q))
     x = math.cos(angle) if real else cmath.exp(1j * angle)
 
     def series(n):
@@ -77,7 +76,7 @@ def _big_qjacobi(q, prm, real, angle):
 
 def _askey_wilson(q, prm, real, angle):
     a, b, c, d = prm
-    p = AWParams(a, b, c, d, Base(complex(q)))
+    p = AWParams(a, b, c, d, complex(q))
     theta = 1j * angle / 2 if real else angle  # e^{i theta} real, or on the unit circle
 
     def series(n):
@@ -192,7 +191,7 @@ def test_pinned_degree_29_at_q_03_cancels_212_digits():
                             [am * bm, am * cm, am * dm], qm, qm)
     assert abs(ref.real - 2.1857217559091e-16) < 1e-28
     assert abs(complex(value) - complex(ref)) <= 2 ** -52 * abs(complex(ref))
-    p = AWParams(a, b, c, d, Base(q))
+    p = AWParams(a, b, c, d, q)
     single = askey_wilson_poly(n, p, theta)
     assert _close(askey_wilson_poly(range(n + 1), p, theta)[n], single, single)
 
@@ -222,7 +221,7 @@ def test_real_loop_matches_the_complex_loop(q, x, a, b, c, z, top, middle):
 
 
 def test_block_of_degrees_must_be_consecutive_and_nonnegative():
-    p = BigQJacobiParams(0.3, 0.4, -0.2, Base(0.5))
+    p = BigQJacobiParams(0.3, 0.4, -0.2, 0.5)
     assert big_qjacobi_poly(range(0), p, 0.3) == []
     with pytest.raises(DomainError):
         big_qjacobi_poly(range(0, 6, 2), p, 0.3)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qkernel.errors import DomainError, PoleInDenominator, TruncationExceeded
 from qkernel import hyperseries
-from qkernel.qcore import Base, h_weight, poch_infinite
+from qkernel.qcore import h_weight, poch_infinite
 from qkernel.hyperseries import (
     SeriesSpec,
     eval_phi,
@@ -47,16 +47,16 @@ def _direct_phi(nums, dens, q, z, terms):
 
 class TestEvalPhi:
     def test_zero_argument(self):
-        spec = SeriesSpec((0.2, 0.4), (0.3,), Base(0.5 + 0j), 0.0)
+        spec = SeriesSpec((0.2, 0.4), (0.3,), 0.5 + 0j, 0.0)
         assert eval_phi(spec).value == 1
 
     def test_unit_numerator_parameter(self):
-        spec = SeriesSpec((1.0, 0.4), (0.3,), Base(0.5 + 0j), 0.37)
+        spec = SeriesSpec((1.0, 0.4), (0.3,), 0.5 + 0j, 0.37)
         assert eval_phi(spec).value == 1
 
     def test_q_gauss_example(self):
         q, a, b, c = 0.5, 0.2, 0.3, 0.71
-        spec = SeriesSpec((q / a, q / b), (c,), Base(q + 0j), a * b * c / q**2)
+        spec = SeriesSpec((q / a, q / b), (c,), q + 0j, a * b * c / q**2)
         res = eval_phi(spec)
         assert abs(res.value - Q_GAUSS_SERIES) / Q_GAUSS_SERIES < 1e-11
         rhs = (
@@ -69,7 +69,7 @@ class TestEvalPhi:
     def test_matches_hand_rolled_balanced_evaluator(self):
         # r = s + 1, so the compensating factor is identically one
         q = 0.5
-        spec = SeriesSpec((0.25, 0.4), (0.6,), Base(q + 0j), 0.45)
+        spec = SeriesSpec((0.25, 0.4), (0.6,), q + 0j, 0.45)
         res = eval_phi(spec)
         ref = _direct_phi([0.25, 0.4], [0.6], q, 0.45, 300)
         assert abs(res.value - ref) <= 1e-13 * abs(ref)
@@ -77,32 +77,32 @@ class TestEvalPhi:
     def test_pole_detection(self):
         q = 0.5
         with pytest.raises(PoleInDenominator):
-            eval_phi(SeriesSpec((0.2,), (1.0,), Base(q + 0j), 0.3))
+            eval_phi(SeriesSpec((0.2,), (1.0,), q + 0j, 0.3))
         with pytest.raises(PoleInDenominator):
-            eval_phi(SeriesSpec((0.2,), (4.0,), Base(q + 0j), 0.3))  # q^-2
+            eval_phi(SeriesSpec((0.2,), (4.0,), q + 0j, 0.3))  # q^-2
 
     def test_divergent_raises(self, monkeypatch):
         monkeypatch.setattr(hyperseries, "MAX_TERMS", 2000)
-        spec = SeriesSpec((0.2, 0.3), (0.4,), Base(0.5 + 0j), 1.8)
+        spec = SeriesSpec((0.2, 0.3), (0.4,), 0.5 + 0j, 1.8)
         with pytest.raises(TruncationExceeded):
             eval_phi(spec)
 
     def test_terminating_requires_matching_parameter(self):
-        spec = SeriesSpec((0.2,), (0.4,), Base(0.5 + 0j), 0.5, terminating_order=3)
+        spec = SeriesSpec((0.2,), (0.4,), 0.5 + 0j, 0.5, terminating_order=3)
         with pytest.raises(DomainError):
             eval_phi(spec)
 
     def test_terminating_exact_term_count(self):
         q = 0.5
         n = 7
-        spec = SeriesSpec((q**-n, 0.3), (0.4,), Base(q + 0j), q, terminating_order=n)
+        spec = SeriesSpec((q**-n, 0.3), (0.4,), q + 0j, q, terminating_order=n)
         res = eval_phi(spec)
         assert res.terms_used == n + 1
         assert res.tail_estimate == 0.0
 
     def test_terminating_beyond_float_range_raises(self):
         # the sum is finite in mpmath but overflows complex(): no inf result
-        spec = SeriesSpec((0.3**-25, 0.0, 0.0), (0.0,), Base(0.3), 1.0, 25)
+        spec = SeriesSpec((0.3**-25, 0.0, 0.0), (0.0,), 0.3, 1.0, 25)
         with pytest.raises(TruncationExceeded, match="float range"):
             eval_phi(spec)
 
@@ -116,13 +116,13 @@ class TestEvalPhi:
         nums = [q**-n, float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.6))]
         dens = [float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.6))]
         base = eval_phi(
-            SeriesSpec(tuple(nums), tuple(dens), Base(q + 0j), q, n)
+            SeriesSpec(tuple(nums), tuple(dens), q + 0j, q, n)
         ).value
         for perm in itertools.permutations(nums):
-            v = eval_phi(SeriesSpec(perm, tuple(dens), Base(q + 0j), q, n)).value
+            v = eval_phi(SeriesSpec(perm, tuple(dens), q + 0j, q, n)).value
             assert abs(v - base) <= 1e-13 * max(1e-30, abs(base))
         v = eval_phi(
-            SeriesSpec(tuple(nums), tuple(reversed(dens)), Base(q + 0j), q, n)
+            SeriesSpec(tuple(nums), tuple(reversed(dens)), q + 0j, q, n)
         ).value
         assert abs(v - base) <= 1e-13 * max(1e-30, abs(base))
 
@@ -130,7 +130,7 @@ class TestEvalPhi:
         # a stop at 1e-10 leaves a tail far above the rounding of the sum
         monkeypatch.setattr(hyperseries, "SERIES_TOL", 1e-10)
         q = 0.5
-        spec = SeriesSpec((0.25, 0.4), (0.6,), Base(q + 0j), 0.7)
+        spec = SeriesSpec((0.25, 0.4), (0.6,), q + 0j, 0.7)
         res = eval_phi(spec)
         extended = _direct_phi([0.25, 0.4], [0.6], q, 0.7, 3 * res.terms_used)
         assert abs(res.value - extended) <= res.tail_estimate + 1e-14
@@ -140,7 +140,7 @@ class TestEvalPhi:
         # stops after ~25 000 terms with a tail near 1000 times its last term;
         # the allowance covers the rounding of that many additions
         q, a, z = 0.5, 0.3, 0.999
-        res = eval_phi(SeriesSpec((a,), (), Base(q + 0j), z))
+        res = eval_phi(SeriesSpec((a,), (), q + 0j, z))
         with mpmath.workdps(30):
             exact = complex(mpmath.qp(a * z, q) / mpmath.qp(z, q))
         rounding = res.terms_used * sys.float_info.epsilon * abs(res.value)
@@ -148,7 +148,7 @@ class TestEvalPhi:
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(hyperseries, "MAX_TERMS", 5)
-        spec = SeriesSpec((0.25, 0.4), (0.6,), Base(0.5 + 0j), 0.9)
+        spec = SeriesSpec((0.25, 0.4), (0.6,), 0.5 + 0j, 0.9)
         with pytest.raises(TruncationExceeded):
             eval_phi(spec)
 
@@ -266,7 +266,7 @@ class TestMpmathOracle:
         nums = data.draw(st.lists(_unit, min_size=len(dens) + extra,
                                   max_size=len(dens) + extra))
         z = cmath.rect(rho, phase)
-        res = eval_phi(SeriesSpec(tuple(nums), tuple(dens), Base(q + 0j), z))
+        res = eval_phi(SeriesSpec(tuple(nums), tuple(dens), q + 0j, z))
         with mpmath.workdps(30):
             ref = complex(mpmath.qhyper(nums, dens, q, z))
         assert abs(res.value - ref) <= 1e-11 * max(1.0, abs(ref))
@@ -281,7 +281,7 @@ class TestMpmathOracle:
     # q-Chu-Vandermonde with c/b = 1/q: terms near 1e90 cancel to exactly 0
     @example(q=0.5, n=30, nums=[0.4], dens=[0.8], z=0.5)
     def test_terminating_phi(self, q, n, nums, dens, z):
-        res = eval_phi(SeriesSpec((q**-n, *nums), tuple(dens), Base(q + 0j), z, n))
+        res = eval_phi(SeriesSpec((q**-n, *nums), tuple(dens), q + 0j, z, n))
         # the terms reach |q|^{-n(n+1)/2}; the oracle carries that many digits
         with mpmath.workdps(40 + int(n * (n + 1) / 2 * math.log10(1 / abs(q)))):
             qm = mpmath.mpf(q)
@@ -396,7 +396,7 @@ class TestEvalW:
         spec = SeriesSpec(
             (a1, q * sq, -q * sq, *tail),
             (sq, -sq, *(q * a1 / t for t in tail)),
-            Base(q + 0j),
+            q + 0j,
             0.4,
         )
         direct = eval_phi(spec)

@@ -25,7 +25,7 @@ from qkernel.polyfamilies import (
     qhahn_L0,
     qhahn_poly,
 )
-from qkernel.qcore import Base, poch_finite, poch_ratio
+from qkernel.qcore import poch_finite, poch_ratio
 from qkernel.qintegrals import periodic_trapezoid
 from qkernel.identities import (
     REGISTRY,
@@ -154,7 +154,7 @@ class TestCoefficientRoute:
         jd = 2**level
         coeffs = identities._qhahn_H_coeffs(n, a, b, c, d, q, dps)
         with mp.workdps(dps):
-            poly = partial(qhahn_poly, n, QHahnParams(a, b, c, d, 1.0, Base(complex(q))))
+            poly = partial(qhahn_poly, n, QHahnParams(a, b, c, d, 1.0, complex(q)))
             z = mp.expj(-mp.pi + 2 * mp.pi * mpf(j % jd) / jd)
             assert abs(mp.polyval(coeffs, z) - poly(z)) <= self._bound(poly, n, 1.0, dps)
 
@@ -176,7 +176,7 @@ class TestCoefficientRoute:
         with mp.workdps(dps):
             qm = mpf(q)
             x = (a if upper else c) * qm * qm**k  # a Jackson node, as q_integral forms it
-            poly = partial(big_qjacobi_poly, n, BigQJacobiParams(a, b, c, Base(complex(q))))
+            poly = partial(big_qjacobi_poly, n, BigQJacobiParams(a, b, c, complex(q)))
             assert abs(mp.polyval(coeffs, x) - poly(x)) <= self._bound(poly, n, radius, dps)
 
 
@@ -221,7 +221,7 @@ class TestMomentRegrouping:
             value = identities._qhahn_integral(n, m, a, b, c, d, rho, q, dps)
         (N,) = counts
         with mp.workdps(dps):
-            p = QHahnParams(a, b, c, d, 1.0, Base(complex(q)))
+            p = QHahnParams(a, b, c, d, 1.0, complex(q))
             Hn, Hm = partial(qhahn_poly, n, p), partial(qhahn_poly, m, p)
             total = k_abs = 0
             for j in range(N):
@@ -248,7 +248,7 @@ class TestMomentRegrouping:
         radius = max(1.0, abs(a * q), abs(c * q))
         tol = 10.0 ** (-(dps - 12))
         with mp.workdps(dps):
-            p = BigQJacobiParams(a, b, c, Base(complex(q)))
+            p = BigQJacobiParams(a, b, c, complex(q))
             Pn, Pm = partial(big_qjacobi_poly, n, p), partial(big_qjacobi_poly, m, p)
 
             qm = mpf(q)
@@ -349,6 +349,19 @@ class TestBqjWeightTable:
         params = {**sample_params("bigqjacobi_orthogonality", 1), "n": 6, "m": 6, "q": 0.95}
         r = check_identity("bigqjacobi_orthogonality", params)
         assert r.status == "pass" and r.rel_err < 1e-13
+
+    def test_c_positive_pair_sizes_its_digits_from_the_cancellation(self):
+        # at c > 0 the chains' terms of nu_0 cancel by 27 digits; at dps 40,
+        # sized as if they did not, the pair kept a relative error of 1.2e-12
+        params = {"a": 0.3, "b": 0.4, "c": 0.2, "q": 0.95, "n": 0, "m": 0}
+        r = check_identity("bigqjacobi_orthogonality", params)
+        assert r.diagnostics["dps"] >= 60
+        assert r.status == "pass" and r.rel_err <= 1e-13
+
+    def test_sampled_draws_have_no_cancellation_to_add(self):
+        # c < 0 < q: w > 0 on both chains, so nu_0's terms share a sign
+        for a, b, c, q in ((0.3, 0.4, -0.2, 0.5), (0.6, 0.1, -0.6, 0.7), (0.1, 0.6, -0.1, 0.3)):
+            assert abs(identities._bqj_cancellation(a, b, c, q)) < 1e-12
 
 
 def _bqj_per_k_moments(a, b, c, q, dps: int, kmax: int) -> list:
@@ -534,7 +547,7 @@ class TestQHahnPlan:
         c = complex(c, c_imag) if c_imag else c
         q = q * cmath.exp(1j * q_angle) if q_angle else q
         try:
-            p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+            p = QHahnParams(a, b, c, d, rho, complex(q))
         except DomainError:
             assume(False)
         j %= jd
@@ -584,7 +597,7 @@ class TestQHahnZeroParameter:
     def test_b_zero_growth_is_that_of_a(self):
         # (n + m) log10(1 / |a|) = 15.6 digits, more than one step of _quantize_dps
         a, c, d, q, rho = 0.05, 0.4, 0.1, 0.5, 0.6
-        ratio = polyfamilies._qhahn_norm_ratio(6, QHahnParams(a, 0.0, c, d, rho, Base(q)))
+        ratio = polyfamilies._qhahn_norm_ratio(6, QHahnParams(a, 0.0, c, d, rho, q))
         lost = 2 * max(0.0, -math.log10(abs(ratio)))  # k = 6 twice
         cancel = identities._qhahn_cancellation(a, 0.0, c, d, rho, q)
         growth = 12 * math.log10(1 / a)
@@ -637,7 +650,7 @@ class TestPairDigits:
 
     def test_lost_digits_are_those_of_the_qhahn_norm(self):
         # the digits L_k loses against L_0, its q^{k(k-1)/2} included
-        p = QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, Base(0.5))
+        p = QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, 0.5)
         for k, lost in ((1, 1.812), (3, 5.776), (6, 13.654)):
             digits = -math.log10(abs(polyfamilies._qhahn_norm_ratio(k, p)))
             assert round(digits, 3) == lost
@@ -678,7 +691,7 @@ class TestPairDigits:
         values = []
         for name in ("pinned", "complex_c", "negative_q", "q0.9"):
             a, b, c, d, rho, q = _weight(name)
-            p = QHahnParams(a, b, c, d, rho, Base(complex(q)))
+            p = QHahnParams(a, b, c, d, rho, complex(q))
             values += [qhahn_L(n, p) for n in range(9)]
         assert hashlib.sha256(repr(values).encode()).hexdigest() == (
             "16d6e2dbb1e7254b04f1be4e8d88481acab13117421652138b58558cca20cc91")
@@ -691,7 +704,7 @@ class TestAskeyRoyOracle:
 
     @staticmethod
     def _oracle(n, m, w):
-        p = QHahnParams(*(w[k] for k in ("a", "b", "c", "d", "rho")), Base(complex(w["q"])))
+        p = QHahnParams(*(w[k] for k in ("a", "b", "c", "d", "rho")), complex(w["q"]))
         L0 = qhahn_L0(p)
         value = L0 * _askey_roy_pair(n, m, *(w[k] for k in ("a", "b", "c", "d", "q")))
         return value, p, L0
@@ -1091,17 +1104,16 @@ class TestOrthogonalityChecks:
         assert abs(r.diagnostics["imag_over_L0"]) <= 1e-9
 
     def test_public_pair_operations(self):
-        from qkernel.qcore import Base
         from qkernel.polyfamilies import BigQJacobiParams, QHahnParams
         from qkernel.identities import (
             check_orthogonality_big_qjacobi,
             check_orthogonality_qhahn,
         )
 
-        p = QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, Base(0.5 + 0j))
+        p = QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, 0.5 + 0j)
         r = check_orthogonality_qhahn(1, 1, p)
         assert r.status == "pass" and r.metric == "rel"
-        pj = BigQJacobiParams(0.3, 0.4, -0.2, Base(0.5 + 0j))
+        pj = BigQJacobiParams(0.3, 0.4, -0.2, 0.5 + 0j)
         r = check_orthogonality_big_qjacobi(0, 2, pj)
         assert r.status == "pass" and r.metric == "abs_scaled"
 
@@ -1113,20 +1125,20 @@ class TestOrthogonalityChecks:
                 (check_orthogonality_qhahn, QHahnParams, (0.3, 0.2, 0.4, 0.1, 0.6)),
                 (check_orthogonality_big_qjacobi, BigQJacobiParams, (0.3, 0.4, -0.2))):
             r = check(1, 1, family(*params, q))
-            assert r == check(1, 1, family(*params, Base(q)))
+            assert r == check(1, 1, family(*params, q))
             assert r.status == "pass" and r.params["q"] == (q.real if q.imag == 0 else q)
 
-    def test_public_pairs_with_a_base_q_are_pinned(self):
-        # sha256 of the --deterministic report dicts, recorded when the pair
-        # checkers read q.q
+    def test_public_pairs_with_a_complex_q_are_pinned(self):
+        # sha256 of the --deterministic report dicts of pairs whose q is a
+        # Python complex, real or not
         from qkernel.cli import _report_dict
         from qkernel.identities import check_orthogonality_big_qjacobi, check_orthogonality_qhahn
 
         bqj = partial(BigQJacobiParams, 0.3, 0.4, -0.2)
         reports = [
-            check_orthogonality_qhahn(1, 1, QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, Base(0.5 + 0j))),
-            check_orthogonality_big_qjacobi(0, 2, bqj(Base(0.5 + 0j))),
-            check_orthogonality_big_qjacobi(1, 1, bqj(Base(0.5 + 0.1j))),
+            check_orthogonality_qhahn(1, 1, QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, 0.5 + 0j)),
+            check_orthogonality_big_qjacobi(0, 2, bqj(0.5 + 0j)),
+            check_orthogonality_big_qjacobi(1, 1, bqj(0.5 + 0.1j)),
         ]
         digest = hashlib.sha256(json.dumps([_report_dict(r, True) for r in reports]).encode())
         assert digest.hexdigest() == (

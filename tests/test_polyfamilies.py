@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from qkernel.errors import DomainError
-from qkernel.qcore import Base, poch_infinite
+from qkernel.qcore import poch_infinite
 from qkernel.polyfamilies import (
     AWParams,
     BigQJacobiParams,
@@ -21,7 +21,7 @@ from qkernel.polyfamilies import (
 )
 from qkernel.qintegrals import askey_roy_rhs
 
-Q = Base(0.5 + 0j)
+Q = 0.5 + 0j
 HAHN = QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, Q)
 BQJ = BigQJacobiParams(0.3, 0.4, -0.2, Q)
 AW = AWParams(0.3, 0.4, 0.2, 0.1, Q)

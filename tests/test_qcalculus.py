@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 from qkernel import hyperseries
 from qkernel.errors import DomainError, PoleInDenominator, TruncationExceeded
-from qkernel.qcore import Base, mp_scalar, poch_finite, poch_infinite
+from qkernel.qcore import mp_scalar, poch_finite, poch_infinite
 from qkernel.qcalculus import (
     _reconstruction_weights,
     liu_coefficient,
@@ -97,7 +97,7 @@ class TestQIntegral:
 
     def test_linear_integrand(self):
         # (1-q) sum q^{2n} = (1-q)/(1-q^2) = 2/3
-        v = q_integral(lambda x: x, 0.0, 1.0, Base(0.5 + 0j))
+        v = q_integral(lambda x: x, 0.0, 1.0, 0.5 + 0j)
         assert v == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_interval_additivity(self):

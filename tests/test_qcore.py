@@ -7,10 +7,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from qkernel.cli import main
 from qkernel.errors import DomainError, TruncationExceeded
-from qkernel.hyperseries import nearest_pole_distance
+from qkernel.hyperseries import SeriesSpec, nearest_pole_distance
+from qkernel.identities import check_identity, sample_params
+from qkernel.polyfamilies import AWParams, BigQJacobiParams, QHahnParams
+from qkernel.qcalculus import q_integral
 from qkernel.qcore import (
-    Base,
     _magnitude,
     h_weight,
     mp_scalar,
@@ -18,6 +21,7 @@ from qkernel.qcore import (
     poch_infinite,
     poch_ratio,
 )
+from qkernel.qintegrals import WeightSpec
 
 # frozen oracles: direct truncated products computed independently
 # (200 factors for (0.5; 0.5)_inf, 2000 factors for (0.9; 0.9)_inf)
@@ -38,18 +42,60 @@ _signed_qs = st.builds(
 )
 
 
-class TestBase:
-    def test_cap_enforced(self):
-        with pytest.raises(DomainError):
-            Base(0.9995 + 0j)
-        with pytest.raises(DomainError):
-            Base(1.2 + 0j)
+_BAD_QS = [0, 0.9995, 1.5, 1.2 + 0.5j, math.inf]
 
-    def test_zero_base_rejected(self):
+_EVAL_ARGV = {
+    "poch": ["--a", "0.5"],
+    "poch_n": ["--a", "0.5", "--n", "2"],
+    "phi": ["--num", "0.3,0.4", "--den", "0.5", "--z", "0.5"],
+    "w": ["--a1", "0.2", "--tail", "0.3,0.4", "--z", "0.5"],
+    "hweight": ["--theta", "0.5", "--params", "0.3,0.2"],
+    "qint": ["--a", "0", "--b", "1"],
+    "qhahn": ["--n", "2", "--a", "0.3", "--b", "0.2", "--c", "0.4", "--d", "0.1", "--z", "0.5"],
+    "bigqjacobi": ["--n", "2", "--a", "0.3", "--b", "0.4", "--c", "-0.2", "--x", "0.5"],
+    "aw": ["--n", "2", "--a", "0.3", "--b", "0.4", "--c", "0.2", "--d", "0.1", "--theta", "0.5"],
+}
+
+
+class TestBaseCheck:
+    """A base outside 0 < |q| <= 1 - DEFAULT_EPS_BASE, or not finite, is
+    refused where it enters: by the parameter classes, the q-products,
+    ``q_integral``, ``check_identity`` and ``qkernel eval --q``."""
+
+    @pytest.mark.parametrize("q", _BAD_QS)
+    @pytest.mark.parametrize("build", [
+        lambda q: SeriesSpec((0.2,), (0.3,), q, 0.5),
+        lambda q: WeightSpec(base=q, denominator_h=(0.3,)),
+        lambda q: QHahnParams(0.3, 0.2, 0.4, 0.1, 0.6, q),
+        lambda q: BigQJacobiParams(0.3, 0.4, -0.2, q),
+        lambda q: AWParams(0.3, 0.4, 0.2, 0.1, q),
+        lambda q: poch_infinite(0.3, q),
+        lambda q: q_integral(lambda x: x, 0.0, 1.0, q),
+    ], ids=["SeriesSpec", "WeightSpec", "QHahnParams", "BigQJacobiParams", "AWParams",
+            "poch_infinite", "q_integral"])
+    def test_library_entry_points(self, build, q):
+        build(0.5)
         with pytest.raises(DomainError):
-            Base(0j)
-        with pytest.raises(DomainError):
-            poch_infinite(0.3, 0.0)
+            build(q)
+
+    @pytest.mark.parametrize("q", _BAD_QS)
+    @pytest.mark.parametrize("ident, name", [
+        ("q_gauss", "q"), ("bigqjacobi_orthogonality", "q"), ("cube_product_expansion", "p")])
+    def test_check_identity(self, ident, name, q):
+        params = sample_params(ident, 1)
+        assert check_identity(ident, params).status == "pass"
+        report = check_identity(ident, {**params, name: q})
+        assert report.status == "skipped" and report.reason.startswith("DomainError: ")
+
+    @pytest.mark.parametrize("q", [str(q).strip("()").replace("j", "i") for q in _BAD_QS])
+    @pytest.mark.parametrize("target", _EVAL_ARGV)
+    def test_eval_targets(self, target, q, capsys):
+        argv = ["eval", target.split("_")[0], *_EVAL_ARGV[target]]
+        assert main([*argv, "--q", "0.5"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err if q != "inf" else "not finite" in err
 
 
 class TestPochFinite:
@@ -90,7 +136,7 @@ class TestPochInfinite:
         assert abs(v - POCH_HALF) / POCH_HALF < 1e-12
 
     def test_frozen_oracle_nine(self):
-        v = poch_infinite(0.9, Base(0.9 + 0j))
+        v = poch_infinite(0.9, 0.9 + 0j)
         assert abs(v - POCH_NINE) / POCH_NINE < 1e-11
 
     def test_cap_raises(self):
@@ -218,7 +264,7 @@ class TestMpmathOracle:
         with mp.workdps(40):
             assert isinstance(poch_infinite(mpf("0.3"), mpf("0.5")), mpf)
             assert isinstance(poch_infinite(mpf("-7.5"), 0.5), mpf)
-            assert isinstance(poch_infinite(mpf("0.3"), Base(-0.5 + 0j)), mpf)
+            assert isinstance(poch_infinite(mpf("0.3"), -0.5 + 0j), mpf)
 
     def test_coefficients_not_reused_across_precision(self):
         a, q = mpf(1) / 3, mpf(-0.7)

@@ -18,7 +18,7 @@ from qkernel.errors import (
 from qkernel import identities, qintegrals
 from qkernel.hyperseries import SeriesSpec, eval_phi
 from qkernel.qcalculus import q_integral
-from qkernel.qcore import FLOAT_TOL_LOG10, Base, poch_infinite, poch_ratio, tail_count
+from qkernel.qcore import FLOAT_TOL_LOG10, poch_infinite, poch_ratio, tail_count
 from qkernel.qintegrals import (
     WeightSpec,
     alsalam_verma_lhs,
@@ -45,7 +45,7 @@ from qkernel.qintegrals import (
     weight_values,
 )
 
-Q = Base(0.5 + 0j)
+Q = 0.5 + 0j
 
 
 def _poisson_values(a, half, lib, visited):
@@ -132,7 +132,7 @@ class TestTrapezoid:
             return weight_values(w, theta)
 
         monkeypatch.setattr(qintegrals, "weight_values", counted)
-        w = WeightSpec(base=Base(0.5), numerator_h=(1e100,) * 4)
+        w = WeightSpec(base=0.5, numerator_h=(1e100,) * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TruncationExceeded, match="not finite"):
@@ -187,7 +187,7 @@ class TestTrapezoid:
     def test_node_overflowing_h_parameter_raises(self):
         # |h| = 1.4e308 is finite, but h / e^{i theta} overflows at some nodes
         with pytest.raises(DomainError, match="finite arguments"):
-            trig_integral(WeightSpec(base=Base(0.5), numerator_h=(1e308 + 1e308j,)))
+            trig_integral(WeightSpec(base=0.5, numerator_h=(1e308 + 1e308j,)))
 
     def test_node_diagnostics(self):
         diag = {}
@@ -210,7 +210,7 @@ def _poch_row(z, q):
 
 def _weight_by_factor(w, theta):
     """The WeightSpec integrand with each h factor evaluated on its own."""
-    q = complex(w.base.q)
+    q = complex(w.base)
 
     def h(t, a):
         if a == 0:
@@ -270,7 +270,7 @@ class TestStackedProducts:
 
     def test_weight_equals_the_per_factor_product(self):
         # the cos 2 theta factor, a zero parameter, numerators and denominators
-        w = WeightSpec(base=Base(0.55 + 0.1j), numerator_h=(0.4 - 0.2j, 0.0, 0.9),
+        w = WeightSpec(base=0.55 + 0.1j, numerator_h=(0.4 - 0.2j, 0.0, 0.9),
                        denominator_h=(0.3, 0.0, -0.5 + 0.1j, 0.7j), cos2_numerator=True)
         for theta in (math.pi * np.arange(65) / 64, math.pi * np.arange(1, 128, 2) / 128):
             assert np.array_equal(weight_values(w, theta), _weight_by_factor(w, theta))
@@ -386,7 +386,7 @@ class TestLiuQBeta:
         values = circle_phi_factor(a, upper, lower, q, z)(theta)
         for t, v in zip(theta, values):
             e = cmath.exp(1j * t)
-            ref = eval_phi(SeriesSpec((a * e, a / e, *upper), tuple(lower), Base(q), z)).value
+            ref = eval_phi(SeriesSpec((a * e, a / e, *upper), tuple(lower), q, z)).value
             assert abs(v - ref) <= 1e-13 * abs(ref)
 
     def test_circle_factor_breakdown_raises(self):
