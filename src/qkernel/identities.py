@@ -514,30 +514,26 @@ def _qhahn_moments(js: range, jd: int, a, b, c, d, rho, q, dps: int, kmax: int) 
         return tuple(from_fixed(r, i, e - 2 * W, True) for r, i in zip(re, im))
 
 
-def _poly_coeffs(poly: Callable, n: int, radius: float, params: tuple) -> tuple:
-    """Coefficients, highest degree first, of the degree-n polynomial ``poly``
-    from its values at R w^j, w = exp(2 pi i / (n + 1)): c_i = R^-i (n + 1)^-1
-    sum_j poly(R w^j) w^-ij, exact for degree n.  When all of ``params`` are
-    real the polynomial's coefficients are real, and only real parts are kept."""
-    real = all(complex(v).imag == 0 for v in params)
-    size = n + 1
-    roots = [mp.expj(2 * mp.pi * j / size) for j in range(size)]
-    values = [poly(radius * w) for w in roots]
-    coeffs = []
-    for i in range(n, -1, -1):
-        c = mp.fsum(v * mp.conj(roots[i * j % size]) for j, v in enumerate(values))
-        c /= size * mpf(radius) ** i
-        coeffs.append(mp.re(c) if real else c)
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=None)
-def _qhahn_H_coeffs(n: int, a, b, c, d, q, dps: int) -> tuple:
-    if n == 0:  # H_0 = 1, also at a = 0 where qhahn_poly's a^-n guard refuses
+def _poly_coeffs(poly: Callable, n: int, p, radius: float, dps: int) -> tuple:
+    """Coefficients at dps, highest degree first, of the degree-n polynomial
+    ``poly(n, p, .)`` of the family ``poly`` with parameters ``p``, from its
+    values at R w^j, w = exp(2 pi i / (n + 1)): c_i = R^-i (n + 1)^-1
+    sum_j poly(R w^j) w^-ij, exact for degree n.  When all of ``p`` is real
+    the polynomial's coefficients are real, and only real parts are kept."""
+    if n == 0:  # P_0 = 1, also at a = 0 where qhahn_poly's a^-n guard refuses
         return (mpf(1),)
     with mp.workdps(dps):
-        p = QHahnParams(a, b, c, d, 1.0, complex(q))
-        return _poly_coeffs(partial(qhahn_poly, n, p), n, 1.0, (a, b, c, d, q))
+        real = all(complex(v).imag == 0 for v in vars(p).values())
+        size = n + 1
+        roots = [mp.expj(2 * mp.pi * j / size) for j in range(size)]
+        values = [poly(n, p, radius * w) for w in roots]
+        coeffs = []
+        for i in range(n, -1, -1):
+            c = mp.fsum(v * mp.conj(roots[i * j % size]) for j, v in enumerate(values))
+            c /= size * mpf(radius) ** i
+            coeffs.append(mp.re(c) if real else c)
+        return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -565,9 +561,9 @@ def _qhahn_dps(n: int, m: int, a, b, c, d, q, rhos: tuple) -> int:
 def _qhahn_integral(n, m, a, b, c, d, rho, q, dps) -> complex:
     """(1/2 pi) * integral over [-pi, pi] of K(theta) H_n H_m from the S_k."""
     with mp.workdps(dps):
+        p = QHahnParams(a, b, c, d, 1.0, complex(q))
         # c_k of H_n H_m, lowest degree first
-        coeffs = np.convolve(_qhahn_H_coeffs(n, a, b, c, d, q, dps),
-                             _qhahn_H_coeffs(m, a, b, c, d, q, dps))[::-1]
+        coeffs = np.convolve(*(_poly_coeffs(qhahn_poly, k, p, 1.0, dps) for k in (n, m)))[::-1]
         kmax = max(n + m, QHAHN_KMAX)
 
         def node_values(js, jd):
@@ -608,15 +604,6 @@ def _bqj_weights(a, b, c, q, dps: int):
         return table[x]
 
     return w
-
-
-@lru_cache(maxsize=None)
-def _bqj_coeffs(n: int, a, b, c, q, dps: int) -> tuple:
-    with mp.workdps(dps):
-        p = BigQJacobiParams(a, b, c, complex(q))
-        # every Jackson node a q^(k+1), c q^(k+1) lies in |x| <= radius
-        radius = max(1.0, abs(a * q), abs(c * q))
-        return _poly_coeffs(partial(big_qjacobi_poly, n, p), n, radius, (a, b, c, q))
 
 
 @lru_cache(maxsize=None)  # a pair asks for N_0, and for N_n on the diagonal, more than once
@@ -687,7 +674,11 @@ def _bqj_integral(n, m, a, b, c, q, dps: int) -> complex:
     """Jackson integral of w p_n p_m from cq to aq, as sum_k c_k nu_k over the
     moments of ``_bqj_moments``."""
     with mp.workdps(dps):
-        coeffs = np.convolve(_bqj_coeffs(n, a, b, c, q, dps), _bqj_coeffs(m, a, b, c, q, dps))[::-1]
+        p = BigQJacobiParams(a, b, c, complex(q))
+        # every Jackson node a q^(k+1), c q^(k+1) lies in |x| <= radius
+        radius = max(1.0, abs(a * q), abs(c * q))
+        coeffs = np.convolve(*(_poly_coeffs(big_qjacobi_poly, k, p, radius, dps)
+                               for k in (n, m)))[::-1]
         nus = _bqj_moments(n + m, a, b, c, q, dps)
         return complex(mp.fsum(ck * nu for ck, nu in zip(coeffs, nus)))
 
@@ -696,8 +687,8 @@ def clear_caches() -> None:
     """Drop memoised quadrature nodes and the mpmath q-product coefficients
     (mainly for tests and cold-cache runs)."""
     qcore._EULER_CACHE.clear()
-    for cache in (_qhahn_plan, _qhahn_K_node, _qhahn_moments, _qhahn_H_coeffs,
-                  _qhahn_cancellation, _bqj_cancellation, _bqj_nu0, _bqj_coeffs, _bqj_rhs):
+    for cache in (_qhahn_plan, _qhahn_K_node, _qhahn_moments, _poly_coeffs,
+                  _qhahn_cancellation, _bqj_cancellation, _bqj_nu0, _bqj_rhs):
         cache.cache_clear()
 
 

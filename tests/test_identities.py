@@ -152,9 +152,10 @@ class TestCoefficientRoute:
     )
     def test_qhahn_nodes(self, n, q, a, b, c, d, dps, level, j):
         jd = 2**level
-        coeffs = identities._qhahn_H_coeffs(n, a, b, c, d, q, dps)
+        p = QHahnParams(a, b, c, d, 1.0, complex(q))
+        coeffs = identities._poly_coeffs(qhahn_poly, n, p, 1.0, dps)
         with mp.workdps(dps):
-            poly = partial(qhahn_poly, n, QHahnParams(a, b, c, d, 1.0, complex(q)))
+            poly = partial(qhahn_poly, n, p)
             z = mp.expj(-mp.pi + 2 * mp.pi * mpf(j % jd) / jd)
             assert abs(mp.polyval(coeffs, z) - poly(z)) <= self._bound(poly, n, 1.0, dps)
 
@@ -171,12 +172,13 @@ class TestCoefficientRoute:
     @example(n=5, q=0.5, a=3.0, b=0.4, c=-0.2, dps=50, k=0, upper=True)  # |aq| > 1: R = 1.5
     def test_bqj_nodes(self, n, q, a, b, c, dps, k, upper):
         radius = max(1.0, abs(a * q), abs(c * q))
-        coeffs = identities._bqj_coeffs(n, a, b, c, q, dps)
+        p = BigQJacobiParams(a, b, c, complex(q))
+        coeffs = identities._poly_coeffs(big_qjacobi_poly, n, p, radius, dps)
         assert all(isinstance(ci, mpf) for ci in coeffs)  # real parameters, real coefficients
         with mp.workdps(dps):
             qm = mpf(q)
             x = (a if upper else c) * qm * qm**k  # a Jackson node, as q_integral forms it
-            poly = partial(big_qjacobi_poly, n, BigQJacobiParams(a, b, c, complex(q)))
+            poly = partial(big_qjacobi_poly, n, p)
             assert abs(mp.polyval(coeffs, x) - poly(x)) <= self._bound(poly, n, radius, dps)
 
 
