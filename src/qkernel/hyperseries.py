@@ -75,6 +75,7 @@ from .errors import DomainError, PoleInDenominator, TruncationExceeded
 from .qcore import (
     base_magnitude,
     fixed_parts,
+    fmul,
     from_fixed,
     mp_scalar,
 )
@@ -129,14 +130,6 @@ def _fparts(x, W: int) -> tuple[int, int, int]:
     """x as (re, im, s): (re + i im) 2^-s with W significant bits, or more."""
     s = W + max(0, -int(mp.mag(x))) if x else W
     return (*fixed_parts(x, s), s)
-
-
-def _fmul(x: tuple, y: tuple, W: int) -> tuple[int, int, int]:
-    """x y for (re, im, s) numbers, cut back to W significant bits."""
-    (a, b, s), (c, d, t) = x, y
-    re, im = a * c - b * d, a * d + b * c
-    drop = max(0, re.bit_length() - W, im.bit_length() - W)
-    return re >> drop, im >> drop, s + t - drop
 
 
 def _fdiv(x: tuple, y: tuple, W: int) -> tuple[int, int, int]:
@@ -236,7 +229,7 @@ def phi_terminating_core(
     is_complex = any(isinstance(x, (complex, mpc)) for x in (*nums, *xs, *dens, z, q))
     # Tables of (re, im, s) entries with W significant bits: q^k; the factors
     # 1 - a q^k and 1 - x q^m from ladders of products by q; the u_k.
-    Q, Z, mul = _fparts(q, W), _fparts(z, W), partial(_fmul, W=W)
+    Q, Z, mul = _fparts(q, W), _fparts(z, W), partial(fmul, W=W)
     powers = list(itertools.accumulate([Q] * order, mul, initial=(1, 0, 0)))
     fixed = [_one_minus_ladder(_fparts(a, W), Q, order, W)
              for a in nums if not isinstance(a, tuple)]

@@ -231,20 +231,24 @@ def _euler_data(q, qmag: float, digits: float):
     return data
 
 
+def fmul(x: tuple, y: tuple, W: int) -> tuple[int, int, int]:
+    """x y for (re, im, s) numbers, (re + i im) 2^-s, cut back to W significant bits."""
+    (a, b, s), (c, d, t) = x, y
+    re, im = a * c - b * d, a * d + b * c
+    drop = max(0, re.bit_length() - W, im.bit_length() - W)
+    return re >> drop, im >> drop, s + t - drop
+
+
 def _poch_euler(a, amag: float, q, qmag: float, digits: float):
     """(a; q)_inf on integers scaled by 2^W: explicit factors while
     |a q^j| > |q|, then Euler's series at y = a q^m by Horner's rule.
-    Returns the unrounded (re, im, exp, is_complex) for ``from_fixed``."""
+    Returns the unrounded (re, im, s) for ``fmul`` and whether it is complex."""
     W, (qr, qi), q_complex, cr, ci = _euler_data(q, qmag, digits)
     one = 1 << W
     yr, yi = fixed_parts(a, W)
-    # the product of the explicit factors is (pr + i pi) 2^e with W bits kept
-    pr, pi, e = one, 0, -W
+    p = (one, 0, W)  # the product of the explicit factors, with W bits kept
     while amag > qmag:
-        fr = one - yr
-        pr, pi = pr * fr + pi * yi, pi * fr - pr * yi
-        drop = max(0, max(abs(pr).bit_length(), abs(pi).bit_length()) - W)
-        pr, pi, e = pr >> drop, pi >> drop, e + drop - W
+        p = fmul(p, (one - yr, -yi, W), W)
         yr, yi = (yr * qr - yi * qi) >> W, (yr * qi + yi * qr) >> W
         amag *= qmag
     if yi or q_complex:
@@ -255,8 +259,8 @@ def _poch_euler(a, amag: float, q, qmag: float, digits: float):
         sr, si = cr[0], 0
         for c in cr[1:]:
             sr = ((sr * yr) >> W) + c
-    is_complex = q_complex or isinstance(a, (complex, mpc))
-    return pr * sr - pi * si, pr * si + pi * sr, e - W, is_complex
+    pr, pi, s = p
+    return (pr * sr - pi * si, pr * si + pi * sr, s + W), q_complex or isinstance(a, (complex, mpc))
 
 
 def _mp_product(params: Iterable, q, qmag: float, digits: float):
@@ -264,17 +268,14 @@ def _mp_product(params: Iterable, q, qmag: float, digits: float):
     10^-digits) in ``params`` by Euler's series, rounded once to ``mp.prec``:
     the running product of the unrounded factors is cut to ``mp.prec`` +
     ``PRODUCT_GUARD_BITS`` bits after each multiply."""
-    acc, keep = None, mp.prec + PRODUCT_GUARD_BITS
+    acc, is_complex, keep = None, False, mp.prec + PRODUCT_GUARD_BITS
     for a, (amag, n) in params:
         if n == 0:
             continue
-        f = _poch_euler(a, amag, q, qmag, digits)
-        if acc is not None:
-            re, im = acc[0] * f[0] - acc[1] * f[1], acc[0] * f[1] + acc[1] * f[0]
-            drop = max(0, max(abs(re).bit_length(), abs(im).bit_length()) - keep)
-            f = re >> drop, im >> drop, acc[2] + f[2] + drop, acc[3] or f[3]
-        acc = f
-    return from_fixed(*acc) if acc else mp.one
+        f, f_complex = _poch_euler(a, amag, q, qmag, digits)
+        acc = f if acc is None else fmul(acc, f, keep)
+        is_complex = is_complex or f_complex
+    return from_fixed(acc[0], acc[1], -acc[2], is_complex) if acc else mp.one
 
 
 def poch_ratio(nums: Sequence, dens: Sequence, q):
