@@ -36,10 +36,10 @@ Non-terminating series have geometrically decaying terms.  ``phi_terms`` is
 the one recurrence for them, t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^e /
 (prod(1 - b q^k) (1 - q^{k+1})) in complex arithmetic, with a free exponent
 e.  It serves ``eval_phi`` (e = 1 + s - r: the 8W7 and 3phi2 closed forms),
-``wp_limit_terms`` (the well-poised limit sums, e = 1, and the t = 0 lbww
-series, e = 2), ``qintegrals.circle_phi_factor`` (e = 0, with numpy arrays
-of node values as numerator parameters) and the series of each end of
-``qintegrals.jackson_ratio`` (e = 0).
+``wp_limit_terms`` (e = 1 for the well-poised limit sums, 2 for the t = 0 lbww
+series, 0 or 1 for the weights of the sums over degrees in ``identities``),
+``qintegrals.circle_phi_factor`` (e = 0, numpy arrays of node values as
+numerator parameters) and each end's series of ``qintegrals.jackson_ratio`` (e = 0).
 
 ``sum_until_converged`` is the one series loop of the library, with one stop
 rule.  It sums the series of ``phi_terms`` and ``wp_limit_terms``, the
@@ -417,9 +417,9 @@ def eval_wp_limit(alpha, numerator: Sequence, denominator: Sequence, q, w,
 def wp_limit_terms(alpha, numerator: Sequence, denominator: Sequence, q: complex, z, d_exp: int):
     """Terms of (1 - alpha q^{2n})/(1 - alpha) times those of
     ``phi_terms(numerator, denominator, q, z, d_exp)``: the series of
-    ``eval_wp_limit`` (d_exp = 1), also summed by the t = 0 limit of
-    ``qintegrals.lbww_rhs`` (d_exp = 2).  Poles and alpha = 1 are rejected
-    here, before the first term."""
+    ``eval_wp_limit`` (d_exp = 1), also summed by the t = 0 limit of ``qintegrals.lbww_rhs``
+    (d_exp = 2), and the weights of the sums over degrees in ``identities``.
+    Poles and alpha = 1 are rejected here, before the first term."""
     _check_denominator_poles(denominator, q)
     al = complex(alpha)
     if abs(1 - al) < 1e-300:

@@ -6,8 +6,11 @@ form, series vs product, reconstruction vs direct evaluation) and a draw
 spec for admissible parameters.  ``run_suite`` executes pinned example
 cases plus seeded random draws and reports residuals.
 
-The generating functions and the master formula's outer series need a
-polynomial or an inner series per degree.  ``_degree_terms`` asks for blocks
+The generating functions and the master formula's outer series are sums
+over degrees, sum_n w_n p_n with p_n a polynomial or an inner series.  The
+weights (1 - alpha q^2n) / (1 - alpha) (alpha, ...; q)_n z^n / (q, ...; q)_n
+are the terms of a very-well-poised limit series (Gasper & Rahman, section
+1.2 and chapter 2) from ``wp_limit_terms``.  ``_degree_terms`` asks for blocks
 of degrees: 8, then up to where the decay of the last terms puts the stop of
 ``sum_until_converged``, which stays the only stop.
 
@@ -146,12 +149,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import time
 import zlib
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -181,6 +183,7 @@ from .hyperseries import (
     nearest_pole_distance,
     phi_terminating_core,
     sum_until_converged,
+    wp_limit_terms,
 )
 from . import qcalculus, qcore
 from .polyfamilies import (
@@ -189,7 +192,6 @@ from .polyfamilies import (
     QHahnParams,
     askey_wilson_poly,
     big_qjacobi_poly,
-    qhahn_A,
     qhahn_K,
     qhahn_L,
     qhahn_L0,
@@ -389,10 +391,9 @@ def _pair_dps(norm_ratio: Callable, n: int, m: int, extra: float) -> int:
 FIRST_DEGREE_BLOCK = 8
 
 
-def _degree_terms(poly: Callable, coeff: Callable, step: Callable, limit: int):
-    """Terms ``coeff(n, w_n) * p_n``, n < ``limit``, with w_0 = 1 and
-    w_{n+1} = w_n * step(n), where ``poly`` maps a range of degrees to their
-    values p_n.
+def _degree_terms(poly: Callable, weights: Iterable, limit: int):
+    """Terms w_n p_n, n < ``limit``, with w_n from the iterable ``weights``
+    and ``poly`` mapping a range of degrees to their values p_n.
 
     The first block asks ``poly`` for ``FIRST_DEGREE_BLOCK`` degrees.  Each
     later block ends where the terms, decaying geometrically at the rate
@@ -402,7 +403,7 @@ def _degree_terms(poly: Callable, coeff: Callable, step: Callable, limit: int):
     before it, and none from ``limit`` on; after r >= 1, a zero term or a
     zero sum it holds ``FIRST_DEGREE_BLOCK``.  The stop stays the loop's: a block that
     ends short of it is followed by another."""
-    weights = itertools.accumulate(map(step, itertools.count()), operator.mul, initial=1 + 0j)
+    weights = iter(weights)
     n, total, mags = 0, 0, []
     while n < limit:
         size = FIRST_DEGREE_BLOCK
@@ -415,15 +416,19 @@ def _degree_terms(poly: Callable, coeff: Callable, step: Callable, limit: int):
                 gap = (math.log(SERIES_TOL) + math.log(abs(total)) - math.log(mags[-1])) / log_r
                 size = min(max(1, math.floor(gap) + 1) + 2 - done, 2 * n)
         for value in poly(range(n, min(n + size, limit))):
-            t = coeff(n, next(weights)) * value
+            t = next(weights) * value
             total += t
             mags.append(abs(t))
             n += 1
             yield t
 
 
-#: The terms of a generating function, at most 250 degrees.
-_genfun_terms = partial(_degree_terms, limit=250)
+def _genfun_terms(poly: Callable, alpha, dens: tuple, q, z, s):
+    """The terms of a generating function, at most 250 degrees, with the weights
+    (1 - alpha q^2n) / (1 - alpha) (alpha, 1/s; q)_n (z s)^n / (q, dens; q)_n;
+    at s = 0 the factor (1/s; q)_n s^n is its limit (-1)^n q^(n(n-1)/2)."""
+    nums, z, d_exp = ((alpha, 1 / s), z * s, 0) if s else ((alpha,), z, 1)
+    return _degree_terms(poly, wp_limit_terms(alpha, nums, dens, q, z, d_exp), 250)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +522,9 @@ def _qhahn_moments(js: range, jd: int, a, b, c, d, rho, q, dps: int, kmax: int) 
 @lru_cache(maxsize=None)
 def _poly_coeffs(poly: Callable, n: int, p, radius: float, dps: int) -> tuple:
     """Coefficients at dps, highest degree first, of the degree-n polynomial
-    ``poly(n, p, .)`` of the family ``poly`` with parameters ``p``, from its
-    values at R w^j, w = exp(2 pi i / (n + 1)): c_i = R^-i (n + 1)^-1
-    sum_j poly(R w^j) w^-ij, exact for degree n.  When all of ``p`` is real
-    the polynomial's coefficients are real, and only real parts are kept."""
+    ``poly(n, p, .)`` of a family from its values at R w^j, w = exp(2 pi i / (n + 1)):
+    c_i = R^-i (n + 1)^-1 sum_j poly(R w^j) w^-ij, exact for degree n.  When all
+    of ``p`` is real the coefficients are real, and only real parts are kept."""
     if n == 0:  # P_0 = 1, also at a = 0 where qhahn_poly's a^-n guard refuses
         return (mpf(1),)
     with mp.workdps(dps):
@@ -738,9 +742,7 @@ def _recipe_liu_master(q, alpha, a, b, b1, c1, b2=None, c2=None, b3=None, c3=Non
 
     terms = _degree_terms(
         lambda d: map(complex, phi_terminating_core(build, d[-1], d[0])[0]),
-        lambda n, R: (1 - alpha * q ** (2 * n)) / (1 - alpha) * R,
-        lambda n: (1 - alpha * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
-            (1 - q ** (n + 1)) * (1 - alpha * a * q**n)),
+        wp_limit_terms(alpha, (alpha, q / a), (alpha * a,), q, a / q, 0),
         limit=300,
     )
     res = sum_until_converged(terms, "master summation outer series")
@@ -790,12 +792,11 @@ _ABCD = {"q": _Q_CHOICES, **dict.fromkeys("abcd", (0.05, 0.6))}
 def _recipe_qhahn_genfun(q, a, b, c, d, s, theta, swapped: bool = False) -> CheckValues:
     z = cmath.exp(1j * theta)
     p = QHahnParams(a, b, c, d, 1.0, complex(q))
-    a_role, b_role = (b, a) if swapped else (a, b)
+    a_role = b if swapped else a
     abcd = a * b * c * d
     res = sum_until_converged(_genfun_terms(
         lambda degrees: qhahn_poly(degrees, p, z),
-        lambda n, T: T * qhahn_A(n, a_role, b_role, p),
-        lambda n: (s - q**n) / (1 - abcd * s * q**n),
+        abcd / q, (a_role * c, a_role * d, abcd * s), q, a_role, s,
     ), "generating function series")
     rhs = poch_ratio([abcd, a_role * c * s, a_role * d * s, a_role * z],
                      [abcd * s, a_role * c, a_role * d, a_role * s * z], q)
@@ -961,12 +962,10 @@ def _recipe_bqj_genfun(a, b, c, t, x, q) -> CheckValues:
     p = BigQJacobiParams(a, b, c, complex(q))
     res = sum_until_converged(_genfun_terms(
         lambda degrees: big_qjacobi_poly(degrees, p, x),
-        lambda n, B: (1 - a * b * q ** (2 * n + 1)) * B,
-        lambda n: (1 - q * a * b * q**n) * (t - q**n) / (
-            (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n)
-        ),
+        a * b * q, (q * q * a * b * t,), q, 1, t,
     ), "generating function series")
-    rhs = poch_ratio([q * a * b, q * a * t, q * c * t, x],
+    # the weights carry 1 / (1 - abq), which takes the first factor of (qab; q)_inf
+    rhs = poch_ratio([q * q * a * b, q * a * t, q * c * t, x],
                      [q * q * a * b * t, q * a, q * c, t * x], q)
     return CheckValues(res.value, rhs, {"terms": res.terms_used})
 
@@ -1005,14 +1004,9 @@ _identity(
 def _recipe_aw_genfun(a, b, c, d, s, q, theta) -> CheckValues:
     p = AWParams(a, b, c, d, complex(q))
     abcd = a * b * c * d
-    lead = 1 - abcd / q
     res = sum_until_converged(_genfun_terms(
         lambda degrees: askey_wilson_poly(degrees, p, theta),
-        lambda n, B: (1 - abcd * q ** (2 * n - 1)) / lead * B,
-        lambda n: (1 - abcd / q * q**n) * (s - q**n) * a / (
-            (1 - q ** (n + 1)) * (1 - a * b * q**n) * (1 - a * c * q**n)
-            * (1 - a * d * q**n) * (1 - abcd * s * q**n)
-        ),
+        abcd / q, (a * b, a * c, a * d, abcd * s), q, a, s,
     ), "generating function series")
     e = cmath.exp(1j * theta)
     rhs = poch_ratio([abcd, a * b * s, a * c * s, a * d * s, a * e, a / e],

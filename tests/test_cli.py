@@ -175,6 +175,22 @@ def test_orth_sweep_report_is_pinned(capsys):
     assert hashlib.sha256(report.encode()).hexdigest() == ORTH_SWEEP_SHA256
 
 
+#: sha256 of the seed-42 report of the seven sums over degrees (the master
+#: formula and the four generating functions), whose weights and terms are
+#: float arithmetic.  A change that moves this digest lists the reports it
+#: moved in CHANGES.md.
+DEGREE_SUMS_SHA256 = "ba666277d1a857516a7fd97b48dd52e8ed6b5873d975f980e566eaad5df91db0"
+
+
+def test_degree_sums_report_is_pinned(capsys):
+    ids = ["liu_master_m1", "liu_master_m2", "liu_master_m3", "qhahn_genfun",
+           "qhahn_genfun_swapped", "bigqjacobi_genfun", "aw_genfun"]
+    assert main(["suite", "--ids", ",".join(ids), "--draws", "5", "--seed", "42",
+                 "--format", "json", "--deterministic"]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == DEGREE_SUMS_SHA256
+
+
 def test_elapsed_s_only_without_deterministic(tmp_path):
     out = tmp_path / "r.json"
     for flags in ([], ["--deterministic"]):
@@ -198,7 +214,6 @@ def test_check_zero_base_skipped(ident, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["liu_master_m1", "--alpha", "1"],
     ["q_gauss", "--a", "0"],
     ["alsalam_verma", "--d", "0"],
     # alpha = 0 also zeroes the argument of the 8phi7
@@ -213,6 +228,31 @@ def test_check_division_by_zero_skipped(argv, tmp_path, capsys):
     assert doc["status"] == "skipped"
     assert doc["reason"].startswith("ZeroDivisionError")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_unit_alpha_is_a_domain_skip(tmp_path, capsys):
+    # alpha = 1 zeroes 1 - alpha, by which the master formula's weights divide
+    out = tmp_path / "r.json"
+    assert main(["check", "liu_master_m1", "--alpha", "1", "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["reason"]) == (
+        "skipped", "DomainError: alpha = 1 degenerates the well-poised kernel")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qhahn_genfun", "--s", "0"],
+    ["qhahn_genfun_swapped", "--r", "0"],
+    ["bigqjacobi_genfun", "--t", "0"],
+    ["aw_genfun", "--s", "0"],
+])
+def test_check_genfun_at_zero_argument_passes(argv, tmp_path):
+    # (1/s; q)_n s^n of the weights is its limit (-1)^n q^(n(n-1)/2) at s = 0
+    out = tmp_path / "r.json"
+    assert main(["check", *argv, "--format", "json", "--deterministic",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
 
 
 @pytest.mark.parametrize("ident", ["liu_expansion", "liu_double_expansion"])

@@ -860,7 +860,7 @@ class TestDegreeTerms:
             blocks.append(degrees)
             return [ratio**n for n in degrees]
 
-        return identities._degree_terms(poly, lambda n, w: w, lambda n: 1.0, limit), blocks
+        return identities._degree_terms(poly, itertools.repeat(1.0), limit), blocks
 
     @pytest.mark.parametrize("ratio", [0.1, -0.1])
     def test_geometric_terms_are_asked_for_once(self, ratio):
@@ -903,6 +903,68 @@ class TestDegreeTerms:
         assert all(r.status == "pass" for r in reports)
         used = sum(r.diagnostics["terms"] for r in reports)
         assert used <= sum(asked) <= 1.15 * used
+
+
+def _weight_oracle(ident: str, prm: dict):
+    """The weights w_n of the sum over degrees of ``ident`` as the ratios
+    w_0 = 1, w_(n+1) = w_n step(n) with a coefficient coeff(n, w_n), the
+    form the recipes had before they took ``wp_limit_terms``.  The big
+    q-Jacobi weights carry 1 / (1 - abq) beside them."""
+    q = prm["q"]
+    if ident.startswith("liu_master"):
+        alpha, a = prm["alpha"], prm["a"]
+        coeff = lambda n, R: (1 - alpha * q ** (2 * n)) / (1 - alpha) * R
+        step = lambda n: (1 - alpha * q**n) * (1 - q ** (n + 1) / a) * (a / q) / (
+            (1 - q ** (n + 1)) * (1 - alpha * a * q**n))
+    elif ident == "bigqjacobi_genfun":
+        a, b, t = prm["a"], prm["b"], prm["t"]
+        coeff = lambda n, B: (1 - a * b * q ** (2 * n + 1)) * B / (1 - a * b * q)
+        step = lambda n: (1 - q * a * b * q**n) * (t - q**n) / (
+            (1 - q ** (n + 1)) * (1 - q * q * a * b * t * q**n))
+    elif ident == "aw_genfun":
+        a, b, c, d, s = (prm[k] for k in "abcds")
+        abcd = a * b * c * d
+        coeff = lambda n, B: (1 - abcd * q ** (2 * n - 1)) / (1 - abcd / q) * B
+        step = lambda n: (1 - abcd / q * q**n) * (s - q**n) * a / (
+            (1 - q ** (n + 1)) * (1 - a * b * q**n) * (1 - a * c * q**n)
+            * (1 - a * d * q**n) * (1 - abcd * s * q**n))
+    else:
+        a, b, c, d = (prm[k] for k in "abcd")
+        s = prm["r"] if ident == "qhahn_genfun_swapped" else prm["s"]
+        a_role, b_role = (b, a) if ident == "qhahn_genfun_swapped" else (a, b)
+        p = QHahnParams(a, b, c, d, 1.0, complex(q))
+        coeff = lambda n, T: T * polyfamilies.qhahn_A(n, a_role, b_role, p)
+        step = lambda n: (s - q**n) / (1 - a * b * c * d * s * q**n)
+    ratios = itertools.accumulate(map(step, itertools.count()), initial=1 + 0j,
+                                  func=lambda w, r: w * r)
+    return (coeff(n, w) for n, w in enumerate(ratios))
+
+
+@pytest.mark.parametrize("ident", ["liu_master_m1", "liu_master_m2", "liu_master_m3",
+                                   "qhahn_genfun", "qhahn_genfun_swapped",
+                                   "bigqjacobi_genfun", "aw_genfun"])
+def test_degree_weights_match_their_ratios(ident, monkeypatch):
+    # the first 60 weights each recipe hands to _degree_terms, at the seed-1
+    # draws and with s, r or t set to 0, against the ratios they replace;
+    # at s = 0 and q = 0.3 the later weights are subnormal, with fewer bits,
+    # so differences below the smallest normal double pass
+    zero = {"qhahn_genfun": "s", "qhahn_genfun_swapped": "r", "bigqjacobi_genfun": "t",
+            "aw_genfun": "s"}.get(ident)
+    seen = []
+    degree_terms = identities._degree_terms
+
+    def recorded(poly, weights, limit):
+        weights = iter(weights)
+        seen.append(list(itertools.islice(weights, 60)))
+        return degree_terms(poly, itertools.chain(seen[-1], weights), limit)
+
+    monkeypatch.setattr(identities, "_degree_terms", recorded)
+    draws = [REGISTRY[ident].sampler(identities._rng(1, ident, k)) for k in range(20)]
+    for prm in draws + ([{**prm, zero: 0.0} for prm in draws] if zero else []):
+        REGISTRY[ident].recipe(**prm)
+        expected = list(itertools.islice(_weight_oracle(ident, prm), 60))
+        assert all(abs(w - e) <= 1e-13 * abs(e) + sys.float_info.min
+                   for w, e in zip(seen[-1], expected, strict=True))
 
 
 def test_unknown_identity_raises():
